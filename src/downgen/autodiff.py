@@ -9,7 +9,6 @@ vector-Jacobian product.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class Tensor:
@@ -122,9 +121,9 @@ def neg(a):
 
 def silu(a):
     a = _as_tensor(a)
-    # overflow-free logistic
-    s = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                 np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
+    # overflow-free logistic: e = exp(-|a|) lies in (0, 1]
+    e = np.exp(-np.abs(a.data))
+    s = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
     return Tensor(a.data * s, (a,), lambda g: (g * s * (1.0 + a.data * (1.0 - s)),))
 
 
@@ -183,28 +182,37 @@ def dense(x, w, b):
 
 
 def conv2d(x, w, b, stride=1):
-    """Same-padded 2-D convolution, channels last.
+    """Same-padded 2-D convolution, channels last, as shift-and-GEMM.
 
     x: [B, H, W, Cin], w: [kh, kw, Cin, Cout], b: [Cout]; odd kernel sizes only.
+    The input is zero-padded once; kernel tap (i, j) sees one strided slice of
+    the padded input, and the output is the sum over taps of that slice times
+    w[i, j]. The vjp reuses the same slices: one GEMM per tap for dw and a
+    scatter-add into the padded buffer for dx.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     kh, kw, cin, cout = w.data.shape
+    n, h, wd, _ = x.data.shape
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    patches = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    out = np.einsum("bhwcij,ijco->bhwo", patches, w.data, optimize=True) + b.data
-    ho, wo = out.shape[1], out.shape[2]
+    ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
+    xp = np.zeros((n, h + 2 * ph, wd + 2 * pw, cin))
+    xp[:, ph: ph + h, pw: pw + wd] = x.data
+    taps = [(i, j, np.s_[:, i: i + stride * ho: stride, j: j + stride * wo: stride])
+            for i in range(kh) for j in range(kw)]
+    out = np.zeros((n * ho * wo, cout))
+    for i, j, tap in taps:
+        out += xp[tap].reshape(-1, cin) @ w.data[i, j]
+    out = out.reshape(n, ho, wo, cout) + b.data
 
     def vjp(g):
-        dw = np.einsum("bhwcij,bhwo->ijco", patches, g, optimize=True)
-        db = g.sum(axis=(0, 1, 2))
+        g2 = g.reshape(-1, cout)
+        dw = np.empty_like(w.data)
         dxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, i: i + stride * ho: stride, j: j + stride * wo: stride, :] += \
-                    g @ w.data[i, j].T
-        dx = dxp[:, ph: ph + x.data.shape[1], pw: pw + x.data.shape[2], :]
-        return dx, dw, db
+        for i, j, tap in taps:
+            dw[i, j] = xp[tap].reshape(-1, cin).T @ g2
+            dxp[tap] += g @ w.data[i, j].T
+        dx = dxp[:, ph: ph + h, pw: pw + wd]
+        return dx, dw, g2.sum(axis=0)
 
     return Tensor(out, (x, w, b), vjp)
 

@@ -65,6 +65,7 @@ def _synth_config(cfg):
         spatial_factor=s["spatial_factor"], spectral_slope=s["spectral_slope"],
         seasonal_amp=s["seasonal_amp"], diurnal_amp=s["diurnal_amp"],
         trend_per_year=s["trend_per_year"], noise_amp=s["noise_amp"],
+        noise_ar1=s["noise_ar1"],
         rng_seed=cfg["pipeline"]["rng_seed"],
         bias=BiasSpec(mean_offset=s["bias_mean_offset"], var_scale=s["bias_var_scale"],
                       spectral_tilt=s["bias_spectral_tilt"],

@@ -268,20 +268,20 @@ def train_sr(fine_truth: GridField, cfg: SRTrainConfig, out_dir=None):
 def cfg_denoise(params, arch: ArchConfig, z, sigma, cond, guidance):
     """Classifier-free guided denoiser: (1+g) D(z, s, cond) - g D(z, s, null).
 
-    z: [T, H, W, V] single window (no batch axis); cond None means
-    unconditional denoising regardless of guidance strength.
+    z: [..., T, H, W, V], one window or a stack of windows, all at noise level
+    sigma; cond has the shape of z, or is None for unconditional denoising
+    regardless of guidance strength. Every window and both guidance branches
+    go through one batched denoiser call.
     """
     leaves = as_leaves(params)
-    zb = z[None]
-    sig = np.array([sigma])
-    if cond is None:
-        return denoiser_forward(leaves, zb, sig, None, arch).data[0]
-    if guidance == 0.0:
-        return denoiser_forward(leaves, zb, sig, cond[None], arch).data[0]
-    both = np.concatenate([zb, zb])
-    conds = np.concatenate([cond[None], np.zeros_like(cond[None])])
-    out = denoiser_forward(leaves, both, np.array([sigma, sigma]), conds, arch).data
-    return (1.0 + guidance) * out[0] - guidance * out[1]
+    zb = z.reshape((-1,) + z.shape[-4:])
+    cb = None if cond is None else cond.reshape(zb.shape)
+    n = len(zb)
+    if cb is None or guidance == 0.0:
+        return denoiser_forward(leaves, zb, np.full(n, sigma), cb, arch).data.reshape(z.shape)
+    out = denoiser_forward(leaves, np.concatenate([zb, zb]), np.full(2 * n, sigma),
+                           np.concatenate([cb, np.zeros_like(cb)]), arch).data
+    return ((1.0 + guidance) * out[:n] - guidance * out[n:]).reshape(z.shape)
 
 
 def sample_chain(denoise_fn, shape, sigmas, rng):

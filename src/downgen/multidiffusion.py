@@ -3,8 +3,9 @@
 Each window runs its own reverse chain; after every denoiser evaluation the
 overlapping slices of neighboring windows are replaced by their average, and
 the stochastic step uses noise sliced from one global field so that overlap
-slices stay bitwise identical throughout the chain. Windows may be denoised
-concurrently; consolidation is a neighbor-exchange barrier once per step.
+slices stay bitwise identical throughout the chain. The window states are
+kept as one stacked array, so every step denoises all windows in one batched
+call, consolidates the overlaps and takes one SDE step over the stack.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .diffusion import SRModel, assemble_output, cfg_denoise, prepare_cond, sde_step_exponential
 from .grid import GridField
 from .nets import DivergenceError
-from .parallel import pmap
+from .parallel import pmap  # noqa: F401  not called here; perfbench/tracing.py wraps it
 
 
 @dataclass
@@ -98,7 +99,8 @@ def sample_long(model: SRModel, y_cond_long: GridField, n_windows,
     y_cond_long: coarse daily input covering n_windows staggered windows of
     model.window_days with a one-day overlap (in fine steps: window_len =
     window_days * steps_per_day, overlap = steps_per_day). on_step, if given,
-    is called as on_step(grid_index, window_states) after every SDE step.
+    is called as on_step(grid_index, window_states) after every SDE step, with
+    the states stacked as [n_windows, window_len, H, W, V].
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -108,22 +110,24 @@ def sample_long(model: SRModel, y_cond_long: GridField, n_windows,
     if y_cond_long.n_times != expected_days:
         raise ValueError(f"conditioning series has {y_cond_long.n_times} days, "
                          f"layout needs {expected_days}")
+
+    def windows(full):
+        return np.stack([full[s: s + layout.window_len] for s in layout.starts])
+
     cond_full = prepare_cond(y_cond_long, model.norm, model.spec)
-    conds = [cond_full[s: s + layout.window_len] for s in layout.starts]
+    conds = windows(cond_full)
     sigmas = model.schedule.step_sigmas()
     _, zs = shared_noise(layout, rng, cond_full.shape[1:])
-    zs = [z * sigmas[0] for z in zs]
+    zs = np.stack(zs) * sigmas[0]
     for i in range(len(sigmas) - 1):
-        ds = pmap(lambda j: cfg_denoise(model.params, model.arch, zs[j], sigmas[i],
-                                        conds[j], guidance),
-                  range(layout.n_windows))
+        ds = cfg_denoise(model.params, model.arch, zs, sigmas[i], conds, guidance)
         consolidate(ds, layout)
         eps_full = rng.standard_normal((layout.total_len,) + cond_full.shape[1:])
-        for j, s in enumerate(layout.starts):
-            zs[j] = sde_step_exponential(zs[j], sigmas[i], sigmas[i + 1], ds[j],
-                                         eps_full[s: s + layout.window_len])
-            if not np.isfinite(zs[j]).all():
-                raise DivergenceError(f"non-finite state in window {j} at grid index {i}")
+        zs = sde_step_exponential(zs, sigmas[i], sigmas[i + 1], ds, windows(eps_full))
+        finite = np.isfinite(zs).reshape(layout.n_windows, -1).all(axis=1)
+        if not finite.all():
+            raise DivergenceError(f"non-finite state in window {int(np.argmin(finite))} "
+                                  f"at grid index {i}")
         if on_step is not None:
             on_step(i, zs)
     draw = combine(zs, layout)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,16 @@ class TestElementwise:
         arrays = {"a": rng.standard_normal((4, 4))}
         check_op(lambda t: ad.mean(ad.silu(t["a"])), arrays)
 
+    def test_silu_extreme_inputs_finite(self):
+        a = Tensor(np.array([-800.0, -30.0, 0.0, 30.0, 800.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = ad.silu(a)
+            backward(ad.mean(out))
+        assert np.isfinite(out.data).all() and np.isfinite(a.grad).all()
+        np.testing.assert_allclose(out.data[[0, -1]], [0.0, 800.0], rtol=1e-15)
+        np.testing.assert_allclose(a.grad[[0, -1]] * a.data.size, [0.0, 1.0], rtol=1e-15)
+
     def test_mean_axes(self):
         rng = np.random.default_rng(4)
         arrays = {"a": rng.standard_normal((2, 3, 4))}
@@ -86,7 +98,43 @@ class TestDense:
         check_op(lambda t: ad.mean(ad.square(ad.dense(t["x"], t["w"], t["b"]))), arrays)
 
 
+def conv2d_reference(x, w, b, stride):
+    """Same-padded convolution as an explicit loop over output pixels and taps."""
+    n, h, wd, _ = x.shape
+    kh, kw = w.shape[:2]
+    ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
+    out = np.tile(b, (n, ho, wo, 1))
+    for oy in range(ho):
+        for ox in range(wo):
+            for i in range(kh):
+                for j in range(kw):
+                    y, xx = oy * stride + i - kh // 2, ox * stride + j - kw // 2
+                    if 0 <= y < h and 0 <= xx < wd:
+                        out[:, oy, ox] += x[:, y, xx] @ w[i, j]
+    return out
+
+
 class TestConv:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_conv2d_matches_loop_reference(self, k, stride):
+        rng = np.random.default_rng(20 + 2 * k + stride)
+        x = rng.standard_normal((2, 5, 7, 3))
+        w = rng.standard_normal((k, k, 3, 4))
+        b = rng.standard_normal(4)
+        out = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride).data
+        np.testing.assert_allclose(out, conv2d_reference(x, w, b, stride), rtol=1e-12, atol=1e-12)
+
+    def test_conv2d_k5_stride2_gradients(self):
+        rng = np.random.default_rng(30)
+        arrays = {
+            "x": rng.standard_normal((2, 5, 7, 3)),
+            "w": rng.standard_normal((5, 5, 3, 4)) * 0.3,
+            "b": rng.standard_normal(4),
+        }
+        check_op(lambda t: ad.mean(ad.square(ad.conv2d(t["x"], t["w"], t["b"], stride=2))),
+                 arrays)
+
     @pytest.mark.parametrize("stride", [1, 2])
     def test_conv2d(self, stride):
         rng = np.random.default_rng(9 + stride)

@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from downgen.cli import main
+from downgen.cli import _synth_config, main
 from downgen.config import ConfigError, apply_overrides, default_config, parse_config
 from downgen.grid import read_array
 from downgen.report import read_metrics_csv
@@ -82,6 +84,10 @@ class TestConfig:
     def test_bad_override_shape(self):
         with pytest.raises(ConfigError, match="section.key=value"):
             apply_overrides(default_config(), ["guidance=2.5"])
+
+    def test_demo_synth_config_forwards_noise_ar1(self):
+        demo = Path(__file__).resolve().parent.parent / "configs" / "demo.ini"
+        assert _synth_config(parse_config(demo)).noise_ar1 == 0.6
 
 
 class TestExitCodes:

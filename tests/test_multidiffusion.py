@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from downgen.diffusion import NoiseSchedule, SRModel, SRNormalization, sample
+from downgen import multidiffusion
+from downgen.diffusion import NoiseSchedule, SRModel, SRNormalization, cfg_denoise, sample
 from downgen.grid import Climatology, EnsembleStats, coarsen
 from downgen.multidiffusion import (
     WindowLayout,
@@ -185,11 +186,22 @@ class TestSampleLong:
         with pytest.raises(ValueError, match="layout needs"):
             sample_long(model, y, 2)
 
-    def test_thread_schedule_bit_identical(self, untrained_model, monkeypatch):
+    def test_batched_step_matches_per_window_calls(self, untrained_model, monkeypatch):
+        # one batched denoiser call per step; batching may reorder GEMM sums
         model, coarse = untrained_model
-        y = coarse.time_slice(0, 5 * 24)
-        monkeypatch.setenv("DOWNGEN_THREADS", "1")
-        a = sample_long(model, y, 2, rng=np.random.default_rng(10))
-        monkeypatch.setenv("DOWNGEN_THREADS", "4")
-        b = sample_long(model, y, 2, rng=np.random.default_rng(10))
-        assert a.data.tobytes() == b.data.tobytes()
+        y = coarse.time_slice(0, 9 * 24)
+        calls = []
+
+        def recording(params, arch, zs, sigma, conds, guidance):
+            ds = cfg_denoise(params, arch, zs, sigma, conds, guidance)
+            calls.append((zs.copy(), sigma, conds, ds.copy()))
+            return ds
+
+        monkeypatch.setattr(multidiffusion, "cfg_denoise", recording)
+        sample_long(model, y, 4, guidance=1.0, rng=np.random.default_rng(10))
+        assert len(calls) == model.schedule.n_grid - 1
+        zs, sigma, conds, batched = calls[len(calls) // 2]
+        assert batched.shape == zs.shape == (4, 36, 8, 8, 4)
+        single = np.stack([cfg_denoise(model.params, model.arch, z, sigma, c, 1.0)
+                           for z, c in zip(zs, conds)])
+        np.testing.assert_allclose(batched, single, rtol=1e-12, atol=1e-12)
