@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import bcsd_pipeline, daily_means, qm_debias
-from .config import ConfigError, apply_overrides, parse_config, default_config, write_resolved
+from .config import ConfigError, apply_overrides, parse_config, default_config, resolved_text
 from .diffusion import NoiseSchedule, SRTrainConfig, load_sr, train_sr
 from .grid import (
     DownsampleSpec,
@@ -74,6 +74,29 @@ def _synth_config(cfg):
     )
 
 
+def _reflow_config(cfg):
+    d = cfg["debias"]
+    return ReflowTrainConfig(
+        steps=d["steps"], chunks_per_batch=d["chunks_per_batch"],
+        coupling=CouplingConfig(chunk_len_days=d["chunk_len_days"],
+                                season_window_days=d["season_window_days"]),
+        peak_lr=d["peak_lr"], end_lr=d["end_lr"], warmup_steps=d["warmup_steps"],
+        clip_norm=d["clip_norm"], levels=d["levels"],
+        seed=cfg["pipeline"]["rng_seed"])
+
+
+def _sr_config(cfg):
+    s = cfg["sr"]
+    return SRTrainConfig(
+        steps=s["steps"], batch=s["batch"], window_days=s["window_days"],
+        spatial_factor=cfg["synth"]["spatial_factor"], p_uncond=s["p_uncond"],
+        peak_lr=s["peak_lr"], end_lr=s["end_lr"], warmup_steps=s["warmup_steps"],
+        clip_norm=s["clip_norm"], levels=s["levels"], doy_buckets=s["doy_buckets"],
+        noise=NoiseSchedule(sigma_min=s["sigma_min"], sigma_max=s["sigma_max"],
+                            n_grid=s["n_grid"], kind=s["schedule_kind"]),
+        seed=cfg["pipeline"]["rng_seed"])
+
+
 def _train_hours(cfg):
     return cfg["synth"]["train_days"] * 24
 
@@ -97,23 +120,21 @@ def _persist_config(cfg, run_dir):
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     target = run_dir / "config.ini"
-    if target.exists():
-        tmp = run_dir / "config.resolved.tmp"
-        write_resolved(cfg, tmp)
-        fresh = tmp.read_text(encoding="utf-8")
-        tmp.unlink()
-        if fresh != target.read_text(encoding="utf-8"):
-            raise StageError("run directory was created with a different configuration")
-    else:
-        write_resolved(cfg, target)
+    text = resolved_text(cfg)
+    if not target.exists():
+        target.write_text(text, encoding="utf-8")
+    elif target.read_text(encoding="utf-8") != text:
+        raise StageError("run directory was created with a different configuration")
 
 
 def _update_manifest(run_dir, stage, outputs):
+    """Record a stage's outputs, as paths relative to the run directory."""
     path = Path(run_dir) / "manifest.json"
     manifest = {"stages": {}}
     if path.exists():
         manifest = json.loads(path.read_text(encoding="utf-8"))
-    manifest["stages"][stage] = sorted(str(o) for o in outputs)
+    manifest["stages"][stage] = sorted(Path(o).relative_to(run_dir).as_posix()
+                                       for o in outputs)
     path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n",
                     encoding="utf-8")
 
@@ -145,17 +166,9 @@ def stage_train_debias(cfg, run_dir):
     target = read_array(_require(run_dir / "data" / "coarse_truth.npy", "gen-data"))
     members = _members(run_dir)
     t_hours = _train_hours(cfg)
-    d = cfg["debias"]
-    tcfg = ReflowTrainConfig(
-        steps=d["steps"], chunks_per_batch=d["chunks_per_batch"],
-        coupling=CouplingConfig(chunk_len_days=d["chunk_len_days"],
-                                season_window_days=d["season_window_days"]),
-        peak_lr=d["peak_lr"], end_lr=d["end_lr"], warmup_steps=d["warmup_steps"],
-        clip_norm=d["clip_norm"], levels=d["levels"],
-        seed=cfg["pipeline"]["rng_seed"])
     out = _fresh_dir(run_dir / "models" / "debias")
     train_reflow([m.time_slice(0, t_hours) for m in members],
-                 target.time_slice(0, t_hours), tcfg, out_dir=out)
+                 target.time_slice(0, t_hours), _reflow_config(cfg), out_dir=out)
     _update_manifest(run_dir, "train-debias", [out])
     return 0
 
@@ -163,17 +176,8 @@ def stage_train_debias(cfg, run_dir):
 def stage_train_sr(cfg, run_dir):
     run_dir = Path(run_dir)
     truth = read_array(_require(run_dir / "data" / "fine_truth.npy", "gen-data"))
-    s = cfg["sr"]
-    tcfg = SRTrainConfig(
-        steps=s["steps"], batch=s["batch"], window_days=s["window_days"],
-        spatial_factor=cfg["synth"]["spatial_factor"], p_uncond=s["p_uncond"],
-        peak_lr=s["peak_lr"], end_lr=s["end_lr"], warmup_steps=s["warmup_steps"],
-        clip_norm=s["clip_norm"], levels=s["levels"], doy_buckets=s["doy_buckets"],
-        noise=NoiseSchedule(sigma_min=s["sigma_min"], sigma_max=s["sigma_max"],
-                            n_grid=s["n_grid"], kind=s["schedule_kind"]),
-        seed=cfg["pipeline"]["rng_seed"])
     out = _fresh_dir(run_dir / "models" / "sr")
-    train_sr(truth.time_slice(0, _train_hours(cfg)), tcfg, out_dir=out)
+    train_sr(truth.time_slice(0, _train_hours(cfg)), _sr_config(cfg), out_dir=out)
     _update_manifest(run_dir, "train-sr", [out])
     return 0
 

@@ -8,7 +8,6 @@ every run's outputs so results can be reproduced from it alone.
 from __future__ import annotations
 
 import configparser
-from pathlib import Path
 
 
 class ConfigError(Exception):
@@ -154,8 +153,8 @@ def apply_overrides(cfg, overrides):
     return cfg
 
 
-def write_resolved(cfg, path):
-    path = Path(path)
+def resolved_text(cfg) -> str:
+    """The configuration as INI text, every schema key in schema order."""
     lines = []
     for section in SCHEMA:
         lines.append(f"[{section}]")
@@ -165,4 +164,4 @@ def write_resolved(cfg, path):
                 val = ",".join(str(v) for v in val)
             lines.append(f"{key} = {val}")
         lines.append("")
-    path.write_text("\n".join(lines), encoding="utf-8")
+    return "\n".join(lines)

@@ -9,8 +9,7 @@ assembled as upsampled input + residual climatology + scaled residual draw.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +36,11 @@ from .nets import (
     collect_grads,
     denoiser_arch,
     denoiser_forward,
-    init_params,
     load_checkpoint,
     save_checkpoint,
 )
-from .optim import OptimizerState, Schedule, adam_step
-from .reflow import write_loss_log
+from .optim import adam_step  # noqa: F401  not called here; perfbench/tracing.py wraps it
+from .reflow import fit, write_loss_log
 
 _TRAIN_STREAM = 3
 
@@ -223,7 +221,9 @@ def denoise_loss(params, arch: ArchConfig, z0, cond, sigmas, eps, keep_mask):
 def train_sr(fine_truth: GridField, cfg: SRTrainConfig, out_dir=None):
     """Train the residual denoiser on self-coarsened fine truth.
 
-    Returns (SRModel, log). Window length is cfg.window_days at fine cadence.
+    `fit` runs the loop; each step draws window starts, noise levels, noise
+    and the dropout mask, in that order. Returns (SRModel, log). Window
+    length is cfg.window_days at fine cadence.
     """
     spec = DownsampleSpec(cfg.spatial_factor, 24 // fine_truth.dt_hours)
     steps_per_day = spec.temporal_window
@@ -235,25 +235,18 @@ def train_sr(fine_truth: GridField, cfg: SRTrainConfig, out_dir=None):
     n_days = fine_truth.n_times // steps_per_day
     if n_days < cfg.window_days:
         raise ValueError("training series shorter than one window")
-    n_vars = fine_truth.data.shape[-1]
-    arch = denoiser_arch(n_vars, window, levels=cfg.levels)
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _TRAIN_STREAM)))
-    params = init_params(rng, arch)
-    state = OptimizerState(
-        Schedule(peak_lr=cfg.peak_lr, end_lr=cfg.end_lr,
-                 warmup_steps=cfg.warmup_steps, total_steps=cfg.steps),
-        clip_norm=cfg.clip_norm)
-    log = []
-    for step in range(cfg.steps):
+    arch = denoiser_arch(fine_truth.data.shape[-1], window, levels=cfg.levels)
+
+    def loss_fn(params, rng):
         starts = rng.integers(0, n_days - cfg.window_days + 1, cfg.batch) * steps_per_day
         z0 = np.stack([r_tilde[s: s + window] for s in starts])
         cond = np.stack([cond_full[s: s + window] for s in starts])
         sigmas = cfg.noise.sample_train(rng, cfg.batch)
         eps = rng.standard_normal(z0.shape)
         keep = (rng.random(cfg.batch) >= cfg.p_uncond).astype(np.float64)
-        loss, grads = denoise_loss(params, arch, z0, cond, sigmas, eps, keep)
-        lr = adam_step(params, state, grads)
-        log.append((step, loss, lr))
+        return denoise_loss(params, arch, z0, cond, sigmas, eps, keep)
+
+    params, log, state = fit(arch, cfg, _TRAIN_STREAM, loss_fn)
     model = SRModel(params, arch, norm, cfg.noise, spec, cfg.window_days)
     if out_dir is not None:
         save_sr(model, out_dir, opt_state=state)
@@ -325,22 +318,13 @@ def save_sr(model: SRModel, ckpt_dir, opt_state=None) -> None:
     arrays["cond_stats/std"] = model.norm.cond_stats.std
     if model.norm.residual_clim.valid is not None:
         arrays["clim/valid"] = model.norm.residual_clim.valid.astype(np.float64)
-    if opt_state is not None:
-        for k, v in opt_state.m.items():
-            arrays[f"adam_m/{k}"] = v
-        for k, v in opt_state.v.items():
-            arrays[f"adam_v/{k}"] = v
     meta = {
         "kind": "sr",
         "step": opt_state.step if opt_state is not None else 0,
         "arch": model.arch.to_json(),
         "clim_buckets": [model.norm.residual_clim.doy_buckets,
                          model.norm.residual_clim.tod_buckets],
-        "schedule": {"sigma_min": model.schedule.sigma_min,
-                     "sigma_max": model.schedule.sigma_max,
-                     "n_grid": model.schedule.n_grid,
-                     "kind": model.schedule.kind,
-                     "rho": model.schedule.rho},
+        "schedule": asdict(model.schedule),
         "spec": [model.spec.spatial_factor, model.spec.temporal_window],
         "window_days": model.window_days,
     }

@@ -60,7 +60,8 @@ def adam_step(params: dict, state: OptimizerState, grads: dict) -> float:
     bc2 = 1.0 - state.beta2 ** state.step
     for k in sorted(params):
         g = grads[k] * scale
-        state.m[k] = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
-        state.v[k] = state.beta2 * state.v[k] + (1.0 - state.beta2) * g ** 2
-        params[k] -= lr * (state.m[k] / bc1) / (np.sqrt(state.v[k] / bc2) + state.eps)
+        m, v = state.m[k], state.v[k]   # in place: fresh arrays each step fragment the heap
+        np.add(state.beta1 * m, (1.0 - state.beta1) * g, out=m)
+        np.add(state.beta2 * v, (1.0 - state.beta2) * g ** 2, out=v)
+        params[k] -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
     return lr

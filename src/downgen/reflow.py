@@ -189,6 +189,7 @@ def transport(model: ReflowModel, y: GridField, member_id, n_steps=100) -> GridF
 def train_reflow(members, target, cfg: ReflowTrainConfig, out_dir=None):
     """Train the velocity field on training-period member/target series.
 
+    `fit` runs the loop; each step draws a coupling batch, then its times.
     Returns (ReflowModel, log) where log is a list of (step, loss, lr) rows.
     When out_dir is given, writes a checkpoint and the loss curve CSV there.
     """
@@ -196,28 +197,41 @@ def train_reflow(members, target, cfg: ReflowTrainConfig, out_dir=None):
         raise ValueError("empty training ensemble")
     member_stats = {m.member_id: compute_ensemble_stats(m) for m in members}
     target_stats = compute_ensemble_stats(target)
-    n_vars = target.data.shape[-1]
-    arch = velocity_arch(n_vars, levels=cfg.levels)
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _TRAIN_STREAM)))
+    arch = velocity_arch(target.data.shape[-1], levels=cfg.levels)
+    batch_size = cfg.chunks_per_batch * cfg.coupling.chunk_len_days
+
+    def loss_fn(params, rng):
+        batch = sample_coupling(members, member_stats, target, target_stats,
+                                cfg.coupling, rng, cfg.chunks_per_batch)
+        tau = rng.uniform(cfg.coupling.tau_min, 1.0 - cfg.coupling.tau_min, batch_size)
+        return reflow_loss(params, arch, batch, tau)
+
+    params, log, state = fit(arch, cfg, _TRAIN_STREAM, loss_fn)
+    model = ReflowModel(params, arch, member_stats, target_stats)
+    if out_dir is not None:
+        save_reflow(model, out_dir, opt_state=state)
+        write_loss_log(Path(out_dir) / "loss.csv", log)
+    return model, log
+
+
+def fit(arch: ArchConfig, cfg, stream, loss_fn):
+    """The training loop of both stages: seeded init, then clipped Adam steps.
+
+    One generator seeded from (cfg.seed, stream) initializes the parameters;
+    each of cfg.steps steps then calls loss_fn(params, rng) -> (loss, grads),
+    which draws its batch from it. Returns (params, log, optimizer state).
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, stream)))
     params = init_params(rng, arch)
     state = OptimizerState(
         Schedule(peak_lr=cfg.peak_lr, end_lr=cfg.end_lr,
                  warmup_steps=cfg.warmup_steps, total_steps=cfg.steps),
         clip_norm=cfg.clip_norm)
-    model = ReflowModel(params, arch, member_stats, target_stats)
     log = []
-    batch_size = cfg.chunks_per_batch * cfg.coupling.chunk_len_days
     for step in range(cfg.steps):
-        batch = sample_coupling(members, member_stats, target, target_stats,
-                                cfg.coupling, rng, cfg.chunks_per_batch)
-        tau = rng.uniform(cfg.coupling.tau_min, 1.0 - cfg.coupling.tau_min, batch_size)
-        loss, grads = reflow_loss(params, arch, batch, tau)
-        lr = adam_step(params, state, grads)
-        log.append((step, loss, lr))
-    if out_dir is not None:
-        save_reflow(model, out_dir, opt_state=state)
-        write_loss_log(Path(out_dir) / "loss.csv", log)
-    return model, log
+        loss, grads = loss_fn(params, rng)
+        log.append((step, loss, adam_step(params, state, grads)))
+    return params, log, state
 
 
 def write_loss_log(path, log):
@@ -236,13 +250,8 @@ def save_reflow(model: ReflowModel, ckpt_dir, opt_state=None) -> None:
     arrays["target_stats/mean"] = model.target_stats.mean
     arrays["target_stats/std"] = model.target_stats.std
     meta = {"kind": "reflow", "arch": model.arch.to_json(),
-            "members": sorted(model.member_stats), "step": 0}
-    if opt_state is not None:
-        meta["step"] = opt_state.step
-        for k, v in opt_state.m.items():
-            arrays[f"adam_m/{k}"] = v
-        for k, v in opt_state.v.items():
-            arrays[f"adam_v/{k}"] = v
+            "members": sorted(model.member_stats),
+            "step": opt_state.step if opt_state is not None else 0}
     save_checkpoint(ckpt_dir, arrays, meta)
 
 

@@ -1,9 +1,10 @@
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from downgen.cli import _synth_config, main
+from downgen.cli import _reflow_config, _sr_config, _synth_config, main
 from downgen.config import ConfigError, apply_overrides, default_config, parse_config
 from downgen.grid import read_array
 from downgen.report import read_metrics_csv
@@ -89,6 +90,33 @@ class TestConfig:
         demo = Path(__file__).resolve().parent.parent / "configs" / "demo.ini"
         assert _synth_config(parse_config(demo)).noise_ar1 == 0.6
 
+    # keys that no stage config carries: stages read them from the config directly
+    READ_BY_STAGES = {
+        "synth.train_days": "every stage slices the training period with it",
+        "debias.transport_steps": "the debias stage passes it to transport",
+    }
+
+    @pytest.mark.parametrize("section", ["pipeline", "synth", "debias", "sr"])
+    def test_every_key_changes_resolved_stage_config(self, section):
+        def stage_configs(cfg):
+            return _synth_config(cfg), _reflow_config(cfg), _sr_config(cfg)
+
+        base = default_config()
+        for key, value in base[section].items():
+            if f"{section}.{key}" in self.READ_BY_STAGES:
+                continue
+            if isinstance(value, tuple):
+                changed = value + (value[-1],)
+            elif isinstance(value, str):
+                changed = "tangent" if value != "tangent" else "edm"
+            elif isinstance(value, int):
+                changed = value * 2 or 1
+            else:
+                changed = value / 2 + 0.125
+            cfg = default_config()
+            cfg[section][key] = changed
+            assert stage_configs(cfg) != stage_configs(base), f"{section}.{key}"
+
 
 class TestExitCodes:
     def test_unknown_config_key_exits_2(self, tmp_path):
@@ -106,17 +134,28 @@ class TestExitCodes:
         assert (out / "config.ini").exists()
         assert (out / "manifest.json").exists()
 
+    def test_manifest_paths_relative_to_run_dir(self, tiny_config, tmp_path):
+        out = tmp_path / "run"
+        assert main(["gen-data", "--config", str(tiny_config), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stages"]["gen-data"] == ["data"]
+
     def test_write_once(self, tiny_config, tmp_path):
         out = tmp_path / "run"
         assert main(["gen-data", "--config", str(tiny_config), "--out", str(out)]) == 0
         assert main(["gen-data", "--config", str(tiny_config), "--out", str(out)]) == 1
 
-    def test_config_mismatch_detected(self, tiny_config, tmp_path):
+    def test_config_mismatch_detected(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["gen-data", "--config", str(tiny_config), "--out", str(out)]) == 0
+        before = sorted(p.relative_to(out) for p in out.rglob("*"))
+        config_text = (out / "config.ini").read_text()
         code = main(["train-debias", "--config", str(tiny_config), "--out", str(out),
                      "--set", "synth.nx=16"])
         assert code == 1
+        assert "different configuration" in capsys.readouterr().err
+        assert sorted(p.relative_to(out) for p in out.rglob("*")) == before
+        assert (out / "config.ini").read_text() == config_text
 
 
 @pytest.fixture(scope="module")

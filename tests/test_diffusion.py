@@ -18,8 +18,17 @@ from downgen.diffusion import (
     sigma_steps_edm,
     train_sr,
 )
-from downgen.grid import DAYS_PER_YEAR, DownsampleSpec, GridField, coarsen, interp_upsample
-from downgen.nets import as_leaves, denoiser_arch, denoiser_forward, init_params
+from downgen.grid import (
+    DAYS_PER_YEAR,
+    DownsampleSpec,
+    GridField,
+    coarsen,
+    cubic_upsample_space,
+    interp_upsample,
+    repeat_time,
+)
+from downgen.nets import as_leaves, denoiser_arch, denoiser_forward, init_params, load_checkpoint
+from downgen.optim import OptimizerState, Schedule, adam_step
 from downgen.synthdata import SynthConfig, gen_fine_ensemble
 
 from gradcheck import finite_diff_grads, rel_error
@@ -307,6 +316,13 @@ class TestSamplerOracles:
         np.testing.assert_array_equal(a, b)
 
 
+def small_truth():
+    """A short 8x8 fine-truth series at 2-hourly cadence, for training-loop tests."""
+    cfg = SynthConfig(nx=8, ny=8, n_days=40, rng_seed=31,
+                      var_bases=(0.0, 50.0, 50.0, 0.0), var_scales=(1.0, 1.0, 1.0, 1.0))
+    return gen_fine_ensemble(cfg)
+
+
 @pytest.fixture(scope="module")
 def toy_sr_model():
     """Small trained super-resolution model on synthetic truth."""
@@ -355,6 +371,55 @@ class TestTrainAndSample:
         a = sample(model, y_cond, rng=np.random.default_rng(19))
         b = sample(back, y_cond, rng=np.random.default_rng(19))
         np.testing.assert_array_equal(a.data, b.data)
+
+    def test_checkpoint_written_by_training(self, tmp_path):
+        truth = small_truth()
+        cfg = SRTrainConfig(steps=3, levels=(4,), doy_buckets=4, seed=29,
+                            noise=NoiseSchedule(n_grid=8))
+        model, _ = train_sr(truth, cfg, out_dir=tmp_path / "sr")
+        assert (tmp_path / "sr" / "loss.csv").exists()
+        arrays, meta = load_checkpoint(tmp_path / "sr")
+        assert not [k for k in arrays if k.startswith("adam_")]
+        assert meta["step"] == cfg.steps
+        back = load_sr(tmp_path / "sr")
+        assert back.schedule == model.schedule
+        for k in model.params:
+            assert back.params[k].tobytes() == model.params[k].tobytes()
+
+    def test_matches_reference_loop_bitwise(self):
+        # pins the draw order: one generator seeded from (seed, 3) initializes
+        # the parameters, then every step draws window starts, noise levels,
+        # noise and the dropout mask, and takes one clipped Adam step
+        truth = small_truth()
+        cfg = SRTrainConfig(steps=4, batch=3, levels=(4,), doy_buckets=4, seed=30,
+                            warmup_steps=2)
+        model, log = train_sr(truth, cfg)
+
+        spec = DownsampleSpec(4, 12)
+        norm = fit_normalization(truth, spec, grouping=(4, 12))
+        r_tilde, y_tilde = make_training_pair(truth, norm, spec)
+        cond_full = repeat_time(cubic_upsample_space(y_tilde, 4), 12)
+        n_days, window = truth.n_times // 12, cfg.window_days * 12
+        rng = np.random.default_rng(np.random.SeedSequence((30, 3)))
+        arch = denoiser_arch(truth.data.shape[-1], window, levels=(4,))
+        params = init_params(rng, arch)
+        state = OptimizerState(Schedule(peak_lr=cfg.peak_lr, end_lr=cfg.end_lr,
+                                        warmup_steps=2, total_steps=4),
+                               clip_norm=cfg.clip_norm)
+        ref_log = []
+        for step in range(4):
+            starts = rng.integers(0, n_days - cfg.window_days + 1, 3) * 12
+            z0 = np.stack([r_tilde[s: s + window] for s in starts])
+            cond = np.stack([cond_full[s: s + window] for s in starts])
+            sigmas = cfg.noise.sample_train(rng, 3)
+            eps = rng.standard_normal(z0.shape)
+            keep = (rng.random(3) >= cfg.p_uncond).astype(np.float64)
+            loss, grads = denoise_loss(params, arch, z0, cond, sigmas, eps, keep)
+            ref_log.append((step, loss, adam_step(params, state, grads)))
+        assert log == ref_log
+        assert set(model.params) == set(params)
+        for k in params:
+            assert model.params[k].tobytes() == params[k].tobytes()
 
     def test_wrong_window_length_rejected(self, toy_sr_model):
         cfg, truth, model, _ = toy_sr_model

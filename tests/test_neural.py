@@ -250,6 +250,20 @@ class TestAdam:
         # magnitude away, so instead check the stored first moment
         assert abs(state.m["a"][0] - 0.1 * 0.6) < 1e-12
 
+    def test_moments_updated_in_place_bitwise(self):
+        rng = np.random.default_rng(17)
+        params = {"a": rng.standard_normal(4)}
+        state = OptimizerState(Schedule(), clip_norm=1e9)
+        state.ensure_buffers(params)
+        m, v = state.m["a"], state.v["a"]
+        for _ in range(3):
+            g = rng.standard_normal(4)
+            m_ref = state.beta1 * m + (1.0 - state.beta1) * g
+            v_ref = state.beta2 * v + (1.0 - state.beta2) * g ** 2
+            adam_step(params, state, {"a": g})
+            assert state.m["a"] is m and state.v["a"] is v
+            assert m.tobytes() == m_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+
     def test_quadratic_bowl_convergence(self):
         rng = np.random.default_rng(16)
         target = rng.standard_normal(5)
