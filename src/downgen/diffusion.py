@@ -1,10 +1,11 @@
 """Statistical super-resolution stage: residual targets, denoiser training with
-climatology normalization and classifier-free guidance, and the first-order
-exponential reverse-SDE sampler.
+climatology normalization, classifier-free guidance and the first-order
+exponential reverse-SDE step.
 
 The model learns the climatology-normalized residual between fine-resolution
 truth and the deterministic upsampling of its own coarsening. Samples are
-assembled as upsampled input + residual climatology + scaled residual draw.
+assembled as upsampled input + residual climatology + scaled residual draw;
+the reverse chain that draws them is `multidiffusion.sample_chain`.
 """
 
 from __future__ import annotations
@@ -120,36 +121,25 @@ class SRNormalization:
     cond_stats: EnsembleStats
 
 
-def residual_field(x: GridField, spec: DownsampleSpec) -> GridField:
-    """r = x - upsample(coarsen(x)), as a field on the fine grid."""
-    up = interp_upsample(coarsen(x, spec), spec)
-    return x.with_data(x.data - up.data)
+def fit_training_pair(x: GridField, spec: DownsampleSpec, grouping=(DAYS_PER_YEAR, None)):
+    """Fit the normalization on training truth and build its training pair.
 
-
-def fit_normalization(x: GridField, spec: DownsampleSpec,
-                      grouping=(DAYS_PER_YEAR, None)) -> SRNormalization:
-    """Fit residual climatology and coarse-input stats on training truth."""
+    Returns (norm, r_tilde, y_tilde): the residual climatology and coarse-input
+    stats, the normalized residual r = x - upsample(coarsen(x)) and the
+    normalized coarse input. x = upsample(y') + clim_mean + clim_std * r_tilde
+    holds exactly.
+    """
     doy_buckets, tod_buckets = grouping
     if tod_buckets is None:
         tod_buckets = 24 // x.dt_hours
-    resid = residual_field(x, spec)
-    clim = compute_climatology(resid, (doy_buckets, tod_buckets))
     coarse = coarsen(x, spec)
-    return SRNormalization(residual_clim=clim, cond_stats=compute_ensemble_stats(coarse))
-
-
-def make_training_pair(x: GridField, norm: SRNormalization, spec: DownsampleSpec):
-    """(normalized residual, normalized coarse input) from self-coarsened truth.
-
-    The inversion x = upsample(y') + clim_mean + clim_std * r_tilde holds exactly.
-    """
-    coarse = coarsen(x, spec)
-    up = interp_upsample(coarse, spec)
-    r = x.data - up.data
+    r = x.data - interp_upsample(coarse, spec).data
+    clim = compute_climatology(x.with_data(r), (doy_buckets, tod_buckets))
+    norm = SRNormalization(residual_clim=clim, cond_stats=compute_ensemble_stats(coarse))
     times = x.time_coords
-    r_tilde = (r - norm.residual_clim.lookup_mean(times)) / norm.residual_clim.lookup_std(times)
+    r_tilde = (r - clim.lookup_mean(times)) / clim.lookup_std(times)
     y_tilde = (coarse.data - norm.cond_stats.mean) / norm.cond_stats.std
-    return r_tilde, y_tilde
+    return norm, r_tilde, y_tilde
 
 
 def assemble_output(y_cond: GridField, residual_draw, norm: SRNormalization,
@@ -228,8 +218,8 @@ def train_sr(fine_truth: GridField, cfg: SRTrainConfig, out_dir=None):
     spec = DownsampleSpec(cfg.spatial_factor, 24 // fine_truth.dt_hours)
     steps_per_day = spec.temporal_window
     window = cfg.window_days * steps_per_day
-    norm = fit_normalization(fine_truth, spec, grouping=(cfg.doy_buckets, steps_per_day))
-    r_tilde, y_tilde = make_training_pair(fine_truth, norm, spec)
+    norm, r_tilde, y_tilde = fit_training_pair(fine_truth, spec,
+                                               grouping=(cfg.doy_buckets, steps_per_day))
     cond_full = repeat_time(cubic_upsample_space(y_tilde, spec.spatial_factor),
                             spec.temporal_window)
     n_days = fine_truth.n_times // steps_per_day
@@ -275,39 +265,6 @@ def cfg_denoise(params, arch: ArchConfig, z, sigma, cond, guidance):
     out = denoiser_forward(leaves, np.concatenate([zb, zb]), np.full(2 * n, sigma),
                            np.concatenate([cb, np.zeros_like(cb)]), arch).data
     return ((1.0 + guidance) * out[:n] - guidance * out[n:]).reshape(z.shape)
-
-
-def sample_chain(denoise_fn, shape, sigmas, rng):
-    """Run the reverse chain from sigma_max noise down the given sigma grid.
-
-    denoise_fn(z, sigma) -> denoised estimate. Returns the state at the final
-    (smallest) sigma; the terminal condition is z ~ N(0, sigmas[0]^2 I).
-    """
-    z = rng.standard_normal(shape) * sigmas[0]
-    for i in range(len(sigmas) - 1):
-        d = denoise_fn(z, sigmas[i])
-        eps = rng.standard_normal(shape)
-        z = sde_step_exponential(z, sigmas[i], sigmas[i + 1], d, eps)
-        if not np.isfinite(z).all():
-            raise DivergenceError(f"non-finite sampler state at grid index {i}")
-    return z
-
-
-def sample(model: SRModel, y_cond: GridField, guidance=1.0, rng=None) -> GridField:
-    """Draw one fine-resolution window conditioned on a coarse input window."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if y_cond.n_times != model.window_days:
-        raise ValueError(f"expected a {model.window_days}-day coarse window, "
-                         f"got {y_cond.n_times} steps")
-    cond = prepare_cond(y_cond, model.norm, model.spec)
-    sigmas = model.schedule.step_sigmas()
-
-    def denoise_fn(z, sigma):
-        return cfg_denoise(model.params, model.arch, z, sigma, cond, guidance)
-
-    draw = sample_chain(denoise_fn, cond.shape, sigmas, rng)
-    return assemble_output(y_cond, draw, model.norm, model.spec)
 
 
 def save_sr(model: SRModel, ckpt_dir, opt_state=None) -> None:

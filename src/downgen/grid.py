@@ -283,18 +283,6 @@ def compute_ensemble_stats(fld: GridField, time_range=None, std_floor=STD_FLOOR)
     return EnsembleStats(mean=mean, std=np.maximum(std, std_floor))
 
 
-def normalize(fld: GridField, stats: EnsembleStats) -> GridField:
-    if fld.data.shape[1:] != stats.mean.shape:
-        raise ValueError(f"stats shape {stats.mean.shape} does not match field {fld.data.shape}")
-    return fld.with_data((fld.data - stats.mean) / stats.std)
-
-
-def denormalize(fld: GridField, stats: EnsembleStats) -> GridField:
-    if fld.data.shape[1:] != stats.mean.shape:
-        raise ValueError(f"stats shape {stats.mean.shape} does not match field {fld.data.shape}")
-    return fld.with_data(fld.data * stats.std + stats.mean)
-
-
 # ---------------------------------------------------------------------------
 # Resampling operators (array level)
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Long-trajectory sampling with overlapped denoising windows.
+"""The reverse-SDE chain and long-trajectory sampling with overlapped windows.
 
-Each window runs its own reverse chain; after every denoiser evaluation the
-overlapping slices of neighboring windows are replaced by their average, and
-the stochastic step uses noise sliced from one global field so that overlap
-slices stay bitwise identical throughout the chain. The window states are
-kept as one stacked array, so every step denoises all windows in one batched
-call, consolidates the overlaps and takes one SDE step over the stack.
+`sample_chain` is the one reverse chain. `sample_long` runs it on a single
+trajectory covering the whole requested length; its windows are views of
+that trajectory. Every step denoises all windows in one batched call,
+`consolidate` stitches the outputs back into one trajectory (each overlap
+the average of its two windows, as in MultiDiffusion), and the chain takes
+one SDE step with noise drawn once on the trajectory. An overlap is stored
+once, so neighboring windows agree on it bitwise after every step.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ class WindowLayout:
     def starts(self):
         return [j * self.stride for j in range(self.n_windows)]
 
+    def windows(self, full):
+        """Read-only view [n_windows, window_len, ...] of a [total_len, ...] array."""
+        view = np.lib.stride_tricks.sliding_window_view(full, self.window_len, axis=0)
+        return np.moveaxis(view[:: self.stride], -1, 1)
+
 
 def partition(total_len, window_len, overlap) -> WindowLayout:
     """Exact covering of [0, total_len) by fixed-overlap windows."""
@@ -62,34 +68,35 @@ def partition(total_len, window_len, overlap) -> WindowLayout:
     return layout
 
 
-def shared_noise(layout: WindowLayout, rng, tail_shape):
-    """Draw one global noise field and slice it per window.
-
-    Returns (global_field, [per-window copies]); overlap slices of neighboring
-    windows are bitwise identical by construction.
-    """
-    field = rng.standard_normal((layout.total_len,) + tuple(tail_shape))
-    slices = [field[s: s + layout.window_len].copy() for s in layout.starts]
-    return field, slices
-
-
-def consolidate_pair(d_left, d_right, overlap):
-    """Replace the shared region of two adjacent denoiser outputs by its mean."""
-    if d_left.shape != d_right.shape:
-        raise ValueError("adjacent windows must share shape")
-    mean = 0.5 * (d_left[-overlap:] + d_right[:overlap])
-    d_left[-overlap:] = mean
-    d_right[:overlap] = mean
-
-
 def consolidate(ds, layout: WindowLayout):
-    """Average every neighboring overlap, in place, using pre-update values.
+    """Stitch stacked window outputs [n_windows, window_len, ...] into one
+    trajectory [total_len, ...]; each overlap becomes 0.5 * (left + right)."""
+    n, stride = layout.n_windows, layout.stride
+    out = np.empty((layout.total_len,) + ds.shape[2:])
+    rows = out[: n * stride].reshape((n, stride) + ds.shape[2:])
+    rows[:] = ds[:, :stride]
+    out[n * stride:] = ds[-1, stride:]
+    rows[1:, : layout.overlap] = 0.5 * (ds[:-1, stride:] + ds[1:, : layout.overlap])
+    return out
 
-    The left/right overlap regions inside one window are disjoint, so the
-    pairwise sweep equals a simultaneous neighbor exchange.
+
+def sample_chain(denoise_fn, shape, sigmas, rng, on_step=None):
+    """Run the reverse chain from sigma_max noise down the given sigma grid.
+
+    denoise_fn(z, sigma) -> denoised estimate. Returns the state at the final
+    (smallest) sigma; the terminal condition is z ~ N(0, sigmas[0]^2 I).
+    on_step, if given, is called as on_step(grid_index, z) after every step.
     """
-    for j in range(layout.n_windows - 1):
-        consolidate_pair(ds[j], ds[j + 1], layout.overlap)
+    z = rng.standard_normal(shape) * sigmas[0]
+    for i in range(len(sigmas) - 1):
+        d = denoise_fn(z, sigmas[i])
+        eps = rng.standard_normal(shape)
+        z = sde_step_exponential(z, sigmas[i], sigmas[i + 1], d, eps)
+        if not np.isfinite(z).all():
+            raise DivergenceError(f"non-finite sampler state at grid index {i}")
+        if on_step is not None:
+            on_step(i, z)
+    return z
 
 
 def sample_long(model: SRModel, y_cond_long: GridField, n_windows,
@@ -98,9 +105,10 @@ def sample_long(model: SRModel, y_cond_long: GridField, n_windows,
 
     y_cond_long: coarse daily input covering n_windows staggered windows of
     model.window_days with a one-day overlap (in fine steps: window_len =
-    window_days * steps_per_day, overlap = steps_per_day). on_step, if given,
-    is called as on_step(grid_index, window_states) after every SDE step, with
-    the states stacked as [n_windows, window_len, H, W, V].
+    window_days * steps_per_day, overlap = steps_per_day). n_windows = 1 is
+    the plain single-window sampler. on_step, if given, is called as
+    on_step(grid_index, window_states) after every SDE step, with the states
+    as read-only views [n_windows, window_len, H, W, V] of the trajectory.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -108,42 +116,15 @@ def sample_long(model: SRModel, y_cond_long: GridField, n_windows,
     layout = WindowLayout(n_windows, model.window_days * spd, spd)
     expected_days = layout.total_len // spd
     if y_cond_long.n_times != expected_days:
-        raise ValueError(f"conditioning series has {y_cond_long.n_times} days, "
-                         f"layout needs {expected_days}")
-
-    def windows(full):
-        return np.stack([full[s: s + layout.window_len] for s in layout.starts])
-
+        raise ValueError(f"conditioning series has {y_cond_long.n_times} days, layout needs "
+                         f"{expected_days} for {n_windows} windows of {model.window_days} days")
     cond_full = prepare_cond(y_cond_long, model.norm, model.spec)
-    conds = windows(cond_full)
-    sigmas = model.schedule.step_sigmas()
-    _, zs = shared_noise(layout, rng, cond_full.shape[1:])
-    zs = np.stack(zs) * sigmas[0]
-    for i in range(len(sigmas) - 1):
-        ds = cfg_denoise(model.params, model.arch, zs, sigmas[i], conds, guidance)
-        consolidate(ds, layout)
-        eps_full = rng.standard_normal((layout.total_len,) + cond_full.shape[1:])
-        zs = sde_step_exponential(zs, sigmas[i], sigmas[i + 1], ds, windows(eps_full))
-        finite = np.isfinite(zs).reshape(layout.n_windows, -1).all(axis=1)
-        if not finite.all():
-            raise DivergenceError(f"non-finite state in window {int(np.argmin(finite))} "
-                                  f"at grid index {i}")
-        if on_step is not None:
-            on_step(i, zs)
-    draw = combine(zs, layout)
+    conds = layout.windows(cond_full)
+
+    def denoise_fn(z, sigma):
+        ds = cfg_denoise(model.params, model.arch, layout.windows(z), sigma, conds, guidance)
+        return consolidate(ds, layout)
+
+    step_fn = None if on_step is None else (lambda i, z: on_step(i, layout.windows(z)))
+    draw = sample_chain(denoise_fn, cond_full.shape, model.schedule.step_sigmas(), rng, step_fn)
     return assemble_output(y_cond_long, draw, model.norm, model.spec)
-
-
-def combine(zs, layout: WindowLayout):
-    """Stitch window states into one trajectory; overlaps must agree bitwise."""
-    tail = zs[0].shape[1:]
-    out = np.empty((layout.total_len,) + tail)
-    for j, s in enumerate(layout.starts):
-        if j > 0:
-            left = out[s: s + layout.overlap]
-            if not np.array_equal(left, zs[j][: layout.overlap]):
-                raise AssertionError("overlap slices diverged between neighboring windows")
-            out[s + layout.overlap: s + layout.window_len] = zs[j][layout.overlap:]
-        else:
-            out[s: s + layout.window_len] = zs[j]
-    return out

@@ -15,9 +15,10 @@ from downgen.cli import main as cli_main
 from downgen.diffusion import (
     NoiseSchedule,
     SRTrainConfig,
+    assemble_output,
+    cfg_denoise,
     denoise_loss,
-    sample,
-    sample_chain,
+    prepare_cond,
     train_sr,
 )
 from downgen.grid import (
@@ -36,7 +37,7 @@ from downgen.metrics import (
     wasserstein1,
 )
 from downgen.cyclones import detect_cyclones, great_circle_distance
-from downgen.multidiffusion import sample_long
+from downgen.multidiffusion import sample_chain, sample_long
 from downgen.nets import (
     as_leaves,
     collect_grads,
@@ -322,7 +323,11 @@ class TestCriterion3Multidiffusion:
             if len(steps) != model.schedule.n_grid - 1:
                 failures.append((m, "steps", len(steps)))
         y1 = coarse.time_slice(0, 3 * 24)
-        a = sample(model, y1, guidance=1.0, rng=np.random.default_rng(77))
+        cond = prepare_cond(y1, model.norm, model.spec)
+        draw = sample_chain(
+            lambda z, s: cfg_denoise(model.params, model.arch, z, s, cond, 1.0),
+            cond.shape, model.schedule.step_sigmas(), np.random.default_rng(77))
+        a = assemble_output(y1, draw, model.norm, model.spec)
         b = sample_long(model, y1, 1, guidance=1.0, rng=np.random.default_rng(77))
         identical = a.data.tobytes() == b.data.tobytes()
         criterion(3, "multidiffusion coherence", not failures and identical,
@@ -578,7 +583,7 @@ class TestCriterion9CoarseConsistency:
         err_gen, err_bcsd = [], []
         for w, start_day in enumerate((362, 366, 370)):
             y = coarse.time_slice(start_day * 24, (start_day + 3) * 24)
-            out = sample(model, y, guidance=1.0, rng=np.random.default_rng(91 + w))
+            out = sample_long(model, y, 1, guidance=1.0, rng=np.random.default_rng(91 + w))
             recoarse = coarsen(out, spec)
             err_gen.append(np.abs(recoarse.data - y.data).mean())
             bcsd_out = bcsd_pipeline(y, clim_flat, clim_flat, fine_clim, pool,
@@ -624,11 +629,11 @@ class TestCriterion9CoarseConsistency:
         for seed in range(4):
             long_out = sample_long(model, y_long, 2, guidance=1.0,
                                    rng=np.random.default_rng(5000 + seed))
-            left = sample(model, coarse.time_slice(day0 * 24, (day0 + 3) * 24),
-                          guidance=1.0, rng=SlicedRng(5000 + seed, 0, 36))
-            right = sample(model,
-                           coarse.time_slice((day0 + 2) * 24, (day0 + 5) * 24),
-                           guidance=1.0, rng=SlicedRng(5000 + seed, 24, 36))
+            left = sample_long(model, coarse.time_slice(day0 * 24, (day0 + 3) * 24), 1,
+                               guidance=1.0, rng=SlicedRng(5000 + seed, 0, 36))
+            right = sample_long(model,
+                                coarse.time_slice((day0 + 2) * 24, (day0 + 5) * 24), 1,
+                                guidance=1.0, rng=SlicedRng(5000 + seed, 24, 36))
             long_members += [window_pixels(long_out.data, 0),
                              window_pixels(long_out.data, 24)]
             single_members += [window_pixels(left.data, 0),

@@ -6,13 +6,10 @@ from downgen.diffusion import (
     SRTrainConfig,
     cfg_denoise,
     denoise_loss,
-    fit_normalization,
+    fit_training_pair,
     load_sr,
     loss_weight,
-    make_training_pair,
     perturb,
-    sample,
-    sample_chain,
     save_sr,
     sde_step_exponential,
     sigma_steps_edm,
@@ -27,6 +24,7 @@ from downgen.grid import (
     interp_upsample,
     repeat_time,
 )
+from downgen.multidiffusion import sample_chain, sample_long
 from downgen.nets import as_leaves, denoiser_arch, denoiser_forward, init_params, load_checkpoint
 from downgen.optim import OptimizerState, Schedule, adam_step
 from downgen.synthdata import SynthConfig, gen_fine_ensemble
@@ -153,8 +151,7 @@ class TestResidualPairs:
         pattern = rng.standard_normal((1, 8, 8, 2))
         x = fine_field(np.repeat(pattern, 48, axis=0))
         spec = DownsampleSpec(4, 12)
-        norm = fit_normalization(x, spec, grouping=(1, 1))
-        r_tilde, _ = make_training_pair(x, norm, spec)
+        _, r_tilde, _ = fit_training_pair(x, spec, grouping=(1, 1))
         # residual equals its climatological mean everywhere -> normalized to 0
         # (tolerance: rounding amplified by the 1e-6 std floor)
         assert np.abs(r_tilde).max() < 1e-5
@@ -162,8 +159,7 @@ class TestResidualPairs:
     def test_reconstruction_round_trip(self):
         x = self._truth(n_days=6)
         spec = DownsampleSpec(4, 12)
-        norm = fit_normalization(x, spec, grouping=(3, 12))
-        r_tilde, _ = make_training_pair(x, norm, spec)
+        norm, r_tilde, _ = fit_training_pair(x, spec, grouping=(3, 12))
         coarse = coarsen(x, spec)
         up = interp_upsample(coarse, spec)
         times = x.time_coords
@@ -174,8 +170,7 @@ class TestResidualPairs:
     def test_normalized_residual_statistics(self):
         x = self._truth(n_days=60, seed=7)
         spec = DownsampleSpec(4, 12)
-        norm = fit_normalization(x, spec, grouping=(4, 2))
-        r_tilde, _ = make_training_pair(x, norm, spec)
+        _, r_tilde, _ = fit_training_pair(x, spec, grouping=(4, 2))
         pixel_mean = r_tilde.mean(axis=0)
         pixel_std = r_tilde.std(axis=0)
         assert np.abs(pixel_mean).max() < 0.05
@@ -184,8 +179,7 @@ class TestResidualPairs:
     def test_cond_normalization_uses_date_agnostic_stats(self):
         x = self._truth(n_days=10)
         spec = DownsampleSpec(4, 12)
-        norm = fit_normalization(x, spec, grouping=(5, 12))
-        _, y_tilde = make_training_pair(x, norm, spec)
+        _, _, y_tilde = fit_training_pair(x, spec, grouping=(5, 12))
         assert np.abs(y_tilde.mean(axis=0)).max() < 1e-10
 
 
@@ -348,8 +342,8 @@ class TestTrainAndSample:
     def test_sample_shape_and_determinism(self, toy_sr_model):
         cfg, truth, model, _ = toy_sr_model
         y_cond = coarsen(truth, cfg.downsample).time_slice(0, 3 * 24)
-        a = sample(model, y_cond, guidance=1.0, rng=np.random.default_rng(17))
-        b = sample(model, y_cond, guidance=1.0, rng=np.random.default_rng(17))
+        a = sample_long(model, y_cond, 1, guidance=1.0, rng=np.random.default_rng(17))
+        b = sample_long(model, y_cond, 1, guidance=1.0, rng=np.random.default_rng(17))
         assert a.data.shape == (36, 8, 8, 4)
         np.testing.assert_array_equal(a.data, b.data)
 
@@ -357,7 +351,7 @@ class TestTrainAndSample:
         cfg, truth, model, _ = toy_sr_model
         coarse = coarsen(truth, cfg.downsample)
         y_cond = coarse.time_slice(30 * 24, 33 * 24)
-        out = sample(model, y_cond, guidance=1.0, rng=np.random.default_rng(18))
+        out = sample_long(model, y_cond, 1, guidance=1.0, rng=np.random.default_rng(18))
         recoarse = coarsen(out, cfg.downsample)
         err = np.abs(recoarse.data - y_cond.data).mean()
         field_std = truth.data.std(axis=0).mean()
@@ -368,8 +362,8 @@ class TestTrainAndSample:
         save_sr(model, tmp_path / "sr")
         back = load_sr(tmp_path / "sr")
         y_cond = coarsen(truth, cfg.downsample).time_slice(0, 3 * 24)
-        a = sample(model, y_cond, rng=np.random.default_rng(19))
-        b = sample(back, y_cond, rng=np.random.default_rng(19))
+        a = sample_long(model, y_cond, 1, rng=np.random.default_rng(19))
+        b = sample_long(back, y_cond, 1, rng=np.random.default_rng(19))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_checkpoint_written_by_training(self, tmp_path):
@@ -396,8 +390,7 @@ class TestTrainAndSample:
         model, log = train_sr(truth, cfg)
 
         spec = DownsampleSpec(4, 12)
-        norm = fit_normalization(truth, spec, grouping=(4, 12))
-        r_tilde, y_tilde = make_training_pair(truth, norm, spec)
+        _, r_tilde, y_tilde = fit_training_pair(truth, spec, grouping=(4, 12))
         cond_full = repeat_time(cubic_upsample_space(y_tilde, 4), 12)
         n_days, window = truth.n_times // 12, cfg.window_days * 12
         rng = np.random.default_rng(np.random.SeedSequence((30, 3)))
@@ -425,7 +418,7 @@ class TestTrainAndSample:
         cfg, truth, model, _ = toy_sr_model
         y_cond = coarsen(truth, cfg.downsample).time_slice(0, 5 * 24)
         with pytest.raises(ValueError, match="window"):
-            sample(model, y_cond)
+            sample_long(model, y_cond, 1)
 
 
 class TestConditionalGaussianToy:

@@ -8,16 +8,13 @@ from downgen.grid import (
     STEPS_PER_DAY,
     Climatology,
     DownsampleSpec,
-    EnsembleStats,
     GridField,
     GridFormatError,
     coarsen,
     compute_climatology,
     compute_ensemble_stats,
     cubic_upsample_space,
-    denormalize,
     interp_upsample,
-    normalize,
     read_array,
     write_array,
     zonal_weighted_rolling_mean,
@@ -138,34 +135,6 @@ class TestClimatology:
         with pytest.raises(ValueError, match="missing climatology group"):
             clim.lookup_mean(np.array([200 * 24]))
         np.testing.assert_allclose(clim.lookup_mean(np.array([2])), 0.0)
-
-
-class TestNormalize:
-    def test_mean_field_maps_to_zero(self):
-        rng = np.random.default_rng(1)
-        mean = rng.standard_normal((3, 3, 2))
-        stats = EnsembleStats(mean=mean, std=np.ones_like(mean))
-        fld = make_field(np.broadcast_to(mean, (5,) + mean.shape).copy())
-        np.testing.assert_array_equal(normalize(fld, stats).data, 0.0)
-
-    def test_round_trip_identity(self):
-        rng = np.random.default_rng(2)
-        stats = EnsembleStats(mean=rng.standard_normal((4, 4, 2)),
-                              std=0.5 + rng.random((4, 4, 2)))
-        fld = make_field(rng.standard_normal((6, 4, 4, 2)))
-        back = denormalize(normalize(fld, stats), stats)
-        assert np.abs(back.data - fld.data).max() < 1e-12
-
-    def test_two_sigma_above_mean(self):
-        mean = np.zeros((2, 2, 1))
-        stats = EnsembleStats(mean=mean, std=np.full_like(mean, 2.0))
-        fld = make_field(np.full((3, 2, 2, 1), 2.0))
-        np.testing.assert_allclose(normalize(fld, stats).data, 1.0)
-
-    def test_shape_mismatch(self):
-        stats = EnsembleStats(mean=np.zeros((3, 3, 1)), std=np.ones((3, 3, 1)))
-        with pytest.raises(ValueError, match="shape"):
-            normalize(make_field(np.zeros((2, 4, 4, 1))), stats)
 
 
 class TestCoarsen:

@@ -1,19 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from downgen import multidiffusion
-from downgen.diffusion import NoiseSchedule, SRModel, SRNormalization, cfg_denoise, sample
+from downgen.diffusion import (
+    NoiseSchedule,
+    SRModel,
+    SRNormalization,
+    assemble_output,
+    cfg_denoise,
+    prepare_cond,
+)
 from downgen.grid import Climatology, EnsembleStats, coarsen
 from downgen.multidiffusion import (
     WindowLayout,
-    combine,
     consolidate,
-    consolidate_pair,
     partition,
+    sample_chain,
     sample_long,
-    shared_noise,
 )
-from downgen.nets import denoiser_arch, init_params
+from downgen.nets import DivergenceError, denoiser_arch, init_params
 from downgen.synthdata import SynthConfig, gen_fine_ensemble
 
 
@@ -48,81 +55,63 @@ class TestPartition:
             partition(36, 36, 36)
 
 
-class TestSharedNoise:
-    def test_overlap_slices_bitwise_equal(self):
-        layout = partition(60, 36, 12)
-        _, slices = shared_noise(layout, np.random.default_rng(0), (4, 4, 2))
-        left = slices[0][-12:]
-        right = slices[1][:12]
-        assert left.tobytes() == right.tobytes()
-
-    def test_non_overlap_uncorrelated(self):
-        layout = partition(60, 36, 12)
-        _, slices = shared_noise(layout, np.random.default_rng(1), (24, 36, 1))
-        a = slices[0][:12].ravel()
-        b = slices[1][12:24].ravel()
-        assert a.size >= 10000
-        corr = np.corrcoef(a, b)[0, 1]
-        assert abs(corr) < 0.05
-
-    def test_single_window_plain_draw(self):
-        layout = partition(36, 36, 12)
-        field, slices = shared_noise(layout, np.random.default_rng(2), (2,))
-        expect = np.random.default_rng(2).standard_normal((36, 2))
-        np.testing.assert_array_equal(field, expect)
-        np.testing.assert_array_equal(slices[0], expect)
-
-
 class TestConsolidate:
     def test_identical_outputs_unchanged(self):
         rng = np.random.default_rng(3)
         layout = partition(60, 36, 12)
-        d = rng.standard_normal((36, 2, 2, 1))
-        left = d.copy()
-        right = np.concatenate([d[-12:], rng.standard_normal((24, 2, 2, 1))])
-        before = right[:12].copy()
-        consolidate_pair(left, right, 12)
-        np.testing.assert_array_equal(left, d)
-        np.testing.assert_array_equal(right[:12], before)
+        traj = rng.standard_normal((60, 2, 2, 1))
+        out = consolidate(np.stack([traj[:36], traj[24:]]), layout)
+        np.testing.assert_array_equal(out, traj)
 
     def test_pair_average(self):
         rng = np.random.default_rng(4)
-        a = rng.standard_normal((36, 2))
-        b = rng.standard_normal((36, 2))
-        ea = a[-12:].copy()
-        eb = b[:12].copy()
-        consolidate_pair(a, b, 12)
-        np.testing.assert_allclose(a[-12:], 0.5 * (ea + eb), atol=0)
-        assert a[-12:].tobytes() == b[:12].tobytes()
+        layout = partition(60, 36, 12)
+        ds = rng.standard_normal((2, 36, 2))
+        out = consolidate(ds, layout)
+        assert out[24:36].tobytes() == (0.5 * (ds[0, -12:] + ds[1, :12])).tobytes()
+        np.testing.assert_array_equal(out[:24], ds[0, :24])
+        np.testing.assert_array_equal(out[36:], ds[1, 12:])
 
     def test_three_windows_middle_both_edges(self):
         rng = np.random.default_rng(5)
         layout = partition(84, 36, 12)
-        ds = [rng.standard_normal((36, 2)) for _ in range(3)]
-        orig = [d.copy() for d in ds]
-        consolidate(ds, layout)
-        # middle window: left edge with window 0, right edge with window 2,
-        # each an average of the pre-update values
-        np.testing.assert_array_equal(ds[1][:12], 0.5 * (orig[0][-12:] + orig[1][:12]))
-        np.testing.assert_array_equal(ds[1][-12:], 0.5 * (orig[1][-12:] + orig[2][:12]))
-        # interior untouched
-        np.testing.assert_array_equal(ds[1][12:24], orig[1][12:24])
+        ds = rng.standard_normal((3, 36, 2))
+        orig = ds.copy()
+        out = consolidate(ds, layout)
+        mid = layout.windows(out)[1]
+        # middle window: left edge with window 0, right edge with window 2
+        np.testing.assert_array_equal(mid[:12], 0.5 * (orig[0][-12:] + orig[1][:12]))
+        np.testing.assert_array_equal(mid[-12:], 0.5 * (orig[1][-12:] + orig[2][:12]))
+        # interior untouched, and the input is not modified
+        np.testing.assert_array_equal(mid[12:24], orig[1][12:24])
+        np.testing.assert_array_equal(ds, orig)
 
-
-class TestCombine:
-    def test_overlap_disagreement_detected(self):
-        layout = partition(60, 36, 12)
-        zs = [np.zeros((36, 2)), np.ones((36, 2))]
-        with pytest.raises(AssertionError, match="diverged"):
-            combine(zs, layout)
-
-    def test_takes_left_window_values(self):
-        layout = partition(60, 36, 12)
-        a = np.arange(72, dtype=float).reshape(36, 2)
-        b = np.concatenate([a[-12:], 100.0 + np.arange(48, dtype=float).reshape(24, 2)])
-        out = combine([a, b], layout)
-        np.testing.assert_array_equal(out[:36], a)
-        np.testing.assert_array_equal(out[36:], b[12:])
+    @settings(max_examples=60, deadline=None)
+    @given(n_windows=st.integers(1, 6), overlap=st.integers(1, 5),
+           extra=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_windows_and_stitch_property(self, n_windows, overlap, extra, seed):
+        window_len = 2 * overlap + extra
+        layout = WindowLayout(n_windows, window_len, overlap)
+        assert partition(layout.total_len, window_len, overlap) == layout
+        assert layout.starts[-1] + window_len == layout.total_len
+        ds = np.random.default_rng(seed).standard_normal((n_windows, window_len, 3))
+        out = consolidate(ds, layout)
+        assert out.shape == (layout.total_len, 3)
+        owners = np.zeros(layout.total_len, dtype=int)
+        for s in layout.starts:
+            owners[s: s + window_len] += 1
+        assert owners.max() <= 2
+        for j, s in enumerate(layout.starts):
+            for t in range(window_len):
+                if owners[s + t] == 1:
+                    assert out[s + t].tobytes() == ds[j, t].tobytes()
+                elif t < overlap:
+                    shared = 0.5 * (ds[j - 1, window_len - overlap + t] + ds[j, t])
+                    assert out[s + t].tobytes() == shared.tobytes()
+        views = layout.windows(out)
+        assert views.shape == ds.shape
+        for j, s in enumerate(layout.starts):
+            np.testing.assert_array_equal(views[j], out[s: s + window_len])
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +141,11 @@ class TestSampleLong:
     def test_m1_bitwise_equals_plain_sampler(self, untrained_model):
         model, coarse = untrained_model
         y = coarse.time_slice(0, 3 * 24)
-        a = sample(model, y, guidance=1.0, rng=np.random.default_rng(7))
+        cond = prepare_cond(y, model.norm, model.spec)
+        draw = sample_chain(
+            lambda z, s: cfg_denoise(model.params, model.arch, z, s, cond, 1.0),
+            cond.shape, model.schedule.step_sigmas(), np.random.default_rng(7))
+        a = assemble_output(y, draw, model.norm, model.spec)
         b = sample_long(model, y, 1, guidance=1.0, rng=np.random.default_rng(7))
         assert a.data.tobytes() == b.data.tobytes()
 
@@ -179,6 +172,24 @@ class TestSampleLong:
         a = sample_long(model, y, 2, rng=np.random.default_rng(9))
         b = sample_long(model, y, 2, rng=np.random.default_rng(9))
         assert a.data.tobytes() == b.data.tobytes()
+
+    def test_non_finite_denoiser_output_names_grid_index(self, untrained_model,
+                                                         monkeypatch):
+        model, coarse = untrained_model
+        y = coarse.time_slice(0, 5 * 24)
+        calls = []
+
+        def poisoned(params, arch, zs, sigma, conds, guidance):
+            ds = cfg_denoise(params, arch, zs, sigma, conds, guidance)
+            if len(calls) == 3:
+                ds[1, 30, 0, 0, 0] = np.nan
+            calls.append(sigma)
+            return ds
+
+        monkeypatch.setattr(multidiffusion, "cfg_denoise", poisoned)
+        with pytest.raises(DivergenceError, match="^non-finite sampler state at grid index 3$"):
+            sample_long(model, y, 2, rng=np.random.default_rng(11))
+        assert len(calls) == 4
 
     def test_wrong_conditioning_length_rejected(self, untrained_model):
         model, coarse = untrained_model
