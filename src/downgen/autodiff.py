@@ -4,6 +4,11 @@ A forward pass builds a tape of Tensor nodes; ``backward`` walks it once and
 accumulates gradients on leaf tensors. Only the operations needed by the
 velocity/denoiser networks are provided, each with a hand-written
 vector-Jacobian product.
+
+A Tensor built explicitly is a leaf that receives a gradient. A plain ndarray
+handed to an op is a constant, and an op's output joins the tape only if one
+of its inputs needs a gradient: ops on constants alone record no parents and
+no vjp, so a forward pass over plain parameter arrays builds no tape.
 """
 
 from __future__ import annotations
@@ -14,13 +19,15 @@ import numpy as np
 class Tensor:
     """Node in the autodiff tape. Leaves (no parents) collect gradients."""
 
-    __slots__ = ("data", "grad", "parents", "vjp")
+    __slots__ = ("data", "grad", "parents", "vjp", "requires_grad")
+    __array_ufunc__ = None   # ndarray (op) Tensor defers to the Tensor's reflected op
 
     def __init__(self, data, parents=(), vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.parents = parents
         self.vjp = vjp
+        self.requires_grad = True
 
     @property
     def shape(self):
@@ -49,8 +56,21 @@ class Tensor:
         return neg(self)
 
 
+def _constant(data):
+    t = Tensor(data)
+    t.requires_grad = False
+    return t
+
+
 def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+    return x if isinstance(x, Tensor) else _constant(x)
+
+
+def _node(data, inputs, vjp):
+    """An op's output: on the tape if any input needs a gradient, else a constant."""
+    if any(t.requires_grad for t in inputs):
+        return Tensor(data, inputs, vjp)
+    return _constant(data)
 
 
 def _unbroadcast(g, shape):
@@ -67,7 +87,12 @@ def _unbroadcast(g, shape):
 
 
 def backward(out: Tensor):
-    """Accumulate d(out)/d(leaf) into each leaf's .grad. `out` must be scalar."""
+    """Accumulate d(out)/d(leaf) into each leaf's .grad. `out` must be scalar.
+
+    Constants are never visited: no vjp runs for them or below them. An
+    interior node's gradient is dropped once passed on, so only leaves keep
+    theirs.
+    """
     if out.data.size != 1:
         raise ValueError("backward expects a scalar output")
     order = []
@@ -83,7 +108,7 @@ def backward(out: Tensor):
         else:
             stack.append((node, True))
             for p in node.parents:
-                if id(p) not in seen:
+                if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
     for node in order:
         node.grad = None
@@ -91,8 +116,10 @@ def backward(out: Tensor):
     for node in reversed(order):
         if node.vjp is None or node.grad is None:
             continue
-        for parent, g in zip(node.parents, node.vjp(node.grad)):
-            if g is None:
+        grads = node.vjp(node.grad)
+        node.grad = None
+        for parent, g in zip(node.parents, grads):
+            if g is None or not parent.requires_grad:
                 continue
             parent.grad = g if parent.grad is None else parent.grad + g
 
@@ -103,20 +130,20 @@ def backward(out: Tensor):
 
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    return Tensor(a.data + b.data, (a, b),
-                  lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+    return _node(a.data + b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    return Tensor(a.data * b.data, (a, b),
-                  lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                             _unbroadcast(g * a.data, b.data.shape)))
+    return _node(a.data * b.data, (a, b),
+                 lambda g: (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None))
 
 
 def neg(a):
     a = _as_tensor(a)
-    return Tensor(-a.data, (a,), lambda g: (-g,))
+    return _node(-a.data, (a,), lambda g: (-g,))
 
 
 def silu(a):
@@ -124,12 +151,12 @@ def silu(a):
     # overflow-free logistic: e = exp(-|a|) lies in (0, 1]
     e = np.exp(-np.abs(a.data))
     s = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
-    return Tensor(a.data * s, (a,), lambda g: (g * s * (1.0 + a.data * (1.0 - s)),))
+    return _node(a.data * s, (a,), lambda g: (g * s * (1.0 + a.data * (1.0 - s)),))
 
 
 def square(a):
     a = _as_tensor(a)
-    return Tensor(a.data ** 2, (a,), lambda g: (2.0 * g * a.data,))
+    return _node(a.data ** 2, (a,), lambda g: (2.0 * g * a.data,))
 
 
 def mean(a, axes=None, keepdims=False):
@@ -142,26 +169,26 @@ def mean(a, axes=None, keepdims=False):
             g = np.expand_dims(g, axes)
         return (np.broadcast_to(g, a.data.shape) / count,)
 
-    return Tensor(out, (a,), vjp)
+    return _node(out, (a,), vjp)
 
 
 def reshape(a, shape):
     a = _as_tensor(a)
-    return Tensor(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
+    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
 
 
 def transpose(a, axes):
     a = _as_tensor(a)
     inv = np.argsort(axes)
-    return Tensor(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
+    return _node(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
 def concat(tensors, axis=-1):
     tensors = [_as_tensor(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
-    return Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors),
-                  lambda g: tuple(np.split(g, splits, axis=axis)))
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors),
+                 lambda g: tuple(np.split(g, splits, axis=axis)))
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +203,38 @@ def dense(x, w, b):
     def vjp(g):
         g2 = g.reshape(-1, w.data.shape[1])
         x2 = x.data.reshape(-1, w.data.shape[0])
-        return g @ w.data.T, x2.T @ g2, g2.sum(axis=0)
+        return (g @ w.data.T if x.requires_grad else None,
+                x2.T @ g2 if w.requires_grad else None,
+                g2.sum(axis=0) if b.requires_grad else None)
 
-    return Tensor(out, (x, w, b), vjp)
+    return _node(out, (x, w, b), vjp)
+
+
+def _zero_padded(a, h, wd, ph, pw, step=1):
+    """[B, h + 2ph, wd + 2pw, C] zeros with a [B, ., ., C] written every `step` pixels
+    from (ph, pw)."""
+    xp = np.zeros((a.shape[0], h + 2 * ph, wd + 2 * pw, a.shape[-1]))
+    xp[:, ph: ph + step * a.shape[1]: step, pw: pw + step * a.shape[2]: step] = a
+    return xp
+
+
+def _tap_slices(kh, kw, stride, ho, wo):
+    """(i, j, slice): the padded-input pixels kernel tap (i, j) sees, per output pixel."""
+    return [(i, j, np.s_[:, i: i + stride * ho: stride, j: j + stride * wo: stride])
+            for i in range(kh) for j in range(kw)]
+
+
+def _correlate(xp, w, stride, ho, wo):
+    """Shift-and-GEMM correlation of a padded input with w: [B * ho * wo, Cout].
+
+    The sum over kernel taps (i, j) of the tap's strided slice of xp, reshaped
+    to [B * ho * wo, Cin], times w[i, j]: one 2-D GEMM per tap.
+    """
+    kh, kw, cin, cout = w.shape
+    out = np.zeros((xp.shape[0] * ho * wo, cout))
+    for i, j, tap in _tap_slices(kh, kw, stride, ho, wo):
+        out += xp[tap].reshape(-1, cin) @ w[i, j]
+    return out
 
 
 def conv2d(x, w, b, stride=1):
@@ -187,34 +243,35 @@ def conv2d(x, w, b, stride=1):
     x: [B, H, W, Cin], w: [kh, kw, Cin, Cout], b: [Cout]; odd kernel sizes only.
     The input is zero-padded once; kernel tap (i, j) sees one strided slice of
     the padded input, and the output is the sum over taps of that slice times
-    w[i, j]. The vjp reuses the same slices: one GEMM per tap for dw and a
-    scatter-add into the padded buffer for dx.
+    w[i, j]. The vjp reuses the same slices for dw, one GEMM per tap. dx is the
+    same correlation, stride 1, of the output gradient with the flipped,
+    transposed kernel w[::-1, ::-1].swapaxes(2, 3); at stride 2 the gradient is
+    first zero-dilated, written every second pixel of its padded buffer. dx is
+    computed only when x needs a gradient (not for a data input).
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     kh, kw, cin, cout = w.data.shape
     n, h, wd, _ = x.data.shape
     ph, pw = kh // 2, kw // 2
     ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
-    xp = np.zeros((n, h + 2 * ph, wd + 2 * pw, cin))
-    xp[:, ph: ph + h, pw: pw + wd] = x.data
-    taps = [(i, j, np.s_[:, i: i + stride * ho: stride, j: j + stride * wo: stride])
-            for i in range(kh) for j in range(kw)]
-    out = np.zeros((n * ho * wo, cout))
-    for i, j, tap in taps:
-        out += xp[tap].reshape(-1, cin) @ w.data[i, j]
-    out = out.reshape(n, ho, wo, cout) + b.data
+    xp = _zero_padded(x.data, h, wd, ph, pw)
+    out = _correlate(xp, w.data, stride, ho, wo).reshape(n, ho, wo, cout) + b.data
 
     def vjp(g):
         g2 = g.reshape(-1, cout)
-        dw = np.empty_like(w.data)
-        dxp = np.zeros_like(xp)
-        for i, j, tap in taps:
-            dw[i, j] = xp[tap].reshape(-1, cin).T @ g2
-            dxp[tap] += g @ w.data[i, j].T
-        dx = dxp[:, ph: ph + h, pw: pw + wd]
-        return dx, dw, g2.sum(axis=0)
+        dw = None
+        if w.requires_grad:
+            dw = np.empty_like(w.data)
+            for i, j, tap in _tap_slices(kh, kw, stride, ho, wo):
+                dw[i, j] = xp[tap].reshape(-1, cin).T @ g2
+        dx = None
+        if x.requires_grad:
+            gp = _zero_padded(g, h, wd, ph, pw, step=stride)
+            dx = _correlate(gp, w.data[::-1, ::-1].swapaxes(2, 3), 1, h, wd)
+            dx = dx.reshape(n, h, wd, cin)
+        return dx, dw, g2.sum(axis=0) if b.requires_grad else None
 
-    return Tensor(out, (x, w, b), vjp)
+    return _node(out, (x, w, b), vjp)
 
 
 def upsample2(x):
@@ -226,4 +283,4 @@ def upsample2(x):
         b, h2, w2, c = g.shape
         return (g.reshape(b, h2 // 2, 2, w2 // 2, 2, c).sum(axis=(2, 4)),)
 
-    return Tensor(out, (x,), vjp)
+    return _node(out, (x,), vjp)

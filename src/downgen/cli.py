@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -101,12 +104,45 @@ def _train_hours(cfg):
     return cfg["synth"]["train_days"] * 24
 
 
-def _fresh_dir(path):
+def _write_once(path):
     path = Path(path)
     if path.exists():
         raise StageError(f"output {path} already exists (write-once run directory)")
-    path.mkdir(parents=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     return path
+
+
+@contextmanager
+def _staged(path):
+    """Yield a temporary sibling of `path` to write; it replaces `path` only on success.
+
+    A failed or killed writer leaves nothing at `path`, so the stage can rerun.
+    """
+    tmp = path.with_name(f".{path.name}.partial")
+    try:
+        _remove(tmp)   # left by a killed run
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        _remove(tmp)
+
+
+def _remove(path):
+    if path.is_dir():
+        shutil.rmtree(path)
+    elif path.exists():
+        path.unlink()
+
+
+@contextmanager
+def _fresh_dir(run_dir, stage, rel):
+    """Yield a temporary directory for `stage`'s output run_dir/rel; on success it is
+    renamed into place and recorded in the manifest."""
+    path = _write_once(Path(run_dir) / rel)
+    with _staged(path) as tmp:
+        tmp.mkdir()
+        yield tmp
+    _update_manifest(run_dir, stage, [path])
 
 
 def _require(path, hint):
@@ -135,8 +171,9 @@ def _update_manifest(run_dir, stage, outputs):
         manifest = json.loads(path.read_text(encoding="utf-8"))
     manifest["stages"][stage] = sorted(Path(o).relative_to(run_dir).as_posix()
                                        for o in outputs)
-    path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    with _staged(path) as tmp:
+        tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n",
+                       encoding="utf-8")
 
 
 def _members(run_dir):
@@ -149,15 +186,14 @@ def _members(run_dir):
 # ---------------------------------------------------------------------------
 
 def stage_gen_data(cfg, run_dir):
-    out = _fresh_dir(Path(run_dir) / "data")
-    pair = make_synth_pair(_synth_config(cfg))
-    write_array(pair.fine_truth, out / "fine_truth.npy")
-    write_array(pair.coarse_truth, out / "coarse_truth.npy")
-    member_dir = out / "members"
-    member_dir.mkdir()
-    for m in pair.coarse_biased:
-        write_array(m, member_dir / f"{m.member_id}.npy")
-    _update_manifest(run_dir, "gen-data", [out])
+    with _fresh_dir(run_dir, "gen-data", "data") as out:
+        pair = make_synth_pair(_synth_config(cfg))
+        write_array(pair.fine_truth, out / "fine_truth.npy")
+        write_array(pair.coarse_truth, out / "coarse_truth.npy")
+        member_dir = out / "members"
+        member_dir.mkdir()
+        for m in pair.coarse_biased:
+            write_array(m, member_dir / f"{m.member_id}.npy")
     return 0
 
 
@@ -166,19 +202,17 @@ def stage_train_debias(cfg, run_dir):
     target = read_array(_require(run_dir / "data" / "coarse_truth.npy", "gen-data"))
     members = _members(run_dir)
     t_hours = _train_hours(cfg)
-    out = _fresh_dir(run_dir / "models" / "debias")
-    train_reflow([m.time_slice(0, t_hours) for m in members],
-                 target.time_slice(0, t_hours), _reflow_config(cfg), out_dir=out)
-    _update_manifest(run_dir, "train-debias", [out])
+    with _fresh_dir(run_dir, "train-debias", "models/debias") as out:
+        train_reflow([m.time_slice(0, t_hours) for m in members],
+                     target.time_slice(0, t_hours), _reflow_config(cfg), out_dir=out)
     return 0
 
 
 def stage_train_sr(cfg, run_dir):
     run_dir = Path(run_dir)
     truth = read_array(_require(run_dir / "data" / "fine_truth.npy", "gen-data"))
-    out = _fresh_dir(run_dir / "models" / "sr")
-    train_sr(truth.time_slice(0, _train_hours(cfg)), _sr_config(cfg), out_dir=out)
-    _update_manifest(run_dir, "train-sr", [out])
+    with _fresh_dir(run_dir, "train-sr", "models/sr") as out:
+        train_sr(truth.time_slice(0, _train_hours(cfg)), _sr_config(cfg), out_dir=out)
     return 0
 
 
@@ -186,12 +220,11 @@ def stage_debias(cfg, run_dir):
     run_dir = Path(run_dir)
     model = load_reflow(_require(run_dir / "models" / "debias", "train-debias"))
     members = _members(run_dir)
-    out = _fresh_dir(run_dir / "debiased")
-    for m in members:
-        result = transport(model, m, m.member_id,
-                           n_steps=cfg["debias"]["transport_steps"])
-        write_array(result, out / f"{m.member_id}.npy")
-    _update_manifest(run_dir, "debias", [out])
+    with _fresh_dir(run_dir, "debias", "debiased") as out:
+        for m in members:
+            result = transport(model, m, m.member_id,
+                               n_steps=cfg["debias"]["transport_steps"])
+            write_array(result, out / f"{m.member_id}.npy")
     return 0
 
 
@@ -202,11 +235,10 @@ def stage_baseline_qm(cfg, run_dir):
     t_hours = _train_hours(cfg)
     buckets = (cfg["baseline"]["qm_doy_buckets"], 1)
     target_clim = compute_climatology(target.time_slice(0, t_hours), buckets)
-    out = _fresh_dir(run_dir / "baselines" / "qm")
-    for m in members:
-        member_clim = compute_climatology(m.time_slice(0, t_hours), buckets)
-        write_array(qm_debias(m, member_clim, target_clim), out / f"{m.member_id}.npy")
-    _update_manifest(run_dir, "baseline-qm", [out])
+    with _fresh_dir(run_dir, "baseline-qm", "baselines/qm") as out:
+        for m in members:
+            member_clim = compute_climatology(m.time_slice(0, t_hours), buckets)
+            write_array(qm_debias(m, member_clim, target_clim), out / f"{m.member_id}.npy")
     return 0
 
 
@@ -239,9 +271,8 @@ def stage_baseline_bcsd(cfg, run_dir):
         np.random.SeedSequence((cfg["pipeline"]["rng_seed"], _BCSD_STREAM)))
     result = bcsd_pipeline(members[member_id].time_slice(h0, h1), member_clim,
                            target_clim, fine_clim, pool, rng, spec)
-    out = _fresh_dir(run_dir / "baselines" / "bcsd")
-    write_array(result, out / "bcsd.npy")
-    _update_manifest(run_dir, "baseline-bcsd", [out])
+    with _fresh_dir(run_dir, "baseline-bcsd", "baselines/bcsd") as out:
+        write_array(result, out / "bcsd.npy")
     return 0
 
 
@@ -277,12 +308,11 @@ def stage_sample(cfg, run_dir, source="debiased"):
     result = sample_long(model, window, n_windows, guidance=cfg["sample"]["guidance"],
                          rng=rng)
     tag = _SOURCE_TAGS[source]
-    out_dir = Path(run_dir) / "samples"
-    out_dir.mkdir(exist_ok=True)
-    out = out_dir / f"{tag}.npy"
-    if out.exists():
-        raise StageError(f"output {out} already exists (write-once run directory)")
-    write_array(result, out)
+    out = _write_once(run_dir / "samples" / f"{tag}.npy")
+    with _staged(out) as tmp:
+        write_array(result, tmp)
+        # the sidecar goes first: the array's presence marks the sample as written
+        os.replace(tmp.with_name(tmp.name + ".json"), out.with_name(out.name + ".json"))
     _update_manifest(run_dir, f"sample-{tag}", [out])
     return 0
 
@@ -382,20 +412,19 @@ def stage_evaluate(cfg, run_dir):
     h0, h1 = _sample_window_hours(cfg)
     report = evaluate_fields(cfg, truth.time_slice(h0, h1), methods,
                              truth.time_slice(0, _train_hours(cfg)))
-    out = _fresh_dir(run_dir / "metrics")
-    report.write(out)
-    report.write_comparison(out / "comparison.csv", METHOD_ORDER)
-    if cfg["evaluate"]["plots"]:
-        truth_window = truth.time_slice(h0, h1)
-        for method, fld in sorted(methods.items()):
-            bias = fld.data[..., 0].mean(axis=0) - truth_window.data[..., 0].mean(axis=0)
-            heatmap_svg(bias, out / f"bias_temperature_{method}.svg",
-                        title=f"temperature mean bias: {method}")
-        series = {m: f.data[..., 0].mean(axis=(1, 2)) for m, f in sorted(methods.items())}
-        series["truth"] = truth_window.data[..., 0].mean(axis=(1, 2))
-        curves_svg(truth_window.time_coords, series, out / "domain_mean_temperature.svg",
-                   title="domain-mean temperature")
-    _update_manifest(run_dir, "evaluate", [out])
+    with _fresh_dir(run_dir, "evaluate", "metrics") as out:
+        report.write(out)
+        report.write_comparison(out / "comparison.csv", METHOD_ORDER)
+        if cfg["evaluate"]["plots"]:
+            truth_window = truth.time_slice(h0, h1)
+            for method, fld in sorted(methods.items()):
+                bias = fld.data[..., 0].mean(axis=0) - truth_window.data[..., 0].mean(axis=0)
+                heatmap_svg(bias, out / f"bias_temperature_{method}.svg",
+                            title=f"temperature mean bias: {method}")
+            series = {m: f.data[..., 0].mean(axis=(1, 2)) for m, f in sorted(methods.items())}
+            series["truth"] = truth_window.data[..., 0].mean(axis=(1, 2))
+            curves_svg(truth_window.time_coords, series, out / "domain_mean_temperature.svg",
+                       title="domain-mean temperature")
     return 0
 
 

@@ -8,6 +8,7 @@ every run's outputs so results can be reproduced from it alone.
 from __future__ import annotations
 
 import configparser
+import re
 
 
 class ConfigError(Exception):
@@ -28,6 +29,15 @@ def _bool(text):
     if t in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+def _name(text):
+    """A member id or schedule name. Comment, interpolation and other INI syntax
+    characters are refused: they would not survive the resolved config."""
+    t = str(text)
+    if not re.fullmatch(r"[\w.-]+", t):
+        raise ValueError(f"not a name of letters, digits, '_', '-' and '.': {t!r}")
+    return t
 
 
 # section -> key -> (parser, default)
@@ -80,14 +90,14 @@ SCHEMA = {
         "sigma_min": (float, 1e-4),
         "sigma_max": (float, 80.0),
         "n_grid": (int, 256),
-        "schedule_kind": (str, "edm"),
+        "schedule_kind": (_name, "edm"),
     },
     "sample": {
         "guidance": (float, 1.0),
         "length_days": (int, 9),
         "windows": (int, 4),
         "start_day": (int, 0),   # offset into the evaluation period
-        "member": (str, "m000"),
+        "member": (_name, "m000"),
     },
     "baseline": {
         "qm_doy_buckets": (int, 1),
@@ -114,7 +124,7 @@ def default_config():
 def parse_config(path) -> dict:
     """Parse an INI file against the schema; missing keys take defaults."""
     cfg = default_config()
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path, encoding="utf-8") as f:
             parser.read_file(f)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, backward
+from .autodiff import backward
 from .grid import (
     DAYS_PER_YEAR,
     Climatology,
@@ -200,8 +200,8 @@ def denoise_loss(params, arch: ArchConfig, z0, cond, sigmas, eps, keep_mask):
     cond_masked = cond * keep_mask[:, None, None, None, None]
     leaves = as_leaves(params)
     d = denoiser_forward(leaves, z, sigmas, cond_masked, arch)
-    per_sample = ad.mean(ad.square(d - Tensor(z0)), axes=(1, 2, 3, 4))
-    loss = ad.mean(per_sample * Tensor(loss_weight(sigmas)))
+    per_sample = ad.mean(ad.square(d - z0), axes=(1, 2, 3, 4))
+    loss = ad.mean(per_sample * loss_weight(sigmas))
     if not np.isfinite(loss.data):
         raise DivergenceError("non-finite denoising loss")
     backward(loss)
@@ -256,13 +256,12 @@ def cfg_denoise(params, arch: ArchConfig, z, sigma, cond, guidance):
     regardless of guidance strength. Every window and both guidance branches
     go through one batched denoiser call.
     """
-    leaves = as_leaves(params)
     zb = z.reshape((-1,) + z.shape[-4:])
     cb = None if cond is None else cond.reshape(zb.shape)
     n = len(zb)
     if cb is None or guidance == 0.0:
-        return denoiser_forward(leaves, zb, np.full(n, sigma), cb, arch).data.reshape(z.shape)
-    out = denoiser_forward(leaves, np.concatenate([zb, zb]), np.full(2 * n, sigma),
+        return denoiser_forward(params, zb, np.full(n, sigma), cb, arch).data.reshape(z.shape)
+    out = denoiser_forward(params, np.concatenate([zb, zb]), np.full(2 * n, sigma),
                            np.concatenate([cb, np.zeros_like(cb)]), arch).data
     return ((1.0 + guidance) * out[:n] - guidance * out[n:]).reshape(z.shape)
 

@@ -107,7 +107,11 @@ def init_params(rng, arch: ArchConfig) -> dict:
 
 
 def as_leaves(params) -> dict:
-    """Wrap each parameter array in a leaf Tensor (one tape per loss call)."""
+    """Wrap each parameter array in a leaf Tensor (one tape per loss call).
+
+    The forward functions below take either these leaves, to record a tape
+    for `backward`, or the parameter arrays themselves, which records none.
+    """
     return {k: Tensor(v) for k, v in params.items()}
 
 
@@ -130,7 +134,7 @@ def fourier_features(s, n_freqs):
 
 def fourier_embed(leaves, s, arch: ArchConfig) -> Tensor:
     """Fourier features followed by two dense layers with SiLU between them."""
-    feats = Tensor(fourier_features(s, arch.embed_freqs))
+    feats = fourier_features(s, arch.embed_freqs)
     h = ad.silu(ad.dense(feats, leaves["embed/dense0/w"], leaves["embed/dense0/b"]))
     return ad.dense(h, leaves["embed/dense1/w"], leaves["embed/dense1/b"])
 
@@ -154,7 +158,7 @@ def _resblock(h, embed, leaves, prefix):
     return h + t
 
 
-def unet_forward(leaves, x: Tensor, embed: Tensor, arch: ArchConfig) -> Tensor:
+def unet_forward(leaves, x, embed: Tensor, arch: ArchConfig) -> Tensor:
     """3-level conv U-net with FiLM conditioning at every residual block."""
     n = len(arch.levels)
     h = ad.conv2d(x, leaves["in/conv/w"], leaves["in/conv/b"])
@@ -189,10 +193,10 @@ def velocity_forward(leaves, yhat, tau, stat_mean, stat_std, arch: ArchConfig) -
     yhat: [B, H, W, V]; tau: [B]; stat_mean/stat_std: [B, H, W, V] member
     statistics, injected both as channels and as a pooled FiLM embedding term.
     """
-    x = Tensor(np.concatenate([yhat, stat_mean, stat_std], axis=-1))
+    x = np.concatenate([yhat, stat_mean, stat_std], axis=-1)
     embed = fourier_embed(leaves, tau, arch)
     pooled = np.concatenate([stat_mean.mean(axis=(1, 2)), stat_std.mean(axis=(1, 2))], axis=1)
-    cond = ad.dense(Tensor(pooled), leaves["cond_vec/dense/w"], leaves["cond_vec/dense/b"])
+    cond = ad.dense(pooled, leaves["cond_vec/dense/w"], leaves["cond_vec/dense/b"])
     out = unet_forward(leaves, x, embed + cond, arch)
     if not np.isfinite(out.data).all():
         raise DivergenceError("velocity network produced non-finite activations")
@@ -243,10 +247,10 @@ def denoiser_forward(leaves, z, sigma, cond, arch: ArchConfig) -> Tensor:
     c_skip, c_out, c_in, c_noise = precond_coeffs(sigma)
     zf = _fold_time(z)
     cf = np.zeros_like(zf) if cond is None else _fold_time(cond)
-    x = Tensor(np.concatenate([c_in[:, None, None, None] * zf, cf], axis=-1))
+    x = np.concatenate([c_in[:, None, None, None] * zf, cf], axis=-1)
     embed = fourier_embed(leaves, c_noise, arch)
     raw = unet_forward(leaves, x, embed, arch)
-    out = Tensor(c_skip[:, None, None, None] * zf) + Tensor(c_out[:, None, None, None]) * raw
+    out = c_skip[:, None, None, None] * zf + c_out[:, None, None, None] * raw
     if not np.isfinite(out.data).all():
         raise DivergenceError("denoiser produced non-finite activations")
     return _unfold_time(out, t, v)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, backward
+from .autodiff import backward
 from .grid import DAYS_PER_YEAR, EnsembleStats, GridField, compute_ensemble_stats, day_of_year
 from .nets import (
     ArchConfig,
@@ -135,8 +135,7 @@ def reflow_loss(params, arch: ArchConfig, batch: CouplingBatch, tau):
     y_tau = t * batch.y1 + (1.0 - t) * batch.y0
     leaves = as_leaves(params)
     v = velocity_forward(leaves, y_tau, tau, batch.stat_mean, batch.stat_std, arch)
-    target = Tensor(batch.y1 - batch.y0)
-    loss = ad.mean(ad.square(v - target))
+    loss = ad.mean(ad.square(v - (batch.y1 - batch.y0)))
     if not np.isfinite(loss.data):
         raise DivergenceError("non-finite flow-matching loss")
     backward(loss)
@@ -149,15 +148,13 @@ def integrate_velocity(model: ReflowModel, yhat0, stat_mean, stat_std,
 
     yhat0: [B, NX, NY, V]. Set t0=1, t1=0 to integrate the flow backwards.
     """
-    leaves = as_leaves(model.params)
     h = (t1 - t0) / n_steps
     y = yhat0.copy()
     b = y.shape[0]
 
     def vel(state, t):
-        out = velocity_forward(leaves, state, np.full(b, t), stat_mean, stat_std,
-                               model.arch).data
-        return out
+        return velocity_forward(model.params, state, np.full(b, t), stat_mean, stat_std,
+                                model.arch).data
 
     for i in range(n_steps):
         t = t0 + i * h
@@ -190,7 +187,7 @@ def train_reflow(members, target, cfg: ReflowTrainConfig, out_dir=None):
     """Train the velocity field on training-period member/target series.
 
     `fit` runs the loop; each step draws a coupling batch, then its times.
-    Returns (ReflowModel, log) where log is a list of (step, loss, lr) rows.
+    Returns (ReflowModel, log) where log holds `fit`'s rows.
     When out_dir is given, writes a checkpoint and the loss curve CSV there.
     """
     if not members:
@@ -219,7 +216,9 @@ def fit(arch: ArchConfig, cfg, stream, loss_fn):
 
     One generator seeded from (cfg.seed, stream) initializes the parameters;
     each of cfg.steps steps then calls loss_fn(params, rng) -> (loss, grads),
-    which draws its batch from it. Returns (params, log, optimizer state).
+    which draws its batch from it. Returns (params, log, optimizer state); log
+    has one (step, loss, lr, grad_norm, clipped) row per step, grad_norm the
+    pre-clip global norm and clipped 1 when it exceeded cfg.clip_norm.
     """
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, stream)))
     params = init_params(rng, arch)
@@ -230,16 +229,18 @@ def fit(arch: ArchConfig, cfg, stream, loss_fn):
     log = []
     for step in range(cfg.steps):
         loss, grads = loss_fn(params, rng)
-        log.append((step, loss, adam_step(params, state, grads)))
+        lr = adam_step(params, state, grads)
+        del grads   # not held through the next step's forward and backward
+        log.append((step, loss, lr, state.grad_norm, int(state.grad_norm > state.clip_norm)))
     return params, log, state
 
 
 def write_loss_log(path, log):
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(["step", "loss", "lr"])
-        for step, loss, lr in log:
-            writer.writerow([step, repr(loss), repr(lr)])
+        writer.writerow(["step", "loss", "lr", "grad_norm", "clipped"])
+        for step, loss, lr, grad_norm, clipped in log:
+            writer.writerow([step, repr(loss), repr(float(lr)), repr(grad_norm), clipped])
 
 
 def save_reflow(model: ReflowModel, ckpt_dir, opt_state=None) -> None:

@@ -114,7 +114,48 @@ def conv2d_reference(x, w, b, stride):
     return out
 
 
+def conv2d_dx_reference(g, w, x_shape, stride):
+    """Input gradient of the same-padded convolution, as an explicit loop."""
+    n, h, wd, _ = x_shape
+    kh, kw = w.shape[:2]
+    dx = np.zeros(x_shape)
+    for oy in range(g.shape[1]):
+        for ox in range(g.shape[2]):
+            for i in range(kh):
+                for j in range(kw):
+                    y, xx = oy * stride + i - kh // 2, ox * stride + j - kw // 2
+                    if 0 <= y < h and 0 <= xx < wd:
+                        dx[:, y, xx] += g[:, oy, ox] @ w[i, j].T
+    return dx
+
+
 class TestConv:
+    @pytest.mark.parametrize("hw", [(5, 7), (8, 8)])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_conv2d_dx_matches_loop_reference(self, k, stride, hw):
+        rng = np.random.default_rng(40 + 2 * k + stride + hw[0])
+        x = Tensor(rng.standard_normal((2, *hw, 3)))
+        w = rng.standard_normal((k, k, 3, 4))
+        y = ad.conv2d(x, w, rng.standard_normal(4), stride=stride)
+        g = rng.standard_normal(y.shape)
+        dx, dw, db = y.vjp(g)
+        assert dw is None and db is None
+        np.testing.assert_allclose(dx, conv2d_dx_reference(g, w, x.shape, stride),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_data_input_gets_no_dx(self, stride):
+        rng = np.random.default_rng(50 + stride)
+        x = rng.standard_normal((2, 5, 7, 3))
+        w, b = rng.standard_normal((3, 3, 3, 4)), rng.standard_normal(4)
+        g = rng.standard_normal((2, 3, 4, 4) if stride == 2 else (2, 5, 7, 4))
+        dx, dw, db = ad.conv2d(x, Tensor(w), Tensor(b), stride=stride).vjp(g)
+        _, dw_leaf, db_leaf = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride).vjp(g)
+        assert dx is None
+        assert dw.tobytes() == dw_leaf.tobytes() and db.tobytes() == db_leaf.tobytes()
+
+
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_conv2d_matches_loop_reference(self, k, stride):
@@ -181,6 +222,44 @@ class TestBackwardMechanics:
         a = Tensor(np.ones(3))
         with pytest.raises(ValueError):
             backward(a + 1.0)
+
+    def test_ops_on_constants_record_no_tape(self):
+        c = ad.silu(ad.conv2d(np.ones((1, 3, 3, 2)), np.ones((3, 3, 2, 2)), np.zeros(2)))
+        assert not c.requires_grad and c.parents == () and c.vjp is None
+
+    def test_backward_skips_constant_subgraphs(self):
+        rng = np.random.default_rng(14)
+        a = Tensor(rng.standard_normal((2, 3)))
+        c = ad.mean(ad.square(ad.dense(rng.standard_normal((2, 4)),
+                                       rng.standard_normal((4, 3)), np.zeros(3))))
+        loss = ad.mean(ad.square(a * c + ad.neg(c) + rng.standard_normal(3)))
+        called, nodes, stack = [], {}, [loss]
+
+        def spy(node, vjp):
+            def recorded(g):
+                called.append(node)
+                return vjp(g)
+            node.vjp = recorded
+
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node.parents)
+                if node.vjp is not None:
+                    spy(node, node.vjp)
+        backward(loss)
+        assert called and all(n.requires_grad for n in called)
+        assert [n for n in nodes.values() if not n.requires_grad and n.vjp is not None] == []
+        assert [n for n in nodes.values() if not n.requires_grad and n.grad is not None] == []
+        assert a.grad is not None
+
+    def test_only_leaves_keep_gradients(self):
+        a = Tensor(np.array([0.5, -1.5]))
+        h = ad.silu(a)
+        loss = ad.mean(ad.square(h))
+        backward(loss)
+        assert a.grad is not None and h.grad is None and loss.grad is None
 
     def test_deep_chain_iterative_traversal(self):
         a = Tensor(np.array(1.0))

@@ -4,9 +4,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from downgen import cli
 from downgen.cli import _reflow_config, _sr_config, _synth_config, main
-from downgen.config import ConfigError, apply_overrides, default_config, parse_config
+from downgen.config import (
+    SCHEMA,
+    ConfigError,
+    apply_overrides,
+    default_config,
+    parse_config,
+    resolved_text,
+)
 from downgen.grid import read_array
+from downgen.nets import DivergenceError
 from downgen.report import read_metrics_csv
 
 # toy pipeline configuration: small grids, one training year, few training steps
@@ -118,6 +130,53 @@ class TestConfig:
             assert stage_configs(cfg) != stage_configs(base), f"{section}.{key}"
 
 
+def _overrides():
+    """Strategy for one `section.key=value` override of any schema key.
+
+    Values are of the key's type; name-typed keys draw any one-line text, often
+    with characters that mean something in INI syntax.
+    """
+    def values(section, key):
+        default = SCHEMA[section][key][1]
+        if isinstance(default, bool):
+            return st.sampled_from(["true", "false", "yes", "off", "1", "0"])
+        if isinstance(default, tuple):
+            return st.lists(st.integers(1, 512), min_size=1, max_size=5).map(
+                lambda v: ",".join(map(str, v)))
+        if isinstance(default, int):
+            return st.integers(-10 ** 9, 10 ** 9).map(str)
+        if isinstance(default, float):
+            return st.floats(allow_nan=False, allow_infinity=False).map(repr)
+        chars = st.one_of(st.sampled_from("%$#;:=[](){}'\"._-"),
+                          st.characters(blacklist_categories=("Z", "C")))
+        return st.text(chars, min_size=1, max_size=12)
+
+    keys = [(sec, key) for sec in SCHEMA for key in SCHEMA[sec]]
+    names = [(sec, key) for sec, key in keys if isinstance(SCHEMA[sec][key][1], str)]
+    return st.one_of(st.sampled_from(keys), st.sampled_from(names)).flatmap(
+        lambda sk: values(*sk).map(lambda v: f"{sk[0]}.{sk[1]}={v}"))
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_overrides(), max_size=12))
+    def test_resolved_text_parses_back(self, tmp_path_factory, overrides):
+        cfg = default_config()
+        for item in overrides:
+            try:
+                apply_overrides(cfg, [item])
+            except ConfigError:
+                pass   # a refused value leaves cfg unchanged
+        path = tmp_path_factory.mktemp("cfg") / "config.ini"
+        path.write_text(resolved_text(cfg), encoding="utf-8")
+        assert parse_config(path) == cfg
+
+    @pytest.mark.parametrize("value", ["#m000", ";m000", "m0 #1", "m%00", "m 0"])
+    def test_name_that_would_not_round_trip_refused(self, value):
+        with pytest.raises(ConfigError, match="sample.member"):
+            apply_overrides(default_config(), [f"sample.member={value}"])
+
+
 class TestExitCodes:
     def test_unknown_config_key_exits_2(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -144,6 +203,26 @@ class TestExitCodes:
         out = tmp_path / "run"
         assert main(["gen-data", "--config", str(tiny_config), "--out", str(out)]) == 0
         assert main(["gen-data", "--config", str(tiny_config), "--out", str(out)]) == 1
+
+    def test_failed_stage_leaves_rerunnable_run_dir(self, tiny_config, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        args = ["--config", str(tiny_config), "--out", str(out), "--set", "sr.steps=2"]
+        assert main(["gen-data"] + args) == 0
+
+        def fail(*_, out_dir=None, **__):
+            (out_dir / "loss.csv").write_text("partial\n")
+            raise DivergenceError("non-finite denoising loss")
+
+        monkeypatch.setattr(cli, "train_sr", fail)
+        assert main(["train-sr"] + args) == 1
+        assert not (out / "models" / "sr").exists()
+        assert list((out / "models").iterdir()) == []
+        assert "train-sr" not in json.loads((out / "manifest.json").read_text())["stages"]
+        monkeypatch.undo()
+        assert main(["train-sr"] + args) == 0
+        assert (out / "models" / "sr" / "manifest.json").exists()
+        assert json.loads((out / "manifest.json").read_text())["stages"]["train-sr"] == [
+            "models/sr"]
 
     def test_config_mismatch_detected(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "run"
@@ -206,10 +285,15 @@ class TestEndToEnd:
         assert text.startswith("<svg")
 
     def test_loss_logs_written(self, e2e_run):
+        cfg = parse_config(e2e_run / "config.ini")
         for model in ("debias", "sr"):
             lines = (e2e_run / "models" / model / "loss.csv").read_text().splitlines()
-            assert lines[0] == "step,loss,lr"
+            assert lines[0] == "step,loss,lr,grad_norm,clipped"
             assert len(lines) == 41  # 40 steps
+            clip_norm = cfg[model]["clip_norm"]
+            rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+            assert [r[0] for r in rows] == list(range(40))
+            assert all(r[4] == float(r[3] > clip_norm) for r in rows)
 
 
 class TestDeterminism:

@@ -335,8 +335,8 @@ def toy_sr_model():
 class TestTrainAndSample:
     def test_training_loss_decreases(self, toy_sr_model):
         _, _, _, log = toy_sr_model
-        first = np.mean([l for _, l, _ in log[:30]])
-        last = np.mean([l for _, l, _ in log[-30:]])
+        first = np.mean([l for _, l, *_ in log[:30]])
+        last = np.mean([l for _, l, *_ in log[-30:]])
         assert last < first
 
     def test_sample_shape_and_determinism(self, toy_sr_model):
@@ -408,7 +408,9 @@ class TestTrainAndSample:
             eps = rng.standard_normal(z0.shape)
             keep = (rng.random(3) >= cfg.p_uncond).astype(np.float64)
             loss, grads = denoise_loss(params, arch, z0, cond, sigmas, eps, keep)
-            ref_log.append((step, loss, adam_step(params, state, grads)))
+            lr = adam_step(params, state, grads)
+            ref_log.append((step, loss, lr, state.grad_norm,
+                            int(state.grad_norm > cfg.clip_norm)))
         assert log == ref_log
         assert set(model.params) == set(params)
         for k in params:

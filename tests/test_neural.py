@@ -264,6 +264,65 @@ class TestAdam:
             assert state.m["a"] is m and state.v["a"] is v
             assert m.tobytes() == m_ref.tobytes() and v.tobytes() == v_ref.tobytes()
 
+    def test_flat_update_matches_per_tensor_formula_bitwise(self):
+        rng = np.random.default_rng(18)
+        shapes = {"w": (3, 3, 2, 4), "b": (4,), "d": (5, 3)}
+        params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        ref = {k: v.copy() for k, v in params.items()}
+        state = OptimizerState(Schedule(peak_lr=0.05, warmup_steps=2, total_steps=6),
+                               clip_norm=1e3)
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        for step in range(1, 6):
+            grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
+            lr = adam_step(params, state, grads)
+            assert lr == state.schedule.lr_at(step - 1) and state.grad_norm < state.clip_norm
+            bc1, bc2 = 1.0 - state.beta1 ** step, 1.0 - state.beta2 ** step
+            for k in sorted(ref):
+                g = grads[k]
+                m[k] = state.beta1 * m[k] + (1.0 - state.beta1) * g
+                v[k] = state.beta2 * v[k] + (1.0 - state.beta2) * g ** 2
+                ref[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + state.eps)
+                assert params[k].tobytes() == ref[k].tobytes(), k
+                assert state.m[k].tobytes() == m[k].tobytes()
+                assert state.v[k].tobytes() == v[k].tobytes()
+
+    def test_moments_are_views_of_one_buffer_each(self):
+        params = {"a": np.zeros((2, 3)), "b": np.zeros(4), "c": np.zeros((1, 2, 2))}
+        state = OptimizerState(Schedule())
+        state.ensure_buffers(params)
+        for moments in (state.m, state.v):
+            base = moments["a"].base
+            assert base is not None and base.size == 14
+            assert all(moments[k].base is base and moments[k].shape == params[k].shape
+                       for k in params)
+        assert state.m["a"].base is not state.v["a"].base
+
+    def test_grad_norm_recorded_before_clipping(self):
+        params = {"a": np.zeros(2), "b": np.zeros(1)}
+        state = OptimizerState(Schedule(), clip_norm=1.0)
+        adam_step(params, state, {"a": np.array([3.0, 0.0]), "b": np.array([4.0])})
+        assert state.grad_norm == 5.0
+        assert state.m["a"][0] == pytest.approx(0.1 * 3.0 / 5.0, rel=1e-15)
+
+    def test_separate_arrays_and_fresh_state_each_call(self):
+        # how the benchmark's kernel sheet drives Adam: dicts of separate arrays,
+        # a fresh state, repeated calls, and ensure_buffers for a checkpoint
+        rng = np.random.default_rng(19)
+        params = {k: rng.standard_normal(s) for k, s in (("w", (3, 3, 4, 8)), ("b", (8,)))}
+        grads = {k: rng.standard_normal(v.shape) * 1e-3 for k, v in params.items()}
+        state = OptimizerState(Schedule(), clip_norm=0.6)
+        before = {k: v.copy() for k, v in params.items()}
+        for _ in range(3):
+            adam_step(params, state, grads)
+        assert state.step == 3
+        assert all(np.isfinite(params[k]).all() and (params[k] != before[k]).any()
+                   for k in params)
+        fresh = OptimizerState(Schedule())
+        fresh.ensure_buffers(params)
+        assert fresh.step == 0 and set(fresh.m) == set(params)
+        assert all(not fresh.m[k].any() and not fresh.v[k].any() for k in params)
+
     def test_quadratic_bowl_convergence(self):
         rng = np.random.default_rng(16)
         target = rng.standard_normal(5)

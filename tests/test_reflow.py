@@ -228,8 +228,8 @@ class TestTrainReflow:
                              + 0.3 * rng.standard_normal((n_days, 2, 2, 1)), "truth")
         cfg = ReflowTrainConfig(steps=400, levels=(8, 16), seed=23, peak_lr=3e-3)
         _, log = train_reflow([member], target, cfg)
-        first = np.mean([l for _, l, _ in log[:20]])
-        last = np.mean([l for _, l, _ in log[-20:]])
+        first = np.mean([l for _, l, *_ in log[:20]])
+        last = np.mean([l for _, l, *_ in log[-20:]])
         assert last < 0.5 * first
 
     def test_fixed_seed_reproducible(self):
@@ -329,7 +329,9 @@ class TestTrainReflow:
             tau = rng.uniform(cfg.coupling.tau_min, 1.0 - cfg.coupling.tau_min,
                               cfg.chunks_per_batch * cfg.coupling.chunk_len_days)
             loss, grads = reflow_loss(params, arch, batch, tau)
-            ref_log.append((step, loss, adam_step(params, state, grads)))
+            lr = adam_step(params, state, grads)
+            ref_log.append((step, loss, lr, state.grad_norm,
+                            int(state.grad_norm > cfg.clip_norm)))
         assert log == ref_log
         assert set(model.params) == set(params)
         for k in params:
