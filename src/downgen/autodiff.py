@@ -183,6 +183,19 @@ def transpose(a, axes):
     return _node(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
+def slice_axis(a, start, stop, axis=-1):
+    """a[start:stop] along `axis`; the vjp writes g into zeros shaped like a."""
+    a = _as_tensor(a)
+    index = (slice(None),) * (axis % a.data.ndim) + (slice(start, stop),)
+
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        full[index] = g
+        return (full,)
+
+    return _node(a.data[index], (a,), vjp)
+
+
 def concat(tensors, axis=-1):
     tensors = [_as_tensor(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]

@@ -104,10 +104,20 @@ def _train_hours(cfg):
     return cfg["synth"]["train_days"] * 24
 
 
-def _write_once(path):
-    path = Path(path)
-    if path.exists():
+def _write_once(run_dir, rel):
+    """run_dir/rel, for a stage to write once.
+
+    An output the manifest lists refuses. One it does not list is the leftover
+    of a stage killed between renaming its output into place and recording it,
+    and is removed, with the JSON sidecar of an array.
+    """
+    path = Path(run_dir) / rel
+    listed = _read_manifest(run_dir)["stages"].values()
+    if path.exists() and any(Path(rel).as_posix() in outputs for outputs in listed):
         raise StageError(f"output {path} already exists (write-once run directory)")
+    _remove(path)
+    if path.suffix == ".npy":
+        _remove(path.with_name(path.name + ".json"))
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -138,7 +148,7 @@ def _remove(path):
 def _fresh_dir(run_dir, stage, rel):
     """Yield a temporary directory for `stage`'s output run_dir/rel; on success it is
     renamed into place and recorded in the manifest."""
-    path = _write_once(Path(run_dir) / rel)
+    path = _write_once(run_dir, rel)
     with _staged(path) as tmp:
         tmp.mkdir()
         yield tmp
@@ -163,12 +173,17 @@ def _persist_config(cfg, run_dir):
         raise StageError("run directory was created with a different configuration")
 
 
+def _read_manifest(run_dir):
+    path = Path(run_dir) / "manifest.json"
+    if not path.exists():
+        return {"stages": {}}
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def _update_manifest(run_dir, stage, outputs):
     """Record a stage's outputs, as paths relative to the run directory."""
     path = Path(run_dir) / "manifest.json"
-    manifest = {"stages": {}}
-    if path.exists():
-        manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest = _read_manifest(run_dir)
     manifest["stages"][stage] = sorted(Path(o).relative_to(run_dir).as_posix()
                                        for o in outputs)
     with _staged(path) as tmp:
@@ -308,7 +323,7 @@ def stage_sample(cfg, run_dir, source="debiased"):
     result = sample_long(model, window, n_windows, guidance=cfg["sample"]["guidance"],
                          rng=rng)
     tag = _SOURCE_TAGS[source]
-    out = _write_once(run_dir / "samples" / f"{tag}.npy")
+    out = _write_once(run_dir, f"samples/{tag}.npy")
     with _staged(out) as tmp:
         write_array(result, tmp)
         # the sidecar goes first: the array's presence marks the sample as written

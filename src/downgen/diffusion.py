@@ -253,17 +253,14 @@ def cfg_denoise(params, arch: ArchConfig, z, sigma, cond, guidance):
 
     z: [..., T, H, W, V], one window or a stack of windows, all at noise level
     sigma; cond has the shape of z, or is None for unconditional denoising
-    regardless of guidance strength. Every window and both guidance branches
-    go through one batched denoiser call.
+    regardless of guidance strength. Every window goes through one
+    `denoiser_forward` call, which forms the guided mix itself: the two
+    branches share the input conv's state half and one output conv.
     """
     zb = z.reshape((-1,) + z.shape[-4:])
     cb = None if cond is None else cond.reshape(zb.shape)
-    n = len(zb)
-    if cb is None or guidance == 0.0:
-        return denoiser_forward(params, zb, np.full(n, sigma), cb, arch).data.reshape(z.shape)
-    out = denoiser_forward(params, np.concatenate([zb, zb]), np.full(2 * n, sigma),
-                           np.concatenate([cb, np.zeros_like(cb)]), arch).data
-    return ((1.0 + guidance) * out[:n] - guidance * out[n:]).reshape(z.shape)
+    return denoiser_forward(params, zb, np.full(len(zb), sigma), cb, arch,
+                            guidance).data.reshape(z.shape)
 
 
 def save_sr(model: SRModel, ckpt_dir, opt_state=None) -> None:

@@ -159,9 +159,17 @@ def _resblock(h, embed, leaves, prefix):
 
 
 def unet_forward(leaves, x, embed: Tensor, arch: ArchConfig) -> Tensor:
-    """3-level conv U-net with FiLM conditioning at every residual block."""
-    n = len(arch.levels)
+    """3-level conv U-net with FiLM conditioning at every residual block:
+    input conv, `unet_body`, output conv."""
     h = ad.conv2d(x, leaves["in/conv/w"], leaves["in/conv/b"])
+    h = unet_body(leaves, h, embed, arch)
+    return ad.conv2d(h, leaves["out/conv/w"], leaves["out/conv/b"])
+
+
+def unet_body(leaves, h, embed: Tensor, arch: ArchConfig) -> Tensor:
+    """The U-net between its input conv and its output conv: [B, H, W, levels[0]]
+    in and out."""
+    n = len(arch.levels)
     skips = []
     for i in range(n):
         if i > 0:
@@ -174,7 +182,7 @@ def unet_forward(leaves, x, embed: Tensor, arch: ArchConfig) -> Tensor:
         h = ad.conv2d(h, leaves[f"up{i}/conv/w"], leaves[f"up{i}/conv/b"])
         h = h + skips[i - 1]
         h = _resblock(h, embed, leaves, f"ures{i - 1}")
-    return ad.conv2d(h, leaves["out/conv/w"], leaves["out/conv/b"])
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +244,42 @@ def _unfold_time(x: Tensor, t, v) -> Tensor:
     return ad.transpose(ad.reshape(x, (b, h, w, t, v)), (0, 3, 1, 2, 4))
 
 
-def denoiser_forward(leaves, z, sigma, cond, arch: ArchConfig) -> Tensor:
-    """Preconditioned denoiser D(z, sigma, cond).
+def denoiser_forward(leaves, z, sigma, cond, arch: ArchConfig, guidance=0.0) -> Tensor:
+    """Preconditioned denoiser D(z, sigma, cond), or with a nonzero guidance g
+    and a cond, the classifier-free guided (1+g) D(z, s, cond) - g D(z, s, null).
 
     z: [B, T, H, W, V] noisy residual window; sigma: [B]; cond: interpolated
-    conditioning of the same shape as z, or None for the null (zero) input.
-    Returns a tensor shaped like z.
+    conditioning of the same shape as z, or None for the null (zero) input,
+    which is unguided whatever g. Returns a tensor shaped like z.
+
+    Guidance uses that the input conv is linear in its input channels and the
+    output conv linear in its input. `in/conv/w` is split by input channel
+    into a state half, run on c_in * z with the bias, and a conditioning half,
+    run on cond only: the null input's all-zero conditioning is never
+    convolved. With guidance, the state half serves both branches, the U-net
+    body runs once over the 2B rows [conditional; null], and the output conv
+    runs once, on the B rows of the mix (1+g) h_cond - g h_null of the body's
+    output; its bias passes through exactly, as (1+g) - g = 1.
     """
     b, t, h, w, v = z.shape
     c_skip, c_out, c_in, c_noise = precond_coeffs(sigma)
     zf = _fold_time(z)
-    cf = np.zeros_like(zf) if cond is None else _fold_time(cond)
-    x = np.concatenate([c_in[:, None, None, None] * zf, cf], axis=-1)
-    embed = fourier_embed(leaves, c_noise, arch)
-    raw = unet_forward(leaves, x, embed, arch)
+    c = zf.shape[-1]
+    w_in = leaves["in/conv/w"]
+    x = ad.conv2d(c_in[:, None, None, None] * zf, ad.slice_axis(w_in, 0, c, axis=2),
+                  leaves["in/conv/b"])
+    guided = cond is not None and guidance != 0.0
+    if cond is not None:
+        xc = x + ad.conv2d(_fold_time(cond), ad.slice_axis(w_in, c, 2 * c, axis=2),
+                           np.zeros(arch.levels[0]))
+        x = ad.concat([xc, x], axis=0) if guided else xc
+    embed = fourier_embed(leaves, np.concatenate([c_noise, c_noise]) if guided else c_noise,
+                          arch)
+    hb = unet_body(leaves, x, embed, arch)
+    if guided:
+        hb = (ad.slice_axis(hb, 0, b, axis=0) * (1.0 + guidance)
+              - ad.slice_axis(hb, b, 2 * b, axis=0) * guidance)
+    raw = ad.conv2d(hb, leaves["out/conv/w"], leaves["out/conv/b"])
     out = c_skip[:, None, None, None] * zf + c_out[:, None, None, None] * raw
     if not np.isfinite(out.data).all():
         raise DivergenceError("denoiser produced non-finite activations")

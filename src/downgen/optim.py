@@ -59,10 +59,6 @@ class OptimizerState:
         self.v = {k: v[sl].reshape(shape) for k, (sl, shape) in self._slices.items()}
 
 
-def global_norm(grads):
-    return float(np.sqrt(sum(float((g ** 2).sum()) for g in grads.values())))
-
-
 def adam_step(params: dict, state: OptimizerState, grads: dict) -> float:
     """Clip by global norm, then apply one Adam update in place. Returns the lr used.
 

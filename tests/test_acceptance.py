@@ -150,6 +150,8 @@ class TestCriterion1Gradients:
             "reshape": lambda t: ad.mean(ad.square(ad.reshape(t["a"], (6, 2)))),
             "transpose": lambda t: ad.mean(ad.square(ad.transpose(t["a"], (1, 0, 2)))),
             "concat": lambda t: ad.mean(ad.square(ad.concat([t["a"], t["b"]], axis=-1))),
+            "slice_axis": lambda t: ad.mean(ad.square(ad.slice_axis(t["a"], 1, 3, axis=0)
+                                                      * ad.slice_axis(t["b"], 0, 2, axis=0))),
         }
         worst = {}
         for name, build in builders.items():

@@ -77,6 +77,21 @@ class TestShapes:
         arrays = {"a": rng.standard_normal((2, 3)), "b": rng.standard_normal((2, 2))}
         check_op(lambda t: ad.mean(ad.square(ad.concat([t["a"], t["b"]], axis=1))), arrays)
 
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_slice_axis(self, axis):
+        rng = np.random.default_rng(7)
+        arrays = {"a": rng.standard_normal((4, 3, 5))}
+        lo = ad.slice_axis(arrays["a"], 0, 2, axis=axis).data
+        np.testing.assert_array_equal(lo, np.split(arrays["a"], [2], axis=axis)[0])
+
+        def build(t):
+            # two slices of one leaf: their zero-filled gradients accumulate
+            lo = ad.slice_axis(t["a"], 0, 2, axis=axis)
+            hi = ad.slice_axis(t["a"], 1, 3, axis=axis)
+            return ad.mean(ad.square(lo * hi))
+
+        check_op(build, arrays)
+
 
 class TestDense:
     def test_dense(self):

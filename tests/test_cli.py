@@ -204,6 +204,32 @@ class TestExitCodes:
         assert main(["gen-data", "--config", str(tiny_config), "--out", str(out)]) == 0
         assert main(["gen-data", "--config", str(tiny_config), "--out", str(out)]) == 1
 
+    @pytest.mark.parametrize("listed", [False, True])
+    def test_existing_output_removed_unless_listed(self, tiny_config, tmp_path, capsys, listed):
+        # unlisted: a stage killed between renaming its output into place and
+        # recording it in the manifest
+        out = tmp_path / "run"
+        (out / "data").mkdir(parents=True)
+        (out / "data" / "fine_truth.npy").write_text("left by a killed stage\n")
+        if listed:
+            (out / "manifest.json").write_text(json.dumps({"stages": {"gen-data": ["data"]}}))
+        code = main(["gen-data", "--config", str(tiny_config), "--out", str(out)])
+        if listed:
+            assert code == 1
+            assert "already exists (write-once run directory)" in capsys.readouterr().err
+            return
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["stages"]["gen-data"] == ["data"]
+        assert read_array(out / "data" / "fine_truth.npy").data.ndim == 4
+
+    def test_unlisted_sample_removed_with_sidecar(self, tmp_path):
+        samples = tmp_path / "samples"
+        samples.mkdir()
+        for name in ("downgen.npy", "downgen.npy.json"):
+            (samples / name).write_text("left by a killed stage\n")
+        assert cli._write_once(tmp_path, "samples/downgen.npy") == samples / "downgen.npy"
+        assert list(samples.iterdir()) == []
+
     def test_failed_stage_leaves_rerunnable_run_dir(self, tiny_config, tmp_path, monkeypatch):
         out = tmp_path / "run"
         args = ["--config", str(tiny_config), "--out", str(out), "--set", "sr.steps=2"]

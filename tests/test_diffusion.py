@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from downgen import autodiff as ad
 from downgen.diffusion import (
     NoiseSchedule,
     SRTrainConfig,
+    assemble_output,
     cfg_denoise,
     denoise_loss,
     fit_training_pair,
@@ -167,6 +172,24 @@ class TestResidualPairs:
             + norm.residual_clim.lookup_std(times) * r_tilde
         assert np.abs(recon - x.data).max() < 1e-10
 
+    @settings(max_examples=60, deadline=None)
+    @given(coarse_nx=st.integers(1, 4), coarse_ny=st.integers(1, 4),
+           factor=st.sampled_from([1, 2, 4]), steps_per_day=st.sampled_from([1, 4, 12]),
+           n_days=st.integers(2, 6), n_vars=st.integers(1, 3), pooled_tod=st.booleans(),
+           offset=st.floats(-300.0, 300.0), scale=st.floats(1e-3, 1e3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_assemble_output_inverts_fit_training_pair(self, coarse_nx, coarse_ny, factor,
+                                                       steps_per_day, n_days, n_vars,
+                                                       pooled_tod, offset, scale, seed):
+        rng = np.random.default_rng(seed)
+        shape = (n_days * steps_per_day, coarse_nx * factor, coarse_ny * factor, n_vars)
+        x = fine_field(offset + scale * rng.standard_normal(shape), dt_hours=24 // steps_per_day)
+        spec = DownsampleSpec(factor, steps_per_day)
+        grouping = (1, 1 if pooled_tod else steps_per_day)
+        norm, r_tilde, _ = fit_training_pair(x, spec, grouping=grouping)
+        out = assemble_output(coarsen(x, spec), r_tilde, norm, spec)
+        assert np.abs(out.data - x.data).max() <= 1e-12 * np.abs(x.data).max()
+
     def test_normalized_residual_statistics(self):
         x = self._truth(n_days=60, seed=7)
         spec = DownsampleSpec(4, 12)
@@ -250,19 +273,43 @@ class TestDenoiseLossAndCfg:
             np.testing.assert_allclose(cfg_denoise(params, arch, z, 1.5, None, g),
                                        uncond, atol=1e-12)
 
-    def test_cfg_linear_extrapolation_algebra(self):
+    @pytest.mark.parametrize("g", [0.5, 1.0, 2.5])
+    def test_cfg_linear_extrapolation_algebra(self, g):
         rng = np.random.default_rng(13)
         arch = denoiser_arch(1, 2, levels=(4, 8))
         params = init_params(rng, arch)
         for k in params:
             params[k] = params[k] + rng.standard_normal(params[k].shape) * 0.1
-        z = rng.standard_normal((2, 4, 4, 1))
-        cond = rng.standard_normal((2, 4, 4, 1))
+        z = rng.standard_normal((3, 2, 4, 4, 1))
+        cond = rng.standard_normal((3, 2, 4, 4, 1))
         leaves = as_leaves(params)
-        dc = denoiser_forward(leaves, z[None], np.array([0.7]), cond[None], arch).data[0]
-        du = denoiser_forward(leaves, z[None], np.array([0.7]), None, arch).data[0]
-        out = cfg_denoise(params, arch, z, 0.7, cond, 1.0)
-        np.testing.assert_allclose(out, dc + (dc - du), atol=1e-12)
+        sigma = np.full(3, 0.7)
+        dc = denoiser_forward(leaves, z, sigma, cond, arch).data
+        du = denoiser_forward(leaves, z, sigma, None, arch).data
+        out = cfg_denoise(params, arch, z, 0.7, cond, g)
+        np.testing.assert_allclose(out, (1.0 + g) * dc - g * du, atol=1e-12)
+
+    def test_guided_call_shares_input_and_output_convs(self, monkeypatch):
+        # the input conv's two halves and the output conv see the B windows;
+        # only the U-net body runs over both branches' 2B rows
+        rng = np.random.default_rng(15)
+        arch = denoiser_arch(1, 2, levels=(4, 8))
+        params = init_params(rng, arch)
+        z = rng.standard_normal((3, 2, 4, 4, 1))
+        cond = rng.standard_normal(z.shape)
+        calls = []
+        conv2d = ad.conv2d
+
+        def recording(x, w, b, stride=1):
+            calls.append((x.shape[0], w.shape[2]))
+            return conv2d(x, w, b, stride)
+
+        monkeypatch.setattr(ad, "conv2d", recording)
+        cfg_denoise(params, arch, z, 0.7, cond, 1.0)
+        half = arch.in_channels // 2
+        assert calls[:2] == [(3, half), (3, half)]
+        assert calls[-1] == (3, arch.levels[0])
+        assert len(calls) == 11 and all(rows == 6 for rows, _ in calls[2:-1])
 
 
 class TestSamplerOracles:

@@ -22,7 +22,7 @@ from downgen.nets import (
     velocity_arch,
     velocity_forward,
 )
-from downgen.optim import OptimizerState, Schedule, adam_step, global_norm
+from downgen.optim import OptimizerState, Schedule, adam_step
 
 from gradcheck import finite_diff_grads, rel_error
 
@@ -241,11 +241,11 @@ class TestAdam:
 
     def test_global_norm_clipping_scale(self):
         grads = {"a": np.array([6.0])}
-        assert abs(global_norm(grads) - 6.0) < 1e-12
         params = {"a": np.array([0.0])}
         state = OptimizerState(Schedule(peak_lr=1.0, warmup_steps=1, total_steps=10),
                                clip_norm=0.6)
         adam_step(params, state, grads)
+        assert state.grad_norm == 6.0
         # after clipping the effective grad is 0.6 = 6.0 * 0.1; Adam normalizes
         # magnitude away, so instead check the stored first moment
         assert abs(state.m["a"][0] - 0.1 * 0.6) < 1e-12
