@@ -9,9 +9,17 @@ A Tensor built explicitly is a leaf that receives a gradient. A plain ndarray
 handed to an op is a constant, and an op's output joins the tape only if one
 of its inputs needs a gradient: ops on constants alone record no parents and
 no vjp, so a forward pass over plain parameter arrays builds no tape.
+
+``conv2d`` has two kernels, picked from the input shape. An image with more
+pixels than the kernel has taps runs as shift-and-GEMM: one GEMM per tap over
+a zero-padded buffer. A smaller one (H·W <= kh·kw) runs as one GEMM against
+the unrolled kernel; it does H·W·Ho·Wo block products against kh·kw·Ho·Wo,
+so it is never the costlier one on such images.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -148,9 +156,13 @@ def neg(a):
 
 def silu(a):
     a = _as_tensor(a)
-    # overflow-free logistic: e = exp(-|a|) lies in (0, 1]
-    e = np.exp(-np.abs(a.data))
-    s = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
+    # logistic 1 / (1 + exp(-a)) in one buffer; exp overflows to inf for
+    # a << 0, which gives s = 0 exactly
+    s = np.empty_like(a.data)
+    with np.errstate(over="ignore"):
+        np.exp(np.negative(a.data, out=s), out=s)
+    s += 1.0
+    np.reciprocal(s, out=s)
     return _node(a.data * s, (a,), lambda g: (g * s * (1.0 + a.data * (1.0 - s)),))
 
 
@@ -250,21 +262,84 @@ def _correlate(xp, w, stride, ho, wo):
     return out
 
 
+@functools.lru_cache
+def _unrolled_taps(h, wd, kh, kw, stride):
+    """(p, q, i, j): input pixel p reaches output pixel q through kernel tap (i, j).
+
+    Pixels are numbered row-major. A pair (p, q) has at most one tap, and a
+    pair with none contributes nothing.
+    """
+    ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
+    taps = []
+    for p in range(h * wd):
+        y, xx = divmod(p, wd)
+        for q in range(ho * wo):
+            oy, ox = divmod(q, wo)
+            i, j = y - stride * oy + kh // 2, xx - stride * ox + kw // 2
+            if 0 <= i < kh and 0 <= j < kw:
+                taps.append((p, q, i, j))
+    return tuple(taps)
+
+
+def _conv2d_unrolled(x, w, b, stride):
+    """conv2d of an image with no more pixels than the kernel has taps, as one GEMM.
+
+    M [H·W·Cin, Ho·Wo·Cout] is the unrolled kernel: its (p, q) block is the
+    w[i, j] of the tap that carries input pixel p to output pixel q, else 0.
+    The output is x.reshape(B, H·W·Cin) @ M, dx is g @ Mᵀ, and dw[i, j] sums
+    the blocks of xᵀ @ g that tap (i, j) produced. M is rebuilt on every call
+    because the optimiser updates w in place.
+    """
+    kh, kw, cin, cout = w.data.shape
+    n, h, wd, _ = x.data.shape
+    ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
+    taps = _unrolled_taps(h, wd, kh, kw, stride)
+    m = np.zeros((h * wd, cin, ho * wo, cout))
+    for p, q, i, j in taps:
+        m[p, :, q, :] = w.data[i, j]
+    m = m.reshape(h * wd * cin, ho * wo * cout)
+    x2 = x.data.reshape(n, -1)
+    out = (x2 @ m).reshape(n, ho, wo, cout) + b.data
+
+    def vjp(g):
+        g2 = g.reshape(n, -1)
+        dw = None
+        if w.requires_grad:
+            dm = (x2.T @ g2).reshape(h * wd, cin, ho * wo, cout)
+            dw = np.zeros_like(w.data)
+            for p, q, i, j in taps:
+                dw[i, j] += dm[p, :, q, :]
+        dx = (g2 @ m.T).reshape(n, h, wd, cin) if x.requires_grad else None
+        return dx, dw, g.reshape(-1, cout).sum(axis=0) if b.requires_grad else None
+
+    return _node(out, (x, w, b), vjp)
+
+
 def conv2d(x, w, b, stride=1):
-    """Same-padded 2-D convolution, channels last, as shift-and-GEMM.
+    """Same-padded 2-D convolution, channels last.
 
     x: [B, H, W, Cin], w: [kh, kw, Cin, Cout], b: [Cout]; odd kernel sizes only.
-    The input is zero-padded once; kernel tap (i, j) sees one strided slice of
-    the padded input, and the output is the sum over taps of that slice times
-    w[i, j]. The vjp reuses the same slices for dw, one GEMM per tap. dx is the
-    same correlation, stride 1, of the output gradient with the flipped,
-    transposed kernel w[::-1, ::-1].swapaxes(2, 3); at stride 2 the gradient is
-    first zero-dilated, written every second pixel of its padded buffer. dx is
-    computed only when x needs a gradient (not for a data input).
+    An image with H·W <= kh·kw runs as one GEMM against the unrolled kernel
+    (`_conv2d_unrolled`): H·W·Ho·Wo block products, never more than the
+    kh·kw·Ho·Wo of shift-and-GEMM on such an image, and M holds at most
+    (kh·kw)²·Cin·Cout elements. Every larger image runs as shift-and-GEMM.
+
+    Shift-and-GEMM zero-pads the input once; kernel tap (i, j) sees one strided
+    slice of the padded input, and the output is the sum over taps of that
+    slice times w[i, j]. The vjp reuses the same slices for dw, one GEMM per
+    tap. dx is the same correlation, stride 1, of the output gradient with the
+    flipped, transposed kernel w[::-1, ::-1].swapaxes(2, 3); at stride 2 the
+    gradient is first zero-dilated, written every second pixel of its padded
+    buffer.
+
+    Either kernel computes dx only when x needs a gradient (not for a data
+    input).
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     kh, kw, cin, cout = w.data.shape
     n, h, wd, _ = x.data.shape
+    if h * wd <= kh * kw:
+        return _conv2d_unrolled(x, w, b, stride)
     ph, pw = kh // 2, kw // 2
     ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
     xp = _zero_padded(x.data, h, wd, ph, pw)

@@ -144,8 +144,37 @@ def conv2d_dx_reference(g, w, x_shape, stride):
     return dx
 
 
+def conv2d_dw_reference(x, g, w_shape, stride):
+    """Kernel gradient of the same-padded convolution, as an explicit loop."""
+    n, h, wd, _ = x.shape
+    kh, kw = w_shape[:2]
+    dw = np.zeros(w_shape)
+    for oy in range(g.shape[1]):
+        for ox in range(g.shape[2]):
+            for i in range(kh):
+                for j in range(kw):
+                    y, xx = oy * stride + i - kh // 2, ox * stride + j - kw // 2
+                    if 0 <= y < h and 0 <= xx < wd:
+                        dw[i, j] += x[:, y, xx].T @ g[:, oy, ox]
+    return dw
+
+
+# with a 3x3 kernel every one of these takes the unrolled kernel; 3x3 is the
+# largest image that does
+SMALL_HW = [(1, 1), (1, 3), (2, 2), (3, 3)]
+
+
+def image_cases(leads, hws):
+    """pytest params (*lead, hw). The first image size keeps the lead values' id;
+    the others append HxW."""
+    return [pytest.param(*lead, hw,
+                         id="-".join(map(str, lead)) + (f"-{hw[0]}x{hw[1]}" if n else ""))
+            for n, hw in enumerate(hws) for lead in leads]
+
+
 class TestConv:
-    @pytest.mark.parametrize("hw", [(5, 7), (8, 8)])
+    @pytest.mark.parametrize("hw", [(5, 7), (8, 8)]
+                             + [pytest.param(hw, id=f"{hw[0]}x{hw[1]}") for hw in SMALL_HW])
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_conv2d_dx_matches_loop_reference(self, k, stride, hw):
@@ -159,27 +188,42 @@ class TestConv:
         np.testing.assert_allclose(dx, conv2d_dx_reference(g, w, x.shape, stride),
                                    rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_conv2d_data_input_gets_no_dx(self, stride):
+    @pytest.mark.parametrize("stride, hw", image_cases([(1,), (2,)], [(5, 7), (2, 2)]))
+    def test_conv2d_data_input_gets_no_dx(self, stride, hw):
         rng = np.random.default_rng(50 + stride)
-        x = rng.standard_normal((2, 5, 7, 3))
+        x = rng.standard_normal((2, *hw, 3))
         w, b = rng.standard_normal((3, 3, 3, 4)), rng.standard_normal(4)
-        g = rng.standard_normal((2, 3, 4, 4) if stride == 2 else (2, 5, 7, 4))
+        g = rng.standard_normal((2, (hw[0] - 1) // stride + 1, (hw[1] - 1) // stride + 1, 4))
         dx, dw, db = ad.conv2d(x, Tensor(w), Tensor(b), stride=stride).vjp(g)
         _, dw_leaf, db_leaf = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride).vjp(g)
         assert dx is None
         assert dw.tobytes() == dw_leaf.tobytes() and db.tobytes() == db_leaf.tobytes()
 
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("k", [1, 3, 5])
-    def test_conv2d_matches_loop_reference(self, k, stride):
+    @pytest.mark.parametrize("k, stride, hw", image_cases(
+        [(k, stride) for k in (1, 3, 5) for stride in (1, 2)], [(5, 7), *SMALL_HW]))
+    def test_conv2d_matches_loop_reference(self, k, stride, hw, monkeypatch):
+        unrolled = []
+        conv2d_unrolled = ad._conv2d_unrolled
+
+        def recording(*args):
+            unrolled.append(args[0].shape)
+            return conv2d_unrolled(*args)
+
+        monkeypatch.setattr(ad, "_conv2d_unrolled", recording)
         rng = np.random.default_rng(20 + 2 * k + stride)
-        x = rng.standard_normal((2, 5, 7, 3))
+        x = rng.standard_normal((2, *hw, 3))
         w = rng.standard_normal((k, k, 3, 4))
         b = rng.standard_normal(4)
-        out = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride).data
-        np.testing.assert_allclose(out, conv2d_reference(x, w, b, stride), rtol=1e-12, atol=1e-12)
+        y = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride)
+        assert len(unrolled) == (hw[0] * hw[1] <= k * k)
+        np.testing.assert_allclose(y.data, conv2d_reference(x, w, b, stride),
+                                   rtol=1e-12, atol=1e-12)
+        g = rng.standard_normal(y.shape)
+        _, dw, db = y.vjp(g)
+        np.testing.assert_allclose(dw, conv2d_dw_reference(x, g, w.shape, stride),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(db, g.sum(axis=(0, 1, 2)), rtol=1e-12, atol=1e-12)
 
     def test_conv2d_k5_stride2_gradients(self):
         rng = np.random.default_rng(30)
@@ -191,25 +235,16 @@ class TestConv:
         check_op(lambda t: ad.mean(ad.square(ad.conv2d(t["x"], t["w"], t["b"], stride=2))),
                  arrays)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_conv2d(self, stride):
+    @pytest.mark.parametrize("stride, hw", image_cases([(1,), (2,)], [(4, 4), (1, 1), (2, 2)]))
+    def test_conv2d(self, stride, hw):
         rng = np.random.default_rng(9 + stride)
         arrays = {
-            "x": rng.standard_normal((2, 4, 4, 3)),
+            "x": rng.standard_normal((2, *hw, 3)),
             "w": rng.standard_normal((3, 3, 3, 2)) * 0.5,
             "b": rng.standard_normal(2),
         }
         check_op(lambda t: ad.mean(ad.square(ad.conv2d(t["x"], t["w"], t["b"], stride=stride))),
                  arrays)
-
-    def test_conv2d_1x1_spatial(self):
-        rng = np.random.default_rng(11)
-        arrays = {
-            "x": rng.standard_normal((2, 1, 1, 4)),
-            "w": rng.standard_normal((3, 3, 4, 2)) * 0.5,
-            "b": rng.standard_normal(2),
-        }
-        check_op(lambda t: ad.mean(ad.square(ad.conv2d(t["x"], t["w"], t["b"]))), arrays)
 
     def test_upsample2(self):
         rng = np.random.default_rng(12)

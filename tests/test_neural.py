@@ -396,3 +396,32 @@ class TestUnetShapes:
         e = fourier_embed(leaves, np.array([0.1, 0.2]), arch)
         out = unet_forward(leaves, x, e, arch)
         assert out.shape == (2, 8, 8, 3)
+
+    def test_small_image_convs_take_unrolled_kernel(self, monkeypatch):
+        # demo shapes: the velocity net on the 2x2 coarse grid (levels 2x2, 1x1)
+        # and the guided SR denoiser on 8x8 windows (levels 8x8, 4x4, 2x2)
+        rng = np.random.default_rng(22)
+        convs, unrolled = [], []
+        conv2d, conv2d_unrolled = ad.conv2d, ad._conv2d_unrolled
+
+        def recording(x, w, b, stride=1):
+            convs.append(x.shape[1:3])
+            return conv2d(x, w, b, stride)
+
+        def recording_unrolled(x, w, b, stride):
+            unrolled.append(x.shape[1:3])
+            return conv2d_unrolled(x, w, b, stride)
+
+        monkeypatch.setattr(ad, "conv2d", recording)
+        monkeypatch.setattr(ad, "_conv2d_unrolled", recording_unrolled)
+        arch = velocity_arch(2, levels=(16, 32))
+        y = rng.standard_normal((3, 2, 2, 2))
+        velocity_forward(init_params(rng, arch), y, rng.random(3), y, y ** 2, arch)
+        assert convs == unrolled and sorted(set(convs)) == [(1, 1), (2, 2)]
+        convs.clear()
+        unrolled.clear()
+        arch = denoiser_arch(1, 2, levels=(16, 32, 64))
+        z = rng.standard_normal((2, 2, 8, 8, 1))
+        denoiser_forward(init_params(rng, arch), z, np.ones(2), z, arch, guidance=1.0)
+        assert sorted(set(convs)) == [(2, 2), (4, 4), (8, 8)]
+        assert unrolled == [hw for hw in convs if hw == (2, 2)] and len(unrolled) == 2
