@@ -7,7 +7,7 @@ Stages communicate exclusively through files under the run directory:
     debiased/   flow-transported members (debias)
     baselines/  quantile-mapped members and BCSD output (baseline-qm, baseline-bcsd)
     samples/    super-resolved windows per input source (sample)
-    metrics/    metric CSVs, arrays and optional SVG plots (evaluate)
+    metrics/    metric CSVs and optional SVG plots (evaluate)
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage/config error.
 """
@@ -35,11 +35,13 @@ from .grid import (
     write_array,
 )
 from .metrics import (
+    heat_advisory_exceedance,
     heat_index,
     heat_streak_prob,
     mab,
     percentile_mae,
     relative_humidity,
+    spatial_corr_error,
     temporal_psd_error,
     wasserstein1,
 )
@@ -366,6 +368,8 @@ def evaluate_fields(cfg, truth_window: GridField, methods: dict,
     names = list(truth_window.var_names)
     ref_derived = _derived_fields(truth_window) if e["derived"] else None
     spd = 24 // truth_window.dt_hours
+    nx, ny = truth_window.data.shape[1:3]
+    center, box = (nx // 2, ny // 2), (min(nx, ny) - 1) // 2
     if e["streaks"]:
         tmax_clim = train_truth.data[..., 0].reshape(
             train_truth.n_times // spd, spd, *train_truth.data.shape[1:3]).max(axis=1).mean(axis=0)
@@ -375,32 +379,33 @@ def evaluate_fields(cfg, truth_window: GridField, methods: dict,
         if fld.data.shape != truth_window.data.shape:
             raise StageError(f"{method} output shape {fld.data.shape} does not match "
                              f"truth window {truth_window.data.shape}")
-        for v, name in enumerate(names):
-            pred = fld.data[..., v]
-            ref = truth_window.data[..., v]
+        series = [(name, fld.data[..., v], truth_window.data[..., v])
+                  for v, name in enumerate(names)]
+        if e["derived"]:
+            series += zip(("rel_humidity", "heat_index"), _derived_fields(fld), ref_derived)
+        for name, pred, ref in series:
             report.add_scalar("mab", name, method, mab(pred, ref))
             report.add_scalar("wd", name, method, wasserstein1(pred, ref))
             report.add_scalar(f"mae_p{e['percentile']:g}", name, method,
                               percentile_mae(pred, ref, e["percentile"]))
-            if e["psd"]:
-                t_phys = float(fld.n_times * fld.dt_hours)
-                pred_m = pred.reshape(fld.n_times, -1).T
-                ref_m = ref.reshape(fld.n_times, -1).T
-                report.add_scalar("psd_log_error", name, method,
-                                  temporal_psd_error(pred_m, ref_m, t_phys))
-        if e["derived"]:
-            pred_rh, pred_hi = _derived_fields(fld)
-            for dname, pred_d, ref_d in (("rel_humidity", pred_rh, ref_derived[0]),
-                                         ("heat_index", pred_hi, ref_derived[1])):
-                report.add_scalar("mab", dname, method, mab(pred_d, ref_d))
-                report.add_scalar("wd", dname, method, wasserstein1(pred_d, ref_d))
-                report.add_scalar(f"mae_p{e['percentile']:g}", dname, method,
-                                  percentile_mae(pred_d, ref_d, e["percentile"]))
+            if name in names:
+                if e["psd"]:
+                    t_phys = float(fld.n_times * fld.dt_hours)
+                    pred_m = pred.reshape(fld.n_times, -1).T
+                    ref_m = ref.reshape(fld.n_times, -1).T
+                    report.add_scalar("psd_log_error", name, method,
+                                      temporal_psd_error(pred_m, ref_m, t_phys))
+                report.add_scalar("spatial_corr_error", name, method,
+                                  spatial_corr_error(pred, ref, center, box))
+            if name == "heat_index":
+                exceed = (heat_advisory_exceedance(pred, "caution")
+                          - heat_advisory_exceedance(ref, "caution"))
+                report.add_scalar("advisory_exceedance_mae", name, method,
+                                  float(np.abs(exceed).mean()))
         if e["streaks"]:
             tmax_pred = fld.data[..., 0].reshape(
                 fld.n_times // spd, spd, *fld.data.shape[1:3]).max(axis=1)
             h, delta = e["heat_streak_h"], e["heat_streak_delta"]
-            nx, ny = tmax_pred.shape[1:]
             sq = [
                 (heat_streak_prob(tmax_pred[:, i, j], tmax_clim[i, j], h, delta)
                  - heat_streak_prob(tmax_ref[:, i, j], tmax_clim[i, j], h, delta)) ** 2

@@ -1,4 +1,4 @@
-"""Sea-level-pressure cyclone detection, track linking and track density.
+"""Sea-level-pressure cyclone detection and track linking.
 
 Candidates are strict local SLP minima with a closed contour (pressure rises
 by a threshold within a fixed great-circle radius); nearby minima are merged
@@ -161,16 +161,3 @@ def detect_cyclones(slp, wind, elevation, lon, lat, times, cfg=None):
         kept.append(track)
     return kept
 
-
-def cyclone_density(tracks, lon, lat, sigma=1.0):
-    """Sum of unit-mass Gaussians (std sigma great-circle degrees) over track points."""
-    lon = np.asarray(lon, dtype=np.float64)
-    lat = np.asarray(lat, dtype=np.float64)
-    out = np.zeros((lon.size, lat.size))
-    lon2d = lon[:, None]
-    lat2d = lat[None, :]
-    for track in tracks:
-        for plon, plat in zip(track.lons, track.lats):
-            d = great_circle_distance(plon, plat, lon2d, lat2d)
-            out += np.exp(-0.5 * (d / sigma) ** 2) / (2.0 * np.pi * sigma ** 2)
-    return out

@@ -234,7 +234,7 @@ def read_array(path) -> GridField:
 # Statistics
 # ---------------------------------------------------------------------------
 
-def compute_climatology(fields, grouping, std_floor=STD_FLOOR) -> Climatology:
+def compute_climatology(fields, grouping) -> Climatology:
     """Grouped per-pixel sample mean and population std over one or more fields.
 
     Every observed group must receive at least two samples; groups outside the
@@ -269,18 +269,16 @@ def compute_climatology(fields, grouping, std_floor=STD_FLOOR) -> Climatology:
     safe = np.maximum(counts, 1)[:, None, None, None]
     mean = sums / safe
     var = sqsums / safe - mean ** 2
-    std = np.maximum(np.sqrt(np.maximum(var, 0.0)), std_floor)
+    std = np.maximum(np.sqrt(np.maximum(var, 0.0)), STD_FLOOR)
     return Climatology(doy_buckets, tod_buckets, mean, std,
                        valid=None if valid.all() else valid)
 
 
-def compute_ensemble_stats(fld: GridField, time_range=None, std_floor=STD_FLOOR) -> EnsembleStats:
-    """Date-agnostic per-pixel mean/std; restricted to [start, stop) hours if given."""
-    if time_range is not None:
-        fld = fld.time_slice(*time_range)
+def compute_ensemble_stats(fld: GridField) -> EnsembleStats:
+    """Date-agnostic per-pixel mean/std over every step of `fld`."""
     mean = fld.data.mean(axis=0)
     std = fld.data.std(axis=0)
-    return EnsembleStats(mean=mean, std=np.maximum(std, std_floor))
+    return EnsembleStats(mean=mean, std=np.maximum(std, STD_FLOOR))
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,6 @@ import warnings
 
 import numpy as np
 
-# barotropic surface-pressure constants
-LAPSE_RATE = 0.0065        # K/m
-MOLAR_MASS_AIR = 0.02896   # kg/mol
-GRAVITY = 9.8              # m/s^2
-GAS_CONSTANT = 8.31447     # J/mol/K
-
 # heat-index advisory thresholds (Kelvin): caution, extreme caution, danger,
 # extreme danger
 HEAT_ADVISORY_LEVELS = {
@@ -31,15 +25,6 @@ HEAT_ADVISORY_LEVELS = {
 # ---------------------------------------------------------------------------
 # Derived variables
 # ---------------------------------------------------------------------------
-
-def surface_pressure(p0, t, z_s):
-    """Pressure at surface height z_s (m) from sea-level pressure p0 (Pa), barotropic."""
-    t = np.asarray(t, dtype=np.float64)
-    if (t <= 0).any():
-        raise ValueError("temperature must be positive (Kelvin)")
-    exponent = GRAVITY * MOLAR_MASS_AIR / (GAS_CONSTANT * LAPSE_RATE)
-    return p0 * (1.0 - LAPSE_RATE * z_s / (t + LAPSE_RATE * z_s)) ** exponent
-
 
 def saturation_vapor_pressure(t):
     """August-Roche-Magnus saturation vapor pressure in hPa; t in Kelvin."""

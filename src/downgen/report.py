@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 
 @dataclass
@@ -16,14 +13,7 @@ class MetricEntry:
     variable: str
     method: str
     units: str
-    value: float | None = None       # scalar entries
-    array: np.ndarray | None = None  # field/curve entries
-
-    @property
-    def kind(self):
-        if self.value is not None:
-            return "scalar"
-        return "field" if self.array.ndim > 1 else "curve"
+    value: float
 
 
 @dataclass
@@ -35,56 +25,35 @@ class MetricReport:
         self.entries.append(MetricEntry(metric, variable, method, units,
                                         value=float(value)))
 
-    def add_array(self, metric, variable, method, array, units=""):
-        self.entries.append(MetricEntry(metric, variable, method, units,
-                                        array=np.asarray(array, dtype=np.float64)))
-
-    def scalars(self):
-        return [e for e in self.entries if e.kind == "scalar"]
-
     def lookup(self, metric, variable, method):
-        for e in self.scalars():
+        for e in self.entries:
             if (e.metric, e.variable, e.method) == (metric, variable, method):
                 return e.value
         raise KeyError(f"no entry ({metric}, {variable}, {method})")
 
     def methods(self):
         seen = []
-        for e in self.scalars():
+        for e in self.entries:
             if e.method not in seen:
                 seen.append(e.method)
         return seen
 
     def write(self, out_dir):
-        """metrics.csv with one row per scalar entry, arrays as NPY + manifest."""
+        """metrics.csv with one row per entry."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "metrics.csv", "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f, quoting=csv.QUOTE_MINIMAL)
             writer.writerow(["metric", "variable", "method", "value", "units", "period"])
-            for e in self.scalars():
+            for e in self.entries:
                 writer.writerow([e.metric, e.variable, e.method, repr(e.value),
                                  e.units, self.period])
-        arrays = [e for e in self.entries if e.kind != "scalar"]
-        index = {}
-        for e in arrays:
-            name = f"{e.metric}__{e.variable}__{e.method}".replace("/", "_")
-            with open(out_dir / f"{name}.npy", "wb") as f:
-                np.lib.format.write_array(
-                    f, np.ascontiguousarray(e.array, dtype="<f8"), version=(1, 0))
-            index[name] = {"metric": e.metric, "variable": e.variable,
-                           "method": e.method, "units": e.units,
-                           "shape": list(e.array.shape)}
-        if index:
-            with open(out_dir / "arrays.json", "w", encoding="utf-8") as f:
-                json.dump(index, f, indent=1, sort_keys=True)
-                f.write("\n")
 
     def write_comparison(self, path, method_order):
         """Pivoted CSV: one row per (metric, variable), one column per method."""
         methods = [m for m in method_order if m in self.methods()]
         keys = []
-        for e in self.scalars():
+        for e in self.entries:
             k = (e.metric, e.variable)
             if k not in keys:
                 keys.append(k)
@@ -102,7 +71,7 @@ class MetricReport:
 
 
 def read_metrics_csv(path):
-    """Scalar rows of metrics.csv as a list of dicts (value parsed to float)."""
+    """Rows of metrics.csv as a list of dicts (value parsed to float)."""
     out = []
     with open(path, newline="", encoding="utf-8") as f:
         for row in csv.DictReader(f):

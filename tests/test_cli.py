@@ -17,9 +17,10 @@ from downgen.config import (
     parse_config,
     resolved_text,
 )
-from downgen.grid import read_array
+from downgen.grid import GridField, read_array
 from downgen.nets import DivergenceError
 from downgen.report import read_metrics_csv
+from downgen.synthdata import VAR_NAMES
 
 # toy pipeline configuration: small grids, one training year, few training steps
 TINY = """
@@ -263,6 +264,58 @@ class TestExitCodes:
         assert (out / "config.ini").read_text() == config_text
 
 
+def _fine_field(n_days, seed):
+    """Bi-hourly 4x4 field of the four base variables with mild weather noise.
+
+    The air is dry (relative humidity near 15%), so the heat index stays below
+    the caution level unless the temperature is raised well above 300 K.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (n_days * 12, 4, 4)
+    data = np.stack([290.0 + rng.normal(0.0, 1.0, shape),
+                     5.0 + rng.normal(0.0, 1.0, shape),
+                     0.002 + rng.normal(0.0, 0.0001, shape),
+                     101325.0 + rng.normal(0.0, 100.0, shape)], axis=-1)
+    return GridField(data, 0, 2, np.arange(4.0), 30.0 + np.arange(4.0), VAR_NAMES)
+
+
+def _evaluate_config():
+    cfg = default_config()
+    cfg["evaluate"].update(derived=True, psd=True, streaks=True)
+    return cfg
+
+
+class TestEvaluateFields:
+    def test_truth_against_itself_reads_zero(self):
+        truth = _fine_field(2, seed=1)
+        report = cli.evaluate_fields(_evaluate_config(), truth, {"truth": truth},
+                                     _fine_field(4, seed=2))
+        rows = {(e.metric, e.variable): e.value for e in report.entries}
+        assert {m for m, _ in rows} == {
+            "mab", "wd", "mae_p99", "psd_log_error", "spatial_corr_error",
+            "advisory_exceedance_mae", "heat_streak_sq_error"}
+        assert {v for _, v in rows} == set(VAR_NAMES) | {"rel_humidity", "heat_index"}
+        assert ("advisory_exceedance_mae", "heat_index") in rows
+        assert all(("spatial_corr_error", v) in rows for v in VAR_NAMES)
+        assert rows == {k: 0.0 for k in rows}
+
+    def test_advisory_exceedance_counts_pixel_steps_over_caution(self):
+        truth = _fine_field(2, seed=3)
+        data = truth.data.copy()
+        data[:3, 0, 0, 0] = 310.0   # 3 of 24 steps at one pixel
+        data[6:12, 1, 2, 0] = 310.0  # 6 of 24 steps at another
+        pred = truth.with_data(data)
+        caution = 300.0
+        assert (cli._derived_fields(truth)[1] < caution).all()
+        hot = cli._derived_fields(pred)[1] > caution
+        assert hot.sum() == 9 and hot[:3, 0, 0].all() and hot[6:12, 1, 2].all()
+        report = cli.evaluate_fields(_evaluate_config(), truth, {"pred": pred},
+                                     _fine_field(4, seed=4))
+        # exceedance-fraction errors 3/24 and 6/24 at two of the 16 pixels
+        expected = (3 / 24 + 6 / 24) / 16
+        assert report.lookup("advisory_exceedance_mae", "heat_index", "pred") == expected
+
+
 @pytest.fixture(scope="module")
 def e2e_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("e2e")
@@ -288,8 +341,8 @@ class TestEndToEnd:
         methods = {r["method"] for r in rows}
         assert methods == {"downgen", "bcsd", "qmsr", "sr"}
         metrics = {r["metric"] for r in rows}
-        assert {"mab", "wd", "mae_p99", "psd_log_error",
-                "heat_streak_sq_error"} <= metrics
+        assert {"mab", "wd", "mae_p99", "psd_log_error", "heat_streak_sq_error",
+                "advisory_exceedance_mae", "spatial_corr_error"} <= metrics
         variables = {r["variable"] for r in rows}
         assert {"temperature", "wind_speed", "humidity", "pressure",
                 "rel_humidity", "heat_index"} <= variables

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from downgen.cyclones import (
-    CycloneTrack,
     DetectionConfig,
-    cyclone_density,
     detect_cyclones,
     find_candidates,
     great_circle_distance,
@@ -137,29 +135,3 @@ class TestDetect:
         a = detect_cyclones(slp, wind, elev, LON, LAT, times)
         b = detect_cyclones(slp, wind, elev, LON, LAT, times)
         assert a[0].lons == b[0].lons and a[0].times == b[0].times
-
-
-class TestDensity:
-    def test_no_tracks_zero_field(self):
-        out = cyclone_density([], LON, LAT)
-        np.testing.assert_array_equal(out, 0.0)
-
-    def test_single_point_peak_and_symmetry(self):
-        track = CycloneTrack(times=[0], lons=[15.0], lats=[17.5],
-                             slp_min=[1e5], wind_max=[15.0], elevation=[0.0])
-        out = cyclone_density([track], LON, LAT)
-        i0 = int(np.argmax(out.max(axis=1)))
-        j0 = int(np.argmax(out[i0]))
-        assert LON[i0] == 15.0 and LAT[j0] == 17.5
-        assert out[i0, j0] == pytest.approx(1.0 / (2 * np.pi))
-        # radial symmetry in longitude around the peak
-        np.testing.assert_allclose(out[i0 - 4, j0], out[i0 + 4, j0], rtol=1e-9)
-
-    def test_integral_counts_track_points(self):
-        track = CycloneTrack(times=[0, 6, 12], lons=[14.0, 15.0, 16.0],
-                             lats=[17.5, 17.5, 17.5], slp_min=[1e5] * 3,
-                             wind_max=[15.0] * 3, elevation=[0.0] * 3)
-        out = cyclone_density([track], LON, LAT)
-        cell = 0.5 * 0.5 * np.cos(np.deg2rad(LAT))[None, :]
-        integral = (out * cell).sum()
-        assert integral == pytest.approx(3.0, rel=0.05)

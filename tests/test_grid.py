@@ -236,13 +236,6 @@ class TestZonalRollingMean:
 
 
 class TestEnsembleStats:
-    def test_training_period_restriction(self):
-        data = np.ones((10, 2, 2, 1))
-        data[5:] = 100.0
-        fld = make_field(data, dt_hours=2)
-        stats = compute_ensemble_stats(fld, time_range=(0, 10))
-        np.testing.assert_allclose(stats.mean, 1.0)
-
     def test_std_floor(self):
         stats = compute_ensemble_stats(make_field(np.ones((4, 2, 2, 1))))
         np.testing.assert_allclose(stats.std, STD_FLOOR)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,6 @@ from downgen.metrics import (
     saturation_vapor_pressure,
     spatial_corr_error,
     correlation_matrix,
-    surface_pressure,
     temporal_psd,
     temporal_psd_error,
     wasserstein1,
@@ -33,25 +35,6 @@ def noaa_regression_oracle(tf, rh):
     if hi < 80:
         hi = 0.5 * (tf + 61.0 + (tf - 68.0) * 1.2 + 0.094 * rh)
     return hi
-
-
-class TestSurfacePressure:
-    def test_sea_level_identity(self):
-        assert surface_pressure(101325.0, 288.15, 0.0) == 101325.0
-
-    def test_standard_atmosphere_value(self):
-        # frozen from an independent evaluation of the closed form
-        assert surface_pressure(101325.0, 288.15, 1000.0) == pytest.approx(
-            90124.27796536457, abs=1e-6)
-
-    def test_monotone_decreasing_in_elevation(self):
-        z = np.linspace(0.0, 3000.0, 50)
-        p = surface_pressure(101325.0, 288.15, z)
-        assert (np.diff(p) < 0).all()
-
-    def test_nonpositive_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            surface_pressure(101325.0, -1.0, 100.0)
 
 
 class TestRelativeHumidity:
@@ -318,3 +301,24 @@ class TestHeatStreak:
 
     def test_series_shorter_than_h(self):
         assert heat_streak_prob(np.full(2, 9.9), 0.0, 3, 0.0) == 0.0
+
+
+class TestEveryFunctionReachable:
+    """Every public function of the metric modules is called by the pipeline."""
+
+    @pytest.mark.parametrize("module", ["metrics", "cyclones"])
+    def test_named_by_cli_or_by_another_function_of_the_module(self, module):
+        src = Path(__file__).resolve().parent.parent / "src" / "downgen"
+
+        def names(node):
+            return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+        cli_names = names(ast.parse((src / "cli.py").read_text(encoding="utf-8")))
+        tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
+        functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+        unreached = [
+            f.name for f in functions
+            if not f.name.startswith("_") and f.name not in cli_names
+            and not any(f.name in names(g) for g in functions if g is not f)
+        ]
+        assert unreached == [], f"{module}.py functions no run reaches: {unreached}"
