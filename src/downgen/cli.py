@@ -15,6 +15,7 @@ Exit codes: 0 ok, 1 runtime failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import shutil
@@ -54,52 +55,48 @@ from .report import MetricReport
 from .synthdata import BiasSpec, SynthConfig, make_synth_pair
 
 METHOD_ORDER = ["downgen", "bcsd", "qmsr", "sr"]
-_SOURCE_TAGS = {"debiased": "downgen", "qm": "qmsr", "raw": "sr"}
-_SOURCE_SEEDS = {"debiased": 0, "qm": 1, "raw": 2}
+# sample source -> (method tag, seed stream, input directory, stage that writes it)
+_SOURCES = {
+    "debiased": ("downgen", 0, "debiased", "debias"),
+    "qm": ("qmsr", 1, "baselines/qm", "baseline-qm"),
+    "raw": ("sr", 2, "data/members", "gen-data"),
+}
 _BCSD_STREAM = 5
+# fixed evaluation settings: the percentile of `mae_pXX`, and a heat streak as
+# HEAT_STREAK_DAYS days with a daily maximum HEAT_STREAK_DELTA K above climatology
+PERCENTILE = 99.0
+HEAT_STREAK_DAYS = 3
+HEAT_STREAK_DELTA = 0.5
 
 
 class StageError(Exception):
     """Stage precondition failure (missing inputs, existing outputs); exit 1."""
 
 
+def _built(cls, values, **extras):
+    """A `cls` from the config values named like its fields, plus `extras`."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in values.items() if k in names}, **extras)
+
+
 def _synth_config(cfg):
     s = cfg["synth"]
-    return SynthConfig(
-        nx=s["nx"], ny=s["ny"], n_days=s["n_days"], n_members=s["n_members"],
-        spatial_factor=s["spatial_factor"], spectral_slope=s["spectral_slope"],
-        seasonal_amp=s["seasonal_amp"], diurnal_amp=s["diurnal_amp"],
-        trend_per_year=s["trend_per_year"], noise_amp=s["noise_amp"],
-        noise_ar1=s["noise_ar1"],
-        rng_seed=cfg["pipeline"]["rng_seed"],
-        bias=BiasSpec(mean_offset=s["bias_mean_offset"], var_scale=s["bias_var_scale"],
-                      spectral_tilt=s["bias_spectral_tilt"],
-                      season_phase_days=s["bias_season_phase_days"],
-                      corr_shrink=s["bias_corr_shrink"]),
-    )
+    bias = {k.removeprefix("bias_"): v for k, v in s.items() if k.startswith("bias_")}
+    return _built(SynthConfig, s, rng_seed=cfg["pipeline"]["rng_seed"],
+                  bias=_built(BiasSpec, bias))
 
 
 def _reflow_config(cfg):
     d = cfg["debias"]
-    return ReflowTrainConfig(
-        steps=d["steps"], chunks_per_batch=d["chunks_per_batch"],
-        coupling=CouplingConfig(chunk_len_days=d["chunk_len_days"],
-                                season_window_days=d["season_window_days"]),
-        peak_lr=d["peak_lr"], end_lr=d["end_lr"], warmup_steps=d["warmup_steps"],
-        clip_norm=d["clip_norm"], levels=d["levels"],
-        seed=cfg["pipeline"]["rng_seed"])
+    return _built(ReflowTrainConfig, d, coupling=_built(CouplingConfig, d),
+                  seed=cfg["pipeline"]["rng_seed"])
 
 
 def _sr_config(cfg):
     s = cfg["sr"]
-    return SRTrainConfig(
-        steps=s["steps"], batch=s["batch"], window_days=s["window_days"],
-        spatial_factor=cfg["synth"]["spatial_factor"], p_uncond=s["p_uncond"],
-        peak_lr=s["peak_lr"], end_lr=s["end_lr"], warmup_steps=s["warmup_steps"],
-        clip_norm=s["clip_norm"], levels=s["levels"], doy_buckets=s["doy_buckets"],
-        noise=NoiseSchedule(sigma_min=s["sigma_min"], sigma_max=s["sigma_max"],
-                            n_grid=s["n_grid"], kind=s["schedule_kind"]),
-        seed=cfg["pipeline"]["rng_seed"])
+    return _built(SRTrainConfig, s, spatial_factor=cfg["synth"]["spatial_factor"],
+                  noise=_built(NoiseSchedule, s, kind=s["schedule_kind"]),
+                  seed=cfg["pipeline"]["rng_seed"])
 
 
 def _train_hours(cfg):
@@ -293,24 +290,12 @@ def stage_baseline_bcsd(cfg, run_dir):
     return 0
 
 
-def _load_sample_input(cfg, run_dir, source):
-    member_id = cfg["sample"]["member"]
-    run_dir = Path(run_dir)
-    if source == "debiased":
-        path = _require(run_dir / "debiased" / f"{member_id}.npy", "debias")
-    elif source == "qm":
-        path = _require(run_dir / "baselines" / "qm" / f"{member_id}.npy", "baseline-qm")
-    elif source == "raw":
-        path = _require(run_dir / "data" / "members" / f"{member_id}.npy", "gen-data")
-    else:
-        raise StageError(f"unknown sample source {source!r}")
-    return read_array(path)
-
-
 def stage_sample(cfg, run_dir, source="debiased"):
     run_dir = Path(run_dir)
+    tag, stream, input_dir, input_stage = _SOURCES[source]
     model = load_sr(_require(run_dir / "models" / "sr", "train-sr"))
-    coarse = _load_sample_input(cfg, run_dir, source)
+    coarse = read_array(_require(run_dir / input_dir / f"{cfg['sample']['member']}.npy",
+                                 input_stage))
     h0, h1 = _sample_window_hours(cfg)
     window = coarse.time_slice(h0, h1)
     spd = model.spec.temporal_window
@@ -321,10 +306,9 @@ def stage_sample(cfg, run_dir, source="debiased"):
             f"length {cfg['sample']['length_days']} days implies "
             f"{layout.n_windows} windows, config says {n_windows}")
     rng = np.random.default_rng(np.random.SeedSequence(
-        (cfg["pipeline"]["rng_seed"], 4, _SOURCE_SEEDS[source])))
+        (cfg["pipeline"]["rng_seed"], 4, stream)))
     result = sample_long(model, window, n_windows, guidance=cfg["sample"]["guidance"],
                          rng=rng)
-    tag = _SOURCE_TAGS[source]
     out = _write_once(run_dir, f"samples/{tag}.npy")
     with _staged(out) as tmp:
         write_array(result, tmp)
@@ -340,15 +324,9 @@ def stage_sample(cfg, run_dir, source="debiased"):
 
 def _method_outputs(run_dir):
     run_dir = Path(run_dir)
-    found = {}
-    for tag in ("downgen", "qmsr", "sr"):
-        p = run_dir / "samples" / f"{tag}.npy"
-        if p.exists():
-            found[tag] = read_array(p)
-    p = run_dir / "baselines" / "bcsd" / "bcsd.npy"
-    if p.exists():
-        found["bcsd"] = read_array(p)
-    return found
+    paths = {tag: run_dir / "samples" / f"{tag}.npy" for tag, *_ in _SOURCES.values()}
+    paths["bcsd"] = run_dir / "baselines" / "bcsd" / "bcsd.npy"
+    return {tag: read_array(p) for tag, p in paths.items() if p.exists()}
 
 
 def _derived_fields(fld: GridField):
@@ -360,41 +338,41 @@ def _derived_fields(fld: GridField):
     return rh, heat_index(np.maximum(t, 180.0), rh)
 
 
+def _daily_tmax(fld: GridField):
+    """[days, NX, NY] daily maximum temperature."""
+    spd = 24 // fld.dt_hours
+    return fld.data[..., 0].reshape(fld.n_times // spd, spd, *fld.data.shape[1:3]).max(axis=1)
+
+
 def evaluate_fields(cfg, truth_window: GridField, methods: dict,
                     train_truth: GridField) -> MetricReport:
     """Distribution, correlation and compound-event metrics per method."""
-    e = cfg["evaluate"]
     report = MetricReport(period=f"h{truth_window.time0}+{truth_window.n_times}steps")
     names = list(truth_window.var_names)
-    ref_derived = _derived_fields(truth_window) if e["derived"] else None
-    spd = 24 // truth_window.dt_hours
+    ref_derived = _derived_fields(truth_window)
     nx, ny = truth_window.data.shape[1:3]
     center, box = (nx // 2, ny // 2), (min(nx, ny) - 1) // 2
-    if e["streaks"]:
-        tmax_clim = train_truth.data[..., 0].reshape(
-            train_truth.n_times // spd, spd, *train_truth.data.shape[1:3]).max(axis=1).mean(axis=0)
-        tmax_ref = truth_window.data[..., 0].reshape(
-            truth_window.n_times // spd, spd, *truth_window.data.shape[1:3]).max(axis=1)
+    tmax_clim = _daily_tmax(train_truth).mean(axis=0)
+    tmax_ref = _daily_tmax(truth_window)
+    streak = (HEAT_STREAK_DAYS, HEAT_STREAK_DELTA)
     for method, fld in sorted(methods.items()):
         if fld.data.shape != truth_window.data.shape:
             raise StageError(f"{method} output shape {fld.data.shape} does not match "
                              f"truth window {truth_window.data.shape}")
         series = [(name, fld.data[..., v], truth_window.data[..., v])
                   for v, name in enumerate(names)]
-        if e["derived"]:
-            series += zip(("rel_humidity", "heat_index"), _derived_fields(fld), ref_derived)
+        series += zip(("rel_humidity", "heat_index"), _derived_fields(fld), ref_derived)
         for name, pred, ref in series:
             report.add_scalar("mab", name, method, mab(pred, ref))
             report.add_scalar("wd", name, method, wasserstein1(pred, ref))
-            report.add_scalar(f"mae_p{e['percentile']:g}", name, method,
-                              percentile_mae(pred, ref, e["percentile"]))
+            report.add_scalar(f"mae_p{PERCENTILE:g}", name, method,
+                              percentile_mae(pred, ref, PERCENTILE))
             if name in names:
-                if e["psd"]:
-                    t_phys = float(fld.n_times * fld.dt_hours)
-                    pred_m = pred.reshape(fld.n_times, -1).T
-                    ref_m = ref.reshape(fld.n_times, -1).T
-                    report.add_scalar("psd_log_error", name, method,
-                                      temporal_psd_error(pred_m, ref_m, t_phys))
+                t_phys = float(fld.n_times * fld.dt_hours)
+                pred_m = pred.reshape(fld.n_times, -1).T
+                ref_m = ref.reshape(fld.n_times, -1).T
+                report.add_scalar("psd_log_error", name, method,
+                                  temporal_psd_error(pred_m, ref_m, t_phys))
                 report.add_scalar("spatial_corr_error", name, method,
                                   spatial_corr_error(pred, ref, center, box))
             if name == "heat_index":
@@ -402,18 +380,12 @@ def evaluate_fields(cfg, truth_window: GridField, methods: dict,
                           - heat_advisory_exceedance(ref, "caution"))
                 report.add_scalar("advisory_exceedance_mae", name, method,
                                   float(np.abs(exceed).mean()))
-        if e["streaks"]:
-            tmax_pred = fld.data[..., 0].reshape(
-                fld.n_times // spd, spd, *fld.data.shape[1:3]).max(axis=1)
-            h, delta = e["heat_streak_h"], e["heat_streak_delta"]
-            sq = [
-                (heat_streak_prob(tmax_pred[:, i, j], tmax_clim[i, j], h, delta)
-                 - heat_streak_prob(tmax_ref[:, i, j], tmax_clim[i, j], h, delta)) ** 2
-                for i in range(nx) for j in range(ny)
-            ]
-            report.add_scalar("heat_streak_sq_error", "temperature", method,
-                              float(np.mean(sq)))
-        if e["cyclones"]:
+        tmax_pred = _daily_tmax(fld)
+        sq = [(heat_streak_prob(tmax_pred[:, i, j], tmax_clim[i, j], *streak)
+               - heat_streak_prob(tmax_ref[:, i, j], tmax_clim[i, j], *streak)) ** 2
+              for i in range(nx) for j in range(ny)]
+        report.add_scalar("heat_streak_sq_error", "temperature", method, float(np.mean(sq)))
+        if cfg["evaluate"]["cyclones"]:
             stride = max(1, 6 // fld.dt_hours)
             elev = np.zeros(fld.data.shape[1:3])
             tracks = detect_cyclones(fld.data[::stride, :, :, 3],
@@ -455,7 +427,7 @@ def stage_e2e(cfg, run_dir):
     stage_debias(cfg, run_dir)
     stage_baseline_qm(cfg, run_dir)
     stage_baseline_bcsd(cfg, run_dir)
-    for source in ("debiased", "qm", "raw"):
+    for source in _SOURCES:
         stage_sample(cfg, run_dir, source=source)
     return stage_evaluate(cfg, run_dir)
 
@@ -488,10 +460,7 @@ def build_parser():
         p.add_argument("--set", action="append", default=[], dest="overrides",
                        metavar="SECTION.KEY=VALUE")
         if name == "sample":
-            p.add_argument("--source", choices=sorted(_SOURCE_SEEDS),
-                           default="debiased")
-            p.add_argument("--length-days", type=int, default=None)
-            p.add_argument("--windows", type=int, default=None)
+            p.add_argument("--source", choices=list(_SOURCES), default="debiased")
     return parser
 
 
@@ -500,10 +469,6 @@ def main(argv=None):
     try:
         cfg = parse_config(args.config) if args.config else default_config()
         apply_overrides(cfg, args.overrides)
-        if getattr(args, "length_days", None) is not None:
-            cfg["sample"]["length_days"] = args.length_days
-        if getattr(args, "windows", None) is not None:
-            cfg["sample"]["windows"] = args.windows
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -104,12 +104,6 @@ SCHEMA = {
         "fine_clim_doy_buckets": (int, 12),
     },
     "evaluate": {
-        "percentile": (float, 99.0),
-        "heat_streak_h": (int, 3),
-        "heat_streak_delta": (float, 0.5),
-        "derived": (_bool, True),
-        "psd": (_bool, True),
-        "streaks": (_bool, True),
         "cyclones": (_bool, False),
         "plots": (_bool, False),
     },
@@ -133,8 +127,6 @@ def parse_config(path) -> dict:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
     for section in parser.sections():
-        if section not in SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
             _apply(cfg, section, key, raw)
     return cfg

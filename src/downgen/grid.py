@@ -7,9 +7,8 @@ calendar uses 360-day years and a bi-hourly base cadence (12 steps per day).
 
 from __future__ import annotations
 
-import ast
 import json
-import struct
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -21,8 +20,6 @@ STEPS_PER_DAY = 12  # bi-hourly base cadence
 FINE_DT_HOURS = HOURS_PER_DAY // STEPS_PER_DAY
 
 STD_FLOOR = 1e-6
-
-NPY_MAGIC = b"\x93NUMPY"
 
 
 class GridFormatError(Exception):
@@ -190,21 +187,19 @@ def read_array(path) -> GridField:
     """Read a field written by :func:`write_array`, validating the format."""
     path = Path(path)
     with open(path, "rb") as f:
-        magic = f.read(6)
-        if magic != NPY_MAGIC:
-            raise GridFormatError(f"{path}: bad magic bytes {magic!r}")
-        version = f.read(2)
-        if version != b"\x01\x00":
-            raise GridFormatError(f"{path}: unsupported NPY version {version!r}")
-        (hlen,) = struct.unpack("<H", f.read(2))
         try:
-            header = ast.literal_eval(f.read(hlen).decode("latin1"))
-        except (SyntaxError, ValueError) as exc:
-            raise GridFormatError(f"{path}: unparseable NPY header") from exc
-        if header.get("descr") != "<f8" or header.get("fortran_order"):
+            version = np.lib.format.read_magic(f)
+        except ValueError as exc:
+            raise GridFormatError(f"{path}: bad magic bytes ({exc})") from exc
+        if version != (1, 0):
+            raise GridFormatError(f"{path}: unsupported NPY version {version}")
+        try:
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(f)
+        except ValueError as exc:
+            raise GridFormatError(f"{path}: unparseable NPY header ({exc})") from exc
+        if dtype != np.dtype("<f8") or fortran_order:
             raise GridFormatError(f"{path}: expected little-endian float64 C-order payload")
-        shape = tuple(header.get("shape", ()))
-        count = int(np.prod(shape)) if shape else 0
+        count = math.prod(shape)
         data = np.fromfile(f, dtype="<f8", count=count)
         if data.size != count:
             raise GridFormatError(f"{path}: truncated payload")

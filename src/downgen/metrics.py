@@ -54,14 +54,15 @@ def relative_humidity(q, t, p, clip=False):
 def heat_index(t, rh):
     """NOAA heat index; t in Kelvin, rh in percent. Fahrenheit internally.
 
-    The regression with its two adjustment terms is evaluated first; where the
-    result falls below 80 F the simple formula replaces it.
+    The simple formula holds where its mean with the temperature is below 80 F;
+    elsewhere the regression with its two adjustment terms replaces it.
     """
     t = np.asarray(t, dtype=np.float64)
     rh = np.asarray(rh, dtype=np.float64)
     if (rh < 0).any() or (rh > 100).any():
         raise ValueError("relative humidity must lie in [0, 100]")
     tf = (t - 273.15) * 1.8 + 32.0
+    simple = 0.5 * (tf + 61.0 + (tf - 68.0) * 1.2 + 0.094 * rh)
     hi = (-42.379 + 2.04901523 * tf + 10.14333127 * rh
           - 0.22475541 * tf * rh - 0.00683787 * tf ** 2 - 0.05481717 * rh ** 2
           + 0.00122874 * tf ** 2 * rh + 0.00085282 * tf * rh ** 2
@@ -73,8 +74,7 @@ def heat_index(t, rh):
                   hi)
     high_rh = (rh > 85.0) & (tf > 80.0) & (tf < 87.0)
     hi = np.where(high_rh, hi + (rh - 85.0) * (87.0 - tf) / 50.0, hi)
-    simple = 0.5 * (tf + 61.0 + (tf - 68.0) * 1.2 + 0.094 * rh)
-    hi = np.where(hi < 80.0, simple, hi)
+    hi = np.where((simple + tf) / 2.0 >= 80.0, hi, simple)
     return (hi - 32.0) / 1.8 + 273.15
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from downgen import cli
-from downgen.cli import _reflow_config, _sr_config, _synth_config, main
+from downgen.cli import _reflow_config, _sr_config, _synth_config, build_parser, main
 from downgen.config import (
     SCHEMA,
     ConfigError,
@@ -17,10 +19,15 @@ from downgen.config import (
     parse_config,
     resolved_text,
 )
+from downgen.diffusion import NoiseSchedule, SRTrainConfig
 from downgen.grid import GridField, read_array
 from downgen.nets import DivergenceError
+from downgen.reflow import CouplingConfig, ReflowTrainConfig
 from downgen.report import read_metrics_csv
-from downgen.synthdata import VAR_NAMES
+from downgen.synthdata import VAR_NAMES, BiasSpec, SynthConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMO = ROOT / "configs" / "demo.ini"
 
 # toy pipeline configuration: small grids, one training year, few training steps
 TINY = """
@@ -100,8 +107,7 @@ class TestConfig:
             apply_overrides(default_config(), ["guidance=2.5"])
 
     def test_demo_synth_config_forwards_noise_ar1(self):
-        demo = Path(__file__).resolve().parent.parent / "configs" / "demo.ini"
-        assert _synth_config(parse_config(demo)).noise_ar1 == 0.6
+        assert _synth_config(parse_config(DEMO)).noise_ar1 == 0.6
 
     # keys that no stage config carries: stages read them from the config directly
     READ_BY_STAGES = {
@@ -129,6 +135,98 @@ class TestConfig:
             cfg = default_config()
             cfg[section][key] = changed
             assert stage_configs(cfg) != stage_configs(base), f"{section}.{key}"
+
+
+# Reference stage-config builders: every key written out by hand.
+def _reference_synth_config(cfg):
+    s = cfg["synth"]
+    return SynthConfig(
+        nx=s["nx"], ny=s["ny"], n_days=s["n_days"], n_members=s["n_members"],
+        spatial_factor=s["spatial_factor"], spectral_slope=s["spectral_slope"],
+        seasonal_amp=s["seasonal_amp"], diurnal_amp=s["diurnal_amp"],
+        trend_per_year=s["trend_per_year"], noise_amp=s["noise_amp"],
+        noise_ar1=s["noise_ar1"],
+        rng_seed=cfg["pipeline"]["rng_seed"],
+        bias=BiasSpec(mean_offset=s["bias_mean_offset"], var_scale=s["bias_var_scale"],
+                      spectral_tilt=s["bias_spectral_tilt"],
+                      season_phase_days=s["bias_season_phase_days"],
+                      corr_shrink=s["bias_corr_shrink"]),
+    )
+
+
+def _reference_reflow_config(cfg):
+    d = cfg["debias"]
+    return ReflowTrainConfig(
+        steps=d["steps"], chunks_per_batch=d["chunks_per_batch"],
+        coupling=CouplingConfig(chunk_len_days=d["chunk_len_days"],
+                                season_window_days=d["season_window_days"]),
+        peak_lr=d["peak_lr"], end_lr=d["end_lr"], warmup_steps=d["warmup_steps"],
+        clip_norm=d["clip_norm"], levels=d["levels"],
+        seed=cfg["pipeline"]["rng_seed"])
+
+
+def _reference_sr_config(cfg):
+    s = cfg["sr"]
+    return SRTrainConfig(
+        steps=s["steps"], batch=s["batch"], window_days=s["window_days"],
+        spatial_factor=cfg["synth"]["spatial_factor"], p_uncond=s["p_uncond"],
+        peak_lr=s["peak_lr"], end_lr=s["end_lr"], warmup_steps=s["warmup_steps"],
+        clip_norm=s["clip_norm"], levels=s["levels"], doy_buckets=s["doy_buckets"],
+        noise=NoiseSchedule(sigma_min=s["sigma_min"], sigma_max=s["sigma_max"],
+                            n_grid=s["n_grid"], kind=s["schedule_kind"]),
+        seed=cfg["pipeline"]["rng_seed"])
+
+
+def _assert_same_fields(got, want, path):
+    """Equal field by field, nested dataclasses included, with equal value types."""
+    assert type(got) is type(want), path
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if dataclasses.is_dataclass(b):
+            _assert_same_fields(a, b, f"{path}.{f.name}")
+        else:
+            assert (type(a), a) == (type(b), b), f"{path}.{f.name}"
+
+
+class TestStageConfigs:
+    @pytest.mark.parametrize("source", ["default", "demo"])
+    @pytest.mark.parametrize("build, reference", [
+        (_synth_config, _reference_synth_config),
+        (_reflow_config, _reference_reflow_config),
+        (_sr_config, _reference_sr_config),
+    ], ids=["synth", "reflow", "sr"])
+    def test_built_by_field_name_equals_reference(self, source, build, reference):
+        cfg = default_config() if source == "default" else parse_config(DEMO)
+        _assert_same_fields(build(cfg), reference(cfg), build.__name__)
+
+
+class TestReadmeMatchesCode:
+    README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+    def test_every_config_key_named_exists(self):
+        named = re.findall(rf"\b({'|'.join(SCHEMA)})\.(\w+)", self.README)
+        assert named
+        assert [f"{s}.{k}" for s, k in named if k not in SCHEMA[s]] == []
+
+    def test_ini_example_parses(self, tmp_path):
+        (example,) = re.findall(r"```ini\n(.*?)```", self.README, re.S)
+        path = tmp_path / "example.ini"
+        path.write_text(example, encoding="utf-8")
+        parse_config(path)
+
+    def test_cli_synopsis_parses(self):
+        """Each `downgen ...` line of the README's code blocks, with the first
+        of every `a|b` choice and each subcommand, is accepted by the parser."""
+        lines = re.findall(r"^downgen .*$", self.README, re.M)
+        assert any("--source" in line for line in lines)
+        for line in lines:
+            _, commands, *rest = line.replace("[", "").replace("]", "").split()
+            for command in commands.split("|"):
+                argv = [command] + [tok.split("|")[0] for tok in rest]
+                try:
+                    build_parser().parse_args(argv)
+                except SystemExit:
+                    pytest.fail(f"README synopsis not accepted: {argv}")
 
 
 def _overrides():
@@ -279,16 +377,10 @@ def _fine_field(n_days, seed):
     return GridField(data, 0, 2, np.arange(4.0), 30.0 + np.arange(4.0), VAR_NAMES)
 
 
-def _evaluate_config():
-    cfg = default_config()
-    cfg["evaluate"].update(derived=True, psd=True, streaks=True)
-    return cfg
-
-
 class TestEvaluateFields:
     def test_truth_against_itself_reads_zero(self):
         truth = _fine_field(2, seed=1)
-        report = cli.evaluate_fields(_evaluate_config(), truth, {"truth": truth},
+        report = cli.evaluate_fields(default_config(), truth, {"truth": truth},
                                      _fine_field(4, seed=2))
         rows = {(e.metric, e.variable): e.value for e in report.entries}
         assert {m for m, _ in rows} == {
@@ -309,7 +401,7 @@ class TestEvaluateFields:
         assert (cli._derived_fields(truth)[1] < caution).all()
         hot = cli._derived_fields(pred)[1] > caution
         assert hot.sum() == 9 and hot[:3, 0, 0].all() and hot[6:12, 1, 2].all()
-        report = cli.evaluate_fields(_evaluate_config(), truth, {"pred": pred},
+        report = cli.evaluate_fields(default_config(), truth, {"pred": pred},
                                      _fine_field(4, seed=4))
         # exceedance-fraction errors 3/24 and 6/24 at two of the 16 pixels
         expected = (3 / 24 + 6 / 24) / 16

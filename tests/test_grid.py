@@ -62,8 +62,37 @@ class TestIO:
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.npy"
         path.write_bytes(b"NOTNPY" + b"\x00" * 64)
-        with pytest.raises(GridFormatError, match="magic"):
+        with pytest.raises(GridFormatError, match="magic") as exc:
             read_array(path)
+        assert str(path) in str(exc.value)
+
+    @staticmethod
+    def _rewrite_payload(tmp_path, payload, version=(1, 0)):
+        """A valid field file whose NPY payload is replaced by `payload`."""
+        path = tmp_path / "x.npy"
+        write_array(make_field(np.zeros((2, 4, 4, 1))), path)
+        with open(path, "wb") as f:
+            np.lib.format.write_array(f, payload, version=version)
+        return path
+
+    @pytest.mark.parametrize("payload, version, message", [
+        (np.zeros((2, 4, 4, 1)), (2, 0), "unsupported NPY version"),
+        (np.zeros((2, 4, 4, 1), dtype="<f4"), (1, 0), "little-endian float64"),
+        (np.zeros((2, 4, 4, 1), dtype=">f8"), (1, 0), "little-endian float64"),
+        (np.asfortranarray(np.zeros((2, 4, 4, 1))), (1, 0), "C-order"),
+    ], ids=["version-2.0", "float32", "big-endian", "fortran-order"])
+    def test_unsupported_payload_rejected(self, tmp_path, payload, version, message):
+        path = self._rewrite_payload(tmp_path, payload, version)
+        with pytest.raises(GridFormatError, match=message) as exc:
+            read_array(path)
+        assert str(path) in str(exc.value)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = self._rewrite_payload(tmp_path, np.zeros((2, 4, 4, 1)))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(GridFormatError, match="truncated payload") as exc:
+            read_array(path)
+        assert str(path) in str(exc.value)
 
     def test_nan_write_rejected(self, tmp_path):
         fld = make_field(np.zeros((2, 2, 2, 1)))

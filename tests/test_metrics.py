@@ -24,7 +24,11 @@ from downgen.metrics import (
 
 
 def noaa_regression_oracle(tf, rh):
-    """Independently coded NOAA heat-index regression (Fahrenheit in/out)."""
+    """Independently coded NOAA heat index (Fahrenheit in/out): the simple
+    formula, or the regression where the simple formula's mean with tf is 80+."""
+    simple = 0.5 * (tf + 61.0 + (tf - 68.0) * 1.2 + 0.094 * rh)
+    if (simple + tf) / 2 < 80:
+        return simple
     hi = (-42.379 + 2.04901523 * tf + 10.14333127 * rh - 0.22475541 * tf * rh
           - 0.00683787 * tf * tf - 0.05481717 * rh * rh + 0.00122874 * tf * tf * rh
           + 0.00085282 * tf * rh * rh - 0.00000199 * tf * tf * rh * rh)
@@ -32,8 +36,6 @@ def noaa_regression_oracle(tf, rh):
         hi -= (13 - rh) / 4 * ((17 - abs(tf - 95)) / 17) ** 0.5
     elif rh > 85 and 80 < tf < 87:
         hi += (rh - 85) * (87 - tf) / 50
-    if hi < 80:
-        hi = 0.5 * (tf + 61.0 + (tf - 68.0) * 1.2 + 0.094 * rh)
     return hi
 
 
@@ -88,6 +90,15 @@ class TestHeatIndex:
         got_f = (heat_index(t_k, 50.0) - 273.15) * 1.8 + 32.0
         assert got_f == pytest.approx(noaa_regression_oracle(75.0, 50.0), abs=1e-9)
         assert got_f < 80.0
+
+    def test_simple_formula_where_regression_out_of_range(self):
+        # 59 F at 63%: the regression reads 82.4 F, but the simple formula's
+        # mean with the temperature is 58.3 F, below the regression's range
+        t_k = (59.0 - 32.0) / 1.8 + 273.15
+        got_f = (heat_index(t_k, 63.0) - 273.15) * 1.8 + 32.0
+        assert got_f == pytest.approx(0.5 * (59.0 + 61.0 + (59.0 - 68.0) * 1.2 + 0.094 * 63.0),
+                                      abs=1e-9)
+        assert got_f == pytest.approx(noaa_regression_oracle(59.0, 63.0), abs=1e-9)
 
     def test_monotone_in_temperature_at_fixed_rh(self):
         tf = np.arange(80.0, 110.1, 1.0)
