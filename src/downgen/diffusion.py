@@ -252,13 +252,14 @@ def cfg_denoise(params, arch: ArchConfig, z, sigma, cond, guidance):
     """Classifier-free guided denoiser: (1+g) D(z, s, cond) - g D(z, s, null).
 
     z: [..., T, H, W, V], one window or a stack of windows, all at noise level
-    sigma; cond has the shape of z, or is None for unconditional denoising
-    regardless of guidance strength. Every window goes through one
-    `denoiser_forward` call, which forms the guided mix itself: the two
-    branches share the input conv's state half and one output conv.
+    sigma; cond has the shape of z, or is the windows' `nets.denoiser_cond`
+    [..., H, W, levels[0]], or is None for unconditional denoising regardless
+    of guidance strength. Every window goes through one `denoiser_forward`
+    call, which forms the guided mix itself: the two branches share the input
+    conv's state half and one output conv.
     """
     zb = z.reshape((-1,) + z.shape[-4:])
-    cb = None if cond is None else cond.reshape(zb.shape)
+    cb = None if cond is None else cond.reshape((-1,) + cond.shape[z.ndim - 4:])
     return denoiser_forward(params, zb, np.full(len(zb), sigma), cb, arch,
                             guidance).data.reshape(z.shape)
 

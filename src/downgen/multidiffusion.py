@@ -17,7 +17,7 @@ import numpy as np
 
 from .diffusion import SRModel, assemble_output, cfg_denoise, prepare_cond, sde_step_exponential
 from .grid import GridField
-from .nets import DivergenceError
+from .nets import DivergenceError, denoiser_cond
 from .parallel import pmap  # noqa: F401  not called here; perfbench/tracing.py wraps it
 
 
@@ -109,6 +109,9 @@ def sample_long(model: SRModel, y_cond_long: GridField, n_windows,
     the plain single-window sampler. on_step, if given, is called as
     on_step(grid_index, window_states) after every SDE step, with the states
     as read-only views [n_windows, window_len, H, W, V] of the trajectory.
+    The conditioning half of the denoiser's input conv does not change from
+    step to step: it runs once, before the chain (`nets.denoiser_cond`), and
+    every step's `cfg_denoise` gets its output.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -119,7 +122,7 @@ def sample_long(model: SRModel, y_cond_long: GridField, n_windows,
         raise ValueError(f"conditioning series has {y_cond_long.n_times} days, layout needs "
                          f"{expected_days} for {n_windows} windows of {model.window_days} days")
     cond_full = prepare_cond(y_cond_long, model.norm, model.spec)
-    conds = layout.windows(cond_full)
+    conds = denoiser_cond(model.params, layout.windows(cond_full), model.arch).data
 
     def denoise_fn(z, sigma):
         ds = cfg_denoise(model.params, model.arch, layout.windows(z), sigma, conds, guidance)

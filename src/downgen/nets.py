@@ -9,6 +9,7 @@ as input channels. Everything is float64 with hand-written gradients.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -124,10 +125,18 @@ def collect_grads(leaves, params) -> dict:
 # Conditioning pathways
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache
+def _fourier_freqs(n_freqs):
+    """The K log-spaced frequencies in [1, 1e4], read-only: every caller shares them."""
+    freqs = np.logspace(0.0, 4.0, n_freqs)
+    freqs.flags.writeable = False
+    return freqs
+
+
 def fourier_features(s, n_freqs):
     """Pre-dense embedding [B, 2K]: cos then sin of log-spaced frequencies in [1, 1e4]."""
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    freqs = np.logspace(0.0, 4.0, n_freqs)
+    freqs = _fourier_freqs(n_freqs)
     angles = s[:, None] * freqs[None, :]
     return np.concatenate([np.cos(angles), np.sin(angles)], axis=1)
 
@@ -140,7 +149,10 @@ def fourier_embed(leaves, s, arch: ArchConfig) -> Tensor:
 
 
 def film(x: Tensor, embed: Tensor, leaves, prefix) -> Tensor:
-    """(1 + Dense(e)) * x + Dense(e), per channel; identity at zero init."""
+    """(1 + Dense(e)) * x + Dense(e), per channel; identity at zero init.
+
+    embed is [B, E], or [1, E] for one embedding shared by every row of x.
+    """
     scale = ad.dense(embed, leaves[f"{prefix}/film_scale/w"], leaves[f"{prefix}/film_scale/b"])
     shift = ad.dense(embed, leaves[f"{prefix}/film_shift/w"], leaves[f"{prefix}/film_shift/b"])
     b, c = scale.shape
@@ -198,10 +210,15 @@ def velocity_arch(n_vars, levels=(16, 32, 64)) -> ArchConfig:
 def velocity_forward(leaves, yhat, tau, stat_mean, stat_std, arch: ArchConfig) -> Tensor:
     """v(yhat, tau; member stats). All array arguments are plain numpy.
 
-    yhat: [B, H, W, V]; tau: [B]; stat_mean/stat_std: [B, H, W, V] member
-    statistics, injected both as channels and as a pooled FiLM embedding term.
+    yhat: [B, H, W, V]; tau: [B], or [1] for one time shared by all rows;
+    stat_mean/stat_std: [B, H, W, V] member statistics, or [1, H, W, V] for
+    statistics shared by all rows, injected both as channels and as a pooled
+    FiLM embedding term. With tau and both fields shared, the embedding, the
+    pooled-statistics dense and every FiLM dense run on one row, and FiLM's
+    [1, 1, 1, C] scale and shift broadcast over the batch.
     """
-    x = np.concatenate([yhat, stat_mean, stat_std], axis=-1)
+    x = np.concatenate([yhat, np.broadcast_to(stat_mean, yhat.shape),
+                        np.broadcast_to(stat_std, yhat.shape)], axis=-1)
     embed = fourier_embed(leaves, tau, arch)
     pooled = np.concatenate([stat_mean.mean(axis=(1, 2)), stat_std.mean(axis=(1, 2))], axis=1)
     cond = ad.dense(pooled, leaves["cond_vec/dense/w"], leaves["cond_vec/dense/b"])
@@ -244,22 +261,36 @@ def _unfold_time(x: Tensor, t, v) -> Tensor:
     return ad.transpose(ad.reshape(x, (b, h, w, t, v)), (0, 3, 1, 2, 4))
 
 
+def denoiser_cond(leaves, cond, arch: ArchConfig) -> Tensor:
+    """The conditioning half of the input conv: [B, H, W, levels[0]], no bias.
+
+    cond: [B, T, H, W, V] interpolated conditioning windows. The result
+    depends on neither the noisy state nor sigma, so a sampler computes it
+    once per call and passes it to `denoiser_forward` on every step.
+    """
+    c = arch.in_channels // 2
+    return ad.conv2d(_fold_time(cond), ad.slice_axis(leaves["in/conv/w"], c, 2 * c, axis=2),
+                     np.zeros(arch.levels[0]))
+
+
 def denoiser_forward(leaves, z, sigma, cond, arch: ArchConfig, guidance=0.0) -> Tensor:
     """Preconditioned denoiser D(z, sigma, cond), or with a nonzero guidance g
     and a cond, the classifier-free guided (1+g) D(z, s, cond) - g D(z, s, null).
 
     z: [B, T, H, W, V] noisy residual window; sigma: [B]; cond: interpolated
-    conditioning of the same shape as z, or None for the null (zero) input,
-    which is unguided whatever g. Returns a tensor shaped like z.
+    conditioning of the same shape as z, its `denoiser_cond` [B, H, W,
+    levels[0]], or None for the null (zero) input, which is unguided whatever
+    g. Returns a tensor shaped like z.
 
     Guidance uses that the input conv is linear in its input channels and the
     output conv linear in its input. `in/conv/w` is split by input channel
     into a state half, run on c_in * z with the bias, and a conditioning half,
-    run on cond only: the null input's all-zero conditioning is never
-    convolved. With guidance, the state half serves both branches, the U-net
-    body runs once over the 2B rows [conditional; null], and the output conv
-    runs once, on the B rows of the mix (1+g) h_cond - g h_null of the body's
-    output; its bias passes through exactly, as (1+g) - g = 1.
+    run on cond only (`denoiser_cond`): the null input's all-zero
+    conditioning is never convolved. With guidance, the state half serves both
+    branches, the U-net body runs once over the 2B rows [conditional; null],
+    and the output conv runs once, on the B rows of the mix
+    (1+g) h_cond - g h_null of the body's output; its bias passes through
+    exactly, as (1+g) - g = 1.
     """
     b, t, h, w, v = z.shape
     c_skip, c_out, c_in, c_noise = precond_coeffs(sigma)
@@ -270,8 +301,7 @@ def denoiser_forward(leaves, z, sigma, cond, arch: ArchConfig, guidance=0.0) -> 
                   leaves["in/conv/b"])
     guided = cond is not None and guidance != 0.0
     if cond is not None:
-        xc = x + ad.conv2d(_fold_time(cond), ad.slice_axis(w_in, c, 2 * c, axis=2),
-                           np.zeros(arch.levels[0]))
+        xc = x + (denoiser_cond(leaves, cond, arch) if cond.shape == z.shape else cond)
         x = ad.concat([xc, x], axis=0) if guided else xc
     embed = fourier_embed(leaves, np.concatenate([c_noise, c_noise]) if guided else c_noise,
                           arch)

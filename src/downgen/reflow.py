@@ -146,14 +146,16 @@ def integrate_velocity(model: ReflowModel, yhat0, stat_mean, stat_std,
                        n_steps=100, t0=0.0, t1=1.0):
     """Fixed-step RK4 for dy/dtau = v(y, tau) in normalized coordinates.
 
-    yhat0: [B, NX, NY, V]. Set t0=1, t1=0 to integrate the flow backwards.
+    yhat0: [B, NX, NY, V]; stat_mean/stat_std: [B, NX, NY, V], or
+    [1, NX, NY, V] for statistics shared by all rows. Every velocity
+    evaluation passes its tau once, as a [1] array shared by all rows. Set
+    t0=1, t1=0 to integrate the flow backwards.
     """
     h = (t1 - t0) / n_steps
     y = yhat0.copy()
-    b = y.shape[0]
 
     def vel(state, t):
-        return velocity_forward(model.params, state, np.full(b, t), stat_mean, stat_std,
+        return velocity_forward(model.params, state, np.array([t]), stat_mean, stat_std,
                                 model.arch).data
 
     for i in range(n_steps):
@@ -169,16 +171,17 @@ def integrate_velocity(model: ReflowModel, yhat0, stat_mean, stat_std,
 
 
 def transport(model: ReflowModel, y: GridField, member_id, n_steps=100) -> GridField:
-    """Debias a member series: normalize, integrate the flow 0 -> 1, denormalize."""
+    """Debias a member series: normalize, integrate the flow 0 -> 1, denormalize.
+
+    The member's statistic fields go to `integrate_velocity` once, shaped
+    [1, NX, NY, V], not broadcast over the series' days.
+    """
     if member_id not in model.member_stats:
         raise KeyError(f"no statistics for member {member_id!r}")
     stats = model.member_stats[member_id]
     yhat = (y.data - stats.mean) / stats.std
-    shape = yhat.shape
     mean_cond, std_cond = _conditioning_fields(stats, model.target_stats)
-    mean_f = np.broadcast_to(mean_cond, shape)
-    std_f = np.broadcast_to(std_cond, shape)
-    out = integrate_velocity(model, yhat, mean_f, std_f, n_steps=n_steps)
+    out = integrate_velocity(model, yhat, mean_cond[None], std_cond[None], n_steps=n_steps)
     data = out * model.target_stats.std + model.target_stats.mean
     return y.with_data(data)
 

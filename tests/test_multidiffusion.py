@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from downgen import multidiffusion
+from downgen import multidiffusion, nets
 from downgen.diffusion import (
     NoiseSchedule,
     SRModel,
@@ -20,7 +22,7 @@ from downgen.multidiffusion import (
     sample_chain,
     sample_long,
 )
-from downgen.nets import DivergenceError, denoiser_arch, init_params
+from downgen.nets import DivergenceError, denoiser_arch, denoiser_cond, init_params
 from downgen.synthdata import SynthConfig, gen_fine_ensemble
 
 
@@ -190,6 +192,22 @@ class TestSampleLong:
         with pytest.raises(DivergenceError, match="^non-finite sampler state at grid index 3$"):
             sample_long(model, y, 2, rng=np.random.default_rng(11))
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("n_grid, m", [(3, 1), (9, 2)])
+    def test_conditioning_conv_once_per_call(self, untrained_model, monkeypatch, n_grid, m):
+        model, coarse = untrained_model
+        model = dataclasses.replace(model, schedule=NoiseSchedule(n_grid=n_grid))
+        y = coarse.time_slice(0, (2 * m + 1) * 24)
+        calls = []
+
+        def counting(leaves, cond, arch):
+            calls.append(cond.shape)
+            return denoiser_cond(leaves, cond, arch)
+
+        monkeypatch.setattr(multidiffusion, "denoiser_cond", counting)
+        monkeypatch.setattr(nets, "denoiser_cond", counting)
+        sample_long(model, y, m, guidance=1.0, rng=np.random.default_rng(12))
+        assert calls == [(m, 36, 8, 8, 4)]
 
     def test_wrong_conditioning_length_rejected(self, untrained_model):
         model, coarse = untrained_model

@@ -6,6 +6,7 @@ from downgen.autodiff import Tensor, backward
 from downgen.nets import (
     ArchConfig,
     DivergenceError,
+    _fourier_freqs,
     as_leaves,
     collect_grads,
     denoiser_arch,
@@ -43,6 +44,17 @@ class TestFourierEmbed:
         feats = fourier_features(0.0, 5)
         np.testing.assert_array_equal(feats[0, :5], 1.0)
         np.testing.assert_array_equal(feats[0, 5:], 0.0)
+
+    def test_frequencies_built_once_and_read_only(self):
+        s = np.array([0.0, 0.37, 1.0])
+        angles = s[:, None] * np.logspace(0.0, 4.0, 7)[None, :]
+        expect = np.concatenate([np.cos(angles), np.sin(angles)], axis=1)
+        assert fourier_features(s, 7).tobytes() == expect.tobytes()
+        assert fourier_features(s, 7).tobytes() == expect.tobytes()
+        freqs = _fourier_freqs(7)
+        assert freqs is _fourier_freqs(7)
+        with pytest.raises(ValueError):
+            freqs[0] = 2.0
 
     def test_deterministic(self):
         arch = ArchConfig(in_channels=2, out_channels=2, embed_freqs=4, embed_dim=8)
@@ -139,6 +151,21 @@ class TestVelocityForward:
         out_p = velocity_forward(as_leaves(params), yhat[perm], tau[perm],
                                  mean[perm], std[perm], arch).data
         np.testing.assert_allclose(out_p, out[perm], atol=1e-12)
+
+    def test_shared_tau_and_stats_match_per_row_call(self):
+        # one embedding row broadcast over the batch; only the dense GEMMs'
+        # rounding may differ from running them on B identical rows
+        arch, params, yhat, _, mean, std = small_velocity_setup(seed=12, b=5)
+        rng = np.random.default_rng(13)
+        for k in params:
+            params[k] = params[k] + rng.standard_normal(params[k].shape) * 0.05
+        shared = velocity_forward(params, yhat, np.array([0.4]), mean[:1], std[:1], arch).data
+        per_row = velocity_forward(params, yhat, np.full(5, 0.4),
+                                   np.broadcast_to(mean[:1], yhat.shape),
+                                   np.broadcast_to(std[:1], yhat.shape), arch).data
+        scale = np.abs(per_row).max()
+        assert shared.shape == yhat.shape and scale > 0.01
+        assert np.abs(shared - per_row).max() <= 1e-14 * scale
 
     def test_gradient_check_on_squared_norm(self):
         arch, params, yhat, tau, mean, std = small_velocity_setup(seed=10)

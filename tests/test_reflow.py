@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from downgen.grid import GridField, compute_ensemble_stats, day_of_year
-from downgen.nets import init_params, load_checkpoint, velocity_arch
+from downgen.nets import init_params, load_checkpoint, velocity_arch, velocity_forward
 from downgen.optim import OptimizerState, Schedule, adam_step
 from downgen.reflow import (
     CouplingConfig,
@@ -199,6 +199,37 @@ class TestTransport:
         fwd = integrate_velocity(model, yhat, mean_f, std_f, n_steps=50)
         back = integrate_velocity(model, fwd, mean_f, std_f, n_steps=50, t0=1.0, t1=0.0)
         assert np.abs(back - yhat).max() < 1e-3
+
+    def test_transport_matches_per_row_rk4_reference(self):
+        # transport passes tau and the member statistics once per velocity
+        # evaluation; the reference repeats both on every row
+        member, target = toy_training_data(seed=23, nx=4, ny=4, nv=2, shift=1.0)
+        model, _ = train_reflow([member], target,
+                                ReflowTrainConfig(steps=0, levels=(4, 8), seed=23))
+        rng = np.random.default_rng(24)
+        for k in model.params:
+            model.params[k] = model.params[k] + rng.standard_normal(model.params[k].shape) * 0.1
+        stats, tstats = model.member_stats["m000"], model.target_stats
+        y = (member.data - stats.mean) / stats.std
+        mean_f = np.broadcast_to((stats.mean - tstats.mean) / tstats.std, y.shape)
+        std_f = np.broadcast_to(stats.std / tstats.std, y.shape)
+
+        def vel(state, t):
+            return velocity_forward(model.params, state, np.full(len(state), t), mean_f, std_f,
+                                    model.arch).data
+
+        n_steps = 12
+        h = 1.0 / n_steps
+        for i in range(n_steps):
+            t = i * h
+            k1 = vel(y, t)
+            k2 = vel(y + 0.5 * h * k1, t + 0.5 * h)
+            k3 = vel(y + 0.5 * h * k2, t + 0.5 * h)
+            k4 = vel(y + h * k3, t + h)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        expect = y * tstats.std + tstats.mean
+        out = transport(model, member, "m000", n_steps=n_steps).data
+        assert np.abs(out - expect).max() <= 1e-13 * np.abs(expect).max()
 
     def test_transport_injective_on_batch(self):
         member, target = toy_training_data(seed=22)
