@@ -9,6 +9,11 @@ Stages communicate exclusively through files under the run directory:
     samples/    super-resolved windows per input source (sample)
     metrics/    metric CSVs and optional SVG plots (evaluate)
 
+A stage output exists only once it is complete: it is built under a hidden
+`.partial` name and renamed into place on success. An existing output refuses
+and no output is deleted; a failed or killed stage leaves at most a `.partial`
+that its rerun replaces.
+
 Exit codes: 0 ok, 1 runtime failure, 2 usage/config error.
 """
 
@@ -16,9 +21,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
-import os
-import shutil
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -33,6 +35,7 @@ from .grid import (
     GridField,
     compute_climatology,
     read_array,
+    staged,
     write_array,
 )
 from .metrics import (
@@ -104,54 +107,21 @@ def _train_hours(cfg):
 
 
 def _write_once(run_dir, rel):
-    """run_dir/rel, for a stage to write once.
-
-    An output the manifest lists refuses. One it does not list is the leftover
-    of a stage killed between renaming its output into place and recording it,
-    and is removed, with the JSON sidecar of an array.
-    """
+    """run_dir/rel, for a stage to write once: an existing output refuses."""
     path = Path(run_dir) / rel
-    listed = _read_manifest(run_dir)["stages"].values()
-    if path.exists() and any(Path(rel).as_posix() in outputs for outputs in listed):
+    if path.exists():
         raise StageError(f"output {path} already exists (write-once run directory)")
-    _remove(path)
-    if path.suffix == ".npy":
-        _remove(path.with_name(path.name + ".json"))
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
 @contextmanager
-def _staged(path):
-    """Yield a temporary sibling of `path` to write; it replaces `path` only on success.
-
-    A failed or killed writer leaves nothing at `path`, so the stage can rerun.
-    """
-    tmp = path.with_name(f".{path.name}.partial")
-    try:
-        _remove(tmp)   # left by a killed run
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        _remove(tmp)
-
-
-def _remove(path):
-    if path.is_dir():
-        shutil.rmtree(path)
-    elif path.exists():
-        path.unlink()
-
-
-@contextmanager
-def _fresh_dir(run_dir, stage, rel):
-    """Yield a temporary directory for `stage`'s output run_dir/rel; on success it is
-    renamed into place and recorded in the manifest."""
-    path = _write_once(run_dir, rel)
-    with _staged(path) as tmp:
+def _fresh_dir(run_dir, rel):
+    """Yield a temporary directory for the output run_dir/rel; on success it is
+    renamed into place."""
+    with staged(_write_once(run_dir, rel)) as tmp:
         tmp.mkdir()
         yield tmp
-    _update_manifest(run_dir, stage, [path])
 
 
 def _require(path, hint):
@@ -167,27 +137,10 @@ def _persist_config(cfg, run_dir):
     target = run_dir / "config.ini"
     text = resolved_text(cfg)
     if not target.exists():
-        target.write_text(text, encoding="utf-8")
+        with staged(target) as tmp:
+            tmp.write_text(text, encoding="utf-8")
     elif target.read_text(encoding="utf-8") != text:
         raise StageError("run directory was created with a different configuration")
-
-
-def _read_manifest(run_dir):
-    path = Path(run_dir) / "manifest.json"
-    if not path.exists():
-        return {"stages": {}}
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
-def _update_manifest(run_dir, stage, outputs):
-    """Record a stage's outputs, as paths relative to the run directory."""
-    path = Path(run_dir) / "manifest.json"
-    manifest = _read_manifest(run_dir)
-    manifest["stages"][stage] = sorted(Path(o).relative_to(run_dir).as_posix()
-                                       for o in outputs)
-    with _staged(path) as tmp:
-        tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n",
-                       encoding="utf-8")
 
 
 def _members(run_dir):
@@ -200,7 +153,7 @@ def _members(run_dir):
 # ---------------------------------------------------------------------------
 
 def stage_gen_data(cfg, run_dir):
-    with _fresh_dir(run_dir, "gen-data", "data") as out:
+    with _fresh_dir(run_dir, "data") as out:
         pair = make_synth_pair(_synth_config(cfg))
         write_array(pair.fine_truth, out / "fine_truth.npy")
         write_array(pair.coarse_truth, out / "coarse_truth.npy")
@@ -216,7 +169,7 @@ def stage_train_debias(cfg, run_dir):
     target = read_array(_require(run_dir / "data" / "coarse_truth.npy", "gen-data"))
     members = _members(run_dir)
     t_hours = _train_hours(cfg)
-    with _fresh_dir(run_dir, "train-debias", "models/debias") as out:
+    with _fresh_dir(run_dir, "models/debias") as out:
         train_reflow([m.time_slice(0, t_hours) for m in members],
                      target.time_slice(0, t_hours), _reflow_config(cfg), out_dir=out)
     return 0
@@ -225,7 +178,7 @@ def stage_train_debias(cfg, run_dir):
 def stage_train_sr(cfg, run_dir):
     run_dir = Path(run_dir)
     truth = read_array(_require(run_dir / "data" / "fine_truth.npy", "gen-data"))
-    with _fresh_dir(run_dir, "train-sr", "models/sr") as out:
+    with _fresh_dir(run_dir, "models/sr") as out:
         train_sr(truth.time_slice(0, _train_hours(cfg)), _sr_config(cfg), out_dir=out)
     return 0
 
@@ -234,7 +187,7 @@ def stage_debias(cfg, run_dir):
     run_dir = Path(run_dir)
     model = load_reflow(_require(run_dir / "models" / "debias", "train-debias"))
     members = _members(run_dir)
-    with _fresh_dir(run_dir, "debias", "debiased") as out:
+    with _fresh_dir(run_dir, "debiased") as out:
         for m in members:
             result = transport(model, m, m.member_id,
                                n_steps=cfg["debias"]["transport_steps"])
@@ -249,7 +202,7 @@ def stage_baseline_qm(cfg, run_dir):
     t_hours = _train_hours(cfg)
     buckets = (cfg["baseline"]["qm_doy_buckets"], 1)
     target_clim = compute_climatology(target.time_slice(0, t_hours), buckets)
-    with _fresh_dir(run_dir, "baseline-qm", "baselines/qm") as out:
+    with _fresh_dir(run_dir, "baselines/qm") as out:
         for m in members:
             member_clim = compute_climatology(m.time_slice(0, t_hours), buckets)
             write_array(qm_debias(m, member_clim, target_clim), out / f"{m.member_id}.npy")
@@ -285,7 +238,7 @@ def stage_baseline_bcsd(cfg, run_dir):
         np.random.SeedSequence((cfg["pipeline"]["rng_seed"], _BCSD_STREAM)))
     result = bcsd_pipeline(members[member_id].time_slice(h0, h1), member_clim,
                            target_clim, fine_clim, pool, rng, spec)
-    with _fresh_dir(run_dir, "baseline-bcsd", "baselines/bcsd") as out:
+    with _fresh_dir(run_dir, "baselines/bcsd") as out:
         write_array(result, out / "bcsd.npy")
     return 0
 
@@ -309,12 +262,7 @@ def stage_sample(cfg, run_dir, source="debiased"):
         (cfg["pipeline"]["rng_seed"], 4, stream)))
     result = sample_long(model, window, n_windows, guidance=cfg["sample"]["guidance"],
                          rng=rng)
-    out = _write_once(run_dir, f"samples/{tag}.npy")
-    with _staged(out) as tmp:
-        write_array(result, tmp)
-        # the sidecar goes first: the array's presence marks the sample as written
-        os.replace(tmp.with_name(tmp.name + ".json"), out.with_name(out.name + ".json"))
-    _update_manifest(run_dir, f"sample-{tag}", [out])
+    write_array(result, _write_once(run_dir, f"samples/{tag}.npy"))
     return 0
 
 
@@ -404,7 +352,7 @@ def stage_evaluate(cfg, run_dir):
     h0, h1 = _sample_window_hours(cfg)
     report = evaluate_fields(cfg, truth.time_slice(h0, h1), methods,
                              truth.time_slice(0, _train_hours(cfg)))
-    with _fresh_dir(run_dir, "evaluate", "metrics") as out:
+    with _fresh_dir(run_dir, "metrics") as out:
         report.write(out)
         report.write_comparison(out / "comparison.csv", METHOD_ORDER)
         if cfg["evaluate"]["plots"]:

@@ -218,10 +218,9 @@ def train_sr(fine_truth: GridField, cfg: SRTrainConfig, out_dir=None):
     spec = DownsampleSpec(cfg.spatial_factor, 24 // fine_truth.dt_hours)
     steps_per_day = spec.temporal_window
     window = cfg.window_days * steps_per_day
-    norm, r_tilde, y_tilde = fit_training_pair(fine_truth, spec,
-                                               grouping=(cfg.doy_buckets, steps_per_day))
-    cond_full = repeat_time(cubic_upsample_space(y_tilde, spec.spatial_factor),
-                            spec.temporal_window)
+    norm, r_tilde, _ = fit_training_pair(fine_truth, spec,
+                                         grouping=(cfg.doy_buckets, steps_per_day))
+    cond_full = prepare_cond(coarsen(fine_truth, spec), norm, spec)
     n_days = fine_truth.n_times // steps_per_day
     if n_days < cfg.window_days:
         raise ValueError("training series shorter than one window")

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -22,7 +25,7 @@ FINE_DT_HOURS = HOURS_PER_DAY // STEPS_PER_DAY
 STD_FLOOR = 1e-6
 
 
-class GridFormatError(Exception):
+class GridFormatError(ValueError):
     """Raised when an array file or its sidecar manifest is malformed."""
 
 
@@ -162,30 +165,37 @@ def _sidecar_path(path):
     return Path(str(path) + ".json")
 
 
-def write_array(fld: GridField, path) -> None:
-    """Write the payload as little-endian float64 NPY v1.0 plus a JSON sidecar."""
-    path = Path(path)
-    data = np.ascontiguousarray(fld.data, dtype="<f8")
+@contextmanager
+def staged(path):
+    """Yield a hidden `.partial` sibling of `path` to write; it replaces `path`
+    only on success, so `path` exists only once it is complete."""
+    tmp = path.with_name(f".{path.name}.partial")
+    try:
+        _remove(tmp)   # left by a killed run
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        _remove(tmp)
+
+
+def _remove(path):
+    if path.is_dir():
+        shutil.rmtree(path)
+    elif path.exists():
+        path.unlink()
+
+
+def write_npy(data, path) -> None:
+    """Write `data` as a little-endian float64 C-order NPY v1.0 file."""
+    data = np.ascontiguousarray(data, dtype="<f8")
     if not np.isfinite(data).all():
-        raise ValueError("refusing to write non-finite data")
+        raise ValueError(f"refusing to write non-finite data to {path}")
     with open(path, "wb") as f:
         np.lib.format.write_array(f, data, version=(1, 0))
-    manifest = {
-        "time0": int(fld.time0),
-        "dt_hours": int(fld.dt_hours),
-        "lon": [float(v) for v in fld.lon],
-        "lat": [float(v) for v in fld.lat],
-        "var_names": list(fld.var_names),
-        "member_id": fld.member_id,
-    }
-    with open(_sidecar_path(path), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=1)
-        f.write("\n")
 
 
-def read_array(path) -> GridField:
-    """Read a field written by :func:`write_array`, validating the format."""
-    path = Path(path)
+def read_npy(path) -> np.ndarray:
+    """Read a file written by :func:`write_npy`, validating the format."""
     with open(path, "rb") as f:
         try:
             version = np.lib.format.read_magic(f)
@@ -201,9 +211,36 @@ def read_array(path) -> GridField:
             raise GridFormatError(f"{path}: expected little-endian float64 C-order payload")
         count = math.prod(shape)
         data = np.fromfile(f, dtype="<f8", count=count)
-        if data.size != count:
-            raise GridFormatError(f"{path}: truncated payload")
-        data = data.reshape(shape)
+    if data.size != count:
+        raise GridFormatError(f"{path}: truncated payload")
+    return data.reshape(shape)
+
+
+def write_array(fld: GridField, path) -> None:
+    """Write the payload as NPY v1.0 plus a JSON sidecar, each :func:`staged`.
+
+    The sidecar is renamed into place first, so the array file exists only once
+    the field is complete.
+    """
+    path = Path(path)
+    manifest = {
+        "time0": int(fld.time0),
+        "dt_hours": int(fld.dt_hours),
+        "lon": [float(v) for v in fld.lon],
+        "lat": [float(v) for v in fld.lat],
+        "var_names": list(fld.var_names),
+        "member_id": fld.member_id,
+    }
+    # the inner context exits first: the sidecar is in place before the array
+    with staged(path) as array_tmp, staged(_sidecar_path(path)) as sidecar_tmp:
+        write_npy(fld.data, array_tmp)
+        sidecar_tmp.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
+
+
+def read_array(path) -> GridField:
+    """Read a field written by :func:`write_array`, validating the format."""
+    path = Path(path)
+    data = read_npy(path)
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         raise GridFormatError(f"missing sidecar manifest {sidecar}")

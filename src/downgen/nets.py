@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .grid import GridFormatError, read_npy, write_npy
 
 
 class DivergenceError(RuntimeError):
@@ -326,9 +327,7 @@ def save_checkpoint(ckpt_dir, arrays: dict, meta: dict) -> None:
     index = {}
     for name in sorted(arrays):
         fname = name.replace("/", "__") + ".npy"
-        with open(ckpt_dir / fname, "wb") as f:
-            np.lib.format.write_array(f, np.ascontiguousarray(arrays[name], dtype="<f8"),
-                                      version=(1, 0))
+        write_npy(arrays[name], ckpt_dir / fname)
         index[name] = {"file": fname, "shape": list(arrays[name].shape)}
     manifest = {"tensors": index, "meta": meta}
     with open(ckpt_dir / "manifest.json", "w", encoding="utf-8") as f:
@@ -342,10 +341,9 @@ def load_checkpoint(ckpt_dir):
         manifest = json.load(f)
     arrays = {}
     for name, entry in manifest["tensors"].items():
-        with open(ckpt_dir / entry["file"], "rb") as f:
-            arr = np.lib.format.read_array(f)
+        arr = read_npy(ckpt_dir / entry["file"])
         if list(arr.shape) != entry["shape"]:
-            raise ValueError(f"checkpoint tensor {name} has shape {arr.shape}, "
-                             f"manifest says {entry['shape']}")
+            raise GridFormatError(f"{ckpt_dir / entry['file']}: tensor {name} has shape "
+                                  f"{arr.shape}, manifest says {entry['shape']}")
         arrays[name] = arr
     return arrays, manifest["meta"]

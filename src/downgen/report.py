@@ -12,7 +12,6 @@ class MetricEntry:
     metric: str
     variable: str
     method: str
-    units: str
     value: float
 
 
@@ -21,9 +20,8 @@ class MetricReport:
     period: str = ""
     entries: list = field(default_factory=list)
 
-    def add_scalar(self, metric, variable, method, value, units=""):
-        self.entries.append(MetricEntry(metric, variable, method, units,
-                                        value=float(value)))
+    def add_scalar(self, metric, variable, method, value):
+        self.entries.append(MetricEntry(metric, variable, method, value=float(value)))
 
     def lookup(self, metric, variable, method):
         for e in self.entries:
@@ -44,10 +42,10 @@ class MetricReport:
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "metrics.csv", "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f, quoting=csv.QUOTE_MINIMAL)
-            writer.writerow(["metric", "variable", "method", "value", "units", "period"])
+            writer.writerow(["metric", "variable", "method", "value", "period"])
             for e in self.entries:
                 writer.writerow([e.metric, e.variable, e.method, repr(e.value),
-                                 e.units, self.period])
+                                 self.period])
 
     def write_comparison(self, path, method_order):
         """Pivoted CSV: one row per (metric, variable), one column per method."""

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import re
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from downgen.config import (
     resolved_text,
 )
 from downgen.diffusion import NoiseSchedule, SRTrainConfig
-from downgen.grid import GridField, read_array
+from downgen.grid import GridField, read_array, write_array
 from downgen.nets import DivergenceError
 from downgen.reflow import CouplingConfig, ReflowTrainConfig
 from downgen.report import read_metrics_csv
@@ -290,44 +289,44 @@ class TestExitCodes:
         assert main(["gen-data", "--config", str(tiny_config), "--out", str(out)]) == 0
         assert (out / "data" / "fine_truth.npy").exists()
         assert (out / "config.ini").exists()
-        assert (out / "manifest.json").exists()
 
-    def test_manifest_paths_relative_to_run_dir(self, tiny_config, tmp_path):
+    def test_corrupt_input_exits_1_naming_file(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "run"
-        assert main(["gen-data", "--config", str(tiny_config), "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["stages"]["gen-data"] == ["data"]
+        args = ["--config", str(tiny_config), "--out", str(out)]
+        assert main(["gen-data"] + args) == 0
+        path = out / "data" / "coarse_truth.npy"
+        path.write_bytes(path.read_bytes()[:-8])
+        capsys.readouterr()
+        assert main(["train-debias"] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{path}: truncated payload" in err
 
     def test_write_once(self, tiny_config, tmp_path):
         out = tmp_path / "run"
         assert main(["gen-data", "--config", str(tiny_config), "--out", str(out)]) == 0
         assert main(["gen-data", "--config", str(tiny_config), "--out", str(out)]) == 1
 
-    @pytest.mark.parametrize("listed", [False, True])
-    def test_existing_output_removed_unless_listed(self, tiny_config, tmp_path, capsys, listed):
-        # unlisted: a stage killed between renaming its output into place and
-        # recording it in the manifest
+    def test_existing_output_refused_and_left_intact(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "run"
         (out / "data").mkdir(parents=True)
-        (out / "data" / "fine_truth.npy").write_text("left by a killed stage\n")
-        if listed:
-            (out / "manifest.json").write_text(json.dumps({"stages": {"gen-data": ["data"]}}))
+        notes = out / "data" / "my_notes.txt"
+        notes.write_bytes(b"not written by any stage\n")
         code = main(["gen-data", "--config", str(tiny_config), "--out", str(out)])
-        if listed:
-            assert code == 1
-            assert "already exists (write-once run directory)" in capsys.readouterr().err
-            return
-        assert code == 0
-        assert json.loads((out / "manifest.json").read_text())["stages"]["gen-data"] == ["data"]
-        assert read_array(out / "data" / "fine_truth.npy").data.ndim == 4
+        assert code == 1
+        assert "already exists (write-once run directory)" in capsys.readouterr().err
+        assert list((out / "data").iterdir()) == [notes]
+        assert notes.read_bytes() == b"not written by any stage\n"
 
-    def test_unlisted_sample_removed_with_sidecar(self, tmp_path):
+    def test_sample_sidecar_without_array_does_not_block_rerun(self, tmp_path):
+        # left by a sample stage killed between renaming the sidecar and the array
         samples = tmp_path / "samples"
         samples.mkdir()
-        for name in ("downgen.npy", "downgen.npy.json"):
-            (samples / name).write_text("left by a killed stage\n")
-        assert cli._write_once(tmp_path, "samples/downgen.npy") == samples / "downgen.npy"
-        assert list(samples.iterdir()) == []
+        (samples / "downgen.npy.json").write_text("left by a killed stage\n")
+        path = cli._write_once(tmp_path, "samples/downgen.npy")
+        fld = _fine_field(1, seed=0)
+        write_array(fld, path)
+        assert read_array(path).data.tobytes() == fld.data.tobytes()
+        assert sorted(p.name for p in samples.iterdir()) == ["downgen.npy", "downgen.npy.json"]
 
     def test_failed_stage_leaves_rerunnable_run_dir(self, tiny_config, tmp_path, monkeypatch):
         out = tmp_path / "run"
@@ -342,12 +341,9 @@ class TestExitCodes:
         assert main(["train-sr"] + args) == 1
         assert not (out / "models" / "sr").exists()
         assert list((out / "models").iterdir()) == []
-        assert "train-sr" not in json.loads((out / "manifest.json").read_text())["stages"]
         monkeypatch.undo()
         assert main(["train-sr"] + args) == 0
         assert (out / "models" / "sr" / "manifest.json").exists()
-        assert json.loads((out / "manifest.json").read_text())["stages"]["train-sr"] == [
-            "models/sr"]
 
     def test_config_mismatch_detected(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "run"
@@ -427,6 +423,8 @@ class TestEndToEnd:
                     "samples/downgen.npy", "samples/qmsr.npy", "samples/sr.npy",
                     "metrics/metrics.csv", "metrics/comparison.csv"):
             assert (e2e_run / rel).exists(), rel
+        assert list(e2e_run.rglob("*.partial")) == []
+        assert not (e2e_run / "manifest.json").exists()
 
     def test_metrics_cover_all_methods(self, e2e_run):
         rows = read_metrics_csv(e2e_run / "metrics" / "metrics.csv")

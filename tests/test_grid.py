@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from downgen.grid import (
     write_array,
     zonal_weighted_rolling_mean,
 )
+from downgen.nets import load_checkpoint, save_checkpoint
 
 
 def make_field(data, dt_hours=2, time0=0, member_id=None):
@@ -27,6 +30,17 @@ def make_field(data, dt_hours=2, time0=0, member_id=None):
     lat = np.linspace(30.0, 40.0, ny, endpoint=False)
     names = tuple(f"v{i}" for i in range(nv))
     return GridField(data, time0, dt_hours, lon, lat, names, member_id)
+
+
+def load_as_checkpoint(path):
+    """`load_checkpoint` of a one-tensor checkpoint whose tensor file is `path`."""
+    (path.parent / "manifest.json").write_text(json.dumps(
+        {"tensors": {"w": {"file": path.name, "shape": [2, 4, 4, 1]}}, "meta": {}}))
+    return load_checkpoint(path.parent)
+
+
+# fields and checkpoint tensors share one NPY codec and its validation
+READERS = (read_array, load_as_checkpoint)
 
 
 class TestGridField:
@@ -62,9 +76,10 @@ class TestIO:
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.npy"
         path.write_bytes(b"NOTNPY" + b"\x00" * 64)
-        with pytest.raises(GridFormatError, match="magic") as exc:
-            read_array(path)
-        assert str(path) in str(exc.value)
+        for reader in READERS:
+            with pytest.raises(GridFormatError, match="magic") as exc:
+                reader(path)
+            assert str(path) in str(exc.value)
 
     @staticmethod
     def _rewrite_payload(tmp_path, payload, version=(1, 0)):
@@ -83,22 +98,27 @@ class TestIO:
     ], ids=["version-2.0", "float32", "big-endian", "fortran-order"])
     def test_unsupported_payload_rejected(self, tmp_path, payload, version, message):
         path = self._rewrite_payload(tmp_path, payload, version)
-        with pytest.raises(GridFormatError, match=message) as exc:
-            read_array(path)
-        assert str(path) in str(exc.value)
+        for reader in READERS:
+            with pytest.raises(GridFormatError, match=message) as exc:
+                reader(path)
+            assert str(path) in str(exc.value)
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = self._rewrite_payload(tmp_path, np.zeros((2, 4, 4, 1)))
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(GridFormatError, match="truncated payload") as exc:
-            read_array(path)
-        assert str(path) in str(exc.value)
+        for reader in READERS:
+            with pytest.raises(GridFormatError, match="truncated payload") as exc:
+                reader(path)
+            assert str(path) in str(exc.value)
 
     def test_nan_write_rejected(self, tmp_path):
         fld = make_field(np.zeros((2, 2, 2, 1)))
         fld.data[0, 0, 0, 0] = np.nan  # bypass constructor validation
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-finite"):
             write_array(fld, tmp_path / "x.npy")
+        with pytest.raises(ValueError, match="non-finite"):
+            save_checkpoint(tmp_path / "ckpt", {"w": fld.data}, {})
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
     def test_missing_sidecar_rejected(self, tmp_path):
         fld = make_field(np.zeros((2, 2, 2, 1)))
