@@ -10,11 +10,12 @@ handed to an op is a constant, and an op's output joins the tape only if one
 of its inputs needs a gradient: ops on constants alone record no parents and
 no vjp, so a forward pass over plain parameter arrays builds no tape.
 
-``conv2d`` has two kernels, picked from the input shape. An image with more
-pixels than the kernel has taps runs as shift-and-GEMM: one GEMM per tap over
-a zero-padded buffer. A smaller one (H·W <= kh·kw) runs as one GEMM against
-the unrolled kernel; it does H·W·Ho·Wo block products against kh·kw·Ho·Wo,
-so it is never the costlier one on such images.
+``conv2d`` has three kernels, picked from the shapes by ``_conv2d_kernel``.
+A small image (H·W <= kh·kw) with at least H·W·Ho·Wo rows runs as one GEMM
+against the unrolled kernel. Otherwise, when the gathered matrix
+[B·Ho·Wo, kh·kw·Cin] is small, the input's taps are gathered once and the
+conv is one GEMM, and dw is one GEMM on the same matrix. Every larger input
+runs as shift-and-GEMM: one GEMM per tap over a zero-padded buffer.
 """
 
 from __future__ import annotations
@@ -282,7 +283,7 @@ def _unrolled_taps(h, wd, kh, kw, stride):
 
 
 def _conv2d_unrolled(x, w, b, stride):
-    """conv2d of an image with no more pixels than the kernel has taps, as one GEMM.
+    """conv2d as one GEMM against the unrolled kernel; pays on small images only.
 
     M [H·W·Cin, Ho·Wo·Cout] is the unrolled kernel: its (p, q) block is the
     w[i, j] of the tap that carries input pixel p to output pixel q, else 0.
@@ -315,31 +316,62 @@ def _conv2d_unrolled(x, w, b, stride):
     return _node(out, (x, w, b), vjp)
 
 
-def conv2d(x, w, b, stride=1):
-    """Same-padded 2-D convolution, channels last.
+@functools.lru_cache
+def _gather_rows(n, hp, wp, kh, kw, stride, ho, wo):
+    """Row index into a padded input [n·hp·wp, C]: output pixel (b, oy, ox), then
+    its taps (i, j) row-major, so the gathered rows reshape to [n·ho·wo, kh·kw·C]."""
+    y = stride * np.arange(ho)[:, None, None, None] + np.arange(kh)[:, None]
+    xx = stride * np.arange(wo)[:, None, None] + np.arange(kw)
+    rows = (np.arange(n)[:, None, None, None, None] * hp + y) * wp + xx
+    rows = rows.ravel()
+    rows.flags.writeable = False
+    return rows
 
-    x: [B, H, W, Cin], w: [kh, kw, Cin, Cout], b: [Cout]; odd kernel sizes only.
-    An image with H·W <= kh·kw runs as one GEMM against the unrolled kernel
-    (`_conv2d_unrolled`): H·W·Ho·Wo block products, never more than the
-    kh·kw·Ho·Wo of shift-and-GEMM on such an image, and M holds at most
-    (kh·kw)²·Cin·Cout elements. Every larger image runs as shift-and-GEMM.
 
-    Shift-and-GEMM zero-pads the input once; kernel tap (i, j) sees one strided
-    slice of the padded input, and the output is the sum over taps of that
-    slice times w[i, j]. The vjp reuses the same slices for dw, one GEMM per
-    tap. dx is the same correlation, stride 1, of the output gradient with the
-    flipped, transposed kernel w[::-1, ::-1].swapaxes(2, 3); at stride 2 the
-    gradient is first zero-dilated, written every second pixel of its padded
-    buffer.
+def _gather(xp, kh, kw, stride, ho, wo):
+    """[B·ho·wo, kh·kw·C]: each output pixel's kh·kw taps of the padded input xp."""
+    n, hp, wp, c = xp.shape
+    rows = _gather_rows(n, hp, wp, kh, kw, stride, ho, wo)
+    return xp.reshape(-1, c).take(rows, axis=0).reshape(n * ho * wo, kh * kw * c)
 
-    Either kernel computes dx only when x needs a gradient (not for a data
-    input).
+
+def _conv2d_gathered(x, w, b, stride):
+    """conv2d as one GEMM: the gathered taps [B·Ho·Wo, kh·kw·Cin] times w.
+
+    The gathered matrix stays on the tape only when w needs a gradient; dw is
+    then one GEMM on it. dx is the same gather, stride 1, of the zero-dilated,
+    padded output gradient times the flipped, transposed kernel.
     """
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     kh, kw, cin, cout = w.data.shape
     n, h, wd, _ = x.data.shape
-    if h * wd <= kh * kw:
-        return _conv2d_unrolled(x, w, b, stride)
+    ph, pw = kh // 2, kw // 2
+    ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
+    cols = _gather(_zero_padded(x.data, h, wd, ph, pw), kh, kw, stride, ho, wo)
+    out = (cols @ w.data.reshape(-1, cout)).reshape(n, ho, wo, cout) + b.data
+    cols = cols if w.requires_grad else None
+
+    def vjp(g):
+        g2 = g.reshape(-1, cout)
+        dw = (cols.T @ g2).reshape(w.data.shape) if w.requires_grad else None
+        dx = None
+        if x.requires_grad:
+            gp = _zero_padded(g, h, wd, ph, pw, step=stride)
+            w_flip = w.data[::-1, ::-1].swapaxes(2, 3).reshape(-1, cin)
+            dx = (_gather(gp, kh, kw, 1, h, wd) @ w_flip).reshape(n, h, wd, cin)
+        return dx, dw, g2.sum(axis=0) if b.requires_grad else None
+
+    return _node(out, (x, w, b), vjp)
+
+
+def _conv2d_taps(x, w, b, stride):
+    """conv2d as shift-and-GEMM, one GEMM per kernel tap over the padded input.
+
+    The vjp reuses the same slices for dw, one GEMM per tap. dx is the same
+    correlation, stride 1, of the zero-dilated, padded output gradient with the
+    flipped, transposed kernel w[::-1, ::-1].swapaxes(2, 3).
+    """
+    kh, kw, cin, cout = w.data.shape
+    n, h, wd, _ = x.data.shape
     ph, pw = kh // 2, kw // 2
     ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
     xp = _zero_padded(x.data, h, wd, ph, pw)
@@ -360,6 +392,50 @@ def conv2d(x, w, b, stride=1):
         return dx, dw, g2.sum(axis=0) if b.requires_grad else None
 
     return _node(out, (x, w, b), vjp)
+
+
+# Largest gathered matrix [B·Ho·Wo, kh·kw·Cin], in elements, that
+# `_conv2d_gathered` builds. Above it, building the matrix costs more than the
+# per-tap GEMMs it replaces: the SR input conv's 144-channel halves.
+_GATHER_LIMIT = 1 << 17
+
+
+def _conv2d_kernel(x_shape, w_shape, stride):
+    """The kernel conv2d runs for an input of `x_shape` and a kernel of `w_shape`.
+
+    Unrolled when the image has no more pixels than the kernel has taps and
+    at least H·W·Ho·Wo rows, so that building M costs no more than the rows it
+    serves; gathered when the gathered matrix has at most _GATHER_LIMIT
+    elements; shift-and-GEMM otherwise.
+    """
+    n, h, wd, cin = x_shape
+    kh, kw = w_shape[:2]
+    ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
+    if h * wd <= kh * kw and n >= h * wd * ho * wo:
+        return _conv2d_unrolled
+    if n * ho * wo * kh * kw * cin <= _GATHER_LIMIT:
+        return _conv2d_gathered
+    return _conv2d_taps
+
+
+def conv2d(x, w, b, stride=1):
+    """Same-padded 2-D convolution, channels last.
+
+    x: [B, H, W, Cin], w: [kh, kw, Cin, Cout], b: [Cout]; odd kernel sizes only.
+    Three kernels compute it; `_conv2d_kernel` picks one from the shapes:
+
+    - unrolled (`_conv2d_unrolled`): one GEMM against the kernel unrolled to
+      [H·W·Cin, Ho·Wo·Cout], for images with H·W <= kh·kw and B >= H·W·Ho·Wo;
+    - gathered (`_conv2d_gathered`): one GEMM on the taps gathered once into
+      [B·Ho·Wo, kh·kw·Cin], kept for dw, while that matrix is small;
+    - shift-and-GEMM (`_conv2d_taps`): one GEMM per tap on strided slices of
+      the zero-padded input, for wide inputs.
+
+    Every kernel computes dx only when x needs a gradient (not for a data
+    input), and dx runs inside the kernel, not through `conv2d`.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    return _conv2d_kernel(x.data.shape, w.data.shape, stride)(x, w, b, stride)
 
 
 def upsample2(x):

@@ -124,9 +124,9 @@ class SRNormalization:
 def fit_training_pair(x: GridField, spec: DownsampleSpec, grouping=(DAYS_PER_YEAR, None)):
     """Fit the normalization on training truth and build its training pair.
 
-    Returns (norm, r_tilde, y_tilde): the residual climatology and coarse-input
-    stats, the normalized residual r = x - upsample(coarsen(x)) and the
-    normalized coarse input. x = upsample(y') + clim_mean + clim_std * r_tilde
+    Returns (norm, r_tilde, coarse): the residual climatology and coarse-input
+    stats, the normalized residual r = x - upsample(coarsen(x)) and the coarse
+    field coarsen(x) itself. x = upsample(y') + clim_mean + clim_std * r_tilde
     holds exactly.
     """
     doy_buckets, tod_buckets = grouping
@@ -138,8 +138,7 @@ def fit_training_pair(x: GridField, spec: DownsampleSpec, grouping=(DAYS_PER_YEA
     norm = SRNormalization(residual_clim=clim, cond_stats=compute_ensemble_stats(coarse))
     times = x.time_coords
     r_tilde = (r - clim.lookup_mean(times)) / clim.lookup_std(times)
-    y_tilde = (coarse.data - norm.cond_stats.mean) / norm.cond_stats.std
-    return norm, r_tilde, y_tilde
+    return norm, r_tilde, coarse
 
 
 def assemble_output(y_cond: GridField, residual_draw, norm: SRNormalization,
@@ -218,9 +217,9 @@ def train_sr(fine_truth: GridField, cfg: SRTrainConfig, out_dir=None):
     spec = DownsampleSpec(cfg.spatial_factor, 24 // fine_truth.dt_hours)
     steps_per_day = spec.temporal_window
     window = cfg.window_days * steps_per_day
-    norm, r_tilde, _ = fit_training_pair(fine_truth, spec,
-                                         grouping=(cfg.doy_buckets, steps_per_day))
-    cond_full = prepare_cond(coarsen(fine_truth, spec), norm, spec)
+    norm, r_tilde, coarse = fit_training_pair(fine_truth, spec,
+                                              grouping=(cfg.doy_buckets, steps_per_day))
+    cond_full = prepare_cond(coarse, norm, spec)
     n_days = fine_truth.n_times // steps_per_day
     if n_days < cfg.window_days:
         raise ValueError("training series shorter than one window")

@@ -266,6 +266,25 @@ def read_array(path) -> GridField:
 # Statistics
 # ---------------------------------------------------------------------------
 
+def _group_sums(gid, data, n_groups):
+    """(counts, sums, sums of squares) of the rows of `data` per group `gid`.
+
+    Bitwise equal to ``np.add.at``: each group's rows are added onto zeros one
+    at a time, in row order, which a stable sort by group lines up.
+    """
+    counts = np.bincount(gid, minlength=n_groups)
+    order = np.argsort(gid, kind="stable")
+    end = np.cumsum(counts)
+    sums = np.zeros((n_groups,) + data.shape[1:])
+    sqsums = np.zeros_like(sums)
+    for g in np.flatnonzero(counts):
+        total, sqtotal = sums[g], sqsums[g]
+        for row in data[order[end[g] - counts[g]: end[g]]]:
+            total += row
+            sqtotal += row ** 2
+    return counts, sums, sqsums
+
+
 def compute_climatology(fields, grouping) -> Climatology:
     """Grouped per-pixel sample mean and population std over one or more fields.
 
@@ -278,20 +297,14 @@ def compute_climatology(fields, grouping) -> Climatology:
         raise ValueError("no fields given")
     doy_buckets, tod_buckets = grouping
     n_groups = doy_buckets * tod_buckets
-    ref = fields[0]
-    pix_shape = ref.data.shape[1:]
-    counts = np.zeros(n_groups, dtype=np.int64)
-    sums = np.zeros((n_groups,) + pix_shape)
-    sqsums = np.zeros((n_groups,) + pix_shape)
+    pix_shape = fields[0].data.shape[1:]
+    if any(fld.data.shape[1:] != pix_shape for fld in fields):
+        raise ValueError("all fields must share the same grid")
     probe = Climatology(doy_buckets, tod_buckets,
                         np.zeros((n_groups,) + pix_shape), np.ones((n_groups,) + pix_shape))
-    for fld in fields:
-        if fld.data.shape[1:] != pix_shape:
-            raise ValueError("all fields must share the same grid")
-        gid = probe.group_index(fld.time_coords)
-        counts += np.bincount(gid, minlength=n_groups)
-        np.add.at(sums, gid, fld.data)
-        np.add.at(sqsums, gid, fld.data ** 2)
+    gid = np.concatenate([probe.group_index(fld.time_coords) for fld in fields])
+    data = fields[0].data if len(fields) == 1 else np.concatenate([f.data for f in fields])
+    counts, sums, sqsums = _group_sums(gid, data, n_groups)
     if (counts == 1).any():
         bad = int(np.nonzero(counts == 1)[0][0])
         raise ValueError(f"climatology group {bad} has a single sample (need >= 2)")

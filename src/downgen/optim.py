@@ -1,4 +1,9 @@
-"""Adam with global-norm gradient clipping and a warmup + cosine-decay schedule."""
+"""Adam with global-norm gradient clipping and a warmup + cosine-decay schedule.
+
+The optimizer owns the parameters while it trains them: `ensure_buffers`
+copies a parameter dict into one flat float64 vector and rebinds each entry
+to its view, so one step updates every parameter with one vector operation.
+"""
 
 from __future__ import annotations
 
@@ -26,9 +31,12 @@ class Schedule:
 
 @dataclass
 class OptimizerState:
-    """Adam state. The moments are two flat vectors; m[k] and v[k] are named views.
+    """Adam state over one flat float64 parameter vector.
 
-    grad_norm is the pre-clip global gradient norm of the last step.
+    The parameters, the two moments and two scratch vectors are flat vectors;
+    m[k] and v[k] are named views of the moments, and `ensure_buffers` rebinds
+    each params[k] to its view of the parameter vector. grad_norm is the
+    pre-clip global gradient norm of the last step.
     """
 
     schedule: Schedule
@@ -40,40 +48,58 @@ class OptimizerState:
     m: dict = field(default_factory=dict, init=False)
     v: dict = field(default_factory=dict, init=False)
     grad_norm: float = field(default=float("nan"), init=False)
-    # flat moments and two scratch vectors, allocated once: fresh arrays every
-    # step fragment the heap and move peak RSS by layout alone
+    # (params, m, v, gradient scratch, update scratch), allocated once: fresh
+    # arrays every step fragment the heap and move peak RSS by layout alone
     _flat: tuple = field(default=(), init=False, repr=False)
     _slices: dict = field(default_factory=dict, init=False, repr=False)
+    _views: dict = field(default_factory=dict, init=False, repr=False)
 
     def ensure_buffers(self, params):
-        """Allocate the flat buffers for `params` once; later calls keep them."""
-        if self._slices.keys() == params.keys():
+        """Bind `params` to the state's parameter vector, allocating it once.
+
+        The flat vectors are allocated when the names in `params` change; the
+        moments start at zero and later calls keep them. A dict whose arrays
+        are not the vector's views (a fresh dict, or a replaced array) is
+        copied into the vector and each params[k] rebound to its view.
+        """
+        if self._views.keys() == params.keys() and all(
+                params[k] is p for k, p in self._views.items()):
             return
-        start, self._slices = 0, {}
-        for k, p in params.items():
-            self._slices[k] = (slice(start, start + p.size), p.shape)
-            start += p.size
-        self._flat = tuple(np.zeros(start) for _ in range(4))
-        m, v = self._flat[:2]
-        self.m = {k: m[sl].reshape(shape) for k, (sl, shape) in self._slices.items()}
-        self.v = {k: v[sl].reshape(shape) for k, (sl, shape) in self._slices.items()}
+        if self._slices.keys() != params.keys():
+            start, self._slices = 0, {}
+            for k, p in params.items():
+                self._slices[k] = (slice(start, start + p.size), p.shape)
+                start += p.size
+            self._flat = tuple(np.zeros(start) for _ in range(5))
+            self.m, self.v = ({k: vec[sl].reshape(shape) for k, (sl, shape) in self._slices.items()}
+                              for vec in self._flat[1:3])
+        flat = self._flat[0]
+        self._views = {}
+        for k, (sl, shape) in self._slices.items():
+            view = flat[sl].reshape(shape)
+            np.copyto(view, params[k])
+            params[k] = self._views[k] = view
 
 
 def adam_step(params: dict, state: OptimizerState, grads: dict) -> float:
     """Clip by global norm, then apply one Adam update in place. Returns the lr used.
 
-    The gradients are gathered into one flat vector, so the finiteness check,
-    the norm and the update are a few vector operations; each element is
-    computed as in the per-tensor formula
-    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps).
+    The parameters are views of the state's flat vector (`ensure_buffers`) and
+    the gradients are gathered into one more, so the norm, clipping and the
+    update are a few vector operations; each element is computed as in the
+    per-tensor formula p -= lr * (m / bc1) / (sqrt(v / bc2) + eps). The norm
+    doubles as the finiteness check: it is non-finite exactly when some
+    gradient is NaN or infinite, or when the squares overflow.
     """
     state.ensure_buffers(params)
-    m, v, g, u = state._flat
+    p, m, v, g, u = state._flat
     for k, (sl, shape) in state._slices.items():
         np.copyto(g[sl].reshape(shape), grads[k])
-    if not np.isfinite(g).all():
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(np.square(g, out=u).sum()))
+    if not np.isfinite(norm):
         raise DivergenceError("non-finite gradients")
-    norm = state.grad_norm = float(np.sqrt(np.square(g, out=u).sum()))
+    state.grad_norm = norm
     if norm > state.clip_norm:
         g *= state.clip_norm / norm
     lr = state.schedule.lr_at(state.step)
@@ -91,6 +117,5 @@ def adam_step(params: dict, state: OptimizerState, grads: dict) -> float:
     np.divide(m, bc1, out=u)
     u *= lr
     u /= g
-    for k, (sl, shape) in state._slices.items():
-        params[k] -= u[sl].reshape(shape)
+    p -= u
     return lr

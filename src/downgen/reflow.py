@@ -94,36 +94,60 @@ def sample_coupling(members, member_stats, target, target_stats,
 
     Pairing is independent within the season window: no trajectory alignment
     between member and target is assumed. Members are sampled uniformly.
+    Each chunk draws a member, its start, then a target start in the window.
     """
+    return _coupling_sampler(members, member_stats, target, target_stats, cfg)(rng, n_chunks)
+
+
+def _coupling_sampler(members, member_stats, target, target_stats, cfg: CouplingConfig):
+    """`sample_coupling` as draw(rng, n_chunks), with what is fixed across draws
+    computed once: the target's and members' days of year, the valid target
+    starts per member day of year (on first use), and each member's
+    normalization and conditioning fields."""
     chunk = cfg.chunk_len_days
-    target_doy = day_of_year(target.time_coords)
     n_target = target.n_times
     if n_target < chunk:
         raise ValueError("target series shorter than one chunk")
-    y0_parts, y1_parts, mean_parts, std_parts = [], [], [], []
-    for _ in range(n_chunks):
-        m = int(rng.integers(len(members)))
-        member = members[m]
+    starts = np.arange(n_target - chunk + 1)
+    start_doy = day_of_year(target.time_coords)[starts]
+    valid_by_doy = {}
+    per_member = []
+    for member in members:
         stats = member_stats[member.member_id]
-        i0 = int(rng.integers(member.n_times - chunk + 1))
-        doy0 = day_of_year(member.time_coords[i0])
-        starts = np.arange(n_target - chunk + 1)
-        valid = starts[_doy_distance(target_doy[starts], doy0) <= cfg.season_window_days]
-        if valid.size == 0:
-            raise ValueError(
-                f"no target chunk within {cfg.season_window_days} days of day-of-year {doy0}")
-        j0 = int(rng.choice(valid))
-        y0_parts.append((member.data[i0: i0 + chunk] - stats.mean) / stats.std)
-        y1_parts.append((target.data[j0: j0 + chunk] - target_stats.mean) / target_stats.std)
-        mean_cond, std_cond = _conditioning_fields(stats, target_stats)
-        mean_parts.append(np.broadcast_to(mean_cond, y0_parts[-1].shape))
-        std_parts.append(np.broadcast_to(std_cond, y0_parts[-1].shape))
-    return CouplingBatch(
-        y0=np.concatenate(y0_parts),
-        y1=np.concatenate(y1_parts),
-        stat_mean=np.concatenate(mean_parts),
-        stat_std=np.concatenate(std_parts),
-    )
+        per_member.append((member, stats, day_of_year(member.time_coords),
+                           *_conditioning_fields(stats, target_stats)))
+
+    def valid_starts(doy0):
+        valid = valid_by_doy.get(doy0)
+        if valid is None:
+            valid = valid_by_doy[doy0] = starts[
+                _doy_distance(start_doy, doy0) <= cfg.season_window_days]
+        return valid
+
+    def draw(rng, n_chunks):
+        y0_parts, y1_parts, mean_parts, std_parts = [], [], [], []
+        for _ in range(n_chunks):
+            member, stats, member_doy, mean_cond, std_cond = per_member[
+                int(rng.integers(len(members)))]
+            i0 = int(rng.integers(member.n_times - chunk + 1))
+            valid = valid_starts(int(member_doy[i0]))
+            if valid.size == 0:
+                raise ValueError(f"no target chunk within {cfg.season_window_days} days "
+                                 f"of day-of-year {member_doy[i0]}")
+            j0 = int(rng.choice(valid))
+            y0_parts.append((member.data[i0: i0 + chunk] - stats.mean) / stats.std)
+            y1_parts.append((target.data[j0: j0 + chunk] - target_stats.mean)
+                            / target_stats.std)
+            mean_parts.append(np.broadcast_to(mean_cond, y0_parts[-1].shape))
+            std_parts.append(np.broadcast_to(std_cond, y0_parts[-1].shape))
+        return CouplingBatch(
+            y0=np.concatenate(y0_parts),
+            y1=np.concatenate(y1_parts),
+            stat_mean=np.concatenate(mean_parts),
+            stat_std=np.concatenate(std_parts),
+        )
+
+    return draw
 
 
 def reflow_loss(params, arch: ArchConfig, batch: CouplingBatch, tau):
@@ -199,10 +223,10 @@ def train_reflow(members, target, cfg: ReflowTrainConfig, out_dir=None):
     target_stats = compute_ensemble_stats(target)
     arch = velocity_arch(target.data.shape[-1], levels=cfg.levels)
     batch_size = cfg.chunks_per_batch * cfg.coupling.chunk_len_days
+    draw = _coupling_sampler(members, member_stats, target, target_stats, cfg.coupling)
 
     def loss_fn(params, rng):
-        batch = sample_coupling(members, member_stats, target, target_stats,
-                                cfg.coupling, rng, cfg.chunks_per_batch)
+        batch = draw(rng, cfg.chunks_per_batch)
         tau = rng.uniform(cfg.coupling.tau_min, 1.0 - cfg.coupling.tau_min, batch_size)
         return reflow_loss(params, arch, batch, tau)
 

@@ -159,9 +159,15 @@ def conv2d_dw_reference(x, g, w_shape, stride):
     return dw
 
 
-# with a 3x3 kernel every one of these takes the unrolled kernel; 3x3 is the
-# largest image that does
+# images no larger than a 3x3 kernel: the shapes the unrolled kernel is built for
 SMALL_HW = [(1, 1), (1, 3), (2, 2), (3, 3)]
+
+# every conv2d kernel; each is checked on every test shape, whatever the dispatch
+KERNELS = ["_conv2d_unrolled", "_conv2d_gathered", "_conv2d_taps"]
+
+
+def run_kernel(name, x, w, b, stride):
+    return getattr(ad, name)(*(ad._as_tensor(a) for a in (x, w, b)), stride)
 
 
 def image_cases(leads, hws):
@@ -180,13 +186,13 @@ class TestConv:
     def test_conv2d_dx_matches_loop_reference(self, k, stride, hw):
         rng = np.random.default_rng(40 + 2 * k + stride + hw[0])
         x = Tensor(rng.standard_normal((2, *hw, 3)))
-        w = rng.standard_normal((k, k, 3, 4))
-        y = ad.conv2d(x, w, rng.standard_normal(4), stride=stride)
-        g = rng.standard_normal(y.shape)
-        dx, dw, db = y.vjp(g)
-        assert dw is None and db is None
-        np.testing.assert_allclose(dx, conv2d_dx_reference(g, w, x.shape, stride),
-                                   rtol=1e-12, atol=1e-12)
+        w, b = rng.standard_normal((k, k, 3, 4)), rng.standard_normal(4)
+        g = rng.standard_normal((2, (hw[0] - 1) // stride + 1, (hw[1] - 1) // stride + 1, 4))
+        expect = conv2d_dx_reference(g, w, x.shape, stride)
+        for name in KERNELS:
+            dx, dw, db = run_kernel(name, x, w, b, stride).vjp(g)
+            assert dw is None and db is None
+            np.testing.assert_allclose(dx, expect, rtol=1e-12, atol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize("stride, hw", image_cases([(1,), (2,)], [(5, 7), (2, 2)]))
     def test_conv2d_data_input_gets_no_dx(self, stride, hw):
@@ -194,36 +200,46 @@ class TestConv:
         x = rng.standard_normal((2, *hw, 3))
         w, b = rng.standard_normal((3, 3, 3, 4)), rng.standard_normal(4)
         g = rng.standard_normal((2, (hw[0] - 1) // stride + 1, (hw[1] - 1) // stride + 1, 4))
-        dx, dw, db = ad.conv2d(x, Tensor(w), Tensor(b), stride=stride).vjp(g)
-        _, dw_leaf, db_leaf = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride).vjp(g)
-        assert dx is None
-        assert dw.tobytes() == dw_leaf.tobytes() and db.tobytes() == db_leaf.tobytes()
-
+        for name in KERNELS:
+            dx, dw, db = run_kernel(name, x, Tensor(w), Tensor(b), stride).vjp(g)
+            _, dw_leaf, db_leaf = run_kernel(name, Tensor(x), Tensor(w), Tensor(b), stride).vjp(g)
+            assert dx is None, name
+            assert dw.tobytes() == dw_leaf.tobytes() and db.tobytes() == db_leaf.tobytes(), name
 
     @pytest.mark.parametrize("k, stride, hw", image_cases(
         [(k, stride) for k in (1, 3, 5) for stride in (1, 2)], [(5, 7), *SMALL_HW]))
-    def test_conv2d_matches_loop_reference(self, k, stride, hw, monkeypatch):
-        unrolled = []
-        conv2d_unrolled = ad._conv2d_unrolled
-
-        def recording(*args):
-            unrolled.append(args[0].shape)
-            return conv2d_unrolled(*args)
-
-        monkeypatch.setattr(ad, "_conv2d_unrolled", recording)
+    def test_conv2d_matches_loop_reference(self, k, stride, hw):
         rng = np.random.default_rng(20 + 2 * k + stride)
         x = rng.standard_normal((2, *hw, 3))
         w = rng.standard_normal((k, k, 3, 4))
         b = rng.standard_normal(4)
-        y = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride)
-        assert len(unrolled) == (hw[0] * hw[1] <= k * k)
-        np.testing.assert_allclose(y.data, conv2d_reference(x, w, b, stride),
-                                   rtol=1e-12, atol=1e-12)
-        g = rng.standard_normal(y.shape)
-        _, dw, db = y.vjp(g)
-        np.testing.assert_allclose(dw, conv2d_dw_reference(x, g, w.shape, stride),
-                                   rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(db, g.sum(axis=(0, 1, 2)), rtol=1e-12, atol=1e-12)
+        g = rng.standard_normal((2, (hw[0] - 1) // stride + 1, (hw[1] - 1) // stride + 1, 4))
+        expect = {"out": conv2d_reference(x, w, b, stride),
+                  "dx": conv2d_dx_reference(g, w, x.shape, stride),
+                  "dw": conv2d_dw_reference(x, g, w.shape, stride),
+                  "db": g.sum(axis=(0, 1, 2))}
+        for name in KERNELS:
+            y = run_kernel(name, Tensor(x), Tensor(w), Tensor(b), stride)
+            dx, dw, db = y.vjp(g)
+            for key, got in (("out", y.data), ("dx", dx), ("dw", dw), ("db", db)):
+                np.testing.assert_allclose(got, expect[key], rtol=1e-12, atol=1e-12,
+                                           err_msg=f"{name} {key}")
+
+    @pytest.mark.parametrize("shape, k, stride, kernel", [
+        # small images: unrolled once there are H·W·Ho·Wo rows to serve
+        ((16, 2, 2, 3), 3, 1, "_conv2d_unrolled"),
+        ((15, 2, 2, 3), 3, 1, "_conv2d_gathered"),
+        ((4, 2, 2, 3), 3, 2, "_conv2d_unrolled"),
+        ((3, 2, 2, 3), 3, 2, "_conv2d_gathered"),
+        ((1, 1, 1, 3), 3, 1, "_conv2d_unrolled"),
+        ((2, 3, 3, 3), 3, 1, "_conv2d_gathered"),
+        # larger images: gathered up to _GATHER_LIMIT elements, then per tap
+        ((2, 8, 8, ad._GATHER_LIMIT // 128), 1, 1, "_conv2d_gathered"),
+        ((2, 8, 8, ad._GATHER_LIMIT // 128 + 1), 1, 1, "_conv2d_taps"),
+        ((2, 8, 8, 3), 3, 1, "_conv2d_gathered"),
+    ])
+    def test_conv2d_dispatch_rule(self, shape, k, stride, kernel):
+        assert ad._conv2d_kernel(shape, (k, k, shape[-1], 4), stride).__name__ == kernel
 
     def test_conv2d_k5_stride2_gradients(self):
         rng = np.random.default_rng(30)

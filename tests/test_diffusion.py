@@ -202,7 +202,8 @@ class TestResidualPairs:
     def test_cond_normalization_uses_date_agnostic_stats(self):
         x = self._truth(n_days=10)
         spec = DownsampleSpec(4, 12)
-        _, _, y_tilde = fit_training_pair(x, spec, grouping=(5, 12))
+        norm, _, coarse = fit_training_pair(x, spec, grouping=(5, 12))
+        y_tilde = (coarse.data - norm.cond_stats.mean) / norm.cond_stats.std
         assert np.abs(y_tilde.mean(axis=0)).max() < 1e-10
 
 
@@ -437,7 +438,8 @@ class TestTrainAndSample:
         model, log = train_sr(truth, cfg)
 
         spec = DownsampleSpec(4, 12)
-        _, r_tilde, y_tilde = fit_training_pair(truth, spec, grouping=(4, 12))
+        norm, r_tilde, coarse = fit_training_pair(truth, spec, grouping=(4, 12))
+        y_tilde = (coarse.data - norm.cond_stats.mean) / norm.cond_stats.std
         cond_full = repeat_time(cubic_upsample_space(y_tilde, 4), 12)
         n_days, window = truth.n_times // 12, cfg.window_days * 12
         rng = np.random.default_rng(np.random.SeedSequence((30, 3)))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -367,6 +369,52 @@ class TestAdam:
         with pytest.raises(DivergenceError):
             adam_step(params, state, {"a": np.array([np.nan, 0.0])})
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, 1e200])
+    def test_infinite_or_overflowing_grads_rejected(self, bad):
+        params = {"a": np.zeros(2), "b": np.zeros(1)}
+        state = OptimizerState(Schedule())
+        with pytest.raises(DivergenceError):
+            adam_step(params, state, {"a": np.array([0.0, 1.0]), "b": np.array([bad])})
+        assert state.step == 0 and not params["b"].any()
+
+    def test_params_are_views_of_one_flat_vector(self):
+        rng = np.random.default_rng(20)
+        params = {"w": rng.standard_normal((3, 3, 2, 4)), "b": rng.standard_normal(4)}
+        before = {k: v.copy() for k, v in params.items()}
+        state = OptimizerState(Schedule())
+        adam_step(params, state, {k: np.zeros_like(v) for k, v in params.items()})
+        base = params["w"].base
+        assert base is not None and base.size == 76 and params["b"].base is base
+        assert all(params[k].tobytes() == before[k].tobytes() for k in params)
+        views = dict(params)
+        adam_step(params, state, {k: np.ones_like(v) for k, v in params.items()})
+        assert all(params[k] is views[k] for k in params)
+        assert (params["b"] != before["b"]).all()
+
+    def test_fresh_dict_with_same_keys_is_rebound(self):
+        # stepping a fresh dict equals writing its values into the bound
+        # arrays and stepping those: the state's vector never goes stale
+        rng = np.random.default_rng(21)
+        shapes = {"w": (2, 3), "b": (3,)}
+        init = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        grads = [{k: rng.standard_normal(s) for k, s in shapes.items()} for _ in range(2)]
+        fresh = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        runs = []
+        for rebind in (True, False):
+            params = {k: v.copy() for k, v in init.items()}
+            state = OptimizerState(Schedule(peak_lr=0.1, warmup_steps=1, total_steps=10))
+            adam_step(params, state, grads[0])
+            if rebind:
+                stepped = {k: v.copy() for k, v in fresh.items()}
+            else:
+                stepped = params
+                for k in params:
+                    np.copyto(params[k], fresh[k])
+            adam_step(stepped, state, grads[1])
+            assert all(stepped[k].base is params[k].base is not None for k in shapes)
+            runs.append(stepped)
+        assert all(runs[0][k].tobytes() == runs[1][k].tobytes() for k in shapes)
+
     def test_schedule_shape(self):
         sched = Schedule(peak_lr=1e-3, end_lr=1e-6, warmup_steps=100, total_steps=1000)
         assert sched.lr_at(0) == pytest.approx(1e-5)
@@ -424,31 +472,44 @@ class TestUnetShapes:
         out = unet_forward(leaves, x, e, arch)
         assert out.shape == (2, 8, 8, 3)
 
-    def test_small_image_convs_take_unrolled_kernel(self, monkeypatch):
-        # demo shapes: the velocity net on the 2x2 coarse grid (levels 2x2, 1x1)
-        # and the guided SR denoiser on 8x8 windows (levels 8x8, 4x4, 2x2)
+    def test_demo_convs_dispatch_table(self, monkeypatch):
+        # which conv2d kernel runs at the demo architectures, per call:
+        # (kernel, image side, rows, input channels)
+        runs = []
+
+        def recording(name):
+            kernel = getattr(ad, name)
+
+            def run(x, w, b, stride):
+                runs.append((name, x.shape[1], x.shape[0], x.shape[3]))
+                return kernel(x, w, b, stride)
+            return run
+
+        for name in ("_conv2d_unrolled", "_conv2d_gathered", "_conv2d_taps"):
+            monkeypatch.setattr(ad, name, recording(name))
         rng = np.random.default_rng(22)
-        convs, unrolled = [], []
-        conv2d, conv2d_unrolled = ad.conv2d, ad._conv2d_unrolled
-
-        def recording(x, w, b, stride=1):
-            convs.append(x.shape[1:3])
-            return conv2d(x, w, b, stride)
-
-        def recording_unrolled(x, w, b, stride):
-            unrolled.append(x.shape[1:3])
-            return conv2d_unrolled(x, w, b, stride)
-
-        monkeypatch.setattr(ad, "conv2d", recording)
-        monkeypatch.setattr(ad, "_conv2d_unrolled", recording_unrolled)
-        arch = velocity_arch(2, levels=(16, 32))
-        y = rng.standard_normal((3, 2, 2, 2))
-        velocity_forward(init_params(rng, arch), y, rng.random(3), y, y ** 2, arch)
-        assert convs == unrolled and sorted(set(convs)) == [(1, 1), (2, 2)]
-        convs.clear()
-        unrolled.clear()
-        arch = denoiser_arch(1, 2, levels=(16, 32, 64))
-        z = rng.standard_normal((2, 2, 8, 8, 1))
-        denoiser_forward(init_params(rng, arch), z, np.ones(2), z, arch, guidance=1.0)
-        assert sorted(set(convs)) == [(2, 2), (4, 4), (8, 8)]
-        assert unrolled == [hw for hw in convs if hw == (2, 2)] and len(unrolled) == 2
+        # velocity net on the 2x2 coarse grid: 32 training rows, 375 transport rows
+        arch = velocity_arch(4, levels=(16, 32))
+        params = init_params(rng, arch)
+        for rows in (32, 375):
+            y = rng.standard_normal((rows, 2, 2, 4))
+            velocity_forward(params, y, rng.random(rows), y, y ** 2, arch)
+            assert len(runs) == 10 and {r[0] for r in runs} == {"_conv2d_unrolled"}
+            runs.clear()
+        # SR denoiser on 8x8 windows of 36 steps: 4 training rows unguided, and
+        # 4 guided sampling windows, whose body runs on 8 rows
+        taps, gathered = "_conv2d_taps", "_conv2d_gathered"
+        arch = denoiser_arch(4, 36, levels=(16, 32, 64))
+        params = init_params(rng, arch)
+        z = rng.standard_normal((4, 36, 8, 8, 4))
+        denoiser_forward(params, z, np.ones(4), z, arch)
+        assert Counter(runs) == {(taps, 8, 4, 144): 2, (gathered, 8, 4, 16): 6,
+                                 (gathered, 8, 4, 32): 1, (gathered, 4, 4, 32): 5,
+                                 (gathered, 4, 4, 64): 1, (gathered, 2, 4, 64): 2}
+        runs.clear()
+        denoiser_forward(params, z, np.ones(4), z, arch, guidance=1.0)
+        # up1's gathered matrix, 8·64·9·32 elements, is over the gather limit
+        assert Counter(runs) == {(taps, 8, 4, 144): 2, (gathered, 8, 8, 16): 5,
+                                 (taps, 8, 8, 32): 1, (gathered, 4, 8, 32): 5,
+                                 (gathered, 4, 8, 64): 1, (gathered, 2, 8, 64): 2,
+                                 (gathered, 8, 4, 16): 1}

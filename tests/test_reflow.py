@@ -6,6 +6,7 @@ from downgen.nets import init_params, load_checkpoint, velocity_arch, velocity_f
 from downgen.optim import OptimizerState, Schedule, adam_step
 from downgen.reflow import (
     CouplingConfig,
+    _coupling_sampler,
     ReflowTrainConfig,
     load_reflow,
     integrate_velocity,
@@ -88,6 +89,49 @@ class TestSampleCoupling:
             for _ in range(50):
                 sample_coupling([member], stats, target, tstats, cfg,
                                 np.random.default_rng(9), 1)
+
+
+def sample_coupling_loop(members, member_stats, target, target_stats, cfg, rng, n_chunks):
+    """The coupling draw as a per-chunk loop that recomputes everything."""
+    chunk = cfg.chunk_len_days
+    target_doy = day_of_year(target.time_coords)
+    parts = []
+    for _ in range(n_chunks):
+        member = members[int(rng.integers(len(members)))]
+        stats = member_stats[member.member_id]
+        i0 = int(rng.integers(member.n_times - chunk + 1))
+        doy0 = day_of_year(member.time_coords[i0])
+        starts = np.arange(target.n_times - chunk + 1)
+        d = np.abs(target_doy[starts] - doy0)
+        valid = starts[np.minimum(d, 360 - d) <= cfg.season_window_days]
+        j0 = int(rng.choice(valid))
+        y0 = (member.data[i0: i0 + chunk] - stats.mean) / stats.std
+        y1 = (target.data[j0: j0 + chunk] - target_stats.mean) / target_stats.std
+        mean = (stats.mean - target_stats.mean) / target_stats.std
+        std = stats.std / target_stats.std
+        parts.append((y0, y1, np.broadcast_to(mean, y0.shape), np.broadcast_to(std, y0.shape)))
+    return [np.concatenate(p) for p in zip(*parts)]
+
+
+class TestCouplingSampler:
+    def test_matches_per_chunk_loop_bitwise(self):
+        # the sampler train_reflow builds once draws what the per-chunk loop
+        # draws, from the same generator calls
+        rng = np.random.default_rng(32)
+        members = [daily_field(2.0 + 1.5 * rng.standard_normal((400, 2, 2, 2)), f"m{i:03d}",
+                               time0=24 * 40 * i) for i in range(2)]
+        target = daily_field(rng.standard_normal((380, 2, 2, 2)), "truth", time0=24 * 10)
+        stats = {m.member_id: compute_ensemble_stats(m) for m in members}
+        tstats = compute_ensemble_stats(target)
+        cfg = CouplingConfig(chunk_len_days=5, season_window_days=9)
+        draw = _coupling_sampler(members, stats, target, tstats, cfg)
+        rng_new, rng_ref = np.random.default_rng(33), np.random.default_rng(33)
+        for _ in range(50):
+            batch = draw(rng_new, 4)
+            ref = sample_coupling_loop(members, stats, target, tstats, cfg, rng_ref, 4)
+            got = (batch.y0, batch.y1, batch.stat_mean, batch.stat_std)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 class TestReflowLoss:
