@@ -12,10 +12,15 @@ no vjp, so a forward pass over plain parameter arrays builds no tape.
 
 ``conv2d`` has three kernels, picked from the shapes by ``_conv2d_kernel``.
 A small image (H·W <= kh·kw) with at least H·W·Ho·Wo rows runs as one GEMM
-against the unrolled kernel. Otherwise, when the gathered matrix
-[B·Ho·Wo, kh·kw·Cin] is small, the input's taps are gathered once and the
-conv is one GEMM, and dw is one GEMM on the same matrix. Every larger input
-runs as shift-and-GEMM: one GEMM per tap over a zero-padded buffer.
+against the unrolled kernel, itself one GEMM of a cached 0/1 tap selector
+with the kernel. Otherwise, when the gathered matrix [B·Ho·Wo, kh·kw·Cin] is
+small, the input's taps are gathered once and the conv is one GEMM, and dw is
+one GEMM on the same matrix; dx is col2im when stride > 1 or Cout > Cin.
+Every larger input runs as shift-and-GEMM: one GEMM per tap over a
+zero-padded buffer, with dw one GEMM on the gathered output gradient.
+
+``film`` is FiLM modulation as one node, in place of the seven its dense,
+reshape, add and mul composition would record.
 """
 
 from __future__ import annotations
@@ -236,6 +241,34 @@ def dense(x, w, b):
     return _node(out, (x, w, b), vjp)
 
 
+def film(x, e, ws, bs, wt, bt):
+    """FiLM as one node: x * (1 + e @ ws + bs) + (e @ wt + bt), per channel.
+
+    x: [B, H, W, C]; e: [B, E], or [1, E] for one embedding shared by every
+    row of x; ws, wt: [E, C]; bs, bt: [C]. The forward runs the same
+    operations in the same order as the two denses, reshapes, add, mul and
+    add it replaces, and the vjp sums over the axes they broadcast over.
+    """
+    x, e, ws, bs, wt, bt = (_as_tensor(a) for a in (x, e, ws, bs, wt, bt))
+    rows, c = e.data.shape[0], ws.data.shape[1]
+    scale = (e.data @ ws.data + bs.data).reshape(rows, 1, 1, c) + 1.0
+    shift = (e.data @ wt.data + bt.data).reshape(rows, 1, 1, c)
+    out = x.data * scale + shift
+    axes = (1, 2) if rows == x.data.shape[0] else (0, 1, 2)
+
+    def vjp(g):
+        dscale = (g * x.data).sum(axis=axes).reshape(rows, c)
+        dshift = g.sum(axis=axes).reshape(rows, c)
+        return (g * scale if x.requires_grad else None,
+                dscale @ ws.data.T + dshift @ wt.data.T if e.requires_grad else None,
+                e.data.T @ dscale if ws.requires_grad else None,
+                dscale.sum(axis=0) if bs.requires_grad else None,
+                e.data.T @ dshift if wt.requires_grad else None,
+                dshift.sum(axis=0) if bt.requires_grad else None)
+
+    return _node(out, (x, e, ws, bs, wt, bt), vjp)
+
+
 def _zero_padded(a, h, wd, ph, pw, step=1):
     """[B, h + 2ph, wd + 2pw, C] zeros with a [B, ., ., C] written every `step` pixels
     from (ph, pw)."""
@@ -264,22 +297,27 @@ def _correlate(xp, w, stride, ho, wo):
 
 
 @functools.lru_cache
-def _unrolled_taps(h, wd, kh, kw, stride):
-    """(p, q, i, j): input pixel p reaches output pixel q through kernel tap (i, j).
+def _unrolled_selector(h, wd, kh, kw, stride):
+    """(S, taps): the 0/1 tap selector of the unrolled kernel, read-only.
 
-    Pixels are numbered row-major. A pair (p, q) has at most one tap, and a
-    pair with none contributes nothing.
+    Row p·Ho·Wo + q of S [H·W·Ho·Wo, len(taps)] holds a 1 in the column of
+    the kernel tap (i, j) that carries input pixel p to output pixel q (pixels
+    row-major), or no 1 when none does. `taps` lists the flat taps i·kw + j
+    that some pair uses, so a 1×1 image selects the centre tap alone and
+    its S is [[1]].
     """
     ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
-    taps = []
-    for p in range(h * wd):
-        y, xx = divmod(p, wd)
-        for q in range(ho * wo):
-            oy, ox = divmod(q, wo)
-            i, j = y - stride * oy + kh // 2, xx - stride * ox + kw // 2
-            if 0 <= i < kh and 0 <= j < kw:
-                taps.append((p, q, i, j))
-    return tuple(taps)
+    y, xx = np.divmod(np.arange(h * wd), wd)
+    oy, ox = np.divmod(np.arange(ho * wo), wo)
+    i = y[:, None] - stride * oy + kh // 2
+    j = xx[:, None] - stride * ox + kw // 2
+    hit = ((0 <= i) & (i < kh) & (0 <= j) & (j < kw)).ravel()
+    flat = (i * kw + j).ravel()
+    taps, col = np.unique(flat[hit], return_inverse=True)
+    sel = np.zeros((h * wd * ho * wo, taps.size))
+    sel[np.flatnonzero(hit), col] = 1.0
+    sel.flags.writeable = taps.flags.writeable = False
+    return sel, taps
 
 
 def _conv2d_unrolled(x, w, b, stride):
@@ -287,17 +325,20 @@ def _conv2d_unrolled(x, w, b, stride):
 
     M [H·W·Cin, Ho·Wo·Cout] is the unrolled kernel: its (p, q) block is the
     w[i, j] of the tap that carries input pixel p to output pixel q, else 0.
-    The output is x.reshape(B, H·W·Cin) @ M, dx is g @ Mᵀ, and dw[i, j] sums
-    the blocks of xᵀ @ g that tap (i, j) produced. M is rebuilt on every call
-    because the optimiser updates w in place.
+    It is built by one GEMM, the tap selector S of `_unrolled_selector` times
+    the used taps of w (on a 1×1 image M is the centre tap itself), and
+    rebuilt on every call because the optimiser updates w in place. The
+    output is x.reshape(B, H·W·Cin) @ M, dx is g @ Mᵀ, and dw is Sᵀ times the
+    (p, q) blocks of xᵀ @ g, one GEMM.
     """
     kh, kw, cin, cout = w.data.shape
     n, h, wd, _ = x.data.shape
     ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
-    taps = _unrolled_taps(h, wd, kh, kw, stride)
-    m = np.zeros((h * wd, cin, ho * wo, cout))
-    for p, q, i, j in taps:
-        m[p, :, q, :] = w.data[i, j]
+    sel, taps = _unrolled_selector(h, wd, kh, kw, stride)
+    single = len(sel) == 1
+    w2 = w.data.reshape(kh * kw, cin * cout)
+    m = w2[taps[0]] if single else sel @ w2[taps]
+    m = m.reshape(h * wd, ho * wo, cin, cout).transpose(0, 2, 1, 3)
     m = m.reshape(h * wd * cin, ho * wo * cout)
     x2 = x.data.reshape(n, -1)
     out = (x2 @ m).reshape(n, ho, wo, cout) + b.data
@@ -306,10 +347,11 @@ def _conv2d_unrolled(x, w, b, stride):
         g2 = g.reshape(n, -1)
         dw = None
         if w.requires_grad:
-            dm = (x2.T @ g2).reshape(h * wd, cin, ho * wo, cout)
-            dw = np.zeros_like(w.data)
-            for p, q, i, j in taps:
-                dw[i, j] += dm[p, :, q, :]
+            dm = (x2.T @ g2).reshape(h * wd, cin, ho * wo, cout).transpose(0, 2, 1, 3)
+            dm = dm.reshape(-1, cin * cout)
+            dw = np.zeros((kh * kw, cin * cout))
+            dw[taps] = dm if single else sel.T @ dm
+            dw = dw.reshape(w.data.shape)
         dx = (g2 @ m.T).reshape(n, h, wd, cin) if x.requires_grad else None
         return dx, dw, g.reshape(-1, cout).sum(axis=0) if b.requires_grad else None
 
@@ -339,8 +381,11 @@ def _conv2d_gathered(x, w, b, stride):
     """conv2d as one GEMM: the gathered taps [B·Ho·Wo, kh·kw·Cin] times w.
 
     The gathered matrix stays on the tape only when w needs a gradient; dw is
-    then one GEMM on it. dx is the same gather, stride 1, of the zero-dilated,
-    padded output gradient times the flipped, transposed kernel.
+    then one GEMM on it. dx takes the narrow side. With stride > 1 or
+    Cout > Cin it is col2im: one GEMM g @ wᵀ to [B·Ho·Wo, kh·kw·Cin], then
+    one strided add per tap into the padded dx. Otherwise it is the same
+    gather, stride 1, of the padded output gradient times the flipped,
+    transposed kernel.
     """
     kh, kw, cin, cout = w.data.shape
     n, h, wd, _ = x.data.shape
@@ -354,10 +399,16 @@ def _conv2d_gathered(x, w, b, stride):
         g2 = g.reshape(-1, cout)
         dw = (cols.T @ g2).reshape(w.data.shape) if w.requires_grad else None
         dx = None
-        if x.requires_grad:
-            gp = _zero_padded(g, h, wd, ph, pw, step=stride)
+        if x.requires_grad and (stride > 1 or cout > cin):
+            dcols = (g2 @ w.data.reshape(-1, cout).T).reshape(n, ho, wo, kh, kw, cin)
+            dx = np.zeros((n, h + 2 * ph, wd + 2 * pw, cin))
+            for i, j, tap in _tap_slices(kh, kw, stride, ho, wo):
+                dx[tap] += dcols[:, :, :, i, j]
+            dx = dx[:, ph: ph + h, pw: pw + wd]
+        elif x.requires_grad:
             w_flip = w.data[::-1, ::-1].swapaxes(2, 3).reshape(-1, cin)
-            dx = (_gather(gp, kh, kw, 1, h, wd) @ w_flip).reshape(n, h, wd, cin)
+            dx = _gather(_zero_padded(g, h, wd, ph, pw), kh, kw, 1, h, wd) @ w_flip
+            dx = dx.reshape(n, h, wd, cin)
         return dx, dw, g2.sum(axis=0) if b.requires_grad else None
 
     return _node(out, (x, w, b), vjp)
@@ -366,9 +417,11 @@ def _conv2d_gathered(x, w, b, stride):
 def _conv2d_taps(x, w, b, stride):
     """conv2d as shift-and-GEMM, one GEMM per kernel tap over the padded input.
 
-    The vjp reuses the same slices for dw, one GEMM per tap. dx is the same
-    correlation, stride 1, of the zero-dilated, padded output gradient with the
-    flipped, transposed kernel w[::-1, ::-1].swapaxes(2, 3).
+    dw is one GEMM: the input [B·H·W, Cin] against the output gradient
+    gathered, stride 1, from its zero-dilated, padded copy
+    [B·H·W, kh·kw·Cout], whose taps come out flipped. dx is the same
+    correlation, stride 1, of that padded gradient with the flipped,
+    transposed kernel w[::-1, ::-1].swapaxes(2, 3).
     """
     kh, kw, cin, cout = w.data.shape
     n, h, wd, _ = x.data.shape
@@ -378,18 +431,16 @@ def _conv2d_taps(x, w, b, stride):
     out = _correlate(xp, w.data, stride, ho, wo).reshape(n, ho, wo, cout) + b.data
 
     def vjp(g):
-        g2 = g.reshape(-1, cout)
+        gp = _zero_padded(g, h, wd, ph, pw, step=stride)
         dw = None
         if w.requires_grad:
-            dw = np.empty_like(w.data)
-            for i, j, tap in _tap_slices(kh, kw, stride, ho, wo):
-                dw[i, j] = xp[tap].reshape(-1, cin).T @ g2
+            dw = x.data.reshape(-1, cin).T @ _gather(gp, kh, kw, 1, h, wd)
+            dw = dw.reshape(cin, kh, kw, cout)[:, ::-1, ::-1].transpose(1, 2, 0, 3)
         dx = None
         if x.requires_grad:
-            gp = _zero_padded(g, h, wd, ph, pw, step=stride)
             dx = _correlate(gp, w.data[::-1, ::-1].swapaxes(2, 3), 1, h, wd)
             dx = dx.reshape(n, h, wd, cin)
-        return dx, dw, g2.sum(axis=0) if b.requires_grad else None
+        return dx, dw, g.reshape(-1, cout).sum(axis=0) if b.requires_grad else None
 
     return _node(out, (x, w, b), vjp)
 
@@ -426,10 +477,13 @@ def conv2d(x, w, b, stride=1):
 
     - unrolled (`_conv2d_unrolled`): one GEMM against the kernel unrolled to
       [H·W·Cin, Ho·Wo·Cout], for images with H·W <= kh·kw and B >= H·W·Ho·Wo;
+      the unrolled kernel and dw are one GEMM each with a cached tap selector;
     - gathered (`_conv2d_gathered`): one GEMM on the taps gathered once into
-      [B·Ho·Wo, kh·kw·Cin], kept for dw, while that matrix is small;
+      [B·Ho·Wo, kh·kw·Cin], kept for dw, while that matrix is small; dx by
+      col2im when stride > 1 or Cout > Cin, else by gathering the gradient;
     - shift-and-GEMM (`_conv2d_taps`): one GEMM per tap on strided slices of
-      the zero-padded input, for wide inputs.
+      the zero-padded input, for wide inputs; dw one GEMM on the gathered
+      output gradient.
 
     Every kernel computes dx only when x needs a gradient (not for a data
     input), and dx runs inside the kernel, not through `conv2d`.

@@ -133,12 +133,14 @@ def fit_training_pair(x: GridField, spec: DownsampleSpec, grouping=(DAYS_PER_YEA
     if tod_buckets is None:
         tod_buckets = 24 // x.dt_hours
     coarse = coarsen(x, spec)
-    r = x.data - interp_upsample(coarse, spec).data
+    r = interp_upsample(coarse, spec).data
+    np.subtract(x.data, r, out=r)
     clim = compute_climatology(x.with_data(r), (doy_buckets, tod_buckets))
     norm = SRNormalization(residual_clim=clim, cond_stats=compute_ensemble_stats(coarse))
     times = x.time_coords
-    r_tilde = (r - clim.lookup_mean(times)) / clim.lookup_std(times)
-    return norm, r_tilde, coarse
+    r -= clim.lookup_mean(times)
+    r /= clim.lookup_std(times)
+    return norm, r, coarse
 
 
 def assemble_output(y_cond: GridField, residual_draw, norm: SRNormalization,

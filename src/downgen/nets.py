@@ -153,13 +153,11 @@ def film(x: Tensor, embed: Tensor, leaves, prefix) -> Tensor:
     """(1 + Dense(e)) * x + Dense(e), per channel; identity at zero init.
 
     embed is [B, E], or [1, E] for one embedding shared by every row of x.
+    One tape node, `autodiff.film`.
     """
-    scale = ad.dense(embed, leaves[f"{prefix}/film_scale/w"], leaves[f"{prefix}/film_scale/b"])
-    shift = ad.dense(embed, leaves[f"{prefix}/film_shift/w"], leaves[f"{prefix}/film_shift/b"])
-    b, c = scale.shape
-    scale = ad.reshape(scale, (b, 1, 1, c))
-    shift = ad.reshape(shift, (b, 1, 1, c))
-    return x * (scale + 1.0) + shift
+    return ad.film(x, embed,
+                   leaves[f"{prefix}/film_scale/w"], leaves[f"{prefix}/film_scale/b"],
+                   leaves[f"{prefix}/film_shift/w"], leaves[f"{prefix}/film_shift/b"])
 
 
 def _resblock(h, embed, leaves, prefix):

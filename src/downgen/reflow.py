@@ -134,7 +134,7 @@ def _coupling_sampler(members, member_stats, target, target_stats, cfg: Coupling
             if valid.size == 0:
                 raise ValueError(f"no target chunk within {cfg.season_window_days} days "
                                  f"of day-of-year {member_doy[i0]}")
-            j0 = int(rng.choice(valid))
+            j0 = int(valid[rng.integers(valid.size)])   # rng.choice(valid)'s draw, cheaper
             y0_parts.append((member.data[i0: i0 + chunk] - stats.mean) / stats.std)
             y1_parts.append((target.data[j0: j0 + chunk] - target_stats.mean)
                             / target_stats.std)

@@ -163,10 +163,12 @@ def _structured_signal(cfg: SynthConfig, season_phase_days=0.0):
 
 
 def _assemble(cfg: SynthConfig, structured, noise, mean_offset=0.0):
-    z = structured[:, None, None, :] + noise + mean_offset
-    bases = np.asarray(cfg.var_bases)
-    scales = np.asarray(cfg.var_scales)
-    data = bases + scales * z
+    """bases + scales * (structured + noise + mean_offset), clipped at zero for
+    the non-negative variables, computed in place on `noise` and returned."""
+    data = np.add(structured[:, None, None, :], noise, out=noise)
+    data += mean_offset
+    data *= np.asarray(cfg.var_scales)
+    data += np.asarray(cfg.var_bases)
     for v in _CLIP_AT_ZERO:
         np.maximum(data[..., v], 0.0, out=data[..., v])
     return data
@@ -180,9 +182,9 @@ def _member_corr_chol(shrink):
 def gen_fine_ensemble(cfg: SynthConfig) -> GridField:
     """Fine-resolution truth series; deterministic given cfg.rng_seed."""
     rng = np.random.default_rng(np.random.SeedSequence((cfg.rng_seed, _FINE_STREAM)))
-    noise = cfg.noise_amp * _correlated_noise(
-        rng, cfg.n_steps, cfg.nx, cfg.ny, cfg.spectral_slope,
-        np.linalg.cholesky(VAR_CORR), ar1=cfg.noise_ar1)
+    noise = _correlated_noise(rng, cfg.n_steps, cfg.nx, cfg.ny, cfg.spectral_slope,
+                              np.linalg.cholesky(VAR_CORR), ar1=cfg.noise_ar1)
+    noise *= cfg.noise_amp
     data = _assemble(cfg, _structured_signal(cfg), noise)
     lon, lat = cfg.grid_coords()
     return GridField(data, 0, cfg.dt_hours, lon, lat, VAR_NAMES, member_id="truth")
@@ -200,9 +202,10 @@ def gen_biased_coarse_ensemble(cfg: SynthConfig, fine: GridField) -> list:
     structured = _structured_signal(cfg, season_phase_days=bias.season_phase_days)
     for idx in range(cfg.n_members):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.rng_seed, _MEMBER_STREAM, idx)))
-        noise = cfg.noise_amp * np.sqrt(bias.var_scale) * _correlated_noise(
-            rng, cfg.n_steps, cfg.nx, cfg.ny, cfg.spectral_slope + bias.spectral_tilt,
-            chol, ar1=cfg.noise_ar1)
+        noise = _correlated_noise(rng, cfg.n_steps, cfg.nx, cfg.ny,
+                                  cfg.spectral_slope + bias.spectral_tilt, chol,
+                                  ar1=cfg.noise_ar1)
+        noise *= cfg.noise_amp * np.sqrt(bias.var_scale)
         data = _assemble(cfg, structured, noise, mean_offset=bias.mean_offset)
         lon, lat = cfg.grid_coords()
         member_fine = GridField(data, fine.time0, cfg.dt_hours, lon, lat, VAR_NAMES,

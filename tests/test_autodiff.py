@@ -206,14 +206,13 @@ class TestConv:
             assert dx is None, name
             assert dw.tobytes() == dw_leaf.tobytes() and db.tobytes() == db_leaf.tobytes(), name
 
-    @pytest.mark.parametrize("k, stride, hw", image_cases(
-        [(k, stride) for k in (1, 3, 5) for stride in (1, 2)], [(5, 7), *SMALL_HW]))
-    def test_conv2d_matches_loop_reference(self, k, stride, hw):
-        rng = np.random.default_rng(20 + 2 * k + stride)
-        x = rng.standard_normal((2, *hw, 3))
-        w = rng.standard_normal((k, k, 3, 4))
-        b = rng.standard_normal(4)
-        g = rng.standard_normal((2, (hw[0] - 1) // stride + 1, (hw[1] - 1) // stride + 1, 4))
+    @staticmethod
+    def assert_kernels_match_loop_reference(rng, k, stride, hw, cin, cout):
+        """Output, dx, dw and db of every kernel against the loop references."""
+        x = rng.standard_normal((2, *hw, cin))
+        w = rng.standard_normal((k, k, cin, cout))
+        b = rng.standard_normal(cout)
+        g = rng.standard_normal((2, (hw[0] - 1) // stride + 1, (hw[1] - 1) // stride + 1, cout))
         expect = {"out": conv2d_reference(x, w, b, stride),
                   "dx": conv2d_dx_reference(g, w, x.shape, stride),
                   "dw": conv2d_dw_reference(x, g, w.shape, stride),
@@ -224,6 +223,32 @@ class TestConv:
             for key, got in (("out", y.data), ("dx", dx), ("dw", dw), ("db", db)):
                 np.testing.assert_allclose(got, expect[key], rtol=1e-12, atol=1e-12,
                                            err_msg=f"{name} {key}")
+
+    @pytest.mark.parametrize("k, stride, hw", image_cases(
+        [(k, stride) for k in (1, 3, 5) for stride in (1, 2)], [(5, 7), *SMALL_HW]))
+    def test_conv2d_matches_loop_reference(self, k, stride, hw):
+        # Cout > Cin: the gathered kernel's dx is col2im at either stride
+        self.assert_kernels_match_loop_reference(np.random.default_rng(20 + 2 * k + stride),
+                                                 k, stride, hw, 3, 4)
+
+    @pytest.mark.parametrize("k, stride, hw", image_cases(
+        [(k, stride) for k in (1, 3, 5) for stride in (1, 2)], [(5, 7), (8, 8), *SMALL_HW]))
+    def test_conv2d_narrow_output_matches_loop_reference(self, k, stride, hw):
+        # Cout < Cin: the gathered kernel's dx is the gather of the output
+        # gradient at stride 1 and col2im at stride 2
+        self.assert_kernels_match_loop_reference(np.random.default_rng(60 + 2 * k + stride),
+                                                 k, stride, hw, 5, 2)
+
+    @pytest.mark.parametrize("k, stride, hw", image_cases(
+        [(k, stride) for k in (1, 3, 5) for stride in (1, 2)], [(5, 7), *SMALL_HW]))
+    def test_unrolled_selector_picks_one_tap_per_pixel_pair(self, k, stride, hw):
+        sel, taps = ad._unrolled_selector(*hw, k, k, stride)
+        ho, wo = (hw[0] - 1) // stride + 1, (hw[1] - 1) // stride + 1
+        assert sel.shape == (hw[0] * hw[1] * ho * wo, taps.size)
+        assert set(np.unique(sel)) <= {0.0, 1.0} and (sel.sum(axis=1) <= 1).all()
+        assert (sel.sum(axis=0) >= 1).all()   # every listed tap is used
+        if hw == (1, 1):
+            assert sel.tolist() == [[1.0]] and taps.tolist() == [k * k // 2]
 
     @pytest.mark.parametrize("shape, k, stride, kernel", [
         # small images: unrolled once there are H·W·Ho·Wo rows to serve
@@ -275,6 +300,62 @@ class TestConv:
         # centre output pixel of a same-padded 3x3 conv sees the full input
         expect = sum(x[0, i, j, 0] * w[i, j, 0, 0] for i in range(3) for j in range(3))
         assert abs(out[0, 1, 1, 0] - expect) < 1e-12
+
+
+def film_arrays(rng, rows):
+    """x [3, 2, 2, 4], an embedding e [rows, 5] and the scale and shift denses."""
+    return {"x": rng.standard_normal((3, 2, 2, 4)), "e": rng.standard_normal((rows, 5)),
+            "ws": rng.standard_normal((5, 4)) * 0.5, "bs": rng.standard_normal(4),
+            "wt": rng.standard_normal((5, 4)) * 0.5, "bt": rng.standard_normal(4)}
+
+
+def film_composed(x, e, ws, bs, wt, bt):
+    """FiLM as the seven nodes `film` replaces: two denses, two reshapes, add, mul, add."""
+    scale, shift = ad.dense(e, ws, bs), ad.dense(e, wt, bt)
+    rows, c = scale.shape
+    return x * (ad.reshape(scale, (rows, 1, 1, c)) + 1.0) + ad.reshape(shift, (rows, 1, 1, c))
+
+
+FILM_ARGS = ("x", "e", "ws", "bs", "wt", "bt")
+
+
+class TestFilm:
+    @pytest.mark.parametrize("rows, x_leaf", [(3, True), (1, True), (3, False), (1, False)],
+                             ids=["per-row-leaf", "shared-leaf", "per-row-const",
+                                  "shared-const"])
+    def test_film_gradients(self, rows, x_leaf):
+        rng = np.random.default_rng(70 + rows + 10 * x_leaf)
+        arrays = film_arrays(rng, rows)
+        x = arrays["x"] if x_leaf else arrays.pop("x")
+
+        def build(t):
+            return ad.mean(ad.square(ad.film(*(t.get(k, x) for k in FILM_ARGS))))
+
+        check_op(build, arrays)
+
+    def test_film_constant_x_gets_no_gradient(self):
+        arrays = film_arrays(np.random.default_rng(75), 3)
+        x = arrays.pop("x")
+        out = ad.film(x, *(Tensor(arrays[k]) for k in FILM_ARGS[1:]))
+        grads = out.vjp(np.ones_like(out.data))
+        assert grads[0] is None and all(g is not None for g in grads[1:])
+
+    @pytest.mark.parametrize("rows", [3, 1], ids=["per-row", "shared"])
+    def test_film_matches_seven_node_composition(self, rows):
+        rng = np.random.default_rng(80 + rows)
+        arrays = film_arrays(rng, rows)
+        weight = rng.standard_normal(arrays["x"].shape)
+        results = []
+        for fn in (ad.film, film_composed):
+            leaves = {k: Tensor(v) for k, v in arrays.items()}
+            out = fn(*(leaves[k] for k in FILM_ARGS))
+            backward(ad.mean(out * weight))
+            results.append((out.data, {k: leaves[k].grad for k in FILM_ARGS}))
+        (out, grads), (expect, expect_grads) = results
+        assert out.tobytes() == expect.tobytes()
+        for k in FILM_ARGS:
+            np.testing.assert_allclose(grads[k], expect_grads[k], rtol=1e-12, atol=1e-12,
+                                       err_msg=k)
 
 
 class TestBackwardMechanics:

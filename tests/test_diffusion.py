@@ -199,6 +199,18 @@ class TestResidualPairs:
         assert np.abs(pixel_mean).max() < 0.05
         assert np.abs(pixel_std - 1.0).max() < 0.05
 
+    def test_residual_matches_out_of_place_expression_bitwise(self):
+        # the residual is built in place on the upsampled field; it must equal
+        # (x - upsample(coarsen(x)) - clim_mean) / clim_std as written out
+        x = self._truth(n_days=10, seed=9)
+        spec = DownsampleSpec(4, 12)
+        norm, r_tilde, coarse = fit_training_pair(x, spec, grouping=(5, 12))
+        r = x.data - interp_upsample(coarsen(x, spec), spec).data
+        clim = norm.residual_clim
+        expect = (r - clim.lookup_mean(x.time_coords)) / clim.lookup_std(x.time_coords)
+        assert r_tilde.tobytes() == expect.tobytes()
+        assert coarse.data.tobytes() == coarsen(x, spec).data.tobytes()
+
     def test_cond_normalization_uses_date_agnostic_stats(self):
         x = self._truth(n_days=10)
         spec = DownsampleSpec(4, 12)

@@ -462,7 +462,33 @@ class TestDeterminismAndCheckpoint:
         assert 0.01 < x.std() < 0.03
 
 
+def tape_nodes(out):
+    """Every node reachable from `out` through parents, leaves and constants
+    included: the count the benchmark's kernel sheet reports."""
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+    return len(seen)
+
+
 class TestUnetShapes:
+    def test_demo_forward_tape_sizes(self):
+        # one training forward of each net at the demo architectures; a change
+        # that adds nodes to the tape has to update these counts
+        rng = np.random.default_rng(23)
+        arch = velocity_arch(4, levels=(16, 32))
+        leaves = as_leaves(init_params(rng, arch))
+        y = rng.standard_normal((3, 2, 2, 4))
+        assert tape_nodes(velocity_forward(leaves, y, rng.random(3), y, y ** 2, arch)) == 70
+        arch = denoiser_arch(4, 36, levels=(16, 32, 64))
+        leaves = as_leaves(init_params(rng, arch))
+        z = rng.standard_normal((2, 36, 4, 4, 4))
+        assert tape_nodes(denoiser_forward(leaves, z, np.ones(2), z, arch)) == 113
+
+
     def test_output_shape_matches_out_channels(self):
         arch = ArchConfig(in_channels=5, out_channels=3, levels=(4, 8, 16))
         params = init_params(np.random.default_rng(20), arch)

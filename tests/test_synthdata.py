@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from downgen.grid import DAYS_PER_YEAR, HOURS_PER_DAY, coarsen
+from downgen import synthdata
 from downgen.synthdata import (
     VAR_CORR,
     BiasSpec,
@@ -165,3 +166,50 @@ class TestValidation:
     def test_indivisible_grid_rejected(self):
         with pytest.raises(ValueError):
             SynthConfig(nx=10, ny=16, spatial_factor=4)
+
+
+class TestInPlaceAssembly:
+    """The fields are assembled in place on the noise array; they must equal
+    the out-of-place expressions, operation for operation."""
+
+    @staticmethod
+    def assemble_reference(cfg, structured, noise, mean_offset=0.0):
+        z = structured[:, None, None, :] + noise + mean_offset
+        data = np.asarray(cfg.var_bases) + np.asarray(cfg.var_scales) * z
+        for v in synthdata._CLIP_AT_ZERO:
+            np.maximum(data[..., v], 0.0, out=data[..., v])
+        return data
+
+    @staticmethod
+    def noise(cfg, stream, slope, chol):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.rng_seed, *stream)))
+        return synthdata._correlated_noise(rng, cfg.n_steps, cfg.nx, cfg.ny, slope, chol,
+                                           ar1=cfg.noise_ar1)
+
+    def test_assemble_matches_expression_bitwise(self):
+        cfg = SynthConfig(nx=8, ny=4, n_days=3)
+        rng = np.random.default_rng(0)
+        structured = synthdata._structured_signal(cfg, season_phase_days=4.0)
+        noise = 2.0 * rng.standard_normal((cfg.n_steps, cfg.nx, cfg.ny, 4))
+        expect = self.assemble_reference(cfg, structured, noise, mean_offset=0.8)
+        got = synthdata._assemble(cfg, structured, noise.copy(), mean_offset=0.8)
+        assert got.tobytes() == expect.tobytes()
+
+    def test_synthetic_pair_matches_expressions_bitwise(self):
+        cfg = SynthConfig(nx=8, ny=8, n_days=5, n_members=2, noise_amp=0.8, noise_ar1=0.6,
+                          rng_seed=7, bias=BiasSpec(mean_offset=0.8, var_scale=1.3,
+                                                    corr_shrink=0.4, season_phase_days=4))
+        fine = gen_fine_ensemble(cfg)
+        noise = cfg.noise_amp * self.noise(cfg, (synthdata._FINE_STREAM,), cfg.spectral_slope,
+                                           np.linalg.cholesky(VAR_CORR))
+        expect = self.assemble_reference(cfg, synthdata._structured_signal(cfg), noise)
+        assert fine.data.tobytes() == expect.tobytes()
+        bias = cfg.bias
+        structured = synthdata._structured_signal(cfg, season_phase_days=bias.season_phase_days)
+        for idx, member in enumerate(gen_biased_coarse_ensemble(cfg, fine)):
+            noise = cfg.noise_amp * np.sqrt(bias.var_scale) * self.noise(
+                cfg, (synthdata._MEMBER_STREAM, idx), cfg.spectral_slope + bias.spectral_tilt,
+                synthdata._member_corr_chol(bias.corr_shrink))
+            data = self.assemble_reference(cfg, structured, noise, mean_offset=bias.mean_offset)
+            expect = coarsen(fine.with_data(data), cfg.downsample).data
+            assert member.data.tobytes() == expect.tobytes()
