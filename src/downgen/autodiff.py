@@ -10,14 +10,9 @@ handed to an op is a constant, and an op's output joins the tape only if one
 of its inputs needs a gradient: ops on constants alone record no parents and
 no vjp, so a forward pass over plain parameter arrays builds no tape.
 
-``conv2d`` has three kernels, picked from the shapes by ``_conv2d_kernel``.
-A small image (H·W <= kh·kw) with at least H·W·Ho·Wo rows runs as one GEMM
-against the unrolled kernel, itself one GEMM of a cached 0/1 tap selector
-with the kernel. Otherwise, when the gathered matrix [B·Ho·Wo, kh·kw·Cin] is
-small, the input's taps are gathered once and the conv is one GEMM, and dw is
-one GEMM on the same matrix; dx is col2im when stride > 1 or Cout > Cin.
-Every larger input runs as shift-and-GEMM: one GEMM per tap over a
-zero-padded buffer, with dw one GEMM on the gathered output gradient.
+``conv2d`` runs one of three kernels, unrolled, gathered or shift-and-GEMM;
+``_conv2d_kernel`` states which one runs for which shapes, and ``_conv_dx``
+how the gathered and shift-and-GEMM kernels compute dx.
 
 ``film`` is FiLM modulation as one node, in place of the seven its dense,
 reshape, add and mul composition would record.
@@ -55,16 +50,10 @@ class Tensor:
     def __sub__(self, other):
         return add(self, -other if isinstance(other, Tensor) else -np.asarray(other))
 
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return mul(self, 1.0 / np.asarray(scalar, dtype=np.float64))
 
     def __neg__(self):
         return neg(self)
@@ -283,28 +272,13 @@ def _tap_slices(kh, kw, stride, ho, wo):
             for i in range(kh) for j in range(kw)]
 
 
-def _correlate(xp, w, stride, ho, wo):
-    """Shift-and-GEMM correlation of a padded input with w: [B * ho * wo, Cout].
-
-    The sum over kernel taps (i, j) of the tap's strided slice of xp, reshaped
-    to [B * ho * wo, Cin], times w[i, j]: one 2-D GEMM per tap.
-    """
-    kh, kw, cin, cout = w.shape
-    out = np.zeros((xp.shape[0] * ho * wo, cout))
-    for i, j, tap in _tap_slices(kh, kw, stride, ho, wo):
-        out += xp[tap].reshape(-1, cin) @ w[i, j]
-    return out
-
-
 @functools.lru_cache
 def _unrolled_selector(h, wd, kh, kw, stride):
-    """(S, taps): the 0/1 tap selector of the unrolled kernel, read-only.
+    """The 0/1 tap selector S [H·W·Ho·Wo, kh·kw] of the unrolled kernel, read-only.
 
-    Row p·Ho·Wo + q of S [H·W·Ho·Wo, len(taps)] holds a 1 in the column of
-    the kernel tap (i, j) that carries input pixel p to output pixel q (pixels
-    row-major), or no 1 when none does. `taps` lists the flat taps i·kw + j
-    that some pair uses, so a 1×1 image selects the centre tap alone and
-    its S is [[1]].
+    Row p·Ho·Wo + q of S holds a 1 in the column of the kernel tap i·kw + j
+    that carries input pixel p to output pixel q (pixels row-major), or no 1
+    when none does.
     """
     ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
     y, xx = np.divmod(np.arange(h * wd), wd)
@@ -312,12 +286,10 @@ def _unrolled_selector(h, wd, kh, kw, stride):
     i = y[:, None] - stride * oy + kh // 2
     j = xx[:, None] - stride * ox + kw // 2
     hit = ((0 <= i) & (i < kh) & (0 <= j) & (j < kw)).ravel()
-    flat = (i * kw + j).ravel()
-    taps, col = np.unique(flat[hit], return_inverse=True)
-    sel = np.zeros((h * wd * ho * wo, taps.size))
-    sel[np.flatnonzero(hit), col] = 1.0
-    sel.flags.writeable = taps.flags.writeable = False
-    return sel, taps
+    sel = np.zeros((h * wd * ho * wo, kh * kw))
+    sel[np.flatnonzero(hit), (i * kw + j).ravel()[hit]] = 1.0
+    sel.flags.writeable = False
+    return sel
 
 
 def _conv2d_unrolled(x, w, b, stride):
@@ -326,20 +298,16 @@ def _conv2d_unrolled(x, w, b, stride):
     M [H·W·Cin, Ho·Wo·Cout] is the unrolled kernel: its (p, q) block is the
     w[i, j] of the tap that carries input pixel p to output pixel q, else 0.
     It is built by one GEMM, the tap selector S of `_unrolled_selector` times
-    the used taps of w (on a 1×1 image M is the centre tap itself), and
-    rebuilt on every call because the optimiser updates w in place. The
-    output is x.reshape(B, H·W·Cin) @ M, dx is g @ Mᵀ, and dw is Sᵀ times the
-    (p, q) blocks of xᵀ @ g, one GEMM.
+    w, and rebuilt on every call because the optimiser updates w in place.
+    The output is x.reshape(B, H·W·Cin) @ M, dx is g @ Mᵀ, and dw is Sᵀ times
+    the (p, q) blocks of xᵀ @ g, one GEMM.
     """
     kh, kw, cin, cout = w.data.shape
     n, h, wd, _ = x.data.shape
     ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
-    sel, taps = _unrolled_selector(h, wd, kh, kw, stride)
-    single = len(sel) == 1
-    w2 = w.data.reshape(kh * kw, cin * cout)
-    m = w2[taps[0]] if single else sel @ w2[taps]
-    m = m.reshape(h * wd, ho * wo, cin, cout).transpose(0, 2, 1, 3)
-    m = m.reshape(h * wd * cin, ho * wo * cout)
+    sel = _unrolled_selector(h, wd, kh, kw, stride)
+    m = (sel @ w.data.reshape(kh * kw, cin * cout)).reshape(h * wd, ho * wo, cin, cout)
+    m = m.transpose(0, 2, 1, 3).reshape(h * wd * cin, ho * wo * cout)
     x2 = x.data.reshape(n, -1)
     out = (x2 @ m).reshape(n, ho, wo, cout) + b.data
 
@@ -348,10 +316,7 @@ def _conv2d_unrolled(x, w, b, stride):
         dw = None
         if w.requires_grad:
             dm = (x2.T @ g2).reshape(h * wd, cin, ho * wo, cout).transpose(0, 2, 1, 3)
-            dm = dm.reshape(-1, cin * cout)
-            dw = np.zeros((kh * kw, cin * cout))
-            dw[taps] = dm if single else sel.T @ dm
-            dw = dw.reshape(w.data.shape)
+            dw = (sel.T @ dm.reshape(-1, cin * cout)).reshape(w.data.shape)
         dx = (g2 @ m.T).reshape(n, h, wd, cin) if x.requires_grad else None
         return dx, dw, g.reshape(-1, cout).sum(axis=0) if b.requires_grad else None
 
@@ -377,70 +342,78 @@ def _gather(xp, kh, kw, stride, ho, wo):
     return xp.reshape(-1, c).take(rows, axis=0).reshape(n * ho * wo, kh * kw * c)
 
 
+def _conv_dx(g, w, h, wd, stride):
+    """dx [B, h, wd, Cin] of a same-padded conv, from its output gradient g
+    [B, Ho, Wo, Cout] and kernel w, computed on the narrow side.
+
+    With stride > 1 or Cout > Cin it is col2im: one GEMM g @ wᵀ to
+    [B·Ho·Wo, kh·kw·Cin], then one strided add per tap into the padded dx.
+    Otherwise it is the gather, stride 1, of the padded output gradient
+    [B·H·W, kh·kw·Cout] times the flipped, transposed kernel.
+    """
+    kh, kw, cin, cout = w.shape
+    n, ho, wo, _ = g.shape
+    ph, pw = kh // 2, kw // 2
+    if stride > 1 or cout > cin:
+        dcols = (g.reshape(-1, cout) @ w.reshape(-1, cout).T).reshape(n, ho, wo, kh, kw, cin)
+        dx = np.zeros((n, h + 2 * ph, wd + 2 * pw, cin))
+        for i, j, tap in _tap_slices(kh, kw, stride, ho, wo):
+            dx[tap] += dcols[:, :, :, i, j]
+        return dx[:, ph: ph + h, pw: pw + wd]
+    w_flip = w[::-1, ::-1].swapaxes(2, 3).reshape(-1, cin)
+    dx = _gather(_zero_padded(g, h, wd, ph, pw), kh, kw, 1, h, wd) @ w_flip
+    return dx.reshape(n, h, wd, cin)
+
+
 def _conv2d_gathered(x, w, b, stride):
     """conv2d as one GEMM: the gathered taps [B·Ho·Wo, kh·kw·Cin] times w.
 
     The gathered matrix stays on the tape only when w needs a gradient; dw is
-    then one GEMM on it. dx takes the narrow side. With stride > 1 or
-    Cout > Cin it is col2im: one GEMM g @ wᵀ to [B·Ho·Wo, kh·kw·Cin], then
-    one strided add per tap into the padded dx. Otherwise it is the same
-    gather, stride 1, of the padded output gradient times the flipped,
-    transposed kernel.
+    then one GEMM on it. dx is `_conv_dx`.
     """
     kh, kw, cin, cout = w.data.shape
     n, h, wd, _ = x.data.shape
-    ph, pw = kh // 2, kw // 2
     ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
-    cols = _gather(_zero_padded(x.data, h, wd, ph, pw), kh, kw, stride, ho, wo)
+    cols = _gather(_zero_padded(x.data, h, wd, kh // 2, kw // 2), kh, kw, stride, ho, wo)
     out = (cols @ w.data.reshape(-1, cout)).reshape(n, ho, wo, cout) + b.data
     cols = cols if w.requires_grad else None
 
     def vjp(g):
         g2 = g.reshape(-1, cout)
-        dw = (cols.T @ g2).reshape(w.data.shape) if w.requires_grad else None
-        dx = None
-        if x.requires_grad and (stride > 1 or cout > cin):
-            dcols = (g2 @ w.data.reshape(-1, cout).T).reshape(n, ho, wo, kh, kw, cin)
-            dx = np.zeros((n, h + 2 * ph, wd + 2 * pw, cin))
-            for i, j, tap in _tap_slices(kh, kw, stride, ho, wo):
-                dx[tap] += dcols[:, :, :, i, j]
-            dx = dx[:, ph: ph + h, pw: pw + wd]
-        elif x.requires_grad:
-            w_flip = w.data[::-1, ::-1].swapaxes(2, 3).reshape(-1, cin)
-            dx = _gather(_zero_padded(g, h, wd, ph, pw), kh, kw, 1, h, wd) @ w_flip
-            dx = dx.reshape(n, h, wd, cin)
-        return dx, dw, g2.sum(axis=0) if b.requires_grad else None
+        return (_conv_dx(g, w.data, h, wd, stride) if x.requires_grad else None,
+                (cols.T @ g2).reshape(w.data.shape) if w.requires_grad else None,
+                g2.sum(axis=0) if b.requires_grad else None)
 
     return _node(out, (x, w, b), vjp)
 
 
 def _conv2d_taps(x, w, b, stride):
-    """conv2d as shift-and-GEMM, one GEMM per kernel tap over the padded input.
+    """conv2d as shift-and-GEMM: the sum over kernel taps (i, j) of the tap's
+    strided slice of the zero-padded input, reshaped to [B·Ho·Wo, Cin], times
+    w[i, j], one GEMM per tap.
 
     dw is one GEMM: the input [B·H·W, Cin] against the output gradient
     gathered, stride 1, from its zero-dilated, padded copy
-    [B·H·W, kh·kw·Cout], whose taps come out flipped. dx is the same
-    correlation, stride 1, of that padded gradient with the flipped,
-    transposed kernel w[::-1, ::-1].swapaxes(2, 3).
+    [B·H·W, kh·kw·Cout], whose taps come out flipped. dx is `_conv_dx`.
     """
     kh, kw, cin, cout = w.data.shape
     n, h, wd, _ = x.data.shape
     ph, pw = kh // 2, kw // 2
     ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
     xp = _zero_padded(x.data, h, wd, ph, pw)
-    out = _correlate(xp, w.data, stride, ho, wo).reshape(n, ho, wo, cout) + b.data
+    out = np.zeros((n * ho * wo, cout))
+    for i, j, tap in _tap_slices(kh, kw, stride, ho, wo):
+        out += xp[tap].reshape(-1, cin) @ w.data[i, j]
+    out = out.reshape(n, ho, wo, cout) + b.data
 
     def vjp(g):
-        gp = _zero_padded(g, h, wd, ph, pw, step=stride)
         dw = None
         if w.requires_grad:
+            gp = _zero_padded(g, h, wd, ph, pw, step=stride)
             dw = x.data.reshape(-1, cin).T @ _gather(gp, kh, kw, 1, h, wd)
             dw = dw.reshape(cin, kh, kw, cout)[:, ::-1, ::-1].transpose(1, 2, 0, 3)
-        dx = None
-        if x.requires_grad:
-            dx = _correlate(gp, w.data[::-1, ::-1].swapaxes(2, 3), 1, h, wd)
-            dx = dx.reshape(n, h, wd, cin)
-        return dx, dw, g.reshape(-1, cout).sum(axis=0) if b.requires_grad else None
+        return (_conv_dx(g, w.data, h, wd, stride) if x.requires_grad else None, dw,
+                g.reshape(-1, cout).sum(axis=0) if b.requires_grad else None)
 
     return _node(out, (x, w, b), vjp)
 
@@ -454,10 +427,12 @@ _GATHER_LIMIT = 1 << 17
 def _conv2d_kernel(x_shape, w_shape, stride):
     """The kernel conv2d runs for an input of `x_shape` and a kernel of `w_shape`.
 
-    Unrolled when the image has no more pixels than the kernel has taps and
-    at least H·W·Ho·Wo rows, so that building M costs no more than the rows it
-    serves; gathered when the gathered matrix has at most _GATHER_LIMIT
-    elements; shift-and-GEMM otherwise.
+    - unrolled (`_conv2d_unrolled`) when the image has no more pixels than the
+      kernel has taps and at least H·W·Ho·Wo rows, so that building the
+      unrolled kernel costs no more than the rows it serves;
+    - gathered (`_conv2d_gathered`) when the gathered matrix
+      [B·Ho·Wo, kh·kw·Cin] has at most _GATHER_LIMIT elements;
+    - shift-and-GEMM (`_conv2d_taps`) otherwise.
     """
     n, h, wd, cin = x_shape
     kh, kw = w_shape[:2]
@@ -473,20 +448,8 @@ def conv2d(x, w, b, stride=1):
     """Same-padded 2-D convolution, channels last.
 
     x: [B, H, W, Cin], w: [kh, kw, Cin, Cout], b: [Cout]; odd kernel sizes only.
-    Three kernels compute it; `_conv2d_kernel` picks one from the shapes:
-
-    - unrolled (`_conv2d_unrolled`): one GEMM against the kernel unrolled to
-      [H·W·Cin, Ho·Wo·Cout], for images with H·W <= kh·kw and B >= H·W·Ho·Wo;
-      the unrolled kernel and dw are one GEMM each with a cached tap selector;
-    - gathered (`_conv2d_gathered`): one GEMM on the taps gathered once into
-      [B·Ho·Wo, kh·kw·Cin], kept for dw, while that matrix is small; dx by
-      col2im when stride > 1 or Cout > Cin, else by gathering the gradient;
-    - shift-and-GEMM (`_conv2d_taps`): one GEMM per tap on strided slices of
-      the zero-padded input, for wide inputs; dw one GEMM on the gathered
-      output gradient.
-
-    Every kernel computes dx only when x needs a gradient (not for a data
-    input), and dx runs inside the kernel, not through `conv2d`.
+    `_conv2d_kernel` picks the kernel that computes it from the shapes. Every
+    kernel computes dx only when x needs a gradient (not for a data input).
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     return _conv2d_kernel(x.data.shape, w.data.shape, stride)(x, w, b, stride)

@@ -16,9 +16,9 @@ from .grid import (
     Climatology,
     DownsampleSpec,
     GridField,
+    coarsen,
     day_of_year,
     interp_upsample,
-    window_mean_time,
 )
 
 
@@ -95,6 +95,4 @@ def bcsd_pipeline(y: GridField, member_clim: Climatology, target_coarse_clim: Cl
 
 def daily_means(fld: GridField) -> GridField:
     """Daily-mean view of a fine-cadence field (helper for climatology fitting)."""
-    steps_per_day = 24 // fld.dt_hours
-    data = window_mean_time(fld.data, steps_per_day)
-    return GridField(data, fld.time0, 24, fld.lon, fld.lat, fld.var_names, fld.member_id)
+    return coarsen(fld, DownsampleSpec(1, 24 // fld.dt_hours))

@@ -49,7 +49,7 @@ from .metrics import (
     temporal_psd_error,
     wasserstein1,
 )
-from .multidiffusion import partition, sample_long
+from .multidiffusion import sample_long
 from .cyclones import detect_cyclones
 from .nets import DivergenceError
 from .plots import curves_svg, heatmap_svg
@@ -104,6 +104,21 @@ def _sr_config(cfg):
 
 def _train_hours(cfg):
     return cfg["synth"]["train_days"] * 24
+
+
+def _check_sample(cfg):
+    """The sample window's cross-key rules, checked before any stage runs."""
+    s, synth, window_days = cfg["sample"], cfg["synth"], cfg["sr"]["window_days"]
+    if s["windows"] * (window_days - 1) != s["length_days"] - 1:
+        raise ConfigError(
+            f"sample.windows = {s['windows']} does not tile sample.length_days = "
+            f"{s['length_days']} with windows of sr.window_days = {window_days} that overlap "
+            "by one day: windows must be (length_days - 1) / (window_days - 1)")
+    end = synth["train_days"] + s["start_day"] + s["length_days"]
+    if end > synth["n_days"]:
+        raise ConfigError(
+            f"the sample window ends on day {end}, past synth.n_days = {synth['n_days']}: "
+            "train_days + start_day + length_days must not exceed n_days")
 
 
 def _write_once(run_dir, rel):
@@ -211,10 +226,7 @@ def stage_baseline_qm(cfg, run_dir):
 
 def _sample_window_hours(cfg):
     start_day = cfg["synth"]["train_days"] + cfg["sample"]["start_day"]
-    length = cfg["sample"]["length_days"]
-    if start_day + length > cfg["synth"]["n_days"]:
-        raise StageError("sample window extends past the generated series")
-    return start_day * 24, (start_day + length) * 24
+    return start_day * 24, (start_day + cfg["sample"]["length_days"]) * 24
 
 
 def stage_baseline_bcsd(cfg, run_dir):
@@ -250,18 +262,10 @@ def stage_sample(cfg, run_dir, source="debiased"):
     coarse = read_array(_require(run_dir / input_dir / f"{cfg['sample']['member']}.npy",
                                  input_stage))
     h0, h1 = _sample_window_hours(cfg)
-    window = coarse.time_slice(h0, h1)
-    spd = model.spec.temporal_window
-    n_windows = cfg["sample"]["windows"]
-    layout = partition(cfg["sample"]["length_days"] * spd, model.window_days * spd, spd)
-    if layout.n_windows != n_windows:
-        raise StageError(
-            f"length {cfg['sample']['length_days']} days implies "
-            f"{layout.n_windows} windows, config says {n_windows}")
     rng = np.random.default_rng(np.random.SeedSequence(
         (cfg["pipeline"]["rng_seed"], 4, stream)))
-    result = sample_long(model, window, n_windows, guidance=cfg["sample"]["guidance"],
-                         rng=rng)
+    result = sample_long(model, coarse.time_slice(h0, h1), cfg["sample"]["windows"],
+                         guidance=cfg["sample"]["guidance"], rng=rng)
     write_array(result, _write_once(run_dir, f"samples/{tag}.npy"))
     return 0
 
@@ -417,6 +421,7 @@ def main(argv=None):
     try:
         cfg = parse_config(args.config) if args.config else default_config()
         apply_overrides(cfg, args.overrides)
+        _check_sample(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

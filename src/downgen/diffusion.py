@@ -95,9 +95,7 @@ def perturb(z0, sigma, eps):
     sigma = np.asarray(sigma, dtype=np.float64)
     if (sigma <= 0).any():
         raise ValueError("sigma must be positive")
-    if sigma.ndim > 0:
-        sigma = sigma.reshape(sigma.shape + (1,) * (z0.ndim - sigma.ndim))
-    return z0 + sigma * eps
+    return z0 + sigma.reshape(sigma.shape + (1,) * (z0.ndim - sigma.ndim)) * eps
 
 
 def sde_step_exponential(z, sigma_hi, sigma_lo, d, eps):

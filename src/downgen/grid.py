@@ -237,6 +237,15 @@ def write_array(fld: GridField, path) -> None:
         sidecar_tmp.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
 
 
+def read_json(path):
+    """The JSON document in `path`; one that does not decode fails naming the file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except ValueError as exc:
+        raise GridFormatError(f"{path}: not valid JSON ({exc})") from exc
+
+
 def read_array(path) -> GridField:
     """Read a field written by :func:`write_array`, validating the format."""
     path = Path(path)
@@ -244,8 +253,7 @@ def read_array(path) -> GridField:
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         raise GridFormatError(f"missing sidecar manifest {sidecar}")
-    with open(sidecar, encoding="utf-8") as f:
-        manifest = json.load(f)
+    manifest = read_json(sidecar)
     try:
         return GridField(
             data=data,
@@ -332,8 +340,6 @@ def compute_ensemble_stats(fld: GridField) -> EnsembleStats:
 
 def block_mean_space(data, factor):
     """Spatial block mean over factor x factor cells; data [T, NX, NY, V]."""
-    if factor == 1:
-        return data.copy()
     t, nx, ny, nv = data.shape
     if nx % factor or ny % factor:
         raise ValueError(f"grid {nx}x{ny} not divisible by spatial factor {factor}")
@@ -342,8 +348,6 @@ def block_mean_space(data, factor):
 
 def window_mean_time(data, window):
     """Mean over consecutive windows of `window` steps; data [T, ...]."""
-    if window == 1:
-        return data.copy()
     t = data.shape[0]
     if t % window:
         raise ValueError(f"series length {t} not divisible by temporal window {window}")
@@ -391,8 +395,6 @@ def cubic_upsample_space(data, factor):
 
 def repeat_time(data, window):
     """Replicate each step `window` times along the time axis."""
-    if window == 1:
-        return data.copy()
     return np.repeat(data, window, axis=0)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .grid import GridFormatError, read_npy, write_npy
+from .grid import GridFormatError, read_json, read_npy, write_npy
 
 
 class DivergenceError(RuntimeError):
@@ -335,13 +335,16 @@ def save_checkpoint(ckpt_dir, arrays: dict, meta: dict) -> None:
 
 def load_checkpoint(ckpt_dir):
     ckpt_dir = Path(ckpt_dir)
-    with open(ckpt_dir / "manifest.json", encoding="utf-8") as f:
-        manifest = json.load(f)
+    path = ckpt_dir / "manifest.json"
+    manifest = read_json(path)
     arrays = {}
-    for name, entry in manifest["tensors"].items():
-        arr = read_npy(ckpt_dir / entry["file"])
-        if list(arr.shape) != entry["shape"]:
-            raise GridFormatError(f"{ckpt_dir / entry['file']}: tensor {name} has shape "
-                                  f"{arr.shape}, manifest says {entry['shape']}")
-        arrays[name] = arr
-    return arrays, manifest["meta"]
+    try:
+        for name, entry in manifest["tensors"].items():
+            arr = read_npy(ckpt_dir / entry["file"])
+            if list(arr.shape) != entry["shape"]:
+                raise GridFormatError(f"{ckpt_dir / entry['file']}: tensor {name} has shape "
+                                      f"{arr.shape}, manifest says {entry['shape']}")
+            arrays[name] = arr
+        return arrays, manifest["meta"]
+    except KeyError as exc:
+        raise GridFormatError(f"{path}: missing manifest key {exc}") from exc

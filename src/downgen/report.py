@@ -67,12 +67,3 @@ class MetricReport:
                         row.append("")
                 writer.writerow(row)
 
-
-def read_metrics_csv(path):
-    """Rows of metrics.csv as a list of dicts (value parsed to float)."""
-    out = []
-    with open(path, newline="", encoding="utf-8") as f:
-        for row in csv.DictReader(f):
-            row["value"] = float(row["value"])
-            out.append(row)
-    return out

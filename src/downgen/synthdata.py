@@ -179,15 +179,23 @@ def _member_corr_chol(shrink):
     return np.linalg.cholesky(corr)
 
 
+def _field(cfg: SynthConfig, stream, bias: BiasSpec):
+    """[T, NX, NY, V] fine data under `bias`, drawn from the seed sequence
+    (cfg.rng_seed, *stream)."""
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.rng_seed, *stream)))
+    noise = _correlated_noise(rng, cfg.n_steps, cfg.nx, cfg.ny,
+                              cfg.spectral_slope + bias.spectral_tilt,
+                              _member_corr_chol(bias.corr_shrink), ar1=cfg.noise_ar1)
+    noise *= cfg.noise_amp * np.sqrt(bias.var_scale)
+    structured = _structured_signal(cfg, season_phase_days=bias.season_phase_days)
+    return _assemble(cfg, structured, noise, mean_offset=bias.mean_offset)
+
+
 def gen_fine_ensemble(cfg: SynthConfig) -> GridField:
-    """Fine-resolution truth series; deterministic given cfg.rng_seed."""
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.rng_seed, _FINE_STREAM)))
-    noise = _correlated_noise(rng, cfg.n_steps, cfg.nx, cfg.ny, cfg.spectral_slope,
-                              np.linalg.cholesky(VAR_CORR), ar1=cfg.noise_ar1)
-    noise *= cfg.noise_amp
-    data = _assemble(cfg, _structured_signal(cfg), noise)
+    """Fine-resolution truth series, unbiased; deterministic given cfg.rng_seed."""
     lon, lat = cfg.grid_coords()
-    return GridField(data, 0, cfg.dt_hours, lon, lat, VAR_NAMES, member_id="truth")
+    return GridField(_field(cfg, (_FINE_STREAM,), BiasSpec()), 0, cfg.dt_hours, lon, lat,
+                     VAR_NAMES, member_id="truth")
 
 
 def gen_biased_coarse_ensemble(cfg: SynthConfig, fine: GridField) -> list:
@@ -196,22 +204,11 @@ def gen_biased_coarse_ensemble(cfg: SynthConfig, fine: GridField) -> list:
     Members are freshly sampled (no pairing with the truth); the truth field is
     used only for calendar alignment.
     """
-    members = []
-    bias = cfg.bias
-    chol = _member_corr_chol(bias.corr_shrink)
-    structured = _structured_signal(cfg, season_phase_days=bias.season_phase_days)
-    for idx in range(cfg.n_members):
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.rng_seed, _MEMBER_STREAM, idx)))
-        noise = _correlated_noise(rng, cfg.n_steps, cfg.nx, cfg.ny,
-                                  cfg.spectral_slope + bias.spectral_tilt, chol,
-                                  ar1=cfg.noise_ar1)
-        noise *= cfg.noise_amp * np.sqrt(bias.var_scale)
-        data = _assemble(cfg, structured, noise, mean_offset=bias.mean_offset)
-        lon, lat = cfg.grid_coords()
-        member_fine = GridField(data, fine.time0, cfg.dt_hours, lon, lat, VAR_NAMES,
-                                member_id=f"m{idx:03d}")
-        members.append(coarsen(member_fine, cfg.downsample))
-    return members
+    lon, lat = cfg.grid_coords()
+    return [coarsen(GridField(_field(cfg, (_MEMBER_STREAM, idx), cfg.bias), fine.time0,
+                              cfg.dt_hours, lon, lat, VAR_NAMES, member_id=f"m{idx:03d}"),
+                    cfg.downsample)
+            for idx in range(cfg.n_members)]
 
 
 def make_synth_pair(cfg: SynthConfig) -> SynthPair:

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import json
 import re
 from pathlib import Path
 
@@ -22,7 +24,6 @@ from downgen.diffusion import NoiseSchedule, SRTrainConfig
 from downgen.grid import GridField, read_array, write_array
 from downgen.nets import DivergenceError
 from downgen.reflow import CouplingConfig, ReflowTrainConfig
-from downgen.report import read_metrics_csv
 from downgen.synthdata import VAR_NAMES, BiasSpec, SynthConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -301,6 +302,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{path}: truncated payload" in err
 
+    @pytest.mark.parametrize("rel, corrupt", [
+        ("data/members/m000.npy.json", lambda text: text[:13]),
+        ("models/debias/manifest.json", lambda text: text[:13]),
+        ("models/debias/manifest.json",
+         lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "tensors"})),
+    ], ids=["truncated-sidecar", "truncated-manifest", "manifest-without-tensors"])
+    def test_corrupt_json_exits_1_naming_file(self, tiny_config, tmp_path, capsys, rel, corrupt):
+        out = tmp_path / "run"
+        args = ["--config", str(tiny_config), "--out", str(out), "--set", "debias.steps=2"]
+        assert main(["gen-data"] + args) == 0
+        assert main(["train-debias"] + args) == 0
+        path = out / rel
+        path.write_text(corrupt(path.read_text()))
+        capsys.readouterr()
+        assert main(["debias"] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+
+    @pytest.mark.parametrize("override, message", [
+        ("sample.windows=3", "sample.windows"),
+        ("sample.start_day=8", "synth.n_days"),
+    ], ids=["windows-do-not-tile-length", "window-past-n-days"])
+    def test_inconsistent_sample_settings_exit_2_writing_nothing(self, tiny_config, tmp_path,
+                                                                 capsys, override, message):
+        out = tmp_path / "run"
+        code = main(["gen-data", "--config", str(tiny_config), "--out", str(out),
+                     "--set", override])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_write_once(self, tiny_config, tmp_path):
         out = tmp_path / "run"
         assert main(["gen-data", "--config", str(tiny_config), "--out", str(out)]) == 0
@@ -427,7 +459,8 @@ class TestEndToEnd:
         assert not (e2e_run / "manifest.json").exists()
 
     def test_metrics_cover_all_methods(self, e2e_run):
-        rows = read_metrics_csv(e2e_run / "metrics" / "metrics.csv")
+        with open(e2e_run / "metrics" / "metrics.csv", newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
         methods = {r["method"] for r in rows}
         assert methods == {"downgen", "bcsd", "qmsr", "sr"}
         metrics = {r["metric"] for r in rows}
