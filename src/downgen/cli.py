@@ -49,7 +49,7 @@ from .metrics import (
     temporal_psd_error,
     wasserstein1,
 )
-from .multidiffusion import sample_long
+from .multidiffusion import WindowLayout, sample_long
 from .cyclones import detect_cyclones
 from .nets import DivergenceError
 from .plots import curves_svg, heatmap_svg
@@ -109,11 +109,15 @@ def _train_hours(cfg):
 def _check_sample(cfg):
     """The sample window's cross-key rules, checked before any stage runs."""
     s, synth, window_days = cfg["sample"], cfg["synth"], cfg["sr"]["window_days"]
-    if s["windows"] * (window_days - 1) != s["length_days"] - 1:
-        raise ConfigError(
-            f"sample.windows = {s['windows']} does not tile sample.length_days = "
-            f"{s['length_days']} with windows of sr.window_days = {window_days} that overlap "
-            "by one day: windows must be (length_days - 1) / (window_days - 1)")
+    tiling = (f"sample.windows = {s['windows']} windows of sr.window_days = {window_days} "
+              "that overlap by one day")
+    try:
+        days = WindowLayout(s["windows"], window_days, 1).total_len
+    except ValueError as exc:
+        raise ConfigError(f"{tiling}: {exc}") from exc
+    if days != s["length_days"]:
+        raise ConfigError(f"{tiling} cover {days} days, not sample.length_days = "
+                          f"{s['length_days']}")
     end = synth["train_days"] + s["start_day"] + s["length_days"]
     if end > synth["n_days"]:
         raise ConfigError(

@@ -119,21 +119,19 @@ class SRNormalization:
     cond_stats: EnsembleStats
 
 
-def fit_training_pair(x: GridField, spec: DownsampleSpec, grouping=(DAYS_PER_YEAR, None)):
-    """Fit the normalization on training truth and build its training pair.
+def fit_training_pair(x: GridField, spec: DownsampleSpec, grouping):
+    """Fit the normalization on training truth and build its training pair; the
+    residual climatology is grouped by `grouping` = (doy_buckets, tod_buckets).
 
     Returns (norm, r_tilde, coarse): the residual climatology and coarse-input
     stats, the normalized residual r = x - upsample(coarsen(x)) and the coarse
     field coarsen(x) itself. x = upsample(y') + clim_mean + clim_std * r_tilde
     holds exactly.
     """
-    doy_buckets, tod_buckets = grouping
-    if tod_buckets is None:
-        tod_buckets = 24 // x.dt_hours
     coarse = coarsen(x, spec)
     r = interp_upsample(coarse, spec).data
     np.subtract(x.data, r, out=r)
-    clim = compute_climatology(x.with_data(r), (doy_buckets, tod_buckets))
+    clim = compute_climatology(x.with_data(r), grouping)
     norm = SRNormalization(residual_clim=clim, cond_stats=compute_ensemble_stats(coarse))
     times = x.time_coords
     r -= clim.lookup_mean(times)
@@ -285,6 +283,7 @@ def save_sr(model: SRModel, ckpt_dir, opt_state=None) -> None:
 
 def load_sr(ckpt_dir) -> SRModel:
     arrays, meta = load_checkpoint(ckpt_dir)
+    meta.check_kind("sr")
     params = {k[len("param/"):]: v for k, v in arrays.items() if k.startswith("param/")}
     valid = arrays["clim/valid"].astype(bool) if "clim/valid" in arrays else None
     clim = Climatology(meta["clim_buckets"][0], meta["clim_buckets"][1],

@@ -86,6 +86,14 @@ class GridField:
         return replace(self, data=self.data[idx], time0=int(times[idx[0]]))
 
 
+def group_index(times, grouping):
+    """Climatology group of each timestamp under (doy_buckets, tod_buckets)."""
+    doy_buckets, tod_buckets = grouping
+    doy_b = (day_of_year(times) * doy_buckets) // DAYS_PER_YEAR
+    tod_b = (hour_of_day(times) * tod_buckets) // HOURS_PER_DAY
+    return doy_b * tod_buckets + tod_b
+
+
 def day_of_year(times):
     return (np.asarray(times) // HOURS_PER_DAY) % DAYS_PER_YEAR
 
@@ -120,17 +128,8 @@ class Climatology:
     std: np.ndarray
     valid: np.ndarray | None = None  # [G] bool; None means fully populated
 
-    @property
-    def n_groups(self):
-        return self.doy_buckets * self.tod_buckets
-
-    def group_index(self, times):
-        doy_b = (day_of_year(times) * self.doy_buckets) // DAYS_PER_YEAR
-        tod_b = (hour_of_day(times) * self.tod_buckets) // HOURS_PER_DAY
-        return doy_b * self.tod_buckets + tod_b
-
     def _checked_index(self, times):
-        gid = self.group_index(times)
+        gid = group_index(times, (self.doy_buckets, self.tod_buckets))
         if self.valid is not None and not self.valid[gid].all():
             missing = np.unique(np.asarray(gid)[~self.valid[gid]])
             raise ValueError(f"missing climatology group(s) {missing.tolist()}")
@@ -237,13 +236,17 @@ def write_array(fld: GridField, path) -> None:
         sidecar_tmp.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
 
 
-def read_json(path):
-    """The JSON document in `path`; one that does not decode fails naming the file."""
+def read_json(path) -> dict:
+    """The JSON object in `path`; a document that does not decode, or is not an
+    object, fails naming the file."""
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            doc = json.load(f)
     except ValueError as exc:
         raise GridFormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise GridFormatError(f"{path}: expected a JSON object, not {type(doc).__name__}")
+    return doc
 
 
 def read_array(path) -> GridField:
@@ -293,26 +296,16 @@ def _group_sums(gid, data, n_groups):
     return counts, sums, sqsums
 
 
-def compute_climatology(fields, grouping) -> Climatology:
-    """Grouped per-pixel sample mean and population std over one or more fields.
+def compute_climatology(fld: GridField, grouping) -> Climatology:
+    """Grouped per-pixel sample mean and population std of `fld`.
 
     Every observed group must receive at least two samples; groups outside the
     data's calendar coverage are marked invalid.
     """
-    if isinstance(fields, GridField):
-        fields = [fields]
-    if not fields:
-        raise ValueError("no fields given")
     doy_buckets, tod_buckets = grouping
     n_groups = doy_buckets * tod_buckets
-    pix_shape = fields[0].data.shape[1:]
-    if any(fld.data.shape[1:] != pix_shape for fld in fields):
-        raise ValueError("all fields must share the same grid")
-    probe = Climatology(doy_buckets, tod_buckets,
-                        np.zeros((n_groups,) + pix_shape), np.ones((n_groups,) + pix_shape))
-    gid = np.concatenate([probe.group_index(fld.time_coords) for fld in fields])
-    data = fields[0].data if len(fields) == 1 else np.concatenate([f.data for f in fields])
-    counts, sums, sqsums = _group_sums(gid, data, n_groups)
+    counts, sums, sqsums = _group_sums(group_index(fld.time_coords, grouping), fld.data,
+                                       n_groups)
     if (counts == 1).any():
         bad = int(np.nonzero(counts == 1)[0][0])
         raise ValueError(f"climatology group {bad} has a single sample (need >= 2)")
@@ -423,25 +416,3 @@ def interp_upsample(fld: GridField, spec: DownsampleSpec) -> GridField:
         raise ValueError("coarse dt not divisible by temporal window")
     return GridField(data, fld.time0, fld.dt_hours // spec.temporal_window,
                      lon, lat, fld.var_names, fld.member_id)
-
-
-def zonal_weighted_rolling_mean(fld: GridField, lat_band, window_steps):
-    """cos(lat)-weighted spatial mean inside a latitude band, boxcar-filtered in time.
-
-    Returns (times, values [T', V]) cropped by half a window on each side.
-    """
-    lo, hi = lat_band
-    sel = np.nonzero((fld.lat >= lo) & (fld.lat <= hi))[0]
-    if sel.size == 0:
-        raise ValueError(f"latitude band [{lo}, {hi}] selects no rows")
-    w = np.cos(np.deg2rad(fld.lat[sel]))
-    w = w / w.sum()
-    series = np.einsum("txyv,y->tv", fld.data[:, :, sel, :], w) / fld.data.shape[1]
-    t = series.shape[0]
-    if window_steps > t:
-        raise ValueError(f"rolling window {window_steps} longer than series length {t}")
-    kernel = np.full(window_steps, 1.0 / window_steps)
-    out = np.stack([np.convolve(series[:, v], kernel, mode="valid")
-                    for v in range(series.shape[1])], axis=1)
-    times = fld.time_coords[(window_steps - 1) // 2:][: out.shape[0]]
-    return times, out

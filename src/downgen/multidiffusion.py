@@ -23,6 +23,10 @@ from .parallel import pmap  # noqa: F401  not called here; perfbench/tracing.py 
 
 @dataclass
 class WindowLayout:
+    """The tiling rule: n_windows windows whose neighbors share `overlap` steps
+    cover total_len steps. The CLI checks the sample window with it in days,
+    `sample_long` in fine steps."""
+
     n_windows: int
     window_len: int   # steps per window
     overlap: int      # shared steps between neighbors
@@ -43,29 +47,10 @@ class WindowLayout:
     def total_len(self):
         return self.n_windows * self.stride + self.overlap
 
-    @property
-    def starts(self):
-        return [j * self.stride for j in range(self.n_windows)]
-
     def windows(self, full):
         """Read-only view [n_windows, window_len, ...] of a [total_len, ...] array."""
         view = np.lib.stride_tricks.sliding_window_view(full, self.window_len, axis=0)
         return np.moveaxis(view[:: self.stride], -1, 1)
-
-
-def partition(total_len, window_len, overlap) -> WindowLayout:
-    """Exact covering of [0, total_len) by fixed-overlap windows."""
-    stride = window_len - overlap
-    if stride <= 0:
-        raise ValueError("window_len must exceed overlap")
-    if (total_len - overlap) % stride:
-        raise ValueError(
-            f"total length {total_len} does not fit windows of {window_len} "
-            f"with overlap {overlap}")
-    m = (total_len - overlap) // stride
-    layout = WindowLayout(m, window_len, overlap)
-    assert layout.total_len == total_len
-    return layout
 
 
 def consolidate(ds, layout: WindowLayout):

@@ -333,7 +333,26 @@ def save_checkpoint(ckpt_dir, arrays: dict, meta: dict) -> None:
         f.write("\n")
 
 
+class CheckpointMeta(dict):
+    """A checkpoint manifest's `meta` object; a missing key, or a checkpoint of
+    another kind, fails naming the manifest."""
+
+    def __init__(self, path, meta):
+        if not isinstance(meta, dict):
+            raise GridFormatError(f"{path}: manifest key 'meta' is not an object")
+        super().__init__(meta)
+        self.path = path
+
+    def __missing__(self, key):
+        raise GridFormatError(f"{self.path}: missing meta key {key!r}")
+
+    def check_kind(self, kind):
+        if self["kind"] != kind:
+            raise GridFormatError(f"{self.path}: a {self['kind']!r} checkpoint, not {kind!r}")
+
+
 def load_checkpoint(ckpt_dir):
+    """(tensors by name, CheckpointMeta) of a checkpoint directory."""
     ckpt_dir = Path(ckpt_dir)
     path = ckpt_dir / "manifest.json"
     manifest = read_json(path)
@@ -345,6 +364,6 @@ def load_checkpoint(ckpt_dir):
                 raise GridFormatError(f"{ckpt_dir / entry['file']}: tensor {name} has shape "
                                       f"{arr.shape}, manifest says {entry['shape']}")
             arrays[name] = arr
-        return arrays, manifest["meta"]
+        return arrays, CheckpointMeta(path, manifest["meta"])
     except KeyError as exc:
         raise GridFormatError(f"{path}: missing manifest key {exc}") from exc

@@ -285,6 +285,7 @@ def save_reflow(model: ReflowModel, ckpt_dir, opt_state=None) -> None:
 
 def load_reflow(ckpt_dir) -> ReflowModel:
     arrays, meta = load_checkpoint(ckpt_dir)
+    meta.check_kind("reflow")
     params = {k[len("param/"):]: v for k, v in arrays.items() if k.startswith("param/")}
     member_stats = {}
     for mid in meta["members"]:

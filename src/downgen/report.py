@@ -23,19 +23,6 @@ class MetricReport:
     def add_scalar(self, metric, variable, method, value):
         self.entries.append(MetricEntry(metric, variable, method, value=float(value)))
 
-    def lookup(self, metric, variable, method):
-        for e in self.entries:
-            if (e.metric, e.variable, e.method) == (metric, variable, method):
-                return e.value
-        raise KeyError(f"no entry ({metric}, {variable}, {method})")
-
-    def methods(self):
-        seen = []
-        for e in self.entries:
-            if e.method not in seen:
-                seen.append(e.method)
-        return seen
-
     def write(self, out_dir):
         """metrics.csv with one row per entry."""
         out_dir = Path(out_dir)
@@ -49,21 +36,13 @@ class MetricReport:
 
     def write_comparison(self, path, method_order):
         """Pivoted CSV: one row per (metric, variable), one column per method."""
-        methods = [m for m in method_order if m in self.methods()]
-        keys = []
-        for e in self.entries:
-            k = (e.metric, e.variable)
-            if k not in keys:
-                keys.append(k)
+        cells = {(e.metric, e.variable, e.method): repr(e.value) for e in self.entries}
+        present = {method for _, _, method in cells}
+        methods = [m for m in method_order if m in present]
+        rows = dict.fromkeys((e.metric, e.variable) for e in self.entries)
         with open(path, "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f, quoting=csv.QUOTE_MINIMAL)
             writer.writerow(["metric", "variable"] + methods)
-            for metric, variable in keys:
-                row = [metric, variable]
-                for m in methods:
-                    try:
-                        row.append(repr(self.lookup(metric, variable, m)))
-                    except KeyError:
-                        row.append("")
-                writer.writerow(row)
-
+            for metric, variable in rows:
+                writer.writerow([metric, variable]
+                                + [cells.get((metric, variable, m), "") for m in methods])

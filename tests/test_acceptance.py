@@ -27,7 +27,6 @@ from downgen.grid import (
     coarsen,
     compute_climatology,
     compute_ensemble_stats,
-    zonal_weighted_rolling_mean,
 )
 from downgen.metrics import (
     heat_index,
@@ -59,6 +58,7 @@ from downgen.reflow import (
 from downgen.synthdata import BiasSpec, SynthConfig, gen_biased_coarse_ensemble, gen_fine_ensemble
 
 from gradcheck import finite_diff_grads, rel_error
+from zonal import zonal_weighted_rolling_mean
 
 NORM_UNITS = dict(var_bases=(0.0, 50.0, 50.0, 0.0), var_scales=(1.0, 1.0, 1.0, 1.0))
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +277,15 @@ class TestConfigRoundTrip:
             apply_overrides(default_config(), [f"sample.member={value}"])
 
 
+def _edit_json(edit):
+    """A corruption that decodes the JSON text, applies `edit` and encodes it again."""
+    def corrupt(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return corrupt
+
+
 class TestExitCodes:
     def test_unknown_config_key_exits_2(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -305,30 +315,37 @@ class TestExitCodes:
     @pytest.mark.parametrize("rel, corrupt", [
         ("data/members/m000.npy.json", lambda text: text[:13]),
         ("models/debias/manifest.json", lambda text: text[:13]),
-        ("models/debias/manifest.json",
-         lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "tensors"})),
-    ], ids=["truncated-sidecar", "truncated-manifest", "manifest-without-tensors"])
-    def test_corrupt_json_exits_1_naming_file(self, tiny_config, tmp_path, capsys, rel, corrupt):
+        ("models/debias/manifest.json", _edit_json(lambda doc: doc.pop("tensors"))),
+        ("data/members/m000.npy.json", lambda text: "[]"),
+        ("models/debias/manifest.json", lambda text: "[]"),
+        ("models/debias/manifest.json", _edit_json(lambda doc: doc["meta"].pop("arch"))),
+        ("models/debias/manifest.json", _edit_json(lambda doc: doc["meta"].update(kind="sr"))),
+    ], ids=["truncated-sidecar", "truncated-manifest", "manifest-without-tensors",
+            "sidecar-not-object", "manifest-not-object", "meta-without-arch",
+            "sr-checkpoint"])
+    def test_corrupt_json_exits_1_naming_file(self, e2e_run, tmp_path, capsys, rel, corrupt):
         out = tmp_path / "run"
-        args = ["--config", str(tiny_config), "--out", str(out), "--set", "debias.steps=2"]
-        assert main(["gen-data"] + args) == 0
-        assert main(["train-debias"] + args) == 0
+        shutil.copytree(e2e_run, out)
+        shutil.rmtree(out / "debiased")
+        before = sorted(out.rglob("*"))
         path = out / rel
         path.write_text(corrupt(path.read_text()))
         capsys.readouterr()
-        assert main(["debias"] + args) == 1
+        assert main(["debias", "--config", str(out / "config.ini"), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err
+        assert sorted(out.rglob("*")) == before
 
-    @pytest.mark.parametrize("override, message", [
-        ("sample.windows=3", "sample.windows"),
-        ("sample.start_day=8", "synth.n_days"),
-    ], ids=["windows-do-not-tile-length", "window-past-n-days"])
+    @pytest.mark.parametrize("overrides, message", [
+        (["sample.windows=3"], "sample.windows"),
+        (["sample.start_day=8"], "synth.n_days"),
+        (["sr.window_days=1", "sample.length_days=1"], "sr.window_days = 1"),
+    ], ids=["windows-do-not-tile-length", "window-past-n-days", "one-day-windows"])
     def test_inconsistent_sample_settings_exit_2_writing_nothing(self, tiny_config, tmp_path,
-                                                                 capsys, override, message):
+                                                                 capsys, overrides, message):
         out = tmp_path / "run"
-        code = main(["gen-data", "--config", str(tiny_config), "--out", str(out),
-                     "--set", override])
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        code = main(["gen-data", "--config", str(tiny_config), "--out", str(out)] + sets)
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
@@ -433,7 +450,8 @@ class TestEvaluateFields:
                                      _fine_field(4, seed=4))
         # exceedance-fraction errors 3/24 and 6/24 at two of the 16 pixels
         expected = (3 / 24 + 6 / 24) / 16
-        assert report.lookup("advisory_exceedance_mae", "heat_index", "pred") == expected
+        values = {(e.metric, e.variable, e.method): e.value for e in report.entries}
+        assert values["advisory_exceedance_mae", "heat_index", "pred"] == expected
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,6 @@ from downgen.grid import (
     HOURS_PER_DAY,
     STD_FLOOR,
     STEPS_PER_DAY,
-    Climatology,
     DownsampleSpec,
     GridField,
     GridFormatError,
@@ -18,10 +17,11 @@ from downgen.grid import (
     cubic_upsample_space,
     interp_upsample,
     read_array,
+    group_index,
     write_array,
-    zonal_weighted_rolling_mean,
 )
 from downgen.nets import load_checkpoint, save_checkpoint
+from zonal import zonal_weighted_rolling_mean
 
 
 def make_field(data, dt_hours=2, time0=0, member_id=None):
@@ -186,18 +186,15 @@ class TestClimatology:
         np.testing.assert_allclose(clim.lookup_mean(np.array([2])), 0.0)
 
 
-def climatology_add_at(fields, grouping):
+def climatology_add_at(fld, grouping):
     """Grouped mean and std accumulated with np.add.at, as a reference."""
     n_groups = grouping[0] * grouping[1]
-    pix = fields[0].data.shape[1:]
-    probe = Climatology(*grouping, np.zeros((n_groups,) + pix), np.ones((n_groups,) + pix))
-    counts = np.zeros(n_groups, dtype=np.int64)
+    pix = fld.data.shape[1:]
+    gid = group_index(fld.time_coords, grouping)
+    counts = np.bincount(gid, minlength=n_groups)
     sums, sqsums = np.zeros((n_groups,) + pix), np.zeros((n_groups,) + pix)
-    for fld in fields:
-        gid = probe.group_index(fld.time_coords)
-        counts += np.bincount(gid, minlength=n_groups)
-        np.add.at(sums, gid, fld.data)
-        np.add.at(sqsums, gid, fld.data ** 2)
+    np.add.at(sums, gid, fld.data)
+    np.add.at(sqsums, gid, fld.data ** 2)
     safe = np.maximum(counts, 1)[:, None, None, None]
     mean = sums / safe
     std = np.maximum(np.sqrt(np.maximum(sqsums / safe - mean ** 2, 0.0)), STD_FLOOR)
@@ -205,21 +202,18 @@ def climatology_add_at(fields, grouping):
 
 
 class TestClimatologyMatchesAddAt:
-    # two fields covering days 0-99 of two years: a partial year, every
-    # (day, step) seen twice; some values are -0.0 or 0.0
+    # hourly steps over days 0-99: a partial year, every bi-hourly (day, step)
+    # group seen twice; some values are -0.0 or 0.0
     @pytest.mark.parametrize("grouping", [(DAYS_PER_YEAR, STEPS_PER_DAY), (36, 12),
                                           (4, 2), (1, 1)])
     def test_bitwise_equal_to_add_at(self, grouping):
         rng = np.random.default_rng(31)
-        n = 100 * STEPS_PER_DAY
-        fields = []
-        for year in range(2):
-            data = 5.0 + 3.0 * rng.standard_normal((n, 2, 3, 2))
-            data[::7, 0] = -0.0
-            data[::5, 1] = 0.0
-            fields.append(make_field(data, time0=year * DAYS_PER_YEAR * HOURS_PER_DAY))
-        clim = compute_climatology(fields, grouping)
-        mean, std = climatology_add_at(fields, grouping)
+        data = 5.0 + 3.0 * rng.standard_normal((100 * HOURS_PER_DAY, 2, 3, 2))
+        data[::7, 0] = -0.0
+        data[::5, 1] = 0.0
+        fld = make_field(data, dt_hours=1)
+        clim = compute_climatology(fld, grouping)
+        mean, std = climatology_add_at(fld, grouping)
         assert clim.mean.tobytes() == mean.tobytes()
         assert clim.std.tobytes() == std.tobytes()
         assert (clim.valid is None) == (grouping == (1, 1))

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from downgen.metrics import (
     temporal_psd_error,
     wasserstein1,
 )
+from test_bench_targets import TARGETS as BENCH_TARGETS
 
 
 def noaa_regression_oracle(tf, rh):
@@ -314,22 +316,33 @@ class TestHeatStreak:
         assert heat_streak_prob(np.full(2, 9.9), 0.0, 3, 0.0) == 0.0
 
 
+SRC = Path(__file__).resolve().parent.parent / "src" / "downgen"
+
+
+def _named(node):
+    """How often each identifier is named, as a variable or an attribute, under `node`."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
 class TestEveryFunctionReachable:
-    """Every public function of the metric modules is called by the pipeline."""
+    """Every public function, class and method of the package is reached by a
+    pipeline run: `src` names it outside its own definition, or the benchmark's
+    tracer wraps it."""
 
-    @pytest.mark.parametrize("module", ["metrics", "cyclones"])
+    TREES = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    NAMED = sum((_named(tree) for tree in TREES.values()), Counter())
+    WRAPPED = {attr for _, _, attr in BENCH_TARGETS}
+
+    @pytest.mark.parametrize("module", sorted(TREES))
     def test_named_by_cli_or_by_another_function_of_the_module(self, module):
-        src = Path(__file__).resolve().parent.parent / "src" / "downgen"
-
-        def names(node):
-            return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-        cli_names = names(ast.parse((src / "cli.py").read_text(encoding="utf-8")))
-        tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
-        functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+        tree = self.TREES[module]
+        defs = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        defs += [m for c in tree.body if isinstance(c, ast.ClassDef)
+                 for m in c.body if isinstance(m, ast.FunctionDef)]
         unreached = [
-            f.name for f in functions
-            if not f.name.startswith("_") and f.name not in cli_names
-            and not any(f.name in names(g) for g in functions if g is not f)
+            d.name for d in defs
+            if not d.name.startswith("_") and d.name not in self.WRAPPED
+            and self.NAMED[d.name] == _named(d)[d.name]
         ]
-        assert unreached == [], f"{module}.py functions no run reaches: {unreached}"
+        assert unreached == [], f"{module}.py definitions no run reaches: {unreached}"

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from downgen import multidiffusion, nets
+from downgen.cli import _check_sample
+from downgen.config import ConfigError, default_config
 from downgen.diffusion import (
     NoiseSchedule,
     SRModel,
@@ -18,7 +20,6 @@ from downgen.grid import Climatology, EnsembleStats, coarsen
 from downgen.multidiffusion import (
     WindowLayout,
     consolidate,
-    partition,
     sample_chain,
     sample_long,
 )
@@ -26,48 +27,54 @@ from downgen.nets import DivergenceError, denoiser_arch, denoiser_cond, init_par
 from downgen.synthdata import SynthConfig, gen_fine_ensemble
 
 
+def _sample_config(windows, length_days, window_days=3):
+    cfg = default_config()
+    cfg["sample"].update(windows=windows, length_days=length_days, start_day=0)
+    cfg["sr"]["window_days"] = window_days
+    return cfg
+
+
 class TestPartition:
     def test_single_window(self):
-        layout = partition(36, 36, 12)
-        assert layout.n_windows == 1
-        assert layout.starts == [0]
+        layout = WindowLayout(1, 36, 12)
         assert layout.total_len == 36
+        np.testing.assert_array_equal(layout.windows(np.arange(36)), [np.arange(36)])
 
     def test_sixteen_windows_total_396(self):
-        layout = partition(396, 36, 12)
-        assert layout.n_windows == 16
-        assert layout.total_len == 396
+        assert WindowLayout(16, 36, 12).total_len == 396
 
     def test_two_windows_geometry(self):
-        layout = partition(60, 36, 12)
-        assert layout.n_windows == 2
-        assert layout.starts == [0, 24]
+        layout = WindowLayout(2, 36, 12)
+        assert layout.total_len == 60
         # shared steps are [24, 36)
-        assert layout.starts[1] == 24 and layout.starts[0] + layout.window_len == 36
+        np.testing.assert_array_equal(layout.windows(np.arange(60)),
+                                      [np.arange(0, 36), np.arange(24, 60)])
 
     def test_length_scaling_formula(self):
         for m in range(1, 9):
-            total = m * 24 + 12
-            assert partition(total, 36, 12).n_windows == m
+            assert WindowLayout(m, 36, 12).total_len == m * 24 + 12
+            _check_sample(_sample_config(m, 2 * m + 1))   # in days: 3-day windows
 
     def test_inconsistent_length_rejected(self):
-        with pytest.raises(ValueError, match="does not fit"):
-            partition(50, 36, 12)
-        with pytest.raises(ValueError, match="exceed"):
-            partition(36, 36, 36)
+        with pytest.raises(ConfigError, match="cover 5 days, not sample.length_days = 6"):
+            _check_sample(_sample_config(2, 6))
+        with pytest.raises(ConfigError, match="sr.window_days = 1 .*overlap must satisfy"):
+            _check_sample(_sample_config(2, 1, window_days=1))
+        with pytest.raises(ValueError, match="overlap must satisfy"):
+            WindowLayout(1, 36, 36)
 
 
 class TestConsolidate:
     def test_identical_outputs_unchanged(self):
         rng = np.random.default_rng(3)
-        layout = partition(60, 36, 12)
+        layout = WindowLayout(2, 36, 12)
         traj = rng.standard_normal((60, 2, 2, 1))
         out = consolidate(np.stack([traj[:36], traj[24:]]), layout)
         np.testing.assert_array_equal(out, traj)
 
     def test_pair_average(self):
         rng = np.random.default_rng(4)
-        layout = partition(60, 36, 12)
+        layout = WindowLayout(2, 36, 12)
         ds = rng.standard_normal((2, 36, 2))
         out = consolidate(ds, layout)
         assert out[24:36].tobytes() == (0.5 * (ds[0, -12:] + ds[1, :12])).tobytes()
@@ -76,7 +83,7 @@ class TestConsolidate:
 
     def test_three_windows_middle_both_edges(self):
         rng = np.random.default_rng(5)
-        layout = partition(84, 36, 12)
+        layout = WindowLayout(3, 36, 12)
         ds = rng.standard_normal((3, 36, 2))
         orig = ds.copy()
         out = consolidate(ds, layout)
@@ -94,16 +101,16 @@ class TestConsolidate:
     def test_windows_and_stitch_property(self, n_windows, overlap, extra, seed):
         window_len = 2 * overlap + extra
         layout = WindowLayout(n_windows, window_len, overlap)
-        assert partition(layout.total_len, window_len, overlap) == layout
-        assert layout.starts[-1] + window_len == layout.total_len
+        starts = [j * layout.stride for j in range(n_windows)]
+        assert starts[-1] + window_len == layout.total_len
         ds = np.random.default_rng(seed).standard_normal((n_windows, window_len, 3))
         out = consolidate(ds, layout)
         assert out.shape == (layout.total_len, 3)
         owners = np.zeros(layout.total_len, dtype=int)
-        for s in layout.starts:
+        for s in starts:
             owners[s: s + window_len] += 1
         assert owners.max() <= 2
-        for j, s in enumerate(layout.starts):
+        for j, s in enumerate(starts):
             for t in range(window_len):
                 if owners[s + t] == 1:
                     assert out[s + t].tobytes() == ds[j, t].tobytes()
@@ -112,7 +119,7 @@ class TestConsolidate:
                     assert out[s + t].tobytes() == shared.tobytes()
         views = layout.windows(out)
         assert views.shape == ds.shape
-        for j, s in enumerate(layout.starts):
+        for j, s in enumerate(starts):
             np.testing.assert_array_equal(views[j], out[s: s + window_len])
 
 
