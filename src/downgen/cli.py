@@ -58,12 +58,14 @@ from .report import MetricReport
 from .synthdata import BiasSpec, SynthConfig, make_synth_pair
 
 METHOD_ORDER = ["downgen", "bcsd", "qmsr", "sr"]
-# sample source -> (method tag, seed stream, input directory, stage that writes it)
+# sample source -> (method tag, _SAMPLE_STREAM sub-stream, input directory, writing stage)
 _SOURCES = {
     "debiased": ("downgen", 0, "debiased", "debias"),
     "qm": ("qmsr", 1, "baselines/qm", "baseline-qm"),
     "raw": ("sr", 2, "data/members", "gen-data"),
 }
+# top-level seed streams of the CLI's draws; synthdata, reflow and diffusion own 0-3
+_SAMPLE_STREAM = 4
 _BCSD_STREAM = 5
 # fixed evaluation settings: the percentile of `mae_pXX`, and a heat streak as
 # HEAT_STREAK_DAYS days with a daily maximum HEAT_STREAK_DELTA K above climatology
@@ -267,7 +269,7 @@ def stage_sample(cfg, run_dir, source="debiased"):
                                  input_stage))
     h0, h1 = _sample_window_hours(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(
-        (cfg["pipeline"]["rng_seed"], 4, stream)))
+        (cfg["pipeline"]["rng_seed"], _SAMPLE_STREAM, stream)))
     result = sample_long(model, coarse.time_slice(h0, h1), cfg["sample"]["windows"],
                          guidance=cfg["sample"]["guidance"], rng=rng)
     write_array(result, _write_once(run_dir, f"samples/{tag}.npy"))
@@ -434,7 +436,7 @@ def main(argv=None):
         if args.command == "sample":
             return stage_sample(cfg, args.out, source=args.source)
         return STAGES[args.command](cfg, args.out)
-    except (StageError, DivergenceError, ValueError, KeyError, OSError) as exc:
+    except (StageError, DivergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -122,13 +122,11 @@ def parse_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
             parser.read_file(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config {path}: {exc}") from exc
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            _apply(cfg, section, key, raw)
+        for section in parser.sections():
+            for key, raw in parser.items(section):
+                _apply(cfg, section, key, raw)
+    except (OSError, configparser.Error, ConfigError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return cfg
 
 

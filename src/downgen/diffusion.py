@@ -10,6 +10,7 @@ the reverse chain that draws them is `multidiffusion.sample_chain`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .grid import (
     compute_climatology,
     compute_ensemble_stats,
     cubic_upsample_space,
+    exact_keys,
     interp_upsample,
     repeat_time,
 )
@@ -34,6 +36,7 @@ from .nets import (
     ArchConfig,
     DivergenceError,
     as_leaves,
+    checkpoint_net,
     collect_grads,
     denoiser_arch,
     denoiser_forward,
@@ -56,6 +59,13 @@ class NoiseSchedule:
     kind: str = "edm"   # "edm" (rho-spaced) or "tangent"
     rho: float = 7.0
 
+    def __post_init__(self):
+        self.n_grid = operator.index(self.n_grid)
+        for name in ("sigma_min", "sigma_max", "rho"):
+            setattr(self, name, float(getattr(self, name)))
+        if self.kind not in ("edm", "tangent"):
+            raise ValueError(f"unknown schedule kind {self.kind!r}")
+
     def sample_train(self, rng, n):
         return np.exp(rng.uniform(np.log(self.sigma_min), np.log(self.sigma_max), n))
 
@@ -67,14 +77,12 @@ class NoiseSchedule:
     def step_sigmas(self):
         if self.kind == "edm":
             return sigma_steps_edm(self.n_grid, self.sigma_min, self.sigma_max, self.rho)
-        if self.kind == "tangent":
-            tau = np.linspace(1.0, 0.0, self.n_grid)
-            sig = self.tangent_sigma(tau)
-            sig[-1] = self.sigma_min  # tangent schedule hits 0 at tau=0; floor for stepping
-            if not (np.diff(sig) < 0).all():
-                raise ValueError("tangent step grid is not strictly decreasing")
-            return sig
-        raise ValueError(f"unknown schedule kind {self.kind!r}")
+        tau = np.linspace(1.0, 0.0, self.n_grid)
+        sig = self.tangent_sigma(tau)
+        sig[-1] = self.sigma_min  # tangent schedule hits 0 at tau=0; floor for stepping
+        if not (np.diff(sig) < 0).all():
+            raise ValueError("tangent step grid is not strictly decreasing")
+        return sig
 
 
 def sigma_steps_edm(n=256, sigma_min=1e-4, sigma_max=80.0, rho=7.0):
@@ -261,36 +269,32 @@ def cfg_denoise(params, arch: ArchConfig, z, sigma, cond, guidance):
 
 
 def save_sr(model: SRModel, ckpt_dir, opt_state=None) -> None:
+    clim, cond_stats = model.norm.residual_clim, model.norm.cond_stats
     arrays = {f"param/{k}": v for k, v in model.params.items()}
-    arrays["clim/mean"] = model.norm.residual_clim.mean
-    arrays["clim/std"] = model.norm.residual_clim.std
-    arrays["cond_stats/mean"] = model.norm.cond_stats.mean
-    arrays["cond_stats/std"] = model.norm.cond_stats.std
-    if model.norm.residual_clim.valid is not None:
-        arrays["clim/valid"] = model.norm.residual_clim.valid.astype(np.float64)
-    meta = {
-        "kind": "sr",
-        "step": opt_state.step if opt_state is not None else 0,
-        "arch": model.arch.to_json(),
-        "clim_buckets": [model.norm.residual_clim.doy_buckets,
-                         model.norm.residual_clim.tod_buckets],
-        "schedule": asdict(model.schedule),
-        "spec": [model.spec.spatial_factor, model.spec.temporal_window],
-        "window_days": model.window_days,
-    }
+    arrays.update({"clim/mean": clim.mean, "clim/std": clim.std,
+                   "cond_stats/mean": cond_stats.mean, "cond_stats/std": cond_stats.std})
+    if clim.valid is not None:
+        arrays["clim/valid"] = clim.valid.astype(np.float64)
+    meta = {"kind": "sr", "step": opt_state.step if opt_state is not None else 0,
+            "arch": asdict(model.arch), "clim_buckets": [clim.doy_buckets, clim.tod_buckets],
+            "schedule": asdict(model.schedule), "window_days": model.window_days,
+            "spec": [model.spec.spatial_factor, model.spec.temporal_window]}
     save_checkpoint(ckpt_dir, arrays, meta)
 
 
-def load_sr(ckpt_dir) -> SRModel:
-    arrays, meta = load_checkpoint(ckpt_dir)
-    meta.check_kind("sr")
-    params = {k[len("param/"):]: v for k, v in arrays.items() if k.startswith("param/")}
+def _sr_model(arrays, meta) -> SRModel:
+    params, arch = checkpoint_net(arrays, meta["arch"])
+    doy_buckets, tod_buckets = map(operator.index, meta["clim_buckets"])
     valid = arrays["clim/valid"].astype(bool) if "clim/valid" in arrays else None
-    clim = Climatology(meta["clim_buckets"][0], meta["clim_buckets"][1],
-                       arrays["clim/mean"], arrays["clim/std"], valid=valid)
+    clim = Climatology(doy_buckets, tod_buckets, arrays["clim/mean"], arrays["clim/std"],
+                       valid=valid)
     norm = SRNormalization(clim, EnsembleStats(arrays["cond_stats/mean"],
                                                arrays["cond_stats/std"]))
-    sched = NoiseSchedule(**meta["schedule"])
-    spec = DownsampleSpec(meta["spec"][0], meta["spec"][1])
-    return SRModel(params, ArchConfig.from_json(meta["arch"]), norm, sched, spec,
-                   meta["window_days"])
+    sched = NoiseSchedule(**exact_keys(meta["schedule"], NoiseSchedule))
+    spatial_factor, temporal_window = map(operator.index, meta["spec"])
+    return SRModel(params, arch, norm, sched, DownsampleSpec(spatial_factor, temporal_window),
+                   operator.index(meta["window_days"]))
+
+
+def load_sr(ckpt_dir) -> SRModel:
+    return load_checkpoint(ckpt_dir, "sr", _sr_model)

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import shutil
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,30 @@ STD_FLOOR = 1e-6
 
 
 class GridFormatError(ValueError):
-    """Raised when an array file or its sidecar manifest is malformed."""
+    """Raised when an array file, its sidecar or a checkpoint manifest is malformed."""
+
+
+@contextmanager
+def decoding(path):
+    """A missing key, wrong type or bad value met while objects are built from the
+    document at `path` fails as a GridFormatError naming it; one that names its
+    own file passes unchanged."""
+    try:
+        yield
+    except GridFormatError:
+        raise
+    except (LookupError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise GridFormatError(f"{path}: {detail}") from exc
+
+
+def exact_keys(doc, cls):
+    """`doc` as a dict whose keys are exactly the fields of the dataclass `cls`."""
+    doc = dict(doc)
+    names = {f.name for f in fields(cls)}
+    if doc.keys() != names:
+        raise ValueError(f"keys {sorted(doc)}, expected {sorted(names)}")
+    return doc
 
 
 @dataclass
@@ -45,6 +69,10 @@ class GridField:
         self.data = np.asarray(self.data, dtype=np.float64)
         self.lon = np.asarray(self.lon, dtype=np.float64)
         self.lat = np.asarray(self.lat, dtype=np.float64)
+        if isinstance(self.var_names, str) or not all(isinstance(v, str) for v in self.var_names):
+            raise TypeError(f"var_names must be a sequence of names, not {self.var_names!r}")
+        if not isinstance(self.member_id, (str, type(None))):
+            raise TypeError(f"member_id must be a name or null, not {self.member_id!r}")
         self.var_names = tuple(self.var_names)
         if self.data.ndim != 4:
             raise ValueError(f"expected 4-axis [T, NX, NY, V] data, got shape {self.data.shape}")
@@ -54,10 +82,10 @@ class GridField:
                 f"coordinate lengths ({len(self.lon)}, {len(self.lat)}, {len(self.var_names)}) "
                 f"do not match data shape {self.data.shape}"
             )
-        if int(self.dt_hours) <= 0:
+        self.time0 = operator.index(self.time0)
+        self.dt_hours = operator.index(self.dt_hours)
+        if self.dt_hours <= 0:
             raise ValueError("dt_hours must be a positive integer")
-        self.time0 = int(self.time0)
-        self.dt_hours = int(self.dt_hours)
         if not np.isfinite(self.data).all():
             raise ValueError("field data contains non-finite values")
 
@@ -195,17 +223,11 @@ def write_npy(data, path) -> None:
 
 def read_npy(path) -> np.ndarray:
     """Read a file written by :func:`write_npy`, validating the format."""
-    with open(path, "rb") as f:
-        try:
-            version = np.lib.format.read_magic(f)
-        except ValueError as exc:
-            raise GridFormatError(f"{path}: bad magic bytes ({exc})") from exc
+    with open(path, "rb") as f, decoding(path):
+        version = np.lib.format.read_magic(f)
         if version != (1, 0):
             raise GridFormatError(f"{path}: unsupported NPY version {version}")
-        try:
-            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(f)
-        except ValueError as exc:
-            raise GridFormatError(f"{path}: unparseable NPY header ({exc})") from exc
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(f)
         if dtype != np.dtype("<f8") or fortran_order:
             raise GridFormatError(f"{path}: expected little-endian float64 C-order payload")
         count = math.prod(shape)
@@ -222,31 +244,19 @@ def write_array(fld: GridField, path) -> None:
     the field is complete.
     """
     path = Path(path)
-    manifest = {
-        "time0": int(fld.time0),
-        "dt_hours": int(fld.dt_hours),
-        "lon": [float(v) for v in fld.lon],
-        "lat": [float(v) for v in fld.lat],
-        "var_names": list(fld.var_names),
-        "member_id": fld.member_id,
-    }
+    manifest = {"time0": fld.time0, "dt_hours": fld.dt_hours, "lon": fld.lon.tolist(),
+                "lat": fld.lat.tolist(), "var_names": list(fld.var_names),
+                "member_id": fld.member_id}
     # the inner context exits first: the sidecar is in place before the array
     with staged(path) as array_tmp, staged(_sidecar_path(path)) as sidecar_tmp:
         write_npy(fld.data, array_tmp)
         sidecar_tmp.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
 
 
-def read_json(path) -> dict:
-    """The JSON object in `path`; a document that does not decode, or is not an
-    object, fails naming the file."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except ValueError as exc:
-        raise GridFormatError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise GridFormatError(f"{path}: expected a JSON object, not {type(doc).__name__}")
-    return doc
+def read_json(path):
+    """The JSON document in `path`, decoded under :func:`decoding`."""
+    with open(path, encoding="utf-8") as f, decoding(path):
+        return json.load(f)
 
 
 def read_array(path) -> GridField:
@@ -257,20 +267,9 @@ def read_array(path) -> GridField:
     if not sidecar.exists():
         raise GridFormatError(f"missing sidecar manifest {sidecar}")
     manifest = read_json(sidecar)
-    try:
-        return GridField(
-            data=data,
-            time0=manifest["time0"],
-            dt_hours=manifest["dt_hours"],
-            lon=np.array(manifest["lon"], dtype=np.float64),
-            lat=np.array(manifest["lat"], dtype=np.float64),
-            var_names=tuple(manifest["var_names"]),
-            member_id=manifest.get("member_id"),
-        )
-    except KeyError as exc:
-        raise GridFormatError(f"{sidecar}: missing manifest key {exc}") from exc
-    except ValueError as exc:
-        raise GridFormatError(f"{path}: payload/manifest mismatch: {exc}") from exc
+    with decoding(sidecar):
+        return GridField(data, manifest["time0"], manifest["dt_hours"], manifest["lon"],
+                         manifest["lat"], manifest["var_names"], manifest.get("member_id"))
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import asdict, dataclass
+import operator
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .grid import GridFormatError, read_json, read_npy, write_npy
+from .grid import GridFormatError, decoding, exact_keys, read_json, read_npy, write_npy
 
 
 class DivergenceError(RuntimeError):
@@ -37,14 +38,12 @@ class ArchConfig:
     embed_dim: int = 32
     cond_vec_dim: int = 0     # pooled conditioning vector length (0 = unused)
 
-    def to_json(self):
-        return asdict(self)
-
     @classmethod
     def from_json(cls, d):
-        d = dict(d)
-        d["levels"] = tuple(d["levels"])
-        return cls(**d)
+        """The inverse of `asdict`: every field, integers only, no other key."""
+        d = exact_keys(d, cls)
+        return cls(**{k: tuple(map(operator.index, v)) if k == "levels" else operator.index(v)
+                      for k, v in d.items()})
 
 
 def truncated_normal(rng, shape, std=0.02, bound=2.0):
@@ -333,37 +332,32 @@ def save_checkpoint(ckpt_dir, arrays: dict, meta: dict) -> None:
         f.write("\n")
 
 
-class CheckpointMeta(dict):
-    """A checkpoint manifest's `meta` object; a missing key, or a checkpoint of
-    another kind, fails naming the manifest."""
-
-    def __init__(self, path, meta):
-        if not isinstance(meta, dict):
-            raise GridFormatError(f"{path}: manifest key 'meta' is not an object")
-        super().__init__(meta)
-        self.path = path
-
-    def __missing__(self, key):
-        raise GridFormatError(f"{self.path}: missing meta key {key!r}")
-
-    def check_kind(self, kind):
-        if self["kind"] != kind:
-            raise GridFormatError(f"{self.path}: a {self['kind']!r} checkpoint, not {kind!r}")
-
-
-def load_checkpoint(ckpt_dir):
-    """(tensors by name, CheckpointMeta) of a checkpoint directory."""
+def load_checkpoint(ckpt_dir, kind, build):
+    """`build(tensors by name, meta)` of the checkpoint of `kind` in `ckpt_dir`,
+    decoded under :func:`grid.decoding` of its manifest."""
     ckpt_dir = Path(ckpt_dir)
     path = ckpt_dir / "manifest.json"
     manifest = read_json(path)
-    arrays = {}
-    try:
-        for name, entry in manifest["tensors"].items():
-            arr = read_npy(ckpt_dir / entry["file"])
-            if list(arr.shape) != entry["shape"]:
-                raise GridFormatError(f"{ckpt_dir / entry['file']}: tensor {name} has shape "
-                                      f"{arr.shape}, manifest says {entry['shape']}")
-            arrays[name] = arr
-        return arrays, CheckpointMeta(path, manifest["meta"])
-    except KeyError as exc:
-        raise GridFormatError(f"{path}: missing manifest key {exc}") from exc
+    with decoding(path):
+        arrays = {}
+        for name, entry in dict(manifest["tensors"]).items():
+            tensor = ckpt_dir / entry["file"]
+            arrays[name] = read_npy(tensor)
+            if list(arrays[name].shape) != entry["shape"]:
+                raise GridFormatError(f"{tensor}: tensor {name} has shape {arrays[name].shape}, "
+                                      f"{path} says {entry['shape']}")
+        meta = manifest["meta"]
+        if meta["kind"] != kind:
+            raise ValueError(f"a {meta['kind']!r} checkpoint, not {kind!r}")
+        return build(arrays, meta)
+
+
+def checkpoint_net(arrays, arch_doc):
+    """(params, ArchConfig) of a checkpoint's `param/` tensors and `meta.arch`;
+    the tensors must be exactly the parameters of that architecture."""
+    arch = ArchConfig.from_json(arch_doc)
+    params = {k.removeprefix("param/"): v for k, v in arrays.items() if k.startswith("param/")}
+    expected = init_params(np.random.default_rng(0), arch)   # for its shapes only
+    if {k: v.shape for k, v in params.items()} != {k: v.shape for k, v in expected.items()}:
+        raise ValueError("the param/ tensors are not the parameters meta.arch describes")
+    return params, arch

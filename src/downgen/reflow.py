@@ -10,7 +10,7 @@ fixed-step RK4 and denormalizes with the target statistics.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from .nets import (
     ArchConfig,
     DivergenceError,
     as_leaves,
+    checkpoint_net,
     collect_grads,
     init_params,
     load_checkpoint,
@@ -201,7 +202,7 @@ def transport(model: ReflowModel, y: GridField, member_id, n_steps=100) -> GridF
     [1, NX, NY, V], not broadcast over the series' days.
     """
     if member_id not in model.member_stats:
-        raise KeyError(f"no statistics for member {member_id!r}")
+        raise ValueError(f"no statistics for member {member_id!r}")
     stats = model.member_stats[member_id]
     yhat = (y.data - stats.mean) / stats.std
     mean_cond, std_cond = _conditioning_fields(stats, model.target_stats)
@@ -277,19 +278,20 @@ def save_reflow(model: ReflowModel, ckpt_dir, opt_state=None) -> None:
         arrays[f"member_stats/{mid}/std"] = stats.std
     arrays["target_stats/mean"] = model.target_stats.mean
     arrays["target_stats/std"] = model.target_stats.std
-    meta = {"kind": "reflow", "arch": model.arch.to_json(),
+    meta = {"kind": "reflow", "arch": asdict(model.arch),
             "members": sorted(model.member_stats),
             "step": opt_state.step if opt_state is not None else 0}
     save_checkpoint(ckpt_dir, arrays, meta)
 
 
-def load_reflow(ckpt_dir) -> ReflowModel:
-    arrays, meta = load_checkpoint(ckpt_dir)
-    meta.check_kind("reflow")
-    params = {k[len("param/"):]: v for k, v in arrays.items() if k.startswith("param/")}
-    member_stats = {}
-    for mid in meta["members"]:
-        member_stats[mid] = EnsembleStats(arrays[f"member_stats/{mid}/mean"],
-                                          arrays[f"member_stats/{mid}/std"])
+def _reflow_model(arrays, meta) -> ReflowModel:
+    params, arch = checkpoint_net(arrays, meta["arch"])
+    member_stats = {mid: EnsembleStats(arrays[f"member_stats/{mid}/mean"],
+                                       arrays[f"member_stats/{mid}/std"])
+                    for mid in meta["members"]}
     target_stats = EnsembleStats(arrays["target_stats/mean"], arrays["target_stats/std"])
-    return ReflowModel(params, ArchConfig.from_json(meta["arch"]), member_stats, target_stats)
+    return ReflowModel(params, arch, member_stats, target_stats)
+
+
+def load_reflow(ckpt_dir) -> ReflowModel:
+    return load_checkpoint(ckpt_dir, "reflow", _reflow_model)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import os
 import re
 import shutil
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from downgen import cli
+from downgen import cli, diffusion, reflow, synthdata
 from downgen.cli import _reflow_config, _sr_config, _synth_config, build_parser, main
 from downgen.config import (
     SCHEMA,
@@ -278,12 +279,114 @@ class TestConfigRoundTrip:
 
 
 def _edit_json(edit):
-    """A corruption that decodes the JSON text, applies `edit` and encodes it again."""
-    def corrupt(text):
-        doc = json.loads(text)
+    """A corruption that decodes the JSON document, applies `edit` and encodes it again."""
+    def corrupt(raw):
+        doc = json.loads(raw)
         edit(doc)
-        return json.dumps(doc)
+        return json.dumps(doc).encode()
     return corrupt
+
+
+def _drop(*keys):
+    """A corruption that deletes doc[keys[0]]...[keys[-1]]."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+    return _edit_json(edit)
+
+
+def _put(*keys, value):
+    """A corruption that sets doc[keys[0]]...[keys[-1]] to `value`."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return _edit_json(edit)
+
+
+# the documents a stage reads, in a copy of the module's TINY run
+FIELD = "data/members/m000.npy"
+SIDECAR = FIELD + ".json"
+REFLOW = "models/debias/manifest.json"
+SR = "models/sr/manifest.json"
+TENSOR = "models/debias/target_stats__mean.npy"
+CONFIG = "config.ini"
+ARCH_KEYS = ("in_channels", "out_channels", "levels", "kernel", "embed_freqs", "embed_dim",
+             "cond_vec_dim")
+# Every key a loader reads, at every depth. `meta.step` and a sidecar's `member_id` are
+# never required, so no row drops them.
+READ_KEYS = {
+    SIDECAR: [("time0",), ("dt_hours",), ("lon",), ("lat",), ("var_names",)],
+    REFLOW: [("tensors",), ("meta",), ("meta", "kind"), ("meta", "arch"), ("meta", "members"),
+             *[("meta", "arch", key) for key in ARCH_KEYS],
+             *[("tensors", name) for name in ("target_stats/mean", "target_stats/std",
+                                              "member_stats/m000/mean",
+                                              "member_stats/m000/std", "param/in/conv/w")],
+             ("tensors", "target_stats/mean", "file"), ("tensors", "target_stats/mean", "shape")],
+    SR: [("tensors",), ("meta",), ("meta", "kind"), ("meta", "arch"), ("meta", "clim_buckets"),
+         ("meta", "schedule"), ("meta", "spec"), ("meta", "window_days"),
+         *[("meta", "arch", key) for key in ARCH_KEYS],
+         *[("meta", "schedule", key) for key in ("sigma_min", "sigma_max", "n_grid", "kind",
+                                                 "rho")],
+         *[("tensors", name) for name in ("clim/mean", "clim/std", "cond_stats/mean",
+                                          "cond_stats/std", "param/out/conv/w")]],
+}
+WRONG_VALUES = [
+    (SIDECAR, ("time0",), "0"), (SIDECAR, ("time0",), 0.5), (SIDECAR, ("time0",), 12.7),
+    (SIDECAR, ("dt_hours",), None), (SIDECAR, ("dt_hours",), 2.9), (SIDECAR, ("lon",), 5),
+    (SIDECAR, ("lat",), "x"), (SIDECAR, ("var_names",), 5), (SIDECAR, ("var_names",), "abcd"),
+    (SIDECAR, ("member_id",), 5),
+    (REFLOW, ("tensors",), []), (REFLOW, ("tensors",), 5),
+    (REFLOW, ("tensors", "target_stats/mean"), 5),
+    (REFLOW, ("tensors", "target_stats/mean", "file"), 5),
+    (REFLOW, ("tensors", "target_stats/mean", "shape"), "x"),
+    (REFLOW, ("meta",), 5), (REFLOW, ("meta", "kind"), "sr"), (REFLOW, ("meta", "arch"), 5),
+    (REFLOW, ("meta", "members"), 5), (REFLOW, ("meta", "members"), [5]),
+    (REFLOW, ("meta", "arch", "levels"), "8,16"), (REFLOW, ("meta", "arch", "in_channels"), 12.0),
+    (REFLOW, ("meta", "arch", "in_channels"), "12"), (REFLOW, ("meta", "arch", "bogus"), 1),
+    (SR, ("meta",), 5), (SR, ("meta", "kind"), "reflow"), (SR, ("meta", "clim_buckets"), []),
+    (SR, ("meta", "clim_buckets"), ["20", 12]), (SR, ("meta", "spec"), "x"),
+    (SR, ("meta", "spec"), [4]), (SR, ("meta", "window_days"), "3"),
+    (SR, ("meta", "window_days"), 3.5), (SR, ("meta", "schedule"), 5),
+    (SR, ("meta", "schedule", "n_grid"), "24"), (SR, ("meta", "schedule", "kind"), 5),
+    (SR, ("meta", "schedule", "sigma_max"), "x"), (SR, ("meta", "schedule", "bogus"), 1),
+    (SR, ("meta", "arch", "levels"), [8, "16"]),
+]
+WHOLE_DOCUMENT = [("truncated", lambda raw: raw[:13]), ("list", lambda raw: b"[]"),
+                  ("empty-object", lambda raw: b"{}")]
+
+
+def _corruptions():
+    """(document, corruption, what stderr names: None for the document) rows."""
+    rows = [pytest.param(rel, corrupt, None, id=f"{rel}:{name}")
+            for rel in (FIELD, SIDECAR, REFLOW, SR, TENSOR, CONFIG)
+            for name, corrupt in WHOLE_DOCUMENT]
+    rows += [pytest.param(rel, lambda raw: raw[:-8], None, id=f"{rel}:truncated-payload")
+             for rel in (FIELD, TENSOR)]
+    rows += [pytest.param(rel, _drop(*keys), None, id=f"{rel}:drop-{'.'.join(keys)}")
+             for rel, paths in READ_KEYS.items() for keys in paths]
+    rows += [pytest.param(rel, _put(*keys, value=value), None,
+                          id=f"{rel}:{'.'.join(keys)}={json.dumps(value)}")
+             for rel, keys, value in WRONG_VALUES]
+    return rows + [
+        pytest.param(CONFIG, lambda raw: raw.replace(b"steps = 40", b"steps = x", 1), None,
+                     id=f"{CONFIG}:debias.steps=x"),
+        pytest.param(CONFIG, lambda raw: raw.replace(b"[sample]\n", b"[sample]\nbogus = 1\n"),
+                     None, id=f"{CONFIG}:sample.bogus"),
+        # a member the checkpoint has no statistics for fails naming the member
+        pytest.param(SIDECAR, _put("member_id", value="m009"), "'m009'",
+                     id=f"{SIDECAR}:member_id=m009"),
+    ]
+
+
+def test_seed_streams_distinct():
+    """Every top-level seed stream (the second entry of a (seed, stream, ...)
+    SeedSequence key) draws a sequence of its own."""
+    streams = {f"{module.__name__}.{name}": value
+               for module in (synthdata, reflow, diffusion, cli)
+               for name, value in vars(module).items() if name.endswith("_STREAM")}
+    assert len(streams) == 6 and len(set(streams.values())) == len(streams), streams
 
 
 class TestExitCodes:
@@ -312,28 +415,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{path}: truncated payload" in err
 
-    @pytest.mark.parametrize("rel, corrupt", [
-        ("data/members/m000.npy.json", lambda text: text[:13]),
-        ("models/debias/manifest.json", lambda text: text[:13]),
-        ("models/debias/manifest.json", _edit_json(lambda doc: doc.pop("tensors"))),
-        ("data/members/m000.npy.json", lambda text: "[]"),
-        ("models/debias/manifest.json", lambda text: "[]"),
-        ("models/debias/manifest.json", _edit_json(lambda doc: doc["meta"].pop("arch"))),
-        ("models/debias/manifest.json", _edit_json(lambda doc: doc["meta"].update(kind="sr"))),
-    ], ids=["truncated-sidecar", "truncated-manifest", "manifest-without-tensors",
-            "sidecar-not-object", "manifest-not-object", "meta-without-arch",
-            "sr-checkpoint"])
-    def test_corrupt_json_exits_1_naming_file(self, e2e_run, tmp_path, capsys, rel, corrupt):
+    @pytest.mark.parametrize("rel, corrupt, named", _corruptions())
+    def test_corrupt_json_exits_1_naming_file(self, e2e_run, tmp_path, capsys, rel, corrupt,
+                                              named):
+        """A malformed document exits 1 naming it (2 for config.ini), with no traceback
+        and no file written. The SR checkpoint is read by `sample`, the rest by `debias`."""
+        # a copy by hard links: stages never write to a file in place, and the
+        # corrupted document is unlinked before it is rewritten
         out = tmp_path / "run"
-        shutil.copytree(e2e_run, out)
-        shutil.rmtree(out / "debiased")
+        shutil.copytree(e2e_run, out, copy_function=os.link)
+        stage = "sample" if rel == SR else "debias"
+        if stage == "debias":
+            shutil.rmtree(out / "debiased")
+        else:
+            for stale in (out / "samples").glob("downgen.npy*"):
+                stale.unlink()
         before = sorted(out.rglob("*"))
         path = out / rel
-        path.write_text(corrupt(path.read_text()))
+        raw = path.read_bytes()
+        path.unlink()
+        path.write_bytes(corrupt(raw))
         capsys.readouterr()
-        assert main(["debias", "--config", str(out / "config.ini"), "--out", str(out)]) == 1
+        code = main([stage, "--config", str(out / CONFIG), "--out", str(out)])
         err = capsys.readouterr().err
-        assert err.startswith("error:") and str(path) in err
+        assert code == (2 if rel == CONFIG else 1), err
+        assert err.startswith("config error:" if rel == CONFIG else "error:"), err
+        assert (named or str(path)) in err
+        assert "Traceback" not in err
         assert sorted(out.rglob("*")) == before
 
     @pytest.mark.parametrize("overrides, message", [

@@ -432,7 +432,7 @@ class TestTrainAndSample:
                             noise=NoiseSchedule(n_grid=8))
         model, _ = train_sr(truth, cfg, out_dir=tmp_path / "sr")
         assert (tmp_path / "sr" / "loss.csv").exists()
-        arrays, meta = load_checkpoint(tmp_path / "sr")
+        arrays, meta = load_checkpoint(tmp_path / "sr", "sr", lambda *doc: doc)
         assert not [k for k in arrays if k.startswith("adam_")]
         assert meta["step"] == cfg.steps
         back = load_sr(tmp_path / "sr")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -35,8 +36,8 @@ def make_field(data, dt_hours=2, time0=0, member_id=None):
 def load_as_checkpoint(path):
     """`load_checkpoint` of a one-tensor checkpoint whose tensor file is `path`."""
     (path.parent / "manifest.json").write_text(json.dumps(
-        {"tensors": {"w": {"file": path.name, "shape": [2, 4, 4, 1]}}, "meta": {}}))
-    return load_checkpoint(path.parent)
+        {"tensors": {"w": {"file": path.name, "shape": [2, 4, 4, 1]}}, "meta": {"kind": "t"}}))
+    return load_checkpoint(path.parent, "t", lambda arrays, meta: arrays)
 
 
 # fields and checkpoint tensors share one NPY codec and its validation
@@ -77,9 +78,8 @@ class TestIO:
         path = tmp_path / "bad.npy"
         path.write_bytes(b"NOTNPY" + b"\x00" * 64)
         for reader in READERS:
-            with pytest.raises(GridFormatError, match="magic") as exc:
+            with pytest.raises(GridFormatError, match=re.escape(f"{path}: the magic string")):
                 reader(path)
-            assert str(path) in str(exc.value)
 
     @staticmethod
     def _rewrite_payload(tmp_path, payload, version=(1, 0)):
@@ -124,8 +124,9 @@ class TestIO:
         fld = make_field(np.zeros((2, 2, 2, 1)))
         path = tmp_path / "x.npy"
         write_array(fld, path)
-        (tmp_path / "x.npy.json").unlink()
-        with pytest.raises(GridFormatError, match="sidecar"):
+        sidecar = tmp_path / "x.npy.json"
+        sidecar.unlink()
+        with pytest.raises(GridFormatError, match=re.escape(f"missing sidecar manifest {sidecar}")):
             read_array(path)
 
     def test_manifest_mismatch_rejected(self, tmp_path):
@@ -135,7 +136,7 @@ class TestIO:
         sidecar = tmp_path / "x.npy.json"
         text = sidecar.read_text().replace('"v0"', '"v0", "v1"')
         sidecar.write_text(text)
-        with pytest.raises(GridFormatError, match="mismatch"):
+        with pytest.raises(GridFormatError, match=re.escape(f"{sidecar}: coordinate lengths")):
             read_array(path)
 
 

@@ -346,3 +346,21 @@ class TestEveryFunctionReachable:
             and self.NAMED[d.name] == _named(d)[d.name]
         ]
         assert unreached == [], f"{module}.py definitions no run reaches: {unreached}"
+
+
+def _names_key_error(handler):
+    """Whether an `except` clause catches KeyError by name, alone or in a tuple."""
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(n, ast.Name) and n.id == "KeyError" for n in caught)
+
+
+class TestDecodeErrorsTranslatedOnce:
+    """`grid.decoding` is the one place a decode error becomes a message naming its
+    document; no `except` clause in `src` names KeyError."""
+
+    @pytest.mark.parametrize("module", sorted(TestEveryFunctionReachable.TREES))
+    def test_no_except_clause_names_key_error(self, module):
+        tree = TestEveryFunctionReachable.TREES[module]
+        lines = [h.lineno for h in ast.walk(tree)
+                 if isinstance(h, ast.ExceptHandler) and h.type and _names_key_error(h)]
+        assert lines == [], f"{module}.py catches KeyError at lines {lines}"

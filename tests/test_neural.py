@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -446,9 +447,9 @@ class TestDeterminismAndCheckpoint:
 
     def test_checkpoint_round_trip(self, tmp_path):
         arch, params, *_ = small_velocity_setup(seed=18)
-        meta = {"arch": arch.to_json(), "step": 7}
+        meta = {"kind": "velocity", "arch": asdict(arch), "step": 7}
         save_checkpoint(tmp_path / "ckpt", params, meta)
-        arrays, meta2 = load_checkpoint(tmp_path / "ckpt")
+        arrays, meta2 = load_checkpoint(tmp_path / "ckpt", "velocity", lambda *doc: doc)
         assert meta2["step"] == 7
         assert ArchConfig.from_json(meta2["arch"]) == arch
         assert set(arrays) == set(params)

@@ -218,7 +218,7 @@ class TestTransport:
         member, target = toy_training_data(seed=19)
         model, _ = train_reflow([member], target,
                                 ReflowTrainConfig(steps=0, levels=(4, 8), seed=19))
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="no statistics for member 'nope'"):
             transport(model, member, "nope")
 
     def test_gaussian_toy_moment_matching(self):
@@ -369,7 +369,7 @@ class TestTrainReflow:
         cfg = ReflowTrainConfig(steps=5, levels=(4, 8), seed=26)
         model, _ = train_reflow([member], target, cfg, out_dir=tmp_path / "ckpt")
         assert (tmp_path / "ckpt" / "loss.csv").exists()
-        arrays, meta = load_checkpoint(tmp_path / "ckpt")
+        arrays, meta = load_checkpoint(tmp_path / "ckpt", "reflow", lambda *doc: doc)
         assert not [k for k in arrays if k.startswith("adam_")]
         assert meta["step"] == cfg.steps
         back = load_reflow(tmp_path / "ckpt")
