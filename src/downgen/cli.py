@@ -55,7 +55,7 @@ from .nets import DivergenceError
 from .plots import curves_svg, heatmap_svg
 from .reflow import CouplingConfig, ReflowTrainConfig, load_reflow, train_reflow, transport
 from .report import MetricReport
-from .synthdata import BiasSpec, SynthConfig, make_synth_pair
+from .synthdata import BiasSpec, SynthConfig, make_synth_pair, member_name
 
 METHOD_ORDER = ["downgen", "bcsd", "qmsr", "sr"]
 # sample source -> (method tag, _SAMPLE_STREAM sub-stream, input directory, writing stage)
@@ -109,8 +109,11 @@ def _train_hours(cfg):
 
 
 def _check_sample(cfg):
-    """The sample window's cross-key rules, checked before any stage runs."""
+    """The sample settings' cross-key rules, checked before any stage runs."""
     s, synth, window_days = cfg["sample"], cfg["synth"], cfg["sr"]["window_days"]
+    members = [member_name(idx) for idx in range(synth["n_members"])]
+    if s["member"] not in members:
+        raise ConfigError(f"sample.member = {s['member']} is none of synth.n_members: {members}")
     tiling = (f"sample.windows = {s['windows']} windows of sr.window_days = {window_days} "
               "that overlap by one day")
     try:
@@ -239,22 +242,20 @@ def stage_baseline_bcsd(cfg, run_dir):
     run_dir = Path(run_dir)
     truth = read_array(_require(run_dir / "data" / "fine_truth.npy", "gen-data"))
     target = read_array(run_dir / "data" / "coarse_truth.npy")
-    members = {m.member_id: m for m in _members(run_dir)}
-    member_id = cfg["sample"]["member"]
-    if member_id not in members:
-        raise StageError(f"unknown member {member_id!r}")
+    member = read_array(_require(run_dir / "data" / "members" / f"{cfg['sample']['member']}.npy",
+                                 "gen-data"))
     t_hours = _train_hours(cfg)
     spec = DownsampleSpec(cfg["synth"]["spatial_factor"], 24 // truth.dt_hours)
     qm_buckets = (cfg["baseline"]["qm_doy_buckets"], 1)
     fine_buckets = (cfg["baseline"]["fine_clim_doy_buckets"], 1)
-    member_clim = compute_climatology(members[member_id].time_slice(0, t_hours), qm_buckets)
+    member_clim = compute_climatology(member.time_slice(0, t_hours), qm_buckets)
     target_clim = compute_climatology(target.time_slice(0, t_hours), qm_buckets)
     pool = truth.time_slice(0, t_hours)
     fine_clim = compute_climatology(daily_means(pool), fine_buckets)
     h0, h1 = _sample_window_hours(cfg)
     rng = np.random.default_rng(
         np.random.SeedSequence((cfg["pipeline"]["rng_seed"], _BCSD_STREAM)))
-    result = bcsd_pipeline(members[member_id].time_slice(h0, h1), member_clim,
+    result = bcsd_pipeline(member.time_slice(h0, h1), member_clim,
                            target_clim, fine_clim, pool, rng, spec)
     with _fresh_dir(run_dir, "baselines/bcsd") as out:
         write_array(result, out / "bcsd.npy")

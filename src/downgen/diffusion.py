@@ -36,7 +36,7 @@ from .nets import (
     ArchConfig,
     DivergenceError,
     as_leaves,
-    checkpoint_net,
+    checkpoint_params,
     collect_grads,
     denoiser_arch,
     denoiser_forward,
@@ -275,25 +275,29 @@ def save_sr(model: SRModel, ckpt_dir, opt_state=None) -> None:
                    "cond_stats/mean": cond_stats.mean, "cond_stats/std": cond_stats.std})
     if clim.valid is not None:
         arrays["clim/valid"] = clim.valid.astype(np.float64)
-    meta = {"kind": "sr", "step": opt_state.step if opt_state is not None else 0,
-            "arch": asdict(model.arch), "clim_buckets": [clim.doy_buckets, clim.tod_buckets],
-            "schedule": asdict(model.schedule), "window_days": model.window_days,
-            "spec": [model.spec.spatial_factor, model.spec.temporal_window]}
+    meta = {"kind": "sr", "step": getattr(opt_state, "step", 0), "levels": model.arch.levels,
+            "window_days": model.window_days, "steps_per_day": model.spec.temporal_window,
+            "schedule": asdict(model.schedule)}
     save_checkpoint(ckpt_dir, arrays, meta)
 
 
 def _sr_model(arrays, meta) -> SRModel:
-    params, arch = checkpoint_net(arrays, meta["arch"])
-    doy_buckets, tod_buckets = map(operator.index, meta["clim_buckets"])
+    """`train_sr`'s model. The spatial factor is the fine grid of clim/mean over the
+    coarse grid of cond_stats/mean; the climatology has steps_per_day groups a day."""
+    clim_mean, cond_mean = arrays["clim/mean"], arrays["cond_stats/mean"]
+    (nx, ny), (cx, cy) = clim_mean.shape[1:3], cond_mean.shape[:2]
+    factor = nx // max(cx, 1)
+    if (cx * factor, cy * factor) != (nx, ny):
+        raise ValueError(f"fine grid {nx}x{ny} is not a whole multiple of coarse grid {cx}x{cy}")
+    spec = DownsampleSpec(factor, operator.index(meta["steps_per_day"]))
+    window_days = operator.index(meta["window_days"])
+    arch = denoiser_arch(clim_mean.shape[-1], window_days * spec.temporal_window, meta["levels"])
     valid = arrays["clim/valid"].astype(bool) if "clim/valid" in arrays else None
-    clim = Climatology(doy_buckets, tod_buckets, arrays["clim/mean"], arrays["clim/std"],
-                       valid=valid)
-    norm = SRNormalization(clim, EnsembleStats(arrays["cond_stats/mean"],
-                                               arrays["cond_stats/std"]))
+    clim = Climatology(len(clim_mean) // spec.temporal_window, spec.temporal_window, clim_mean,
+                       arrays["clim/std"], valid=valid)
+    norm = SRNormalization(clim, EnsembleStats(cond_mean, arrays["cond_stats/std"]))
     sched = NoiseSchedule(**exact_keys(meta["schedule"], NoiseSchedule))
-    spatial_factor, temporal_window = map(operator.index, meta["spec"])
-    return SRModel(params, arch, norm, sched, DownsampleSpec(spatial_factor, temporal_window),
-                   operator.index(meta["window_days"]))
+    return SRModel(checkpoint_params(arrays, arch), arch, norm, sched, spec, window_days)
 
 
 def load_sr(ckpt_dir) -> SRModel:

@@ -21,7 +21,6 @@ import numpy as np
 HOURS_PER_DAY = 24
 DAYS_PER_YEAR = 360
 STEPS_PER_DAY = 12  # bi-hourly base cadence
-FINE_DT_HOURS = HOURS_PER_DAY // STEPS_PER_DAY
 
 STD_FLOOR = 1e-6
 
@@ -32,14 +31,14 @@ class GridFormatError(ValueError):
 
 @contextmanager
 def decoding(path):
-    """A missing key, wrong type or bad value met while objects are built from the
-    document at `path` fails as a GridFormatError naming it; one that names its
-    own file passes unchanged."""
+    """A missing key, a missing file it names, a wrong type or a bad value met
+    while objects are built from the document at `path` fails as a
+    GridFormatError naming it; one that names its own file passes unchanged."""
     try:
         yield
     except GridFormatError:
         raise
-    except (LookupError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError, FileNotFoundError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise GridFormatError(f"{path}: {detail}") from exc
 
@@ -88,10 +87,6 @@ class GridField:
             raise ValueError("dt_hours must be a positive integer")
         if not np.isfinite(self.data).all():
             raise ValueError("field data contains non-finite values")
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     @property
     def n_times(self):
@@ -155,6 +150,12 @@ class Climatology:
     mean: np.ndarray  # [G, NX, NY, V] with G = doy_buckets * tod_buckets
     std: np.ndarray
     valid: np.ndarray | None = None  # [G] bool; None means fully populated
+
+    def __post_init__(self):
+        tables = (self.mean, self.std) + (() if self.valid is None else (self.valid,))
+        if {len(t) for t in tables} != {self.doy_buckets * self.tod_buckets}:
+            raise ValueError(f"climatology tables of {[len(t) for t in tables]} groups, "
+                             f"not {self.doy_buckets} x {self.tod_buckets}")
 
     def _checked_index(self, times):
         gid = group_index(times, (self.doy_buckets, self.tod_buckets))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .grid import GridFormatError, decoding, exact_keys, read_json, read_npy, write_npy
+from .grid import decoding, read_json, read_npy, write_npy
 
 
 class DivergenceError(RuntimeError):
@@ -38,12 +38,8 @@ class ArchConfig:
     embed_dim: int = 32
     cond_vec_dim: int = 0     # pooled conditioning vector length (0 = unused)
 
-    @classmethod
-    def from_json(cls, d):
-        """The inverse of `asdict`: every field, integers only, no other key."""
-        d = exact_keys(d, cls)
-        return cls(**{k: tuple(map(operator.index, v)) if k == "levels" else operator.index(v)
-                      for k, v in d.items()})
+    def __post_init__(self):
+        self.levels = tuple(map(operator.index, self.levels))
 
 
 def truncated_normal(rng, shape, std=0.02, bound=2.0):
@@ -315,49 +311,42 @@ def denoiser_forward(leaves, z, sigma, cond, arch: ArchConfig, guidance=0.0) -> 
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: one NPY per tensor plus a JSON manifest
+# Checkpoints: one NPY per tensor plus a JSON manifest of the tensor names and meta
 # ---------------------------------------------------------------------------
+
+def _tensor_file(name):
+    if not isinstance(name, str):
+        raise TypeError(f"tensor name {name!r} is not a string")
+    return name.replace("/", "__") + ".npy"
+
 
 def save_checkpoint(ckpt_dir, arrays: dict, meta: dict) -> None:
     ckpt_dir = Path(ckpt_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    index = {}
-    for name in sorted(arrays):
-        fname = name.replace("/", "__") + ".npy"
-        write_npy(arrays[name], ckpt_dir / fname)
-        index[name] = {"file": fname, "shape": list(arrays[name].shape)}
-    manifest = {"tensors": index, "meta": meta}
+    for name, array in arrays.items():
+        write_npy(array, ckpt_dir / _tensor_file(name))
     with open(ckpt_dir / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
+        json.dump({"tensors": sorted(arrays), "meta": meta}, f, indent=1, sort_keys=True)
         f.write("\n")
 
 
 def load_checkpoint(ckpt_dir, kind, build):
     """`build(tensors by name, meta)` of the checkpoint of `kind` in `ckpt_dir`,
     decoded under :func:`grid.decoding` of its manifest."""
-    ckpt_dir = Path(ckpt_dir)
-    path = ckpt_dir / "manifest.json"
+    path = Path(ckpt_dir) / "manifest.json"
     manifest = read_json(path)
     with decoding(path):
-        arrays = {}
-        for name, entry in dict(manifest["tensors"]).items():
-            tensor = ckpt_dir / entry["file"]
-            arrays[name] = read_npy(tensor)
-            if list(arrays[name].shape) != entry["shape"]:
-                raise GridFormatError(f"{tensor}: tensor {name} has shape {arrays[name].shape}, "
-                                      f"{path} says {entry['shape']}")
+        arrays = {n: read_npy(path.with_name(_tensor_file(n))) for n in manifest["tensors"]}
         meta = manifest["meta"]
         if meta["kind"] != kind:
             raise ValueError(f"a {meta['kind']!r} checkpoint, not {kind!r}")
         return build(arrays, meta)
 
 
-def checkpoint_net(arrays, arch_doc):
-    """(params, ArchConfig) of a checkpoint's `param/` tensors and `meta.arch`;
-    the tensors must be exactly the parameters of that architecture."""
-    arch = ArchConfig.from_json(arch_doc)
+def checkpoint_params(arrays, arch: ArchConfig) -> dict:
+    """A checkpoint's `param/` tensors, which must be exactly the parameters of `arch`."""
     params = {k.removeprefix("param/"): v for k, v in arrays.items() if k.startswith("param/")}
     expected = init_params(np.random.default_rng(0), arch)   # for its shapes only
     if {k: v.shape for k, v in params.items()} != {k: v.shape for k, v in expected.items()}:
-        raise ValueError("the param/ tensors are not the parameters meta.arch describes")
-    return params, arch
+        raise ValueError(f"the param/ tensors are not the parameters of {arch}")
+    return params

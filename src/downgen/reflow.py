@@ -10,7 +10,7 @@ fixed-step RK4 and denormalizes with the target statistics.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from .nets import (
     ArchConfig,
     DivergenceError,
     as_leaves,
-    checkpoint_net,
+    checkpoint_params,
     collect_grads,
     init_params,
     load_checkpoint,
@@ -278,19 +278,18 @@ def save_reflow(model: ReflowModel, ckpt_dir, opt_state=None) -> None:
         arrays[f"member_stats/{mid}/std"] = stats.std
     arrays["target_stats/mean"] = model.target_stats.mean
     arrays["target_stats/std"] = model.target_stats.std
-    meta = {"kind": "reflow", "arch": asdict(model.arch),
-            "members": sorted(model.member_stats),
-            "step": opt_state.step if opt_state is not None else 0}
+    meta = {"kind": "reflow", "step": getattr(opt_state, "step", 0), "levels": model.arch.levels}
     save_checkpoint(ckpt_dir, arrays, meta)
 
 
 def _reflow_model(arrays, meta) -> ReflowModel:
-    params, arch = checkpoint_net(arrays, meta["arch"])
-    member_stats = {mid: EnsembleStats(arrays[f"member_stats/{mid}/mean"],
-                                       arrays[f"member_stats/{mid}/std"])
-                    for mid in meta["members"]}
+    """`train_reflow`'s model: a member per `member_stats/<id>/` tensor pair."""
     target_stats = EnsembleStats(arrays["target_stats/mean"], arrays["target_stats/std"])
-    return ReflowModel(params, arch, member_stats, target_stats)
+    arch = velocity_arch(target_stats.mean.shape[-1], levels=meta["levels"])
+    members = sorted({name.split("/")[1] for name in arrays if name.startswith("member_stats/")})
+    member_stats = {mid: EnsembleStats(arrays[f"member_stats/{mid}/mean"],
+                                       arrays[f"member_stats/{mid}/std"]) for mid in members}
+    return ReflowModel(checkpoint_params(arrays, arch), arch, member_stats, target_stats)
 
 
 def load_reflow(ckpt_dir) -> ReflowModel:

@@ -191,6 +191,11 @@ def _field(cfg: SynthConfig, stream, bias: BiasSpec):
     return _assemble(cfg, structured, noise, mean_offset=bias.mean_offset)
 
 
+def member_name(idx):
+    """The id of the member drawn from stream (_MEMBER_STREAM, idx)."""
+    return f"m{idx:03d}"
+
+
 def gen_fine_ensemble(cfg: SynthConfig) -> GridField:
     """Fine-resolution truth series, unbiased; deterministic given cfg.rng_seed."""
     lon, lat = cfg.grid_coords()
@@ -206,7 +211,7 @@ def gen_biased_coarse_ensemble(cfg: SynthConfig, fine: GridField) -> list:
     """
     lon, lat = cfg.grid_coords()
     return [coarsen(GridField(_field(cfg, (_MEMBER_STREAM, idx), cfg.bias), fine.time0,
-                              cfg.dt_hours, lon, lat, VAR_NAMES, member_id=f"m{idx:03d}"),
+                              cfg.dt_hours, lon, lat, VAR_NAMES, member_id=member_name(idx)),
                     cfg.downsample)
             for idx in range(cfg.n_members)]
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import os
 import re
@@ -216,6 +217,13 @@ class TestReadmeMatchesCode:
         path.write_text(example, encoding="utf-8")
         parse_config(path)
 
+    def test_every_manifest_key_named(self, e2e_run):
+        """The `meta.<key>` names in the README are exactly the keys the two
+        checkpoint writers put in their manifests."""
+        written = {key for rel in (REFLOW, SR)
+                   for key in json.loads((e2e_run / rel).read_text(encoding="utf-8"))["meta"]}
+        assert set(re.findall(r"\bmeta\.(\w+)", self.README)) == written
+
     def test_cli_synopsis_parses(self):
         """Each `downgen ...` line of the README's code blocks, with the first
         of every `a|b` choice and each subcommand, is accepted by the parser."""
@@ -305,6 +313,20 @@ def _put(*keys, value):
     return _edit_json(edit)
 
 
+def _edit_tensors(edit):
+    """A corruption that applies `edit` to a checkpoint manifest's tensor name list."""
+    return _edit_json(lambda doc: edit(doc["tensors"]))
+
+
+def _edit_npy(edit):
+    """A corruption that rewrites an NPY file's array as `edit(array)`."""
+    def corrupt(raw):
+        out = io.BytesIO()
+        np.save(out, edit(np.load(io.BytesIO(raw))))
+        return out.getvalue()
+    return corrupt
+
+
 # the documents a stage reads, in a copy of the module's TINY run
 FIELD = "data/members/m000.npy"
 SIDECAR = FIELD + ".json"
@@ -312,46 +334,56 @@ REFLOW = "models/debias/manifest.json"
 SR = "models/sr/manifest.json"
 TENSOR = "models/debias/target_stats__mean.npy"
 CONFIG = "config.ini"
-ARCH_KEYS = ("in_channels", "out_channels", "levels", "kernel", "embed_freqs", "embed_dim",
-             "cond_vec_dim")
 # Every key a loader reads, at every depth. `meta.step` and a sidecar's `member_id` are
 # never required, so no row drops them.
 READ_KEYS = {
     SIDECAR: [("time0",), ("dt_hours",), ("lon",), ("lat",), ("var_names",)],
-    REFLOW: [("tensors",), ("meta",), ("meta", "kind"), ("meta", "arch"), ("meta", "members"),
-             *[("meta", "arch", key) for key in ARCH_KEYS],
-             *[("tensors", name) for name in ("target_stats/mean", "target_stats/std",
-                                              "member_stats/m000/mean",
-                                              "member_stats/m000/std", "param/in/conv/w")],
-             ("tensors", "target_stats/mean", "file"), ("tensors", "target_stats/mean", "shape")],
-    SR: [("tensors",), ("meta",), ("meta", "kind"), ("meta", "arch"), ("meta", "clim_buckets"),
-         ("meta", "schedule"), ("meta", "spec"), ("meta", "window_days"),
-         *[("meta", "arch", key) for key in ARCH_KEYS],
+    REFLOW: [("tensors",), ("meta",), ("meta", "kind"), ("meta", "levels")],
+    SR: [("tensors",), ("meta",), ("meta", "kind"), ("meta", "levels"), ("meta", "window_days"),
+         ("meta", "steps_per_day"), ("meta", "schedule"),
          *[("meta", "schedule", key) for key in ("sigma_min", "sigma_max", "n_grid", "kind",
-                                                 "rho")],
-         *[("tensors", name) for name in ("clim/mean", "clim/std", "cond_stats/mean",
-                                          "cond_stats/std", "param/out/conv/w")]],
+                                                 "rho")]],
+}
+# every tensor a loader reads, or one of a set it checks as a whole
+READ_TENSORS = {
+    REFLOW: ["target_stats/mean", "target_stats/std", "member_stats/m000/mean",
+             "member_stats/m000/std", "param/in/conv/w"],
+    SR: ["clim/mean", "clim/std", "cond_stats/mean", "cond_stats/std", "param/out/conv/w"],
 }
 WRONG_VALUES = [
     (SIDECAR, ("time0",), "0"), (SIDECAR, ("time0",), 0.5), (SIDECAR, ("time0",), 12.7),
     (SIDECAR, ("dt_hours",), None), (SIDECAR, ("dt_hours",), 2.9), (SIDECAR, ("lon",), 5),
     (SIDECAR, ("lat",), "x"), (SIDECAR, ("var_names",), 5), (SIDECAR, ("var_names",), "abcd"),
     (SIDECAR, ("member_id",), 5),
-    (REFLOW, ("tensors",), []), (REFLOW, ("tensors",), 5),
-    (REFLOW, ("tensors", "target_stats/mean"), 5),
-    (REFLOW, ("tensors", "target_stats/mean", "file"), 5),
-    (REFLOW, ("tensors", "target_stats/mean", "shape"), "x"),
-    (REFLOW, ("meta",), 5), (REFLOW, ("meta", "kind"), "sr"), (REFLOW, ("meta", "arch"), 5),
-    (REFLOW, ("meta", "members"), 5), (REFLOW, ("meta", "members"), [5]),
-    (REFLOW, ("meta", "arch", "levels"), "8,16"), (REFLOW, ("meta", "arch", "in_channels"), 12.0),
-    (REFLOW, ("meta", "arch", "in_channels"), "12"), (REFLOW, ("meta", "arch", "bogus"), 1),
-    (SR, ("meta",), 5), (SR, ("meta", "kind"), "reflow"), (SR, ("meta", "clim_buckets"), []),
-    (SR, ("meta", "clim_buckets"), ["20", 12]), (SR, ("meta", "spec"), "x"),
-    (SR, ("meta", "spec"), [4]), (SR, ("meta", "window_days"), "3"),
-    (SR, ("meta", "window_days"), 3.5), (SR, ("meta", "schedule"), 5),
-    (SR, ("meta", "schedule", "n_grid"), "24"), (SR, ("meta", "schedule", "kind"), 5),
-    (SR, ("meta", "schedule", "sigma_max"), "x"), (SR, ("meta", "schedule", "bogus"), 1),
-    (SR, ("meta", "arch", "levels"), [8, "16"]),
+    (REFLOW, ("tensors",), []), (REFLOW, ("tensors",), 5), (REFLOW, ("tensors",), "x"),
+    (REFLOW, ("meta",), 5), (REFLOW, ("meta", "kind"), "sr"), (REFLOW, ("meta", "levels"), 5),
+    (REFLOW, ("meta", "levels"), None), (REFLOW, ("meta", "levels"), []),
+    (REFLOW, ("meta", "levels"), "8,16"), (REFLOW, ("meta", "levels"), [8.0, 16]),
+    (REFLOW, ("meta", "levels"), [8, 16, 32]),
+    (SR, ("meta",), 5), (SR, ("meta", "kind"), "reflow"), (SR, ("meta", "levels"), [8, "16"]),
+    (SR, ("meta", "levels"), []), (SR, ("meta", "levels"), [8]),
+    (SR, ("meta", "window_days"), "3"), (SR, ("meta", "window_days"), None),
+    (SR, ("meta", "window_days"), 3.5), (SR, ("meta", "window_days"), 0),
+    (SR, ("meta", "window_days"), 2), (SR, ("meta", "window_days"), 4),
+    (SR, ("meta", "steps_per_day"), None), (SR, ("meta", "steps_per_day"), "12"),
+    (SR, ("meta", "steps_per_day"), 0), (SR, ("meta", "steps_per_day"), 6),
+    (SR, ("meta", "schedule"), 5), (SR, ("meta", "schedule", "n_grid"), "24"),
+    (SR, ("meta", "schedule", "kind"), 5), (SR, ("meta", "schedule", "sigma_max"), "x"),
+    (SR, ("meta", "schedule", "bogus"), 1),
+]
+# (tensor file, edit of its array, row id): tensors that disagree with the rest of
+# their checkpoint, which fails naming its manifest
+DISAGREEING_TENSORS = [
+    # 239 climatology groups are not a whole number of days of 12 groups
+    ("models/sr/clim__mean.npy", lambda a: a[:-1], "239-groups"),
+    ("models/sr/clim__std.npy", lambda a: a[:-1], "239-groups"),
+    ("models/sr/clim__mean.npy", lambda a: a[0], "3-axes"),
+    # a 3-row coarse grid does not divide the 8-row fine grid
+    ("models/sr/cond_stats__mean.npy", lambda a: np.concatenate([a, a[:1]]), "3x2-grid"),
+    ("models/sr/cond_stats__std.npy", lambda a: a[..., :3], "3-variables"),
+    ("models/sr/param__in__conv__w.npy", lambda a: a[..., :4], "4-channels"),
+    ("models/debias/param__in__conv__w.npy", lambda a: a[..., :4], "4-channels"),
+    ("models/debias/member_stats__m000__std.npy", lambda a: 0 * a, "zero"),
 ]
 WHOLE_DOCUMENT = [("truncated", lambda raw: raw[:13]), ("list", lambda raw: b"[]"),
                   ("empty-object", lambda raw: b"{}")]
@@ -366,10 +398,21 @@ def _corruptions():
              for rel in (FIELD, TENSOR)]
     rows += [pytest.param(rel, _drop(*keys), None, id=f"{rel}:drop-{'.'.join(keys)}")
              for rel, paths in READ_KEYS.items() for keys in paths]
+    rows += [pytest.param(rel, _edit_tensors(lambda names, name=name: names.remove(name)),
+                          None, id=f"{rel}:drop-tensor-{name}")
+             for rel, names in READ_TENSORS.items() for name in names]
     rows += [pytest.param(rel, _put(*keys, value=value), None,
                           id=f"{rel}:{'.'.join(keys)}={json.dumps(value)}")
              for rel, keys, value in WRONG_VALUES]
     return rows + [
+        pytest.param(rel, _edit_tensors(lambda names, extra=extra: names.append(extra)), None,
+                     id=f"{rel}:tensors+{json.dumps(extra)}")
+        for rel in (REFLOW, SR) for extra in (5, "bogus")
+    ] + [
+        pytest.param(rel, _edit_npy(edit), str(Path(rel).parent / "manifest.json"),
+                     id=f"{rel}:{name}")
+        for rel, edit, name in DISAGREEING_TENSORS
+    ] + [
         pytest.param(CONFIG, lambda raw: raw.replace(b"steps = 40", b"steps = x", 1), None,
                      id=f"{CONFIG}:debias.steps=x"),
         pytest.param(CONFIG, lambda raw: raw.replace(b"[sample]\n", b"[sample]\nbogus = 1\n"),
@@ -424,7 +467,7 @@ class TestExitCodes:
         # corrupted document is unlinked before it is rewritten
         out = tmp_path / "run"
         shutil.copytree(e2e_run, out, copy_function=os.link)
-        stage = "sample" if rel == SR else "debias"
+        stage = "sample" if rel.startswith("models/sr/") else "debias"
         if stage == "debias":
             shutil.rmtree(out / "debiased")
         else:
@@ -448,7 +491,9 @@ class TestExitCodes:
         (["sample.windows=3"], "sample.windows"),
         (["sample.start_day=8"], "synth.n_days"),
         (["sr.window_days=1", "sample.length_days=1"], "sr.window_days = 1"),
-    ], ids=["windows-do-not-tile-length", "window-past-n-days", "one-day-windows"])
+        (["sample.member=m009"], "sample.member = m009"),
+    ], ids=["windows-do-not-tile-length", "window-past-n-days", "one-day-windows",
+            "unknown-member"])
     def test_inconsistent_sample_settings_exit_2_writing_nothing(self, tiny_config, tmp_path,
                                                                  capsys, overrides, message):
         out = tmp_path / "run"

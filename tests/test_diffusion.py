@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -435,7 +437,19 @@ class TestTrainAndSample:
         arrays, meta = load_checkpoint(tmp_path / "sr", "sr", lambda *doc: doc)
         assert not [k for k in arrays if k.startswith("adam_")]
         assert meta["step"] == cfg.steps
+        assert meta == {"kind": "sr", "step": cfg.steps, "levels": [4], "window_days": 3,
+                        "steps_per_day": 12, "schedule": dataclasses.asdict(cfg.noise)}
         back = load_sr(tmp_path / "sr")
+        # rebuilt from the tensors and those few settings, as train_sr built them
+        assert back.arch == model.arch
+        assert back.spec == model.spec == DownsampleSpec(4, 12)
+        assert back.window_days == model.window_days == cfg.window_days
+        clim, back_clim = model.norm.residual_clim, back.norm.residual_clim
+        assert ((back_clim.doy_buckets, back_clim.tod_buckets)
+                == (clim.doy_buckets, clim.tod_buckets) == (4, 12))
+        # 40 days fill only the first of the 4 day-of-year buckets
+        assert clim.valid.tolist() == [True] * 12 + [False] * 36
+        np.testing.assert_array_equal(back_clim.valid, clim.valid)
         assert back.schedule == model.schedule
         for k in model.params:
             assert back.params[k].tobytes() == model.params[k].tobytes()

@@ -9,6 +9,7 @@ from downgen.grid import (
     HOURS_PER_DAY,
     STD_FLOOR,
     STEPS_PER_DAY,
+    Climatology,
     DownsampleSpec,
     GridField,
     GridFormatError,
@@ -36,7 +37,7 @@ def make_field(data, dt_hours=2, time0=0, member_id=None):
 def load_as_checkpoint(path):
     """`load_checkpoint` of a one-tensor checkpoint whose tensor file is `path`."""
     (path.parent / "manifest.json").write_text(json.dumps(
-        {"tensors": {"w": {"file": path.name, "shape": [2, 4, 4, 1]}}, "meta": {"kind": "t"}}))
+        {"tensors": [path.name.removesuffix(".npy")], "meta": {"kind": "t"}}))
     return load_checkpoint(path.parent, "t", lambda arrays, meta: arrays)
 
 
@@ -218,6 +219,13 @@ class TestClimatologyMatchesAddAt:
         assert clim.mean.tobytes() == mean.tobytes()
         assert clim.std.tobytes() == std.tobytes()
         assert (clim.valid is None) == (grouping == (1, 1))
+
+    @pytest.mark.parametrize("n_mean, n_std, n_valid", [(7, 8, None), (8, 7, None), (8, 8, 7),
+                                                         (8, 8, 9)])
+    def test_table_of_other_length_than_groups_refused(self, n_mean, n_std, n_valid):
+        valid = None if n_valid is None else np.ones(n_valid, dtype=bool)
+        with pytest.raises(ValueError, match="not 4 x 2"):
+            Climatology(4, 2, np.zeros((n_mean, 1, 1, 1)), np.ones((n_std, 1, 1, 1)), valid)
 
 
 class TestCoarsen:

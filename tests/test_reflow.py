@@ -372,7 +372,11 @@ class TestTrainReflow:
         arrays, meta = load_checkpoint(tmp_path / "ckpt", "reflow", lambda *doc: doc)
         assert not [k for k in arrays if k.startswith("adam_")]
         assert meta["step"] == cfg.steps
+        assert meta == {"kind": "reflow", "step": cfg.steps, "levels": [4, 8]}
         back = load_reflow(tmp_path / "ckpt")
+        # rebuilt from the tensors and meta.levels, as train_reflow built them
+        assert back.arch == model.arch
+        assert list(back.member_stats) == list(model.member_stats) == ["m000"]
         assert set(back.params) == set(model.params)
         for k in model.params:
             assert back.params[k].tobytes() == model.params[k].tobytes()
