@@ -203,6 +203,32 @@ def slice_axis(a, start, stop, axis=-1):
     return _node(a.data[index], (a,), vjp)
 
 
+def slice_group_sum(a, start, stop, n, inner, axis=-1):
+    """a[start:stop] along `axis`, read as [n, group, inner] and summed over
+    each group: entry i·inner + r of the result is the sum over k < group of
+    entry (i·group + k)·inner + r of the slice. The vjp broadcasts g back to
+    every entry of its group, inside zeros shaped like a, as `slice_axis` does.
+    """
+    a = _as_tensor(a)
+    axis %= a.data.ndim
+    index = (slice(None),) * axis + (slice(start, stop),)
+    part = a.data[index]
+    lead, trail = part.shape[:axis], part.shape[axis + 1:]
+    group, rest = divmod(part.shape[axis], n * inner)
+    if rest or not group:
+        raise ValueError(f"{part.shape[axis]} entries are not {n} groups of {inner}-entry runs")
+    split = lead + (n, group, inner) + trail
+    out = part.reshape(split).sum(axis=axis + 1).reshape(lead + (n * inner,) + trail)
+
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        full[index] = np.broadcast_to(g.reshape(lead + (n, 1, inner) + trail),
+                                      split).reshape(part.shape)
+        return (full,)
+
+    return _node(out, (a,), vjp)
+
+
 def concat(tensors, axis=-1):
     tensors = [_as_tensor(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
@@ -420,7 +446,7 @@ def _conv2d_taps(x, w, b, stride):
 
 # Largest gathered matrix [B·Ho·Wo, kh·kw·Cin], in elements, that
 # `_conv2d_gathered` builds. Above it, building the matrix costs more than the
-# per-tap GEMMs it replaces: the SR input conv's 144-channel halves.
+# per-tap GEMMs it replaces: the SR input conv's 144-channel state half.
 _GATHER_LIMIT = 1 << 17
 
 

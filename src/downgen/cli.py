@@ -33,6 +33,7 @@ from .diffusion import NoiseSchedule, SRTrainConfig, load_sr, train_sr
 from .grid import (
     DownsampleSpec,
     GridField,
+    GridFormatError,
     compute_climatology,
     read_array,
     staged,
@@ -265,7 +266,11 @@ def stage_baseline_bcsd(cfg, run_dir):
 def stage_sample(cfg, run_dir, source="debiased"):
     run_dir = Path(run_dir)
     tag, stream, input_dir, input_stage = _SOURCES[source]
-    model = load_sr(_require(run_dir / "models" / "sr", "train-sr"))
+    sr_dir = _require(run_dir / "models" / "sr", "train-sr")
+    model = load_sr(sr_dir)
+    if model.window_days != cfg["sr"]["window_days"]:
+        raise GridFormatError(f"{sr_dir / 'manifest.json'}: window_days = {model.window_days}, "
+                              f"not sr.window_days = {cfg['sr']['window_days']}")
     coarse = read_array(_require(run_dir / input_dir / f"{cfg['sample']['member']}.npy",
                                  input_stage))
     h0, h1 = _sample_window_hours(cfg)

@@ -30,7 +30,6 @@ from .grid import (
     cubic_upsample_space,
     exact_keys,
     interp_upsample,
-    repeat_time,
 )
 from .nets import (
     ArchConfig,
@@ -158,10 +157,11 @@ def assemble_output(y_cond: GridField, residual_draw, norm: SRNormalization,
 
 
 def prepare_cond(y_cond: GridField, norm: SRNormalization, spec: DownsampleSpec):
-    """Normalize the coarse input and lift it to the fine grid for conditioning."""
+    """The conditioning field: the coarse daily input normalized and upsampled
+    in space to the fine grid, [days, H, W, V]. It stays daily; a window of it
+    is `nets.denoiser_cond`'s input."""
     y_tilde = (y_cond.data - norm.cond_stats.mean) / norm.cond_stats.std
-    return repeat_time(cubic_upsample_space(y_tilde, spec.spatial_factor),
-                       spec.temporal_window)
+    return cubic_upsample_space(y_tilde, spec.spatial_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +198,8 @@ class SRModel:
 def denoise_loss(params, arch: ArchConfig, z0, cond, sigmas, eps, keep_mask):
     """Weighted denoising MSE with per-sample conditioning dropout.
 
-    z0, cond: [B, T, H, W, V]; sigmas, keep_mask: [B]; eps: like z0. Dropped
+    z0: [B, T, H, W, V]; cond: [B, n, H, W, V] conditioning windows (see
+    `nets.denoiser_cond`); sigmas, keep_mask: [B]; eps: like z0. Dropped
     samples see the null (zero) conditioning tensor.
     """
     z = perturb(z0, sigmas, eps)
@@ -216,25 +217,26 @@ def denoise_loss(params, arch: ArchConfig, z0, cond, sigmas, eps, keep_mask):
 def train_sr(fine_truth: GridField, cfg: SRTrainConfig, out_dir=None):
     """Train the residual denoiser on self-coarsened fine truth.
 
-    `fit` runs the loop; each step draws window starts, noise levels, noise
-    and the dropout mask, in that order. Returns (SRModel, log). Window
-    length is cfg.window_days at fine cadence.
+    `fit` runs the loop; each step draws window start days, noise levels,
+    noise and the dropout mask, in that order. Returns (SRModel, log). A
+    window is cfg.window_days of the residual at fine cadence, conditioned on
+    the same days of the daily `prepare_cond` field.
     """
     spec = DownsampleSpec(cfg.spatial_factor, 24 // fine_truth.dt_hours)
     steps_per_day = spec.temporal_window
     window = cfg.window_days * steps_per_day
     norm, r_tilde, coarse = fit_training_pair(fine_truth, spec,
                                               grouping=(cfg.doy_buckets, steps_per_day))
-    cond_full = prepare_cond(coarse, norm, spec)
+    cond_days = prepare_cond(coarse, norm, spec)
     n_days = fine_truth.n_times // steps_per_day
     if n_days < cfg.window_days:
         raise ValueError("training series shorter than one window")
     arch = denoiser_arch(fine_truth.data.shape[-1], window, levels=cfg.levels)
 
     def loss_fn(params, rng):
-        starts = rng.integers(0, n_days - cfg.window_days + 1, cfg.batch) * steps_per_day
-        z0 = np.stack([r_tilde[s: s + window] for s in starts])
-        cond = np.stack([cond_full[s: s + window] for s in starts])
+        days = rng.integers(0, n_days - cfg.window_days + 1, cfg.batch)
+        z0 = np.stack([r_tilde[d * steps_per_day: d * steps_per_day + window] for d in days])
+        cond = np.stack([cond_days[d: d + cfg.window_days] for d in days])
         sigmas = cfg.noise.sample_train(rng, cfg.batch)
         eps = rng.standard_normal(z0.shape)
         keep = (rng.random(cfg.batch) >= cfg.p_uncond).astype(np.float64)
@@ -256,11 +258,12 @@ def cfg_denoise(params, arch: ArchConfig, z, sigma, cond, guidance):
     """Classifier-free guided denoiser: (1+g) D(z, s, cond) - g D(z, s, null).
 
     z: [..., T, H, W, V], one window or a stack of windows, all at noise level
-    sigma; cond has the shape of z, or is the windows' `nets.denoiser_cond`
-    [..., H, W, levels[0]], or is None for unconditional denoising regardless
-    of guidance strength. Every window goes through one `denoiser_forward`
-    call, which forms the guided mix itself: the two branches share the input
-    conv's state half and one output conv.
+    sigma; cond is the windows' conditioning [..., n, H, W, V] (see
+    `nets.denoiser_cond`), or their `nets.denoiser_cond` [..., H, W,
+    levels[0]], or None for unconditional denoising regardless of guidance
+    strength. Every window goes through one `denoiser_forward` call, which
+    forms the guided mix itself: the two branches share the input conv's
+    state half and one output conv.
     """
     zb = z.reshape((-1,) + z.shape[-4:])
     cb = None if cond is None else cond.reshape((-1,) + cond.shape[z.ndim - 4:])

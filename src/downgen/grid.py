@@ -100,13 +100,18 @@ class GridField:
         return replace(self, data=data)
 
     def time_slice(self, start, stop):
-        """Restrict to timestamps in [start, stop) hours."""
-        times = self.time_coords
-        mask = (times >= start) & (times < stop)
-        idx = np.nonzero(mask)[0]
-        if idx.size == 0:
+        """Restrict to timestamps in [start, stop) hours. The times are regular,
+        so the steps kept are a contiguous range and the data is a read-only
+        view of this field's: an in-place write to it fails rather than
+        changing this field."""
+        # each bound's first step at or after it, ceil((hours - time0) / dt), clipped
+        lo, hi = (min(max(-((self.time0 - hours) // self.dt_hours), 0), self.n_times)
+                  for hours in (start, stop))
+        if hi <= lo:
             raise ValueError(f"time range [{start}, {stop}) selects no steps")
-        return replace(self, data=self.data[idx], time0=int(times[idx[0]]))
+        data = self.data[lo:hi]
+        data.flags.writeable = False
+        return replace(self, data=data, time0=self.time0 + lo * self.dt_hours)
 
 
 def group_index(times, grouping):

@@ -24,8 +24,9 @@ from .parallel import pmap  # noqa: F401  not called here; perfbench/tracing.py 
 @dataclass
 class WindowLayout:
     """The tiling rule: n_windows windows whose neighbors share `overlap` steps
-    cover total_len steps. The CLI checks the sample window with it in days,
-    `sample_long` in fine steps."""
+    cover total_len steps. The CLI checks the sample window with it in days;
+    `sample_long` windows the trajectory with it in fine steps and the daily
+    conditioning in days."""
 
     n_windows: int
     window_len: int   # steps per window
@@ -94,25 +95,28 @@ def sample_long(model: SRModel, y_cond_long: GridField, n_windows,
     the plain single-window sampler. on_step, if given, is called as
     on_step(grid_index, window_states) after every SDE step, with the states
     as read-only views [n_windows, window_len, H, W, V] of the trajectory.
-    The conditioning half of the denoiser's input conv does not change from
-    step to step: it runs once, before the chain (`nets.denoiser_cond`), and
-    every step's `cfg_denoise` gets its output.
+    The conditioning stays daily: the same layout in days windows the
+    `prepare_cond` field, [n_windows, window_days, H, W, V]. The
+    conditioning half of the denoiser's input conv does not change from step
+    to step: it runs once on those windows, before the chain
+    (`nets.denoiser_cond`), and every step's `cfg_denoise` gets its output.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     spd = model.spec.temporal_window
     layout = WindowLayout(n_windows, model.window_days * spd, spd)
-    expected_days = layout.total_len // spd
-    if y_cond_long.n_times != expected_days:
+    days = WindowLayout(n_windows, model.window_days, 1)
+    if y_cond_long.n_times != days.total_len:
         raise ValueError(f"conditioning series has {y_cond_long.n_times} days, layout needs "
-                         f"{expected_days} for {n_windows} windows of {model.window_days} days")
-    cond_full = prepare_cond(y_cond_long, model.norm, model.spec)
-    conds = denoiser_cond(model.params, layout.windows(cond_full), model.arch).data
+                         f"{days.total_len} for {n_windows} windows of {model.window_days} days")
+    cond_days = prepare_cond(y_cond_long, model.norm, model.spec)
+    conds = denoiser_cond(model.params, days.windows(cond_days), model.arch).data
 
     def denoise_fn(z, sigma):
         ds = cfg_denoise(model.params, model.arch, layout.windows(z), sigma, conds, guidance)
         return consolidate(ds, layout)
 
     step_fn = None if on_step is None else (lambda i, z: on_step(i, layout.windows(z)))
-    draw = sample_chain(denoise_fn, cond_full.shape, model.schedule.step_sigmas(), rng, step_fn)
+    shape = (layout.total_len,) + cond_days.shape[1:]
+    draw = sample_chain(denoise_fn, shape, model.schedule.step_sigmas(), rng, step_fn)
     return assemble_output(y_cond_long, draw, model.norm, model.spec)

@@ -258,23 +258,29 @@ def _unfold_time(x: Tensor, t, v) -> Tensor:
 def denoiser_cond(leaves, cond, arch: ArchConfig) -> Tensor:
     """The conditioning half of the input conv: [B, H, W, levels[0]], no bias.
 
-    cond: [B, T, H, W, V] interpolated conditioning windows. The result
+    cond: [B, n, H, W, V] conditioning windows, each of whose n slices stands
+    for (in_channels / 2) / (n·V) consecutive steps of the window: the daily
+    field of `diffusion.prepare_cond` (n = window days), or a field at the
+    window's own cadence (n = T). The half's weights are summed over each
+    slice's steps in one tape node (`autodiff.slice_group_sum`): each slice
+    is convolved once, which equals convolving it repeated at every step it
+    stands for. The result
     depends on neither the noisy state nor sigma, so a sampler computes it
     once per call and passes it to `denoiser_forward` on every step.
     """
-    c = arch.in_channels // 2
-    return ad.conv2d(_fold_time(cond), ad.slice_axis(leaves["in/conv/w"], c, 2 * c, axis=2),
-                     np.zeros(arch.levels[0]))
+    c, v = arch.in_channels // 2, cond.shape[-1]
+    w = ad.slice_group_sum(leaves["in/conv/w"], c, 2 * c, cond.shape[1], v, axis=2)
+    return ad.conv2d(_fold_time(cond), w, np.zeros(arch.levels[0]))
 
 
 def denoiser_forward(leaves, z, sigma, cond, arch: ArchConfig, guidance=0.0) -> Tensor:
     """Preconditioned denoiser D(z, sigma, cond), or with a nonzero guidance g
     and a cond, the classifier-free guided (1+g) D(z, s, cond) - g D(z, s, null).
 
-    z: [B, T, H, W, V] noisy residual window; sigma: [B]; cond: interpolated
-    conditioning of the same shape as z, its `denoiser_cond` [B, H, W,
-    levels[0]], or None for the null (zero) input, which is unguided whatever
-    g. Returns a tensor shaped like z.
+    z: [B, T, H, W, V] noisy residual window; sigma: [B]; cond: conditioning
+    windows [B, n, H, W, V] (rank 5, see `denoiser_cond`), their
+    `denoiser_cond` [B, H, W, levels[0]] (rank 4), or None for the null
+    (zero) input, which is unguided whatever g. Returns a tensor shaped like z.
 
     Guidance uses that the input conv is linear in its input channels and the
     output conv linear in its input. `in/conv/w` is split by input channel
@@ -295,7 +301,7 @@ def denoiser_forward(leaves, z, sigma, cond, arch: ArchConfig, guidance=0.0) -> 
                   leaves["in/conv/b"])
     guided = cond is not None and guidance != 0.0
     if cond is not None:
-        xc = x + (denoiser_cond(leaves, cond, arch) if cond.shape == z.shape else cond)
+        xc = x + (denoiser_cond(leaves, cond, arch) if cond.ndim == z.ndim else cond)
         x = ad.concat([xc, x], axis=0) if guided else xc
     embed = fourier_embed(leaves, np.concatenate([c_noise, c_noise]) if guided else c_noise,
                           arch)

@@ -283,12 +283,17 @@ def save_reflow(model: ReflowModel, ckpt_dir, opt_state=None) -> None:
 
 
 def _reflow_model(arrays, meta) -> ReflowModel:
-    """`train_reflow`'s model: a member per `member_stats/<id>/` tensor pair."""
+    """`train_reflow`'s model: a member per `member_stats/<id>/` tensor pair, on the
+    grid of the target statistics."""
     target_stats = EnsembleStats(arrays["target_stats/mean"], arrays["target_stats/std"])
     arch = velocity_arch(target_stats.mean.shape[-1], levels=meta["levels"])
     members = sorted({name.split("/")[1] for name in arrays if name.startswith("member_stats/")})
     member_stats = {mid: EnsembleStats(arrays[f"member_stats/{mid}/mean"],
                                        arrays[f"member_stats/{mid}/std"]) for mid in members}
+    for mid, stats in member_stats.items():
+        if stats.mean.shape != target_stats.mean.shape:
+            raise ValueError(f"member {mid!r} statistics of shape {stats.mean.shape}, target "
+                             f"statistics of shape {target_stats.mean.shape}")
     return ReflowModel(checkpoint_params(arrays, arch), arch, member_stats, target_stats)
 
 

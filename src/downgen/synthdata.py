@@ -132,9 +132,13 @@ def _spectral_filter(nx, ny, slope):
 
 
 def _correlated_noise(rng, n_steps, nx, ny, slope, corr_chol, ar1=0.0,
-                      chunk_steps=2048):
+                      chunk_steps=256):
     """[T, nx, ny, 4] noise: power-law spatial spectrum, cross-variable mixing,
-    optional AR(1) persistence in time (stationary unit variance)."""
+    optional AR(1) persistence in time (stationary unit variance).
+
+    The white noise is drawn and filtered chunk_steps steps at a time, which
+    bounds the temporaries; the generator fills its stream in order, so the
+    output does not depend on the chunk size."""
     h = _spectral_filter(nx, ny, slope)
     out = np.empty((n_steps, nx, ny, len(corr_chol)))
     for lo in range(0, n_steps, chunk_steps):

@@ -325,10 +325,11 @@ class TestCriterion3Multidiffusion:
             if len(steps) != model.schedule.n_grid - 1:
                 failures.append((m, "steps", len(steps)))
         y1 = coarse.time_slice(0, 3 * 24)
-        cond = prepare_cond(y1, model.norm, model.spec)
+        cond = prepare_cond(y1, model.norm, model.spec)   # daily: 3 days
         draw = sample_chain(
             lambda z, s: cfg_denoise(model.params, model.arch, z, s, cond, 1.0),
-            cond.shape, model.schedule.step_sigmas(), np.random.default_rng(77))
+            (model.window_days * overlap,) + cond.shape[1:], model.schedule.step_sigmas(),
+            np.random.default_rng(77))
         a = assemble_output(y1, draw, model.norm, model.spec)
         b = sample_long(model, y1, 1, guidance=1.0, rng=np.random.default_rng(77))
         identical = a.data.tobytes() == b.data.tobytes()

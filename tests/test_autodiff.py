@@ -92,6 +92,23 @@ class TestShapes:
 
         check_op(build, arrays)
 
+    @pytest.mark.parametrize("axis", [0, 2, -1])
+    def test_slice_group_sum(self, axis):
+        rng = np.random.default_rng(8)
+        arrays = {"a": rng.standard_normal((14, 3, 14))}
+        # entries 2..14 read as [2, 3, 2]: entry i·2 + r sums (i·3 + k)·2 + r over k < 3
+        part = np.moveaxis(arrays["a"], axis, 0)[2:14]
+        want = np.moveaxis(np.stack([sum(part[(i * 3 + k) * 2 + r] for k in range(3))
+                                     for i in range(2) for r in range(2)]), 0, axis)
+        got = ad.slice_group_sum(arrays["a"], 2, 14, 2, 2, axis=axis).data
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+
+        def build(t):
+            s = ad.slice_group_sum(t["a"], 2, 14, 2, 2, axis=axis)
+            return ad.mean(ad.square(s)) + ad.mean(ad.slice_axis(t["a"], 0, 4, axis=axis))
+
+        check_op(build, arrays)
+
 
 class TestDense:
     def test_dense(self):

@@ -384,9 +384,17 @@ DISAGREEING_TENSORS = [
     ("models/sr/param__in__conv__w.npy", lambda a: a[..., :4], "4-channels"),
     ("models/debias/param__in__conv__w.npy", lambda a: a[..., :4], "4-channels"),
     ("models/debias/member_stats__m000__std.npy", lambda a: 0 * a, "zero"),
+    # a member's mean and std on one grid row, against the target statistics' two
+    (("models/debias/member_stats__m000__mean.npy", "models/debias/member_stats__m000__std.npy"),
+     lambda a: a[:1], "1-row-grid"),
 ]
 WHOLE_DOCUMENT = [("truncated", lambda raw: raw[:13]), ("list", lambda raw: b"[]"),
                   ("empty-object", lambda raw: b"{}")]
+
+
+def _files(rel):
+    """The documents a corruption row rewrites: one, or a tuple of several."""
+    return (rel,) if isinstance(rel, str) else rel
 
 
 def _corruptions():
@@ -409,8 +417,15 @@ def _corruptions():
                      id=f"{rel}:tensors+{json.dumps(extra)}")
         for rel in (REFLOW, SR) for extra in (5, "bogus")
     ] + [
-        pytest.param(rel, _edit_npy(edit), str(Path(rel).parent / "manifest.json"),
-                     id=f"{rel}:{name}")
+        # a window of 6 days of 6 steps, or 12 of 3, has the trained 36 steps but is not
+        # the run's sr.window_days
+        pytest.param(SR, _edit_json(lambda doc, days=days, spd=spd: doc["meta"].update(
+            window_days=days, steps_per_day=spd)), None,
+            id=f"{SR}:meta.window_days,steps_per_day={days},{spd}")
+        for days, spd in ((6, 6), (12, 3))
+    ] + [
+        pytest.param(rel, _edit_npy(edit), str(Path(_files(rel)[0]).parent / "manifest.json"),
+                     id=f"{'+'.join(_files(rel))}:{name}")
         for rel, edit, name in DISAGREEING_TENSORS
     ] + [
         pytest.param(CONFIG, lambda raw: raw.replace(b"steps = 40", b"steps = x", 1), None,
@@ -463,21 +478,22 @@ class TestExitCodes:
                                               named):
         """A malformed document exits 1 naming it (2 for config.ini), with no traceback
         and no file written. The SR checkpoint is read by `sample`, the rest by `debias`."""
-        # a copy by hard links: stages never write to a file in place, and the
+        # a copy by hard links: stages never write to a file in place, and a
         # corrupted document is unlinked before it is rewritten
         out = tmp_path / "run"
         shutil.copytree(e2e_run, out, copy_function=os.link)
-        stage = "sample" if rel.startswith("models/sr/") else "debias"
+        stage = "sample" if _files(rel)[0].startswith("models/sr/") else "debias"
         if stage == "debias":
             shutil.rmtree(out / "debiased")
         else:
             for stale in (out / "samples").glob("downgen.npy*"):
                 stale.unlink()
         before = sorted(out.rglob("*"))
-        path = out / rel
-        raw = path.read_bytes()
-        path.unlink()
-        path.write_bytes(corrupt(raw))
+        for name in _files(rel):
+            path = out / name
+            raw = path.read_bytes()
+            path.unlink()
+            path.write_bytes(corrupt(raw))
         capsys.readouterr()
         code = main([stage, "--config", str(out / CONFIG), "--out", str(out)])
         err = capsys.readouterr().err

@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from downgen import autodiff as ad
+from downgen import autodiff as ad, cli
+from downgen.config import parse_config
 from downgen.diffusion import (
     NoiseSchedule,
     SRTrainConfig,
@@ -29,7 +32,6 @@ from downgen.grid import (
     coarsen,
     cubic_upsample_space,
     interp_upsample,
-    repeat_time,
 )
 from downgen.multidiffusion import sample_chain, sample_long
 from downgen.nets import as_leaves, denoiser_arch, denoiser_forward, init_params, load_checkpoint
@@ -466,7 +468,7 @@ class TestTrainAndSample:
         spec = DownsampleSpec(4, 12)
         norm, r_tilde, coarse = fit_training_pair(truth, spec, grouping=(4, 12))
         y_tilde = (coarse.data - norm.cond_stats.mean) / norm.cond_stats.std
-        cond_full = repeat_time(cubic_upsample_space(y_tilde, 4), 12)
+        cond_days = cubic_upsample_space(y_tilde, 4)
         n_days, window = truth.n_times // 12, cfg.window_days * 12
         rng = np.random.default_rng(np.random.SeedSequence((30, 3)))
         arch = denoiser_arch(truth.data.shape[-1], window, levels=(4,))
@@ -476,9 +478,9 @@ class TestTrainAndSample:
                                clip_norm=cfg.clip_norm)
         ref_log = []
         for step in range(4):
-            starts = rng.integers(0, n_days - cfg.window_days + 1, 3) * 12
-            z0 = np.stack([r_tilde[s: s + window] for s in starts])
-            cond = np.stack([cond_full[s: s + window] for s in starts])
+            days = rng.integers(0, n_days - cfg.window_days + 1, 3)
+            z0 = np.stack([r_tilde[d * 12: d * 12 + window] for d in days])
+            cond = np.stack([cond_days[d: d + cfg.window_days] for d in days])
             sigmas = cfg.noise.sample_train(rng, 3)
             eps = rng.standard_normal(z0.shape)
             keep = (rng.random(3) >= cfg.p_uncond).astype(np.float64)
@@ -496,6 +498,27 @@ class TestTrainAndSample:
         y_cond = coarsen(truth, cfg.downsample).time_slice(0, 5 * 24)
         with pytest.raises(ValueError, match="window"):
             sample_long(model, y_cond, 1)
+
+
+class TestTrainSrMemory:
+    def test_peak_beyond_adam_within_three_truths(self):
+        # train-sr's working set, as the stage runs it on the demo: the training
+        # period of the demo-shaped truth, 2 steps, traced from the slice on. Beyond
+        # Adam's five flat parameter-sized vectors (parameters, two moments, two
+        # scratch), the peak holds the residual, the daily conditioning and one step's
+        # tape; a copied slice or a conditioning repeated per step breaks the bound.
+        cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "demo.ini")
+        truth = gen_fine_ensemble(cli._synth_config(cfg))
+        sr = dataclasses.replace(cli._sr_config(cfg), steps=2)
+        tracemalloc.start()
+        try:
+            train = truth.time_slice(0, cli._train_hours(cfg))
+            model, _ = train_sr(train, sr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        param_bytes = sum(v.nbytes for v in model.params.values())
+        assert peak - 5 * param_bytes <= 3 * train.data.nbytes
 
 
 class TestConditionalGaussianToy:

@@ -61,6 +61,27 @@ class TestGridField:
         fld = make_field(np.zeros((5, 2, 2, 1)), dt_hours=6, time0=12)
         assert fld.time_coords.tolist() == [12, 18, 24, 30, 36]
 
+    @pytest.mark.parametrize("start, stop", [(0, 30), (13, 31), (20, 25), (-50, 19),
+                                             (25, 500), (12, 13)])
+    def test_time_slice_is_read_only_view(self, start, stop):
+        data = np.random.default_rng(0).standard_normal((5, 2, 2, 1))
+        fld = make_field(data, dt_hours=6, time0=12)   # times 12, 18, 24, 30, 36
+        times = fld.time_coords
+        idx = np.nonzero((times >= start) & (times < stop))[0]   # as a fancy-index copy
+        part = fld.time_slice(start, stop)
+        assert part.data.tobytes() == data[idx].tobytes()
+        assert part.time0 == times[idx[0]]
+        assert np.shares_memory(part.data, fld.data)
+        with pytest.raises(ValueError, match="read-only"):
+            part.data[0] = 0.0
+        assert fld.data.flags.writeable
+
+    @pytest.mark.parametrize("start, stop", [(0, 12), (37, 99), (19, 24), (30, 30)])
+    def test_time_slice_of_no_step_rejected(self, start, stop):
+        fld = make_field(np.zeros((5, 2, 2, 1)), dt_hours=6, time0=12)
+        with pytest.raises(ValueError, match="selects no steps"):
+            fld.time_slice(start, stop)
+
 
 class TestIO:
     def test_round_trip_bit_exact(self, tmp_path):

@@ -150,10 +150,10 @@ class TestSampleLong:
     def test_m1_bitwise_equals_plain_sampler(self, untrained_model):
         model, coarse = untrained_model
         y = coarse.time_slice(0, 3 * 24)
-        cond = prepare_cond(y, model.norm, model.spec)
+        cond = prepare_cond(y, model.norm, model.spec)   # daily: [3, 8, 8, 4]
         draw = sample_chain(
             lambda z, s: cfg_denoise(model.params, model.arch, z, s, cond, 1.0),
-            cond.shape, model.schedule.step_sigmas(), np.random.default_rng(7))
+            (36,) + cond.shape[1:], model.schedule.step_sigmas(), np.random.default_rng(7))
         a = assemble_output(y, draw, model.norm, model.spec)
         b = sample_long(model, y, 1, guidance=1.0, rng=np.random.default_rng(7))
         assert a.data.tobytes() == b.data.tobytes()
@@ -214,7 +214,7 @@ class TestSampleLong:
         monkeypatch.setattr(multidiffusion, "denoiser_cond", counting)
         monkeypatch.setattr(nets, "denoiser_cond", counting)
         sample_long(model, y, m, guidance=1.0, rng=np.random.default_rng(12))
-        assert calls == [(m, 36, 8, 8, 4)]
+        assert calls == [(m, 3, 8, 8, 4)]   # daily windows
 
     def test_wrong_conditioning_length_rejected(self, untrained_model):
         model, coarse = untrained_model

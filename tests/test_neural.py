@@ -12,6 +12,7 @@ from downgen.nets import (
     as_leaves,
     collect_grads,
     denoiser_arch,
+    denoiser_cond,
     denoiser_forward,
     film,
     fourier_embed,
@@ -257,6 +258,53 @@ class TestDenoiserForward:
         analytic = {k: leaves[k].grad for k in sub}
         numeric = finite_diff_grads(lambda a: float(run(a)[0].data), sub)
         assert rel_error(analytic, numeric) < 1e-4
+
+    def test_daily_conditioning_equals_conv_of_repeated_windows(self):
+        # the demo's SR input conv: 3 daily slices against the 144-channel
+        # conditioning half of a 36-step window, whose 12 steps a day repeat the day
+        arch = denoiser_arch(4, 36, levels=(16, 32, 64))
+        rng = np.random.default_rng(24)
+        params = init_params(rng, arch)
+        daily = rng.standard_normal((4, 3, 8, 8, 4))
+        g = rng.standard_normal((4, 8, 8, 16))
+        outs, grads = [], []
+        for cond in (daily, np.repeat(daily, 12, axis=1)):
+            leaves = as_leaves(params)
+            out = denoiser_cond(leaves, cond, arch)
+            backward(ad.mean(out * g))
+            outs.append(out.data)
+            grads.append(leaves["in/conv/w"].grad)
+        for got, want in (outs, grads):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # the state half gets no gradient from the conditioning half
+        assert not grads[0][:, :, :144].any()
+
+    def test_daily_conditioning_gradient_check(self):
+        v, t = 1, 4
+        arch = denoiser_arch(v, t, levels=(4, 8))
+        rng = np.random.default_rng(25)
+        params = init_params(rng, arch)
+        for k in params:
+            params[k] = params[k] + rng.standard_normal(params[k].shape) * 0.05
+        z = rng.standard_normal((2, t, 4, 4, v))
+        daily = rng.standard_normal((2, 2, 4, 4, v))   # 2 slices of 2 steps
+        sigma = np.array([0.5, 2.0])
+        sub = {"in/conv/w": params["in/conv/w"]}
+
+        def run(arrs):
+            leaves = as_leaves({**params, **arrs})
+            return ad.mean(ad.square(denoiser_forward(leaves, z, sigma, daily, arch))), leaves
+
+        loss, leaves = run(sub)
+        backward(loss)
+        numeric = finite_diff_grads(lambda a: float(run(a)[0].data), sub)
+        assert rel_error({"in/conv/w": leaves["in/conv/w"].grad}, numeric) < 1e-4
+
+    def test_conditioning_slices_not_dividing_window_rejected(self):
+        arch = denoiser_arch(1, 4, levels=(4, 8))
+        params = init_params(np.random.default_rng(26), arch)
+        with pytest.raises(ValueError, match="not 3 groups"):
+            denoiser_cond(params, np.zeros((1, 3, 4, 4, 1)), arch)
 
 
 class TestAdam:

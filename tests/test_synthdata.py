@@ -213,3 +213,15 @@ class TestInPlaceAssembly:
             data = self.assemble_reference(cfg, structured, noise, mean_offset=bias.mean_offset)
             expect = coarsen(fine.with_data(data), cfg.downsample).data
             assert member.data.tobytes() == expect.tobytes()
+
+
+class TestNoiseChunks:
+    @pytest.mark.parametrize("ar1", [0.0, 0.6])
+    def test_noise_independent_of_chunk_size_bitwise(self, ar1):
+        # the generator fills its stream in order, so chunking the draw changes nothing
+        chol = np.linalg.cholesky(VAR_CORR)
+        n_steps = 300
+        outs = {chunk: synthdata._correlated_noise(np.random.default_rng(5), n_steps, 8, 4, 2.0,
+                                                   chol, ar1=ar1, chunk_steps=chunk).tobytes()
+                for chunk in (1, 7, 256, 2048, n_steps + 1)}
+        assert len(set(outs.values())) == 1
