@@ -46,6 +46,7 @@ from .optim import adam_step  # noqa: F401  not called here; perfbench/tracing.p
 from .reflow import fit, write_loss_log
 
 _TRAIN_STREAM = 3
+_NORMALIZE_CHUNK_STEPS = 384   # 32 days of two-hourly steps
 
 
 @dataclass
@@ -141,8 +142,11 @@ def fit_training_pair(x: GridField, spec: DownsampleSpec, grouping):
     clim = compute_climatology(x.with_data(r), grouping)
     norm = SRNormalization(residual_clim=clim, cond_stats=compute_ensemble_stats(coarse))
     times = x.time_coords
-    r -= clim.lookup_mean(times)
-    r /= clim.lookup_std(times)
+    # a chunk of steps at a time: each lookup builds a table as large as its slice
+    for lo in range(0, len(r), _NORMALIZE_CHUNK_STEPS):
+        chunk = slice(lo, lo + _NORMALIZE_CHUNK_STEPS)
+        r[chunk] -= clim.lookup_mean(times[chunk])
+        r[chunk] /= clim.lookup_std(times[chunk])
     return norm, r, coarse
 
 

@@ -12,6 +12,7 @@ shrinkage) except for a seasonal phase shift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,8 +118,8 @@ class SynthPair:
 
 def _spectral_filter(nx, ny, slope):
     """rfft2 filter with power spectrum ~ k^(-slope), unit pixel variance."""
-    kx = np.fft.fftfreq(nx) * nx
-    ky = np.fft.rfftfreq(ny) * ny
+    kx = (np.arange(nx) + nx // 2) % nx - nx // 2   # np.fft.fftfreq(nx) * nx
+    ky = np.arange(ny // 2 + 1)                     # np.fft.rfftfreq(ny) * ny
     k = np.sqrt(kx[:, None] ** 2 + ky[None, :] ** 2)
     with np.errstate(divide="ignore"):
         h = np.where(k > 0, k ** (-slope / 2.0), 0.0)
@@ -131,6 +132,37 @@ def _spectral_filter(nx, ny, slope):
     return h / np.sqrt(power) if power > 0 else h
 
 
+@lru_cache(maxsize=None)
+def _filter_operators(nx, ny, slope):
+    """Read-only (fy, circ, gy) that apply `_spectral_filter(nx, ny, slope)` as
+    three matrix products, built on first use in O(nx^2 ny) memory:
+
+    - fy [ny, 2K], K = ny//2 + 1: the real DFT along y, (cos | -sin).
+    - circ [K, nx, nx]: per y-frequency ky, the real circulant along x,
+      IDFT_x diag(h[:, ky]) DFT_x, transposed to multiply from the right.
+      It is real because h is even in kx.
+    - gy [2K, ny]: irfft's real inverse along y, weighted 1 at DC and, for
+      even ny, Nyquist, and 2 elsewhere; the imaginary rows at DC and
+      Nyquist are zero, as irfft ignores those parts.
+    """
+    h = _spectral_filter(nx, ny, slope)
+    k = h.shape[1]
+    # angles from integer residues, reduced to [0, 2 pi) before any rounding
+    ang_y = 2 * np.pi * (np.outer(np.arange(ny), np.arange(k)) % ny) / ny   # [y, ky]
+    fy = np.concatenate([np.cos(ang_y), -np.sin(ang_y)], axis=1)
+    re_w, im_w = np.full(k, 2.0), np.full(k, 2.0)
+    re_w[0], im_w[0] = 1.0, 0.0
+    if ny % 2 == 0:
+        re_w[-1], im_w[-1] = 1.0, 0.0
+    gy = fy.T * np.concatenate([re_w, im_w])[:, None] / ny
+    lag = np.arange(nx)
+    kernel = np.cos(2 * np.pi * (np.outer(lag, lag) % nx) / nx) @ h / nx   # [x' - x, ky]
+    circ = kernel[(lag[None, :] - lag[:, None]) % nx].transpose(2, 0, 1).copy()  # [ky, x, x']
+    for op in (fy, circ, gy):
+        op.flags.writeable = False
+    return fy, circ, gy
+
+
 def _correlated_noise(rng, n_steps, nx, ny, slope, corr_chol, ar1=0.0,
                       chunk_steps=256):
     """[T, nx, ny, 4] noise: power-law spatial spectrum, cross-variable mixing,
@@ -138,13 +170,21 @@ def _correlated_noise(rng, n_steps, nx, ny, slope, corr_chol, ar1=0.0,
 
     The white noise is drawn and filtered chunk_steps steps at a time, which
     bounds the temporaries; the generator fills its stream in order, so the
-    output does not depend on the chunk size."""
-    h = _spectral_filter(nx, ny, slope)
+    output does not depend on the chunk size. Each image is filtered by the
+    linear map irfft2(rfft2(white) * h, s=(nx, ny)) with h the
+    `_spectral_filter`, computed as three matrix products from
+    `_filter_operators`: the real DFT along y, the real and imaginary halves
+    through the per-y-frequency circulant along x in one batched matmul, and
+    irfft's real inverse along y. It matches that map to rounding and avoids
+    the per-transform FFT overhead on 8-point axes."""
+    fy, circ, gy = _filter_operators(nx, ny, slope)
     out = np.empty((n_steps, nx, ny, len(corr_chol)))
     for lo in range(0, n_steps, chunk_steps):
         hi = min(lo + chunk_steps, n_steps)
         white = rng.standard_normal((hi - lo, len(corr_chol), nx, ny))
-        filtered = np.fft.irfft2(np.fft.rfft2(white) * h, s=(nx, ny))
+        spec_y = fy.T @ white.reshape(-1, ny).T                       # [2K, T*V*nx]
+        spec_y = spec_y.reshape(2, len(circ), -1, nx) @ circ
+        filtered = (spec_y.reshape(len(gy), -1).T @ gy).reshape(white.shape)
         out[lo:hi] = np.einsum("vw,twxy->txyv", corr_chol, filtered)
     if ar1 > 0.0:
         innov = np.sqrt(1.0 - ar1 ** 2)

@@ -501,14 +501,19 @@ class TestTrainAndSample:
 
 
 class TestTrainSrMemory:
-    def test_peak_beyond_adam_within_three_truths(self):
+    @pytest.fixture(scope="class")
+    def demo(self):
+        # the demo-shaped truth and train-sr settings
+        cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "demo.ini")
+        return cfg, gen_fine_ensemble(cli._synth_config(cfg))
+
+    def test_peak_beyond_adam_within_three_truths(self, demo):
         # train-sr's working set, as the stage runs it on the demo: the training
         # period of the demo-shaped truth, 2 steps, traced from the slice on. Beyond
         # Adam's five flat parameter-sized vectors (parameters, two moments, two
         # scratch), the peak holds the residual, the daily conditioning and one step's
         # tape; a copied slice or a conditioning repeated per step breaks the bound.
-        cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "demo.ini")
-        truth = gen_fine_ensemble(cli._synth_config(cfg))
+        cfg, truth = demo
         sr = dataclasses.replace(cli._sr_config(cfg), steps=2)
         tracemalloc.start()
         try:
@@ -519,6 +524,21 @@ class TestTrainSrMemory:
             tracemalloc.stop()
         param_bytes = sum(v.nbytes for v in model.params.values())
         assert peak - 5 * param_bytes <= 3 * train.data.nbytes
+
+    def test_training_pair_peak_within_175_percent_of_slice(self, demo):
+        # the normalised residual is one slice-sized array; its climatology
+        # lookups must not build a further slice-sized table per statistic
+        cfg, truth = demo
+        sr = cli._sr_config(cfg)
+        train = truth.time_slice(0, cli._train_hours(cfg))
+        spec = DownsampleSpec(sr.spatial_factor, 24 // train.dt_hours)
+        tracemalloc.start()
+        try:
+            fit_training_pair(train, spec, (sr.doy_buckets, spec.temporal_window))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * train.data.nbytes
 
 
 class TestConditionalGaussianToy:

@@ -216,12 +216,59 @@ class TestInPlaceAssembly:
 
 
 class TestNoiseChunks:
-    @pytest.mark.parametrize("ar1", [0.0, 0.6])
-    def test_noise_independent_of_chunk_size_bitwise(self, ar1):
+    @pytest.mark.parametrize("ar1", [0.0, 0.6, 0.9])
+    @pytest.mark.parametrize("nx, ny", [(8, 4), (5, 7)], ids=["8x4", "5x7"])
+    def test_noise_independent_of_chunk_size_bitwise(self, nx, ny, ar1):
         # the generator fills its stream in order, so chunking the draw changes nothing
         chol = np.linalg.cholesky(VAR_CORR)
         n_steps = 300
-        outs = {chunk: synthdata._correlated_noise(np.random.default_rng(5), n_steps, 8, 4, 2.0,
-                                                   chol, ar1=ar1, chunk_steps=chunk).tobytes()
+        outs = {chunk: synthdata._correlated_noise(np.random.default_rng(5), n_steps, nx, ny,
+                                                   2.0, chol, ar1=ar1,
+                                                   chunk_steps=chunk).tobytes()
                 for chunk in (1, 7, 256, 2048, n_steps + 1)}
         assert len(set(outs.values())) == 1
+
+
+def fft_noise(rng, n_steps, nx, ny, slope, corr_chol, ar1, chunk_steps):
+    """`_correlated_noise` with each chunk filtered by pocketfft."""
+    h = synthdata._spectral_filter(nx, ny, slope)
+    out = np.empty((n_steps, nx, ny, len(corr_chol)))
+    for lo in range(0, n_steps, chunk_steps):
+        hi = min(lo + chunk_steps, n_steps)
+        white = rng.standard_normal((hi - lo, len(corr_chol), nx, ny))
+        filtered = np.fft.irfft2(np.fft.rfft2(white) * h, s=(nx, ny))
+        out[lo:hi] = np.einsum("vw,twxy->txyv", corr_chol, filtered)
+    for t in range(1, n_steps):
+        out[t] = ar1 * out[t - 1] + np.sqrt(1.0 - ar1 ** 2) * out[t]
+    return out
+
+
+class TestMatrixFilter:
+    @pytest.mark.parametrize("ar1", [0.0, 0.6])
+    @pytest.mark.parametrize("slope", [2.0, 2.0 + 0.7])
+    @pytest.mark.parametrize("nx, ny", [(8, 8), (64, 64), (5, 7), (1, 4), (4, 1)],
+                             ids=["8x8", "64x64", "5x7", "1x4", "4x1"])
+    def test_matches_pocketfft_map(self, nx, ny, slope, ar1):
+        chol = np.linalg.cholesky(VAR_CORR)
+        args = (40, nx, ny, slope, chol)
+        got = synthdata._correlated_noise(np.random.default_rng(3), *args, ar1=ar1,
+                                          chunk_steps=16)
+        expect = fft_noise(np.random.default_rng(3), *args, ar1=ar1, chunk_steps=16)
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (5, 7), (8, 4), (7, 5)])
+    def test_filter_wavenumbers_match_fftfreq(self, nx, ny):
+        kx = np.fft.fftfreq(nx) * nx
+        ky = np.fft.rfftfreq(ny) * ny
+        k = np.sqrt(kx[:, None] ** 2 + ky[None, :] ** 2)
+        with np.errstate(divide="ignore"):
+            h = np.where(k > 0, k ** -1.0, 0.0)
+        got = synthdata._spectral_filter(nx, ny, 2.0)
+        np.testing.assert_allclose(got / np.abs(got).max(), h / np.abs(h).max(), rtol=1e-14)
+
+    def test_cached_operators_refuse_writes(self):
+        ops = synthdata._filter_operators(8, 8, 2.0)
+        assert synthdata._filter_operators(8, 8, 2.0) is ops
+        for op in ops:
+            with pytest.raises(ValueError):
+                op[0] = 0.0
