@@ -13,6 +13,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+CONTOUR_DELTA = 240.0       # Pa rise required within CONTOUR_RADIUS
+CONTOUR_RADIUS = 4.0        # great-circle degrees
+CONTOUR_RING_WIDTH = 1.0    # annulus thickness checked at the radius
+MERGE_RADIUS = 2.0          # great-circle degrees
+WIND_THRESHOLD = 10.0       # m/s
+WIND_RADIUS = 2.0           # wind maximum searched within this radius
+MIN_VALID_SNAPSHOTS = 8     # wind + elevation criterion
+ELEVATION_MAX = 100.0       # m
+MIN_DURATION_HOURS = 54.0
+MAX_GAP_HOURS = 24.0
+MAX_STEP_DISTANCE = 8.0     # linking distance, great-circle degrees
+
 
 def great_circle_distance(lon1, lat1, lon2, lat2):
     """Central angle between two points, in degrees."""
@@ -20,21 +32,6 @@ def great_circle_distance(lon1, lat1, lon2, lat2):
     dlmb = np.deg2rad(np.asarray(lon2) - np.asarray(lon1))
     cosang = np.sin(phi1) * np.sin(phi2) + np.cos(phi1) * np.cos(phi2) * np.cos(dlmb)
     return np.rad2deg(np.arccos(np.clip(cosang, -1.0, 1.0)))
-
-
-@dataclass
-class DetectionConfig:
-    contour_delta: float = 240.0     # Pa rise required within contour_radius
-    contour_radius: float = 4.0      # great-circle degrees
-    contour_ring_width: float = 1.0  # annulus thickness checked at the radius
-    merge_radius: float = 2.0
-    wind_threshold: float = 10.0     # m/s
-    wind_radius: float = 2.0         # wind maximum searched within this radius
-    min_valid_snapshots: int = 8     # wind + elevation criterion
-    elevation_max: float = 100.0     # m
-    min_duration_hours: float = 54.0
-    max_gap_hours: float = 24.0
-    max_step_distance: float = 8.0   # linking distance, great-circle degrees
 
 
 @dataclass
@@ -68,8 +65,8 @@ def _local_minima(slp2d):
     return list(zip(ii + 1, jj + 1))
 
 
-def find_candidates(slp2d, lon, lat, cfg: DetectionConfig):
-    """Closed-contour minima at one snapshot, merged within merge_radius.
+def find_candidates(slp2d, lon, lat):
+    """Closed-contour minima at one snapshot, merged within MERGE_RADIUS.
 
     Returns a list of (i, j, slp) sorted by depth (deepest first).
     """
@@ -78,30 +75,27 @@ def find_candidates(slp2d, lon, lat, cfg: DetectionConfig):
     passed = []
     for i, j in _local_minima(slp2d):
         dist = great_circle_distance(lon[i], lat[j], lon2d, lat2d)
-        ring = (dist > cfg.contour_radius - cfg.contour_ring_width) \
-            & (dist <= cfg.contour_radius)
+        ring = (dist > CONTOUR_RADIUS - CONTOUR_RING_WIDTH) & (dist <= CONTOUR_RADIUS)
         if not ring.any():
             continue  # contour leaves the domain; cannot be verified closed
-        if slp2d[ring].min() - slp2d[i, j] >= cfg.contour_delta:
+        if slp2d[ring].min() - slp2d[i, j] >= CONTOUR_DELTA:
             passed.append((i, j, float(slp2d[i, j])))
     passed.sort(key=lambda c: (c[2], c[0], c[1]))
     merged = []
     for i, j, p in passed:
         close = any(great_circle_distance(lon[i], lat[j], lon[mi], lat[mj])
-                    <= cfg.merge_radius for mi, mj, _ in merged)
+                    <= MERGE_RADIUS for mi, mj, _ in merged)
         if not close:
             merged.append((i, j, p))
     return merged
 
 
-def detect_cyclones(slp, wind, elevation, lon, lat, times, cfg=None):
+def detect_cyclones(slp, wind, elevation, lon, lat, times):
     """Detect cyclone tracks from [T, NX, NY] SLP/wind snapshots.
 
     times are hours (typically 6-hourly); elevation is a static [NX, NY] map.
     Returns tracks satisfying every criterion; an empty list is valid.
     """
-    if cfg is None:
-        cfg = DetectionConfig()
     slp = np.asarray(slp, dtype=np.float64)
     wind = np.asarray(wind, dtype=np.float64)
     elevation = np.asarray(elevation, dtype=np.float64)
@@ -113,10 +107,10 @@ def detect_cyclones(slp, wind, elevation, lon, lat, times, cfg=None):
     open_tracks = []
     done_tracks = []
     for t_idx, t in enumerate(times):
-        candidates = find_candidates(slp[t_idx], lon, lat, cfg)
+        candidates = find_candidates(slp[t_idx], lon, lat)
         still_open = []
         for track in open_tracks:
-            if t - track.times[-1] <= cfg.max_gap_hours:
+            if t - track.times[-1] <= MAX_GAP_HOURS:
                 still_open.append(track)
             else:
                 done_tracks.append(track)
@@ -125,7 +119,7 @@ def detect_cyclones(slp, wind, elevation, lon, lat, times, cfg=None):
         # deepest candidates claim the nearest track first (deterministic order)
         for i, j, p in candidates:
             best = None
-            best_dist = cfg.max_step_distance
+            best_dist = MAX_STEP_DISTANCE
             for k, track in enumerate(open_tracks):
                 if k in taken:
                     continue
@@ -134,7 +128,7 @@ def detect_cyclones(slp, wind, elevation, lon, lat, times, cfg=None):
                     best = k
                     best_dist = d
             dist = great_circle_distance(lon[i], lat[j], lon2d, lat2d)
-            wmax = float(wind[t_idx][dist <= cfg.wind_radius].max())
+            wmax = float(wind[t_idx][dist <= WIND_RADIUS].max())
             elev = float(elevation[i, j])
             if best is None:
                 track = CycloneTrack()
@@ -152,11 +146,11 @@ def detect_cyclones(slp, wind, elevation, lon, lat, times, cfg=None):
 
     kept = []
     for track in done_tracks:
-        if track.duration_hours < cfg.min_duration_hours:
+        if track.duration_hours < MIN_DURATION_HOURS:
             continue
         ok = sum(1 for w, e in zip(track.wind_max, track.elevation)
-                 if w > cfg.wind_threshold and e < cfg.elevation_max)
-        if ok < cfg.min_valid_snapshots:
+                 if w > WIND_THRESHOLD and e < ELEVATION_MAX)
+        if ok < MIN_VALID_SNAPSHOTS:
             continue
         kept.append(track)
     return kept

@@ -118,16 +118,12 @@ def group_index(times, grouping):
     """Climatology group of each timestamp under (doy_buckets, tod_buckets)."""
     doy_buckets, tod_buckets = grouping
     doy_b = (day_of_year(times) * doy_buckets) // DAYS_PER_YEAR
-    tod_b = (hour_of_day(times) * tod_buckets) // HOURS_PER_DAY
+    tod_b = ((np.asarray(times) % HOURS_PER_DAY) * tod_buckets) // HOURS_PER_DAY
     return doy_b * tod_buckets + tod_b
 
 
 def day_of_year(times):
     return (np.asarray(times) // HOURS_PER_DAY) % DAYS_PER_YEAR
-
-
-def hour_of_day(times):
-    return np.asarray(times) % HOURS_PER_DAY
 
 
 @dataclass
@@ -282,54 +278,42 @@ def read_array(path) -> GridField:
 # Statistics
 # ---------------------------------------------------------------------------
 
-def _group_sums(gid, data, n_groups):
-    """(counts, sums, sums of squares) of the rows of `data` per group `gid`.
-
-    Bitwise equal to ``np.add.at``: each group's rows are added onto zeros one
-    at a time, in row order, which a stable sort by group lines up.
-    """
-    counts = np.bincount(gid, minlength=n_groups)
-    order = np.argsort(gid, kind="stable")
-    end = np.cumsum(counts)
-    sums = np.zeros((n_groups,) + data.shape[1:])
-    sqsums = np.zeros_like(sums)
-    for g in np.flatnonzero(counts):
-        total, sqtotal = sums[g], sqsums[g]
-        for row in data[order[end[g] - counts[g]: end[g]]]:
-            total += row
-            sqtotal += row ** 2
-    return counts, sums, sqsums
-
-
 def compute_climatology(fld: GridField, grouping) -> Climatology:
     """Grouped per-pixel sample mean and population std of `fld`.
 
-    Every observed group must receive at least two samples; groups outside the
-    data's calendar coverage are marked invalid.
+    Each group's rows, gathered in time order by a stable sort, take two
+    passes: the mean, then the mean of the squared deviations from it, so
+    fields far from zero keep their digits. With one group, (1, 1), this is
+    :func:`compute_ensemble_stats`. Every observed group must receive at least
+    two samples; groups outside the data's calendar coverage are marked
+    invalid, with mean 0 and std STD_FLOOR.
     """
     doy_buckets, tod_buckets = grouping
     n_groups = doy_buckets * tod_buckets
-    counts, sums, sqsums = _group_sums(group_index(fld.time_coords, grouping), fld.data,
-                                       n_groups)
+    gid = group_index(fld.time_coords, grouping)
+    counts = np.bincount(gid, minlength=n_groups)
     if (counts == 1).any():
         bad = int(np.nonzero(counts == 1)[0][0])
         raise ValueError(f"climatology group {bad} has a single sample (need >= 2)")
     valid = counts >= 2
     if not valid.any():
         raise ValueError("no climatology group received any samples")
-    safe = np.maximum(counts, 1)[:, None, None, None]
-    mean = sums / safe
-    var = sqsums / safe - mean ** 2
-    std = np.maximum(np.sqrt(np.maximum(var, 0.0)), STD_FLOOR)
+    order = np.argsort(gid, kind="stable")
+    end = np.cumsum(counts)
+    mean = np.zeros((n_groups,) + fld.data.shape[1:])
+    std = np.full_like(mean, STD_FLOOR)
+    for g in np.flatnonzero(valid):
+        rows = fld.data[order[end[g] - counts[g]: end[g]]]
+        mean[g] = rows.mean(axis=0)
+        std[g] = np.maximum(rows.std(axis=0), STD_FLOOR)
     return Climatology(doy_buckets, tod_buckets, mean, std,
                        valid=None if valid.all() else valid)
 
 
 def compute_ensemble_stats(fld: GridField) -> EnsembleStats:
-    """Date-agnostic per-pixel mean/std over every step of `fld`."""
-    mean = fld.data.mean(axis=0)
-    std = fld.data.std(axis=0)
-    return EnsembleStats(mean=mean, std=np.maximum(std, STD_FLOOR))
+    """Date-agnostic per-pixel mean/std over every step of `fld`: its one-group climatology."""
+    clim = compute_climatology(fld, (1, 1))
+    return EnsembleStats(mean=clim.mean[0], std=clim.std[0])
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +375,6 @@ def cubic_upsample_space(data, factor):
     return np.einsum("jd,tidv->tijv", wy, out)
 
 
-def repeat_time(data, window):
-    """Replicate each step `window` times along the time axis."""
-    return np.repeat(data, window, axis=0)
-
-
 def coarsen(fld: GridField, spec: DownsampleSpec) -> GridField:
     """The fixed downsampling map: spatial block mean then temporal window mean."""
     data = window_mean_time(block_mean_space(fld.data, spec.spatial_factor), spec.temporal_window)
@@ -408,7 +387,8 @@ def coarsen(fld: GridField, spec: DownsampleSpec) -> GridField:
 
 def interp_upsample(fld: GridField, spec: DownsampleSpec) -> GridField:
     """Deterministic upsampling: bicubic in space, nearest (replication) in time."""
-    data = repeat_time(cubic_upsample_space(fld.data, spec.spatial_factor), spec.temporal_window)
+    data = np.repeat(cubic_upsample_space(fld.data, spec.spatial_factor), spec.temporal_window,
+                     axis=0)
     f = spec.spatial_factor
     if f > 1:
         dlon = (fld.lon[1] - fld.lon[0]) / f if len(fld.lon) > 1 else 1.0

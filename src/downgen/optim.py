@@ -13,6 +13,10 @@ import numpy as np
 
 from .nets import DivergenceError
 
+BETA1 = 0.9    # first-moment decay
+BETA2 = 0.999  # second-moment decay
+EPS = 1e-8     # added to the update's denominator
+
 
 @dataclass
 class Schedule:
@@ -41,9 +45,6 @@ class OptimizerState:
 
     schedule: Schedule
     clip_norm: float = 0.6
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict, init=False)
     v: dict = field(default_factory=dict, init=False)
@@ -87,7 +88,7 @@ def adam_step(params: dict, state: OptimizerState, grads: dict) -> float:
     The parameters are views of the state's flat vector (`ensure_buffers`) and
     the gradients are gathered into one more, so the norm, clipping and the
     update are a few vector operations; each element is computed as in the
-    per-tensor formula p -= lr * (m / bc1) / (sqrt(v / bc2) + eps). The norm
+    per-tensor formula p -= lr * (m / bc1) / (sqrt(v / bc2) + EPS). The norm
     doubles as the finiteness check: it is non-finite exactly when some
     gradient is NaN or infinite, or when the squares overflow.
     """
@@ -104,16 +105,16 @@ def adam_step(params: dict, state: OptimizerState, grads: dict) -> float:
         g *= state.clip_norm / norm
     lr = state.schedule.lr_at(state.step)
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
-    m *= state.beta1
-    m += np.multiply(g, 1.0 - state.beta1, out=u)
-    v *= state.beta2
+    bc1 = 1.0 - BETA1 ** state.step
+    bc2 = 1.0 - BETA2 ** state.step
+    m *= BETA1
+    m += np.multiply(g, 1.0 - BETA1, out=u)
+    v *= BETA2
     np.square(g, out=g)
-    v += np.multiply(g, 1.0 - state.beta2, out=g)
+    v += np.multiply(g, 1.0 - BETA2, out=g)
     np.divide(v, bc2, out=g)
     np.sqrt(g, out=g)
-    g += state.eps
+    g += EPS
     np.divide(m, bc1, out=u)
     u *= lr
     u /= g

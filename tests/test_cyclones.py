@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from downgen.cyclones import (
-    DetectionConfig,
     detect_cyclones,
     find_candidates,
     great_circle_distance,
@@ -51,11 +50,11 @@ class TestGreatCircle:
 class TestCandidates:
     def test_flat_field_no_candidates(self):
         slp = np.full((LON.size, LAT.size), BASE_SLP)
-        assert find_candidates(slp, LON, LAT, DetectionConfig()) == []
+        assert find_candidates(slp, LON, LAT) == []
 
     def test_single_depression_found(self):
         slp = gaussian_depression(15.0, 17.5)
-        cands = find_candidates(slp, LON, LAT, DetectionConfig())
+        cands = find_candidates(slp, LON, LAT)
         assert len(cands) == 1
         i, j, p = cands[0]
         assert LON[i] == 15.0 and LAT[j] == 17.5
@@ -63,12 +62,12 @@ class TestCandidates:
 
     def test_shallow_depression_fails_contour(self):
         slp = gaussian_depression(15.0, 17.5, depth=200.0)
-        assert find_candidates(slp, LON, LAT, DetectionConfig()) == []
+        assert find_candidates(slp, LON, LAT) == []
 
     def test_nearby_minima_merged_keeping_deeper(self):
         slp = np.minimum(gaussian_depression(15.0, 17.5, depth=500.0, radius=0.7),
                          gaussian_depression(16.5, 17.5, depth=400.0, radius=0.7))
-        cands = find_candidates(slp, LON, LAT, DetectionConfig())
+        cands = find_candidates(slp, LON, LAT)
         assert len(cands) == 1
         i, j, _ = cands[0]
         assert LON[i] == 15.0 and LAT[j] == 17.5
@@ -76,7 +75,7 @@ class TestCandidates:
     def test_distant_minima_both_kept(self):
         slp = np.minimum(gaussian_depression(10.0, 17.5, depth=500.0, radius=1.2),
                          gaussian_depression(20.0, 17.5, depth=450.0, radius=1.2))
-        cands = find_candidates(slp, LON, LAT, DetectionConfig())
+        cands = find_candidates(slp, LON, LAT)
         assert len(cands) == 2
 
 

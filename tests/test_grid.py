@@ -209,37 +209,45 @@ class TestClimatology:
         np.testing.assert_allclose(clim.lookup_mean(np.array([2])), 0.0)
 
 
-def climatology_add_at(fld, grouping):
-    """Grouped mean and std accumulated with np.add.at, as a reference."""
-    n_groups = grouping[0] * grouping[1]
-    pix = fld.data.shape[1:]
+def climatology_masked(fld, grouping):
+    """Grouped two-pass mean and std, each group's rows picked by a boolean
+    mask, as a reference; unseen groups keep mean 0 and std STD_FLOOR."""
     gid = group_index(fld.time_coords, grouping)
-    counts = np.bincount(gid, minlength=n_groups)
-    sums, sqsums = np.zeros((n_groups,) + pix), np.zeros((n_groups,) + pix)
-    np.add.at(sums, gid, fld.data)
-    np.add.at(sqsums, gid, fld.data ** 2)
-    safe = np.maximum(counts, 1)[:, None, None, None]
-    mean = sums / safe
-    std = np.maximum(np.sqrt(np.maximum(sqsums / safe - mean ** 2, 0.0)), STD_FLOOR)
+    mean = np.zeros((grouping[0] * grouping[1],) + fld.data.shape[1:])
+    std = np.full_like(mean, STD_FLOOR)
+    for g in np.unique(gid):
+        rows = fld.data[gid == g]
+        mean[g] = rows.mean(axis=0)
+        std[g] = np.maximum(rows.std(axis=0), STD_FLOOR)
     return mean, std
 
 
-class TestClimatologyMatchesAddAt:
+class TestClimatologyMatchesMasked:
     # hourly steps over days 0-99: a partial year, every bi-hourly (day, step)
     # group seen twice; some values are -0.0 or 0.0
     @pytest.mark.parametrize("grouping", [(DAYS_PER_YEAR, STEPS_PER_DAY), (36, 12),
                                           (4, 2), (1, 1)])
-    def test_bitwise_equal_to_add_at(self, grouping):
+    def test_bitwise_equal_to_masked_two_pass(self, grouping):
         rng = np.random.default_rng(31)
         data = 5.0 + 3.0 * rng.standard_normal((100 * HOURS_PER_DAY, 2, 3, 2))
         data[::7, 0] = -0.0
         data[::5, 1] = 0.0
         fld = make_field(data, dt_hours=1)
         clim = compute_climatology(fld, grouping)
-        mean, std = climatology_add_at(fld, grouping)
+        mean, std = climatology_masked(fld, grouping)
         assert clim.mean.tobytes() == mean.tobytes()
         assert clim.std.tobytes() == std.tobytes()
         assert (clim.valid is None) == (grouping == (1, 1))
+
+    @pytest.mark.parametrize("grouping", [(36, 12), (4, 2), (1, 1)])
+    def test_std_keeps_digits_at_large_offset(self, grouping):
+        # 1e5 + z - 1e5 is exact (Sterbenz), so the masked std of the centred
+        # field is a reference good to rounding
+        rng = np.random.default_rng(32)
+        data = 1e5 + rng.standard_normal((100 * HOURS_PER_DAY, 2, 3, 2))
+        clim = compute_climatology(make_field(data, dt_hours=1), grouping)
+        _, std = climatology_masked(make_field(data - 1e5, dt_hours=1), grouping)
+        np.testing.assert_allclose(clim.std, std, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("n_mean, n_std, n_valid", [(7, 8, None), (8, 7, None), (8, 8, 7),
                                                          (8, 8, 9)])
@@ -351,3 +359,11 @@ class TestEnsembleStats:
     def test_std_floor(self):
         stats = compute_ensemble_stats(make_field(np.ones((4, 2, 2, 1))))
         np.testing.assert_allclose(stats.std, STD_FLOOR)
+
+    def test_equals_one_group_climatology_and_numpy_bitwise(self):
+        rng = np.random.default_rng(33)
+        fld = make_field(1e5 + rng.standard_normal((50, 2, 3, 2)))
+        stats = compute_ensemble_stats(fld)
+        clim = compute_climatology(fld, (1, 1))
+        assert stats.mean.tobytes() == clim.mean[0].tobytes() == fld.data.mean(axis=0).tobytes()
+        assert stats.std.tobytes() == clim.std[0].tobytes() == fld.data.std(axis=0).tobytes()

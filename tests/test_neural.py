@@ -26,7 +26,7 @@ from downgen.nets import (
     velocity_arch,
     velocity_forward,
 )
-from downgen.optim import OptimizerState, Schedule, adam_step
+from downgen.optim import BETA1, BETA2, EPS, OptimizerState, Schedule, adam_step
 
 from gradcheck import finite_diff_grads, rel_error
 
@@ -335,8 +335,8 @@ class TestAdam:
         m, v = state.m["a"], state.v["a"]
         for _ in range(3):
             g = rng.standard_normal(4)
-            m_ref = state.beta1 * m + (1.0 - state.beta1) * g
-            v_ref = state.beta2 * v + (1.0 - state.beta2) * g ** 2
+            m_ref = BETA1 * m + (1.0 - BETA1) * g
+            v_ref = BETA2 * v + (1.0 - BETA2) * g ** 2
             adam_step(params, state, {"a": g})
             assert state.m["a"] is m and state.v["a"] is v
             assert m.tobytes() == m_ref.tobytes() and v.tobytes() == v_ref.tobytes()
@@ -354,12 +354,12 @@ class TestAdam:
             grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
             lr = adam_step(params, state, grads)
             assert lr == state.schedule.lr_at(step - 1) and state.grad_norm < state.clip_norm
-            bc1, bc2 = 1.0 - state.beta1 ** step, 1.0 - state.beta2 ** step
+            bc1, bc2 = 1.0 - BETA1 ** step, 1.0 - BETA2 ** step
             for k in sorted(ref):
                 g = grads[k]
-                m[k] = state.beta1 * m[k] + (1.0 - state.beta1) * g
-                v[k] = state.beta2 * v[k] + (1.0 - state.beta2) * g ** 2
-                ref[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + state.eps)
+                m[k] = BETA1 * m[k] + (1.0 - BETA1) * g
+                v[k] = BETA2 * v[k] + (1.0 - BETA2) * g ** 2
+                ref[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + EPS)
                 assert params[k].tobytes() == ref[k].tobytes(), k
                 assert state.m[k].tobytes() == m[k].tobytes()
                 assert state.v[k].tobytes() == v[k].tobytes()
