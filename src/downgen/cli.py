@@ -124,6 +124,8 @@ def _check_sample(cfg):
     if days != s["length_days"]:
         raise ConfigError(f"{tiling} cover {days} days, not sample.length_days = "
                           f"{s['length_days']}")
+    if synth["train_days"] < 1:
+        raise ConfigError(f"synth.train_days = {synth['train_days']} must be at least 1")
     end = synth["train_days"] + s["start_day"] + s["length_days"]
     if end > synth["n_days"]:
         raise ConfigError(

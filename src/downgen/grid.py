@@ -128,7 +128,7 @@ def day_of_year(times):
 
 @dataclass
 class DownsampleSpec:
-    """Fixed downsampling map: spatial block mean plus daily time mean."""
+    """Fixed downsampling map: temporal window mean, then spatial block mean."""
 
     spatial_factor: int = 4
     temporal_window: int = STEPS_PER_DAY
@@ -320,20 +320,20 @@ def compute_ensemble_stats(fld: GridField) -> EnsembleStats:
 # Resampling operators (array level)
 # ---------------------------------------------------------------------------
 
-def block_mean_space(data, factor):
-    """Spatial block mean over factor x factor cells; data [T, NX, NY, V]."""
+def coarsen_data(data, spec):
+    """The downsampling map on [T, NX, NY, V] data: the mean over each window
+    of spec.temporal_window steps, then over spatial_factor x spatial_factor
+    blocks. Averaging in time first leaves the spatial mean a window-fold
+    smaller array to reduce."""
     t, nx, ny, nv = data.shape
-    if nx % factor or ny % factor:
-        raise ValueError(f"grid {nx}x{ny} not divisible by spatial factor {factor}")
-    return data.reshape(t, nx // factor, factor, ny // factor, factor, nv).mean(axis=(2, 4))
-
-
-def window_mean_time(data, window):
-    """Mean over consecutive windows of `window` steps; data [T, ...]."""
-    t = data.shape[0]
-    if t % window:
-        raise ValueError(f"series length {t} not divisible by temporal window {window}")
-    return data.reshape((t // window, window) + data.shape[1:]).mean(axis=1)
+    f, w = spec.spatial_factor, spec.temporal_window
+    if nx % f or ny % f:
+        raise ValueError(f"grid {nx}x{ny} not divisible by spatial factor {f}")
+    if t % w:
+        raise ValueError(f"series length {t} not divisible by temporal window {w}")
+    # a reduction keeps its input's axis order; C order gives every caller one layout
+    data = np.ascontiguousarray(data.reshape(t // w, w, nx, ny, nv).mean(axis=1))
+    return data.reshape(t // w, nx // f, f, ny // f, f, nv).mean(axis=(2, 4))
 
 
 def _catmull_rom_matrix(n_coarse, factor):
@@ -376,8 +376,9 @@ def cubic_upsample_space(data, factor):
 
 
 def coarsen(fld: GridField, spec: DownsampleSpec) -> GridField:
-    """The fixed downsampling map: spatial block mean then temporal window mean."""
-    data = window_mean_time(block_mean_space(fld.data, spec.spatial_factor), spec.temporal_window)
+    """The fixed downsampling map, `coarsen_data`: temporal window mean then
+    spatial block mean."""
+    data = coarsen_data(fld.data, spec)
     f = spec.spatial_factor
     lon = fld.lon.reshape(-1, f).mean(axis=1)
     lat = fld.lat.reshape(-1, f).mean(axis=1)

@@ -6,12 +6,13 @@ spatially correlated noise with a power-law spectrum. Four variables mimic
 (temperature, wind speed, humidity, pressure) roles via a fixed cross-variable
 correlation; wind and humidity are clipped at zero. Member biases are
 time-stationary (mean offset, variance inflation, spectral tilt, correlation
-shrinkage) except for a seasonal phase shift.
+shrinkage) except for a seasonal phase shift. Every field is made in chunks of
+whole days; a member is coarsened chunk by chunk and never held at fine size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -23,6 +24,7 @@ from .grid import (
     DownsampleSpec,
     GridField,
     coarsen,
+    coarsen_data,
 )
 
 VAR_NAMES = ("temperature", "wind_speed", "humidity", "pressure")
@@ -39,7 +41,9 @@ VAR_CORR = np.array([
 SEASON_PHASE = np.array([0.0, 0.2, 0.05, 0.5])
 DIURNAL_PHASE = np.array([0.0, 0.25, 0.6, 0.35])
 
-_CLIP_AT_ZERO = (1, 2)  # wind speed, humidity
+_CLIP_AT_ZERO = slice(1, 3)  # wind speed, humidity
+
+CHUNK_DAYS = 20   # whole days per generated chunk: it coarsens alone and stays in cache
 
 _FINE_STREAM = 0
 _MEMBER_STREAM = 1
@@ -82,6 +86,9 @@ class SynthConfig:
     var_scales: tuple = (3.0, 1.5, 0.002, 300.0)
 
     def __post_init__(self):
+        for name in ("nx", "ny", "steps_per_day", "n_days", "n_members", "spatial_factor"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, not {getattr(self, name)}")
         if min(self.seasonal_amp, self.diurnal_amp, self.noise_amp) < 0:
             raise ValueError("amplitudes must be non-negative")
         if not 0.0 <= self.noise_ar1 < 1.0:
@@ -163,34 +170,33 @@ def _filter_operators(nx, ny, slope):
     return fy, circ, gy
 
 
-def _correlated_noise(rng, n_steps, nx, ny, slope, corr_chol, ar1=0.0,
-                      chunk_steps=256):
-    """[T, nx, ny, 4] noise: power-law spatial spectrum, cross-variable mixing,
-    optional AR(1) persistence in time (stationary unit variance).
-
-    The white noise is drawn and filtered chunk_steps steps at a time, which
-    bounds the temporaries; the generator fills its stream in order, so the
-    output does not depend on the chunk size. Each image is filtered by the
-    linear map irfft2(rfft2(white) * h, s=(nx, ny)) with h the
-    `_spectral_filter`, computed as three matrix products from
-    `_filter_operators`: the real DFT along y, the real and imaginary halves
-    through the per-y-frequency circulant along x in one batched matmul, and
-    irfft's real inverse along y. It matches that map to rounding and avoids
-    the per-transform FFT overhead on 8-point axes."""
+def _noise_chunks(rng, n_steps, nx, ny, slope, mix, ar1, chunk_steps):
+    """Yield (lo, noise), noise [c, V, nx * ny] for steps lo .. lo + c - 1, c <=
+    chunk_steps: power-law spatial spectrum, variables mixed by `mix` [V, V],
+    optional AR(1) persistence (stationary covariance mix @ mix.T). The stream
+    is drawn in order and the AR(1) step carries a copy of the last row, so
+    the output does not depend on chunk_steps and each chunk may be changed
+    in place. Each image is filtered by irfft2(rfft2(white) * h, s=(nx, ny)),
+    h the `_spectral_filter`, as three matrix products from `_filter_operators`:
+    the real DFT along y, the real and imaginary halves through the
+    per-y-frequency circulant along x in one batched matmul, and irfft's real
+    inverse along y; this matches that map to rounding and avoids the
+    per-transform FFT overhead on 8-point axes."""
     fy, circ, gy = _filter_operators(nx, ny, slope)
-    out = np.empty((n_steps, nx, ny, len(corr_chol)))
+    innov = np.sqrt(1.0 - ar1 ** 2)
     for lo in range(0, n_steps, chunk_steps):
-        hi = min(lo + chunk_steps, n_steps)
-        white = rng.standard_normal((hi - lo, len(corr_chol), nx, ny))
-        spec_y = fy.T @ white.reshape(-1, ny).T                       # [2K, T*V*nx]
+        c = min(chunk_steps, n_steps - lo)
+        white = rng.standard_normal((c, len(mix), nx, ny))
+        spec_y = fy.T @ white.reshape(-1, ny).T                       # [2K, c*V*nx]
         spec_y = spec_y.reshape(2, len(circ), -1, nx) @ circ
-        filtered = (spec_y.reshape(len(gy), -1).T @ gy).reshape(white.shape)
-        out[lo:hi] = np.einsum("vw,twxy->txyv", corr_chol, filtered)
-    if ar1 > 0.0:
-        innov = np.sqrt(1.0 - ar1 ** 2)
-        for t in range(1, n_steps):
-            out[t] = ar1 * out[t - 1] + innov * out[t]
-    return out
+        noise = np.matmul(mix, (spec_y.reshape(len(gy), -1).T @ gy).reshape(c, len(mix), -1))
+        if ar1 > 0.0:
+            if lo:
+                noise[0] = ar1 * carry + innov * noise[0]
+            for t in range(1, c):
+                noise[t] = ar1 * noise[t - 1] + innov * noise[t]
+            carry = noise[-1].copy()
+        yield lo, noise
 
 
 def _structured_signal(cfg: SynthConfig, season_phase_days=0.0):
@@ -206,33 +212,29 @@ def _structured_signal(cfg: SynthConfig, season_phase_days=0.0):
     return trend[:, None] + seasonal + diurnal
 
 
-def _assemble(cfg: SynthConfig, structured, noise, mean_offset=0.0):
-    """bases + scales * (structured + noise + mean_offset), clipped at zero for
-    the non-negative variables, computed in place on `noise` and returned."""
-    data = np.add(structured[:, None, None, :], noise, out=noise)
-    data += mean_offset
-    data *= np.asarray(cfg.var_scales)
-    data += np.asarray(cfg.var_bases)
-    for v in _CLIP_AT_ZERO:
-        np.maximum(data[..., v], 0.0, out=data[..., v])
-    return data
-
-
 def _member_corr_chol(shrink):
     corr = (1.0 - shrink) * VAR_CORR + shrink * np.eye(len(VAR_CORR))
     return np.linalg.cholesky(corr)
 
 
-def _field(cfg: SynthConfig, stream, bias: BiasSpec):
-    """[T, NX, NY, V] fine data under `bias`, drawn from the seed sequence
-    (cfg.rng_seed, *stream)."""
+def _field_chunks(cfg: SynthConfig, stream, bias: BiasSpec):
+    """Yield (lo, data), data [c, NX, NY, V] for steps lo .. lo + c - 1 of the
+    fine field under `bias`, CHUNK_DAYS days at a time, drawn from the seed
+    sequence (cfg.rng_seed, *stream): bases + scales * (structured + mean_offset
+    + noise), clipped at zero for wind and humidity; `data` is a transposed
+    view of the variable-major chunk."""
     rng = np.random.default_rng(np.random.SeedSequence((cfg.rng_seed, *stream)))
-    noise = _correlated_noise(rng, cfg.n_steps, cfg.nx, cfg.ny,
-                              cfg.spectral_slope + bias.spectral_tilt,
-                              _member_corr_chol(bias.corr_shrink), ar1=cfg.noise_ar1)
-    noise *= cfg.noise_amp * np.sqrt(bias.var_scale)
+    scales = np.asarray(cfg.var_scales)
+    amp = scales * cfg.noise_amp * np.sqrt(bias.var_scale)
     structured = _structured_signal(cfg, season_phase_days=bias.season_phase_days)
-    return _assemble(cfg, structured, noise, mean_offset=bias.mean_offset)
+    level = np.asarray(cfg.var_bases) + scales * (structured + bias.mean_offset)   # [T, V]
+    for lo, data in _noise_chunks(rng, cfg.n_steps, cfg.nx, cfg.ny,
+                                  cfg.spectral_slope + bias.spectral_tilt,
+                                  amp[:, None] * _member_corr_chol(bias.corr_shrink),
+                                  cfg.noise_ar1, CHUNK_DAYS * cfg.steps_per_day):
+        data += level[lo:lo + len(data), :, None]
+        np.maximum(data[:, _CLIP_AT_ZERO], 0.0, out=data[:, _CLIP_AT_ZERO])
+        yield lo, data.reshape(len(data), -1, cfg.nx, cfg.ny).transpose(0, 2, 3, 1)
 
 
 def member_name(idx):
@@ -242,28 +244,25 @@ def member_name(idx):
 
 def gen_fine_ensemble(cfg: SynthConfig) -> GridField:
     """Fine-resolution truth series, unbiased; deterministic given cfg.rng_seed."""
-    lon, lat = cfg.grid_coords()
-    return GridField(_field(cfg, (_FINE_STREAM,), BiasSpec()), 0, cfg.dt_hours, lon, lat,
-                     VAR_NAMES, member_id="truth")
+    data = np.empty((cfg.n_steps, cfg.nx, cfg.ny, len(VAR_NAMES)))
+    for lo, chunk in _field_chunks(cfg, (_FINE_STREAM,), BiasSpec()):
+        data[lo:lo + len(chunk)] = chunk
+    return GridField(data, 0, cfg.dt_hours, *cfg.grid_coords(), VAR_NAMES, member_id="truth")
 
 
 def gen_biased_coarse_ensemble(cfg: SynthConfig, fine: GridField) -> list:
-    """Independent biased coarse members covering the same calendar as `fine`.
-
-    Members are freshly sampled (no pairing with the truth); the truth field is
-    used only for calendar alignment.
-    """
-    lon, lat = cfg.grid_coords()
-    return [coarsen(GridField(_field(cfg, (_MEMBER_STREAM, idx), cfg.bias), fine.time0,
-                              cfg.dt_hours, lon, lat, VAR_NAMES, member_id=member_name(idx)),
-                    cfg.downsample)
+    """Independent biased coarse members, each freshly sampled (no pairing with
+    the truth) and coarsened chunk by chunk, so no fine member is held. The
+    truth gives only the calendar and grid, through one coarsened day of it."""
+    spec = cfg.downsample
+    day = coarsen(fine.time_slice(fine.time0, fine.time0 + HOURS_PER_DAY), spec)
+    return [replace(day, member_id=member_name(idx), data=np.concatenate(
+                [coarsen_data(data, spec)
+                 for _, data in _field_chunks(cfg, (_MEMBER_STREAM, idx), cfg.bias)]))
             for idx in range(cfg.n_members)]
 
 
 def make_synth_pair(cfg: SynthConfig) -> SynthPair:
     fine = gen_fine_ensemble(cfg)
-    return SynthPair(
-        fine_truth=fine,
-        coarse_biased=gen_biased_coarse_ensemble(cfg, fine),
-        coarse_truth=coarsen(fine, cfg.downsample),
-    )
+    return SynthPair(fine_truth=fine, coarse_biased=gen_biased_coarse_ensemble(cfg, fine),
+                     coarse_truth=coarsen(fine, cfg.downsample))

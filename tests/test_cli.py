@@ -5,6 +5,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -508,8 +510,9 @@ class TestExitCodes:
         (["sample.start_day=8"], "synth.n_days"),
         (["sr.window_days=1", "sample.length_days=1"], "sr.window_days = 1"),
         (["sample.member=m009"], "sample.member = m009"),
+        (["synth.train_days=-5"], "synth.train_days = -5 must be at least 1"),
     ], ids=["windows-do-not-tile-length", "window-past-n-days", "one-day-windows",
-            "unknown-member"])
+            "unknown-member", "no-training-days"])
     def test_inconsistent_sample_settings_exit_2_writing_nothing(self, tiny_config, tmp_path,
                                                                  capsys, overrides, message):
         out = tmp_path / "run"
@@ -518,6 +521,29 @@ class TestExitCodes:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ("synth.spatial_factor=0", "spatial_factor must be at least 1, not 0"),
+        ("synth.nx=0", "nx must be at least 1, not 0"),
+        ("synth.nx=-4", "nx must be at least 1, not -4"),
+    ], ids=["spatial-factor-0", "nx-0", "nx-minus-4"])
+    def test_unusable_synth_size_exits_1_writing_no_data(self, tiny_config, tmp_path, capsys,
+                                                         override, message):
+        out = tmp_path / "run"
+        code = main(["gen-data", "--config", str(tiny_config), "--out", str(out),
+                     "--set", override])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert not (out / "data").exists()
+
+    def test_python_m_downgen_runs_the_cli(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "downgen", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: downgen")
 
     def test_write_once(self, tiny_config, tmp_path):
         out = tmp_path / "run"

@@ -277,6 +277,44 @@ class TestCoarsen:
         var = out.data.var()
         assert abs(var - 1.0 / 16.0) < 0.1 / 16.0
 
+    @staticmethod
+    def time_then_space(data, f, w):
+        """Each window's steps summed in time order, then each block's cells in
+        row-major order, each sum divided by its count."""
+        t, nx, ny, nv = data.shape
+        days = np.empty((t // w, nx, ny, nv))
+        for d in range(t // w):
+            acc = data[d * w].copy()
+            for k in range(1, w):
+                acc = acc + data[d * w + k]
+            days[d] = acc / w
+        acc = days[:, 0::f, 0::f].copy()
+        for i in range(f):
+            for j in range(f):
+                if i or j:
+                    acc = acc + days[:, i::f, j::f]
+        return acc / (f * f)
+
+    @pytest.mark.parametrize("f, w", [(4, 12), (2, 3), (1, 12), (4, 1)])
+    def test_time_then_space_bitwise(self, f, w):
+        data = np.random.default_rng(4).standard_normal((2 * w, 8, 8, 3))
+        out = coarsen(make_field(data), DownsampleSpec(f, w))
+        assert out.data.tobytes() == self.time_then_space(data, f, w).tobytes()
+
+    def test_space_then_time_within_rounding_at_large_offset(self):
+        data = 1e5 + np.random.default_rng(6).standard_normal((48, 8, 8, 4))
+        blocks = data.reshape(48, 2, 4, 2, 4, 4).mean(axis=(2, 4))
+        old = blocks.reshape(4, 12, 2, 2, 4).mean(axis=1)
+        out = coarsen(make_field(data), DownsampleSpec(4, 12))
+        np.testing.assert_allclose(out.data, old, rtol=1e-15, atol=0.0)
+
+    def test_c_order_from_variable_major_input(self):
+        data = np.random.default_rng(8).standard_normal((24, 3, 8, 8)).transpose(0, 2, 3, 1)
+        out = coarsen(make_field(data), DownsampleSpec(4, 12))
+        assert out.data.flags.c_contiguous
+        expect = coarsen(make_field(data.copy()), DownsampleSpec(4, 12)).data
+        assert out.data.tobytes() == expect.tobytes()
+
     def test_indivisible_rejected(self):
         fld = make_field(np.zeros((3, 6, 6, 1)))
         with pytest.raises(ValueError, match="divisible"):

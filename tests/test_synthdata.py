@@ -1,6 +1,11 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from downgen.cli import _synth_config
+from downgen.config import parse_config
 from downgen.grid import DAYS_PER_YEAR, HOURS_PER_DAY, coarsen
 from downgen import synthdata
 from downgen.synthdata import (
@@ -15,6 +20,7 @@ from downgen.synthdata import (
 # normalized-unit config: scales 1 and bases far from the wind/humidity clip at
 # zero, so amplitudes and correlations read off directly
 NORM_UNITS = dict(var_bases=(0.0, 100.0, 100.0, 0.0), var_scales=(1.0, 1.0, 1.0, 1.0))
+DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo.ini"
 
 
 def wasserstein_sorted(a, b):
@@ -167,52 +173,72 @@ class TestValidation:
         with pytest.raises(ValueError):
             SynthConfig(nx=10, ny=16, spatial_factor=4)
 
+    @pytest.mark.parametrize("name, value", [
+        ("nx", 0), ("nx", -4), ("ny", 0), ("steps_per_day", 0), ("n_days", 0),
+        ("n_members", 0), ("spatial_factor", 0)])
+    def test_size_below_one_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1, not {value}$"):
+            SynthConfig(**{name: value})
+
 
 class TestInPlaceAssembly:
-    """The fields are assembled in place on the noise array; they must equal
-    the out-of-place expressions, operation for operation."""
+    """Each field is assembled in place, chunk by chunk, on its variable-major
+    noise; it must equal the out-of-place expressions of the same formula,
+    operation for operation, on noise drawn in one chunk."""
 
     @staticmethod
-    def assemble_reference(cfg, structured, noise, mean_offset=0.0):
-        z = structured[:, None, None, :] + noise + mean_offset
-        data = np.asarray(cfg.var_bases) + np.asarray(cfg.var_scales) * z
-        for v in synthdata._CLIP_AT_ZERO:
-            np.maximum(data[..., v], 0.0, out=data[..., v])
+    def reference(cfg, stream, bias):
+        """[T, NX, NY, V]: bases + scales * (structured + mean_offset) + mix @ noise,
+        clipped at zero for wind and humidity."""
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.rng_seed, *stream)))
+        scales = np.asarray(cfg.var_scales)
+        mix = (np.diag(scales * cfg.noise_amp * np.sqrt(bias.var_scale))
+               @ synthdata._member_corr_chol(bias.corr_shrink))
+        noise = noise_field(rng, cfg.n_steps, cfg.nx, cfg.ny,
+                            cfg.spectral_slope + bias.spectral_tilt, mix, cfg.noise_ar1,
+                            chunk_steps=cfg.n_steps)
+        structured = synthdata._structured_signal(cfg, season_phase_days=bias.season_phase_days)
+        level = np.asarray(cfg.var_bases) + scales * (structured + bias.mean_offset)
+        data = np.ascontiguousarray(noise + level[:, None, None, :])   # as a stored field
+        data[..., 1:3] = np.maximum(data[..., 1:3], 0.0)
         return data
 
-    @staticmethod
-    def noise(cfg, stream, slope, chol):
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.rng_seed, *stream)))
-        return synthdata._correlated_noise(rng, cfg.n_steps, cfg.nx, cfg.ny, slope, chol,
-                                           ar1=cfg.noise_ar1)
-
     def test_assemble_matches_expression_bitwise(self):
-        cfg = SynthConfig(nx=8, ny=4, n_days=3)
-        rng = np.random.default_rng(0)
-        structured = synthdata._structured_signal(cfg, season_phase_days=4.0)
-        noise = 2.0 * rng.standard_normal((cfg.n_steps, cfg.nx, cfg.ny, 4))
-        expect = self.assemble_reference(cfg, structured, noise, mean_offset=0.8)
-        got = synthdata._assemble(cfg, structured, noise.copy(), mean_offset=0.8)
+        cfg = SynthConfig(nx=8, ny=4, n_days=3, noise_amp=2.0, var_bases=(288.0, 0.5, 0.5, 0.0),
+                          var_scales=(3.0, 1.0, 1.0, 300.0))
+        bias = BiasSpec(mean_offset=0.8, var_scale=1.3, corr_shrink=0.4, season_phase_days=4)
+        expect = self.reference(cfg, (synthdata._MEMBER_STREAM, 0), bias)
+        got = np.concatenate([chunk for _, chunk in synthdata._field_chunks(
+            cfg, (synthdata._MEMBER_STREAM, 0), bias)])
+        assert (expect[..., 1:3] == 0.0).any()   # the clip fires
         assert got.tobytes() == expect.tobytes()
 
     def test_synthetic_pair_matches_expressions_bitwise(self):
-        cfg = SynthConfig(nx=8, ny=8, n_days=5, n_members=2, noise_amp=0.8, noise_ar1=0.6,
+        # several chunks at AR 0.6: a carry aliased to the chunk changed in place fails
+        cfg = SynthConfig(nx=8, ny=8, n_days=45, n_members=2, noise_amp=0.8, noise_ar1=0.6,
                           rng_seed=7, bias=BiasSpec(mean_offset=0.8, var_scale=1.3,
                                                     corr_shrink=0.4, season_phase_days=4))
+        assert cfg.n_days > 2 * synthdata.CHUNK_DAYS
         fine = gen_fine_ensemble(cfg)
-        noise = cfg.noise_amp * self.noise(cfg, (synthdata._FINE_STREAM,), cfg.spectral_slope,
-                                           np.linalg.cholesky(VAR_CORR))
-        expect = self.assemble_reference(cfg, synthdata._structured_signal(cfg), noise)
+        expect = self.reference(cfg, (synthdata._FINE_STREAM,), BiasSpec())
         assert fine.data.tobytes() == expect.tobytes()
-        bias = cfg.bias
-        structured = synthdata._structured_signal(cfg, season_phase_days=bias.season_phase_days)
         for idx, member in enumerate(gen_biased_coarse_ensemble(cfg, fine)):
-            noise = cfg.noise_amp * np.sqrt(bias.var_scale) * self.noise(
-                cfg, (synthdata._MEMBER_STREAM, idx), cfg.spectral_slope + bias.spectral_tilt,
-                synthdata._member_corr_chol(bias.corr_shrink))
-            data = self.assemble_reference(cfg, structured, noise, mean_offset=bias.mean_offset)
+            data = self.reference(cfg, (synthdata._MEMBER_STREAM, idx), cfg.bias)
             expect = coarsen(fine.with_data(data), cfg.downsample).data
             assert member.data.tobytes() == expect.tobytes()
+
+
+class TestMemory:
+    def test_pair_peak_within_160_percent_of_truth(self):
+        # members are coarsened chunk by chunk: no second fine-sized field is held
+        cfg = _synth_config(parse_config(DEMO))
+        tracemalloc.start()
+        try:
+            pair = make_synth_pair(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * pair.fine_truth.data.nbytes
 
 
 class TestNoiseChunks:
@@ -222,15 +248,22 @@ class TestNoiseChunks:
         # the generator fills its stream in order, so chunking the draw changes nothing
         chol = np.linalg.cholesky(VAR_CORR)
         n_steps = 300
-        outs = {chunk: synthdata._correlated_noise(np.random.default_rng(5), n_steps, nx, ny,
-                                                   2.0, chol, ar1=ar1,
-                                                   chunk_steps=chunk).tobytes()
+        outs = {chunk: noise_field(np.random.default_rng(5), n_steps, nx, ny, 2.0, chol, ar1,
+                                   chunk_steps=chunk).tobytes()
                 for chunk in (1, 7, 256, 2048, n_steps + 1)}
         assert len(set(outs.values())) == 1
 
 
+def noise_field(rng, n_steps, nx, ny, slope, mix, ar1, chunk_steps):
+    """`_noise_chunks` joined into one [T, nx, ny, V] array."""
+    chunks = list(synthdata._noise_chunks(rng, n_steps, nx, ny, slope, mix, ar1, chunk_steps))
+    assert [lo for lo, _ in chunks] == list(range(0, n_steps, chunk_steps))
+    noise = np.concatenate([chunk for _, chunk in chunks])
+    return noise.reshape(n_steps, len(mix), nx, ny).transpose(0, 2, 3, 1)
+
+
 def fft_noise(rng, n_steps, nx, ny, slope, corr_chol, ar1, chunk_steps):
-    """`_correlated_noise` with each chunk filtered by pocketfft."""
+    """`noise_field` with each chunk filtered by pocketfft."""
     h = synthdata._spectral_filter(nx, ny, slope)
     out = np.empty((n_steps, nx, ny, len(corr_chol)))
     for lo in range(0, n_steps, chunk_steps):
@@ -251,8 +284,7 @@ class TestMatrixFilter:
     def test_matches_pocketfft_map(self, nx, ny, slope, ar1):
         chol = np.linalg.cholesky(VAR_CORR)
         args = (40, nx, ny, slope, chol)
-        got = synthdata._correlated_noise(np.random.default_rng(3), *args, ar1=ar1,
-                                          chunk_steps=16)
+        got = noise_field(np.random.default_rng(3), *args, ar1, chunk_steps=16)
         expect = fft_noise(np.random.default_rng(3), *args, ar1=ar1, chunk_steps=16)
         assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
