@@ -394,20 +394,23 @@ def _conv_dx(g, w, h, wd, stride):
 def _conv2d_gathered(x, w, b, stride):
     """conv2d as one GEMM: the gathered taps [B·Ho·Wo, kh·kw·Cin] times w.
 
-    The gathered matrix stays on the tape only when w needs a gradient; dw is
-    then one GEMM on it. dx is `_conv_dx`.
+    The gathered matrix, kh·kw times the input, is not kept on the tape: when
+    w needs a gradient the vjp gathers it again from x, which the tape holds,
+    and dw is one GEMM on it. dx is `_conv_dx`.
     """
     kh, kw, cin, cout = w.data.shape
     n, h, wd, _ = x.data.shape
     ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
-    cols = _gather(_zero_padded(x.data, h, wd, kh // 2, kw // 2), kh, kw, stride, ho, wo)
-    out = (cols @ w.data.reshape(-1, cout)).reshape(n, ho, wo, cout) + b.data
-    cols = cols if w.requires_grad else None
+
+    def cols():
+        return _gather(_zero_padded(x.data, h, wd, kh // 2, kw // 2), kh, kw, stride, ho, wo)
+
+    out = (cols() @ w.data.reshape(-1, cout)).reshape(n, ho, wo, cout) + b.data
 
     def vjp(g):
         g2 = g.reshape(-1, cout)
         return (_conv_dx(g, w.data, h, wd, stride) if x.requires_grad else None,
-                (cols.T @ g2).reshape(w.data.shape) if w.requires_grad else None,
+                (cols().T @ g2).reshape(w.data.shape) if w.requires_grad else None,
                 g2.sum(axis=0) if b.requires_grad else None)
 
     return _node(out, (x, w, b), vjp)

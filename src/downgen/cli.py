@@ -193,20 +193,22 @@ def stage_gen_data(cfg, run_dir):
 
 def stage_train_debias(cfg, run_dir):
     run_dir = Path(run_dir)
+    train_cfg = _reflow_config(cfg)
     target = read_array(_require(run_dir / "data" / "coarse_truth.npy", "gen-data"))
     members = _members(run_dir)
     t_hours = _train_hours(cfg)
     with _fresh_dir(run_dir, "models/debias") as out:
         train_reflow([m.time_slice(0, t_hours) for m in members],
-                     target.time_slice(0, t_hours), _reflow_config(cfg), out_dir=out)
+                     target.time_slice(0, t_hours), train_cfg, out_dir=out)
     return 0
 
 
 def stage_train_sr(cfg, run_dir):
     run_dir = Path(run_dir)
+    train_cfg = _sr_config(cfg)
     truth = read_array(_require(run_dir / "data" / "fine_truth.npy", "gen-data"))
     with _fresh_dir(run_dir, "models/sr") as out:
-        train_sr(truth.time_slice(0, _train_hours(cfg)), _sr_config(cfg), out_dir=out)
+        train_sr(truth.time_slice(0, _train_hours(cfg)), train_cfg, out_dir=out)
     return 0
 
 

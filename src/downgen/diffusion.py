@@ -30,6 +30,7 @@ from .grid import (
     cubic_upsample_space,
     exact_keys,
     interp_upsample,
+    require_counts,
 )
 from .nets import (
     ArchConfig,
@@ -46,7 +47,6 @@ from .optim import adam_step  # noqa: F401  not called here; perfbench/tracing.p
 from .reflow import fit, write_loss_log
 
 _TRAIN_STREAM = 3
-_NORMALIZE_CHUNK_STEPS = 384   # 32 days of two-hourly steps
 
 
 @dataclass
@@ -128,26 +128,40 @@ class SRNormalization:
 
 
 def fit_training_pair(x: GridField, spec: DownsampleSpec, grouping):
-    """Fit the normalization on training truth and build its training pair; the
-    residual climatology is grouped by `grouping` = (doy_buckets, tod_buckets).
+    """Fit the normalization on training truth; the residual climatology is
+    grouped by `grouping` = (doy_buckets, tod_buckets).
 
-    Returns (norm, r_tilde, coarse): the residual climatology and coarse-input
-    stats, the normalized residual r = x - upsample(coarsen(x)) and the coarse
-    field coarsen(x) itself. x = upsample(y') + clim_mean + clim_std * r_tilde
-    holds exactly.
+    Returns (norm, coarse, up_days): the climatology of the residual
+    x - upsample(coarsen(x)) and the coarse-input stats, the coarse field
+    coarsen(x), and its daily spatial upsampling [days, H, W, V], from which
+    `normalized_residual` builds the normalized residual of any days. The full
+    residual is held only while its climatology is fitted.
     """
     coarse = coarsen(x, spec)
-    r = interp_upsample(coarse, spec).data
+    up_days = cubic_upsample_space(coarse.data, spec.spatial_factor)
+    r = np.repeat(up_days, spec.temporal_window, axis=0)
     np.subtract(x.data, r, out=r)
     clim = compute_climatology(x.with_data(r), grouping)
     norm = SRNormalization(residual_clim=clim, cond_stats=compute_ensemble_stats(coarse))
-    times = x.time_coords
-    # a chunk of steps at a time: each lookup builds a table as large as its slice
-    for lo in range(0, len(r), _NORMALIZE_CHUNK_STEPS):
-        chunk = slice(lo, lo + _NORMALIZE_CHUNK_STEPS)
-        r[chunk] -= clim.lookup_mean(times[chunk])
-        r[chunk] /= clim.lookup_std(times[chunk])
-    return norm, r, coarse
+    return norm, coarse, up_days
+
+
+def normalized_residual(x: GridField, up_days, clim: Climatology, start, stop):
+    """The normalized residual r~ of days [start, stop) of x, [steps, H, W, V].
+
+    up_days is the daily upsampled coarse field of `fit_training_pair` and clim
+    the residual climatology. r~ = (x - upsample(coarsen(x)) - clim_mean) / clim_std,
+    element by element, so any days' r~ equals those days of the full range's
+    bitwise, and x = upsample(y') + clim_mean + clim_std * r~ holds exactly.
+    """
+    steps_per_day = x.n_times // len(up_days)
+    rows = slice(start * steps_per_day, stop * steps_per_day)
+    r = np.repeat(up_days[start:stop], steps_per_day, axis=0)
+    np.subtract(x.data[rows], r, out=r)
+    times = x.time_coords[rows]
+    r -= clim.lookup_mean(times)
+    r /= clim.lookup_std(times)
+    return r
 
 
 def assemble_output(y_cond: GridField, residual_draw, norm: SRNormalization,
@@ -188,6 +202,9 @@ class SRTrainConfig:
     noise: NoiseSchedule = field(default_factory=NoiseSchedule)
     seed: int = 0
 
+    def __post_init__(self):
+        require_counts(self, ("batch", "doy_buckets"))
+
 
 @dataclass
 class SRModel:
@@ -223,13 +240,14 @@ def train_sr(fine_truth: GridField, cfg: SRTrainConfig, out_dir=None):
 
     `fit` runs the loop; each step draws window start days, noise levels,
     noise and the dropout mask, in that order. Returns (SRModel, log). A
-    window is cfg.window_days of the residual at fine cadence, conditioned on
-    the same days of the daily `prepare_cond` field.
+    window is cfg.window_days of the normalized residual at fine cadence,
+    built for each batch by `normalized_residual` (the full residual is not
+    kept), conditioned on the same days of the daily `prepare_cond` field.
     """
     spec = DownsampleSpec(cfg.spatial_factor, 24 // fine_truth.dt_hours)
     steps_per_day = spec.temporal_window
     window = cfg.window_days * steps_per_day
-    norm, r_tilde, coarse = fit_training_pair(fine_truth, spec,
+    norm, coarse, up_days = fit_training_pair(fine_truth, spec,
                                               grouping=(cfg.doy_buckets, steps_per_day))
     cond_days = prepare_cond(coarse, norm, spec)
     n_days = fine_truth.n_times // steps_per_day
@@ -239,7 +257,8 @@ def train_sr(fine_truth: GridField, cfg: SRTrainConfig, out_dir=None):
 
     def loss_fn(params, rng):
         days = rng.integers(0, n_days - cfg.window_days + 1, cfg.batch)
-        z0 = np.stack([r_tilde[d * steps_per_day: d * steps_per_day + window] for d in days])
+        z0 = np.stack([normalized_residual(fine_truth, up_days, norm.residual_clim,
+                                           d, d + cfg.window_days) for d in days])
         cond = np.stack([cond_days[d: d + cfg.window_days] for d in days])
         sigmas = cfg.noise.sample_train(rng, cfg.batch)
         eps = rng.standard_normal(z0.shape)

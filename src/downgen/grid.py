@@ -52,6 +52,13 @@ def exact_keys(doc, cls):
     return doc
 
 
+def require_counts(obj, names):
+    """Refuse any of the fields `names` of `obj` below 1, naming it."""
+    for name in names:
+        if getattr(obj, name) < 1:
+            raise ValueError(f"{name} must be at least 1, not {getattr(obj, name)}")
+
+
 @dataclass
 class GridField:
     """Dense [T, NX, NY, V] array with coordinate metadata."""

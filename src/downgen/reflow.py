@@ -17,7 +17,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import backward
-from .grid import DAYS_PER_YEAR, EnsembleStats, GridField, compute_ensemble_stats, day_of_year
+from .grid import (
+    DAYS_PER_YEAR,
+    EnsembleStats,
+    GridField,
+    compute_ensemble_stats,
+    day_of_year,
+    require_counts,
+)
 from .nets import (
     ArchConfig,
     DivergenceError,
@@ -41,6 +48,9 @@ class CouplingConfig:
     season_window_days: int = 15
     tau_min: float = 1e-3
 
+    def __post_init__(self):
+        require_counts(self, ("chunk_len_days",))
+
 
 @dataclass
 class ReflowTrainConfig:
@@ -53,6 +63,9 @@ class ReflowTrainConfig:
     clip_norm: float = 0.6
     levels: tuple = (16, 32, 64)
     seed: int = 0
+
+    def __post_init__(self):
+        require_counts(self, ("chunks_per_batch",))
 
 
 @dataclass

@@ -25,6 +25,7 @@ from .grid import (
     GridField,
     coarsen,
     coarsen_data,
+    require_counts,
 )
 
 VAR_NAMES = ("temperature", "wind_speed", "humidity", "pressure")
@@ -86,9 +87,8 @@ class SynthConfig:
     var_scales: tuple = (3.0, 1.5, 0.002, 300.0)
 
     def __post_init__(self):
-        for name in ("nx", "ny", "steps_per_day", "n_days", "n_members", "spatial_factor"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, not {getattr(self, name)}")
+        require_counts(self, ("nx", "ny", "steps_per_day", "n_days", "n_members",
+                              "spatial_factor"))
         if min(self.seasonal_amp, self.diurnal_amp, self.noise_amp) < 0:
             raise ValueError("amplitudes must be non-negative")
         if not 0.0 <= self.noise_ar1 < 1.0:

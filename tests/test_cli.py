@@ -537,6 +537,22 @@ class TestExitCodes:
         assert err == f"error: {message}\n"
         assert not (out / "data").exists()
 
+    @pytest.mark.parametrize("stage, override", [
+        ("train-debias", "debias.chunk_len_days=0"),
+        ("train-debias", "debias.chunks_per_batch=0"),
+        ("train-sr", "sr.batch=0"),
+        ("train-sr", "sr.doy_buckets=0"),
+    ], ids=["chunk-len-days-0", "chunks-per-batch-0", "sr-batch-0", "doy-buckets-0"])
+    def test_zero_training_draw_size_exits_1_writing_no_model(self, e2e_run, tiny_config,
+                                                              tmp_path, capsys, stage, override):
+        out = tmp_path / "run"
+        shutil.copytree(e2e_run / "data", out / "data", copy_function=os.link)
+        code = main([stage, "--config", str(tiny_config), "--out", str(out), "--set", override])
+        key = override.split(".")[1].removesuffix("=0")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {key} must be at least 1, not 0\n"
+        assert not (out / "models").exists()
+
     def test_python_m_downgen_runs_the_cli(self):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))

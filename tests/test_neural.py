@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -26,7 +27,7 @@ from downgen.nets import (
     velocity_arch,
     velocity_forward,
 )
-from downgen.optim import BETA1, BETA2, EPS, OptimizerState, Schedule, adam_step
+from downgen.optim import BETA1, BETA2, BLOCK_ELEMENTS, EPS, OptimizerState, Schedule, adam_step
 
 from gradcheck import finite_diff_grads, rel_error
 
@@ -363,6 +364,48 @@ class TestAdam:
                 assert params[k].tobytes() == ref[k].tobytes(), k
                 assert state.m[k].tobytes() == m[k].tobytes()
                 assert state.v[k].tobytes() == v[k].tobytes()
+
+    def test_blocks_match_one_flat_vector_formula_bitwise(self):
+        # 70 000 elements are a block of their own, beyond BLOCK_ELEMENTS; the
+        # 30 000 and 5 after them share a second one. Unclipped, every block
+        # updates as the whole flat vector would, and only the norm's sum
+        # runs in another order.
+        rng = np.random.default_rng(23)
+        shapes = {"w": (70_000,), "d": (100, 300), "b": (5,)}
+        assert shapes["w"][0] > BLOCK_ELEMENTS >= 30_005
+        params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        p = np.concatenate([v.ravel() for v in params.values()])
+        m, v = np.zeros_like(p), np.zeros_like(p)
+        state = OptimizerState(Schedule(peak_lr=0.05, warmup_steps=2, total_steps=6),
+                               clip_norm=1e9)
+        for step in range(1, 5):
+            grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
+            lr = adam_step(params, state, grads)
+            g = np.concatenate([grads[k].ravel() for k in shapes])
+            norm = np.sqrt(np.square(g).sum())
+            assert abs(state.grad_norm - norm) <= 1e-15 * norm
+            bc1, bc2 = 1.0 - BETA1 ** step, 1.0 - BETA2 ** step
+            m = BETA1 * m + (1.0 - BETA1) * g
+            v = BETA2 * v + (1.0 - BETA2) * g ** 2
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            flat = {name: np.concatenate([d[k].ravel() for k in shapes])
+                    for name, d in (("p", params), ("m", state.m), ("v", state.v))}
+            assert flat["p"].tobytes() == p.tobytes()
+            assert flat["m"].tobytes() == m.tobytes() and flat["v"].tobytes() == v.tobytes()
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj if obj.base is None else obj.base
+            elif isinstance(obj, dict):
+                yield from (a for x in obj.values() for a in arrays(x))
+            elif isinstance(obj, (tuple, list)):
+                yield from (a for x in obj for a in arrays(x))
+
+        # parameters and two moments; the scratch holds one block
+        held = {id(a): a for f in dataclasses.fields(state)
+                for a in arrays(getattr(state, f.name))}
+        assert sorted(a.size for a in held.values() if a.size >= p.size) == [p.size] * 3
+        assert sum(a.size for a in held.values()) == 3 * p.size + 2 * 70_000
 
     def test_moments_are_views_of_one_buffer_each(self):
         params = {"a": np.zeros((2, 3)), "b": np.zeros(4), "c": np.zeros((1, 2, 2))}
