@@ -109,8 +109,19 @@ def _train_hours(cfg):
     return cfg["synth"]["train_days"] * 24
 
 
-def _check_sample(cfg):
-    """The sample settings' cross-key rules, checked before any stage runs."""
+# (section, key, least value) of the keys that stages read directly, not through a
+# stage config that refuses them itself
+_LEAST = [("synth", "train_days", 1), ("sample", "start_day", 0),
+          ("debias", "transport_steps", 1), ("baseline", "qm_doy_buckets", 1),
+          ("baseline", "fine_clim_doy_buckets", 1)]
+
+
+def _check_config(cfg):
+    """The rules checked before any stage runs: the least values of `_LEAST`,
+    then the sample settings' cross-key rules."""
+    for section, key, least in _LEAST:
+        if cfg[section][key] < least:
+            raise ConfigError(f"{section}.{key} = {cfg[section][key]} must be at least {least}")
     s, synth, window_days = cfg["sample"], cfg["synth"], cfg["sr"]["window_days"]
     members = [member_name(idx) for idx in range(synth["n_members"])]
     if s["member"] not in members:
@@ -124,8 +135,6 @@ def _check_sample(cfg):
     if days != s["length_days"]:
         raise ConfigError(f"{tiling} cover {days} days, not sample.length_days = "
                           f"{s['length_days']}")
-    if synth["train_days"] < 1:
-        raise ConfigError(f"synth.train_days = {synth['train_days']} must be at least 1")
     end = synth["train_days"] + s["start_day"] + s["length_days"]
     if end > synth["n_days"]:
         raise ConfigError(
@@ -437,7 +446,7 @@ def main(argv=None):
     try:
         cfg = parse_config(args.config) if args.config else default_config()
         apply_overrides(cfg, args.overrides)
-        _check_sample(cfg)
+        _check_config(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import backward
+from .autodiff import backward  # noqa: F401  not called here; perfbench/tracing.py wraps it
 from .grid import (
     DAYS_PER_YEAR,
     Climatology,
@@ -34,10 +34,7 @@ from .grid import (
 )
 from .nets import (
     ArchConfig,
-    DivergenceError,
-    as_leaves,
     checkpoint_params,
-    collect_grads,
     denoiser_arch,
     denoiser_forward,
     load_checkpoint,
@@ -51,7 +48,8 @@ _TRAIN_STREAM = 3
 
 @dataclass
 class NoiseSchedule:
-    """Noise levels: LogUniform draws for training, a decreasing grid for sampling."""
+    """Noise levels: LogUniform draws for training, a decreasing grid for sampling,
+    for 0 < sigma_min < sigma_max, n_grid >= 2 and rho > 0."""
 
     sigma_min: float = 1e-4
     sigma_max: float = 80.0
@@ -65,6 +63,13 @@ class NoiseSchedule:
             setattr(self, name, float(getattr(self, name)))
         if self.kind not in ("edm", "tangent"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        if self.n_grid < 2:
+            raise ValueError(f"n_grid must be at least 2, not {self.n_grid}")
+        if not 0.0 < self.sigma_min < self.sigma_max:
+            raise ValueError(f"sigma_min = {self.sigma_min} and sigma_max = {self.sigma_max} "
+                             "must satisfy 0 < sigma_min < sigma_max")
+        if not self.rho > 0.0:
+            raise ValueError(f"rho must be positive, not {self.rho}")
 
     def sample_train(self, rng, n):
         return np.exp(rng.uniform(np.log(self.sigma_min), np.log(self.sigma_max), n))
@@ -85,10 +90,8 @@ class NoiseSchedule:
         return sig
 
 
-def sigma_steps_edm(n=256, sigma_min=1e-4, sigma_max=80.0, rho=7.0):
-    """Decreasing noise grid from sigma_max to sigma_min with rho-warped spacing."""
-    if n < 2:
-        raise ValueError("need at least two grid points")
+def sigma_steps_edm(n, sigma_min, sigma_max, rho):
+    """Decreasing noise grid from sigma_max to sigma_min with rho-warped spacing, n >= 2."""
     i = np.arange(n)
     return (sigma_max ** (1 / rho)
             + i / (n - 1) * (sigma_min ** (1 / rho) - sigma_max ** (1 / rho))) ** rho
@@ -216,8 +219,9 @@ class SRModel:
     window_days: int
 
 
-def denoise_loss(params, arch: ArchConfig, z0, cond, sigmas, eps, keep_mask):
-    """Weighted denoising MSE with per-sample conditioning dropout.
+def denoise_loss(leaves, arch: ArchConfig, z0, cond, sigmas, eps, keep_mask):
+    """Weighted denoising MSE with per-sample conditioning dropout, as a scalar
+    Tensor; leaves as for `nets.denoiser_forward`.
 
     z0: [B, T, H, W, V]; cond: [B, n, H, W, V] conditioning windows (see
     `nets.denoiser_cond`); sigmas, keep_mask: [B]; eps: like z0. Dropped
@@ -225,14 +229,9 @@ def denoise_loss(params, arch: ArchConfig, z0, cond, sigmas, eps, keep_mask):
     """
     z = perturb(z0, sigmas, eps)
     cond_masked = cond * keep_mask[:, None, None, None, None]
-    leaves = as_leaves(params)
     d = denoiser_forward(leaves, z, sigmas, cond_masked, arch)
     per_sample = ad.mean(ad.square(d - z0), axes=(1, 2, 3, 4))
-    loss = ad.mean(per_sample * loss_weight(sigmas))
-    if not np.isfinite(loss.data):
-        raise DivergenceError("non-finite denoising loss")
-    backward(loss)
-    return float(loss.data), collect_grads(leaves, params)
+    return ad.mean(per_sample * loss_weight(sigmas))
 
 
 def train_sr(fine_truth: GridField, cfg: SRTrainConfig, out_dir=None):
@@ -255,7 +254,7 @@ def train_sr(fine_truth: GridField, cfg: SRTrainConfig, out_dir=None):
         raise ValueError("training series shorter than one window")
     arch = denoiser_arch(fine_truth.data.shape[-1], window, levels=cfg.levels)
 
-    def loss_fn(params, rng):
+    def loss_fn(leaves, rng):
         days = rng.integers(0, n_days - cfg.window_days + 1, cfg.batch)
         z0 = np.stack([normalized_residual(fine_truth, up_days, norm.residual_clim,
                                            d, d + cfg.window_days) for d in days])
@@ -263,7 +262,7 @@ def train_sr(fine_truth: GridField, cfg: SRTrainConfig, out_dir=None):
         sigmas = cfg.noise.sample_train(rng, cfg.batch)
         eps = rng.standard_normal(z0.shape)
         keep = (rng.random(cfg.batch) >= cfg.p_uncond).astype(np.float64)
-        return denoise_loss(params, arch, z0, cond, sigmas, eps, keep)
+        return denoise_loss(leaves, arch, z0, cond, sigmas, eps, keep)
 
     params, log, state = fit(arch, cfg, _TRAIN_STREAM, loss_fn)
     model = SRModel(params, arch, norm, cfg.noise, spec, cfg.window_days)

@@ -85,24 +85,23 @@ def sample_chain(denoise_fn, shape, sigmas, rng, on_step=None):
     return z
 
 
-def sample_long(model: SRModel, y_cond_long: GridField, n_windows,
-                guidance=1.0, rng=None, on_step=None) -> GridField:
+def sample_long(model: SRModel, y_cond_long: GridField, n_windows, *, rng,
+                guidance=1.0, on_step=None) -> GridField:
     """Sample an arbitrarily long fine trajectory from overlapped windows.
 
     y_cond_long: coarse daily input covering n_windows staggered windows of
     model.window_days with a one-day overlap (in fine steps: window_len =
     window_days * steps_per_day, overlap = steps_per_day). n_windows = 1 is
-    the plain single-window sampler. on_step, if given, is called as
-    on_step(grid_index, window_states) after every SDE step, with the states
-    as read-only views [n_windows, window_len, H, W, V] of the trajectory.
+    the plain single-window sampler. rng draws all of the chain's noise.
+    on_step, if given, is called as on_step(grid_index, window_states) after
+    every SDE step, with the states as read-only views [n_windows,
+    window_len, H, W, V] of the trajectory.
     The conditioning stays daily: the same layout in days windows the
     `prepare_cond` field, [n_windows, window_days, H, W, V]. The
     conditioning half of the denoiser's input conv does not change from step
     to step: it runs once on those windows, before the chain
     (`nets.denoiser_cond`), and every step's `cfg_denoise` gets its output.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     spd = model.spec.temporal_window
     layout = WindowLayout(n_windows, model.window_days * spd, spd)
     days = WindowLayout(n_windows, model.window_days, 1)

@@ -9,7 +9,6 @@ as input channels. Everything is float64 with hand-written gradients.
 
 from __future__ import annotations
 
-import functools
 import json
 import operator
 from dataclasses import dataclass
@@ -26,6 +25,13 @@ class DivergenceError(RuntimeError):
     """Raised when a forward pass or training step produces non-finite values."""
 
 
+KERNEL = 3       # side of every conv kernel
+EMBED_DIM = 32   # width of the scalar-conditioning embedding
+# the K log-spaced Fourier frequencies in [1, 1e4], read-only: every caller shares them
+FOURIER_FREQS = np.logspace(0.0, 4.0, 16)
+FOURIER_FREQS.flags.writeable = False
+
+
 @dataclass
 class ArchConfig:
     """Descriptor for one U-net instance."""
@@ -33,9 +39,6 @@ class ArchConfig:
     in_channels: int          # gridded input channels after concatenation
     out_channels: int
     levels: tuple = (16, 32, 64)
-    kernel: int = 3
-    embed_freqs: int = 16     # K Fourier frequencies
-    embed_dim: int = 32
     cond_vec_dim: int = 0     # pooled conditioning vector length (0 = unused)
 
     def __post_init__(self):
@@ -52,10 +55,9 @@ def truncated_normal(rng, shape, std=0.02, bound=2.0):
     return out
 
 
-def _conv_init(rng, k, cin, cout, zero=False):
-    if zero:
-        return {"w": np.zeros((k, k, cin, cout)), "b": np.zeros(cout)}
-    return {"w": truncated_normal(rng, (k, k, cin, cout)), "b": np.zeros(cout)}
+def _conv_init(rng, cin, cout, zero=False):
+    shape = (KERNEL, KERNEL, cin, cout)
+    return {"w": np.zeros(shape) if zero else truncated_normal(rng, shape), "b": np.zeros(cout)}
 
 
 def _dense_init(rng, nin, nout, zero=False):
@@ -72,34 +74,32 @@ def init_params(rng, arch: ArchConfig) -> dict:
     identity) at the start of training.
     """
     p = {}
-    k = arch.kernel
-    two_k = 2 * arch.embed_freqs
 
     def put(prefix, d):
         for key, val in d.items():
             p[f"{prefix}/{key}"] = val
 
-    put("embed/dense0", _dense_init(rng, two_k, arch.embed_dim))
-    put("embed/dense1", _dense_init(rng, arch.embed_dim, arch.embed_dim))
+    put("embed/dense0", _dense_init(rng, 2 * len(FOURIER_FREQS), EMBED_DIM))
+    put("embed/dense1", _dense_init(rng, EMBED_DIM, EMBED_DIM))
     if arch.cond_vec_dim:
-        put("cond_vec/dense", _dense_init(rng, arch.cond_vec_dim, arch.embed_dim))
+        put("cond_vec/dense", _dense_init(rng, arch.cond_vec_dim, EMBED_DIM))
 
     chans = arch.levels
-    put("in/conv", _conv_init(rng, k, arch.in_channels, chans[0]))
+    put("in/conv", _conv_init(rng, arch.in_channels, chans[0]))
     for i, c in enumerate(chans):
         if i > 0:
-            put(f"down{i}/conv", _conv_init(rng, k, chans[i - 1], c))
-        put(f"res{i}/conv1", _conv_init(rng, k, c, c))
-        put(f"res{i}/conv2", _conv_init(rng, k, c, c))
-        put(f"res{i}/film_scale", _dense_init(rng, arch.embed_dim, c, zero=True))
-        put(f"res{i}/film_shift", _dense_init(rng, arch.embed_dim, c, zero=True))
+            put(f"down{i}/conv", _conv_init(rng, chans[i - 1], c))
+        put(f"res{i}/conv1", _conv_init(rng, c, c))
+        put(f"res{i}/conv2", _conv_init(rng, c, c))
+        put(f"res{i}/film_scale", _dense_init(rng, EMBED_DIM, c, zero=True))
+        put(f"res{i}/film_shift", _dense_init(rng, EMBED_DIM, c, zero=True))
     for i in range(len(chans) - 1, 0, -1):
-        put(f"up{i}/conv", _conv_init(rng, k, chans[i], chans[i - 1]))
-        put(f"ures{i - 1}/conv1", _conv_init(rng, k, chans[i - 1], chans[i - 1]))
-        put(f"ures{i - 1}/conv2", _conv_init(rng, k, chans[i - 1], chans[i - 1]))
-        put(f"ures{i - 1}/film_scale", _dense_init(rng, arch.embed_dim, chans[i - 1], zero=True))
-        put(f"ures{i - 1}/film_shift", _dense_init(rng, arch.embed_dim, chans[i - 1], zero=True))
-    put("out/conv", _conv_init(rng, k, chans[0], arch.out_channels, zero=True))
+        put(f"up{i}/conv", _conv_init(rng, chans[i], chans[i - 1]))
+        put(f"ures{i - 1}/conv1", _conv_init(rng, chans[i - 1], chans[i - 1]))
+        put(f"ures{i - 1}/conv2", _conv_init(rng, chans[i - 1], chans[i - 1]))
+        put(f"ures{i - 1}/film_scale", _dense_init(rng, EMBED_DIM, chans[i - 1], zero=True))
+        put(f"ures{i - 1}/film_shift", _dense_init(rng, EMBED_DIM, chans[i - 1], zero=True))
+    put("out/conv", _conv_init(rng, chans[0], arch.out_channels, zero=True))
     return p
 
 
@@ -112,34 +112,20 @@ def as_leaves(params) -> dict:
     return {k: Tensor(v) for k, v in params.items()}
 
 
-def collect_grads(leaves, params) -> dict:
-    return {k: (leaves[k].grad if leaves[k].grad is not None else np.zeros_like(params[k]))
-            for k in params}
-
-
 # ---------------------------------------------------------------------------
 # Conditioning pathways
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache
-def _fourier_freqs(n_freqs):
-    """The K log-spaced frequencies in [1, 1e4], read-only: every caller shares them."""
-    freqs = np.logspace(0.0, 4.0, n_freqs)
-    freqs.flags.writeable = False
-    return freqs
-
-
-def fourier_features(s, n_freqs):
-    """Pre-dense embedding [B, 2K]: cos then sin of log-spaced frequencies in [1, 1e4]."""
+def fourier_features(s):
+    """Pre-dense embedding [B, 2K]: cos then sin of the `FOURIER_FREQS`."""
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    freqs = _fourier_freqs(n_freqs)
-    angles = s[:, None] * freqs[None, :]
+    angles = s[:, None] * FOURIER_FREQS[None, :]
     return np.concatenate([np.cos(angles), np.sin(angles)], axis=1)
 
 
-def fourier_embed(leaves, s, arch: ArchConfig) -> Tensor:
+def fourier_embed(leaves, s) -> Tensor:
     """Fourier features followed by two dense layers with SiLU between them."""
-    feats = fourier_features(s, arch.embed_freqs)
+    feats = fourier_features(s)
     h = ad.silu(ad.dense(feats, leaves["embed/dense0/w"], leaves["embed/dense0/b"]))
     return ad.dense(h, leaves["embed/dense1/w"], leaves["embed/dense1/b"])
 
@@ -213,7 +199,7 @@ def velocity_forward(leaves, yhat, tau, stat_mean, stat_std, arch: ArchConfig) -
     """
     x = np.concatenate([yhat, np.broadcast_to(stat_mean, yhat.shape),
                         np.broadcast_to(stat_std, yhat.shape)], axis=-1)
-    embed = fourier_embed(leaves, tau, arch)
+    embed = fourier_embed(leaves, tau)
     pooled = np.concatenate([stat_mean.mean(axis=(1, 2)), stat_std.mean(axis=(1, 2))], axis=1)
     cond = ad.dense(pooled, leaves["cond_vec/dense/w"], leaves["cond_vec/dense/b"])
     out = unet_forward(leaves, x, embed + cond, arch)
@@ -303,8 +289,7 @@ def denoiser_forward(leaves, z, sigma, cond, arch: ArchConfig, guidance=0.0) -> 
     if cond is not None:
         xc = x + (denoiser_cond(leaves, cond, arch) if cond.ndim == z.ndim else cond)
         x = ad.concat([xc, x], axis=0) if guided else xc
-    embed = fourier_embed(leaves, np.concatenate([c_noise, c_noise]) if guided else c_noise,
-                          arch)
+    embed = fourier_embed(leaves, np.concatenate([c_noise, c_noise]) if guided else c_noise)
     hb = unet_body(leaves, x, embed, arch)
     if guided:
         hb = (ad.slice_axis(hb, 0, b, axis=0) * (1.0 + guidance)

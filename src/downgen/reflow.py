@@ -30,7 +30,6 @@ from .nets import (
     DivergenceError,
     as_leaves,
     checkpoint_params,
-    collect_grads,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -40,13 +39,13 @@ from .nets import (
 from .optim import OptimizerState, Schedule, adam_step
 
 _TRAIN_STREAM = 2
+TAU_MIN = 1e-3   # training times are drawn from U(TAU_MIN, 1 - TAU_MIN)
 
 
 @dataclass
 class CouplingConfig:
     chunk_len_days: int = 8
     season_window_days: int = 15
-    tau_min: float = 1e-3
 
     def __post_init__(self):
         require_counts(self, ("chunk_len_days",))
@@ -164,32 +163,26 @@ def _coupling_sampler(members, member_stats, target, target_stats, cfg: Coupling
     return draw
 
 
-def reflow_loss(params, arch: ArchConfig, batch: CouplingBatch, tau):
-    """Mean squared residual between displacement (y1 - y0) and the velocity.
+def reflow_loss(leaves, arch: ArchConfig, batch: CouplingBatch, tau):
+    """Mean squared residual between displacement (y1 - y0) and the velocity,
+    as a scalar Tensor; leaves as for `nets.velocity_forward`.
 
-    tau: [B] interpolation times in (0, 1). Returns (loss value, grads dict).
+    tau: [B] interpolation times in (0, 1).
     """
     t = tau[:, None, None, None]
     y_tau = t * batch.y1 + (1.0 - t) * batch.y0
-    leaves = as_leaves(params)
     v = velocity_forward(leaves, y_tau, tau, batch.stat_mean, batch.stat_std, arch)
-    loss = ad.mean(ad.square(v - (batch.y1 - batch.y0)))
-    if not np.isfinite(loss.data):
-        raise DivergenceError("non-finite flow-matching loss")
-    backward(loss)
-    return float(loss.data), collect_grads(leaves, params)
+    return ad.mean(ad.square(v - (batch.y1 - batch.y0)))
 
 
-def integrate_velocity(model: ReflowModel, yhat0, stat_mean, stat_std,
-                       n_steps=100, t0=0.0, t1=1.0):
-    """Fixed-step RK4 for dy/dtau = v(y, tau) in normalized coordinates.
+def integrate_velocity(model: ReflowModel, yhat0, stat_mean, stat_std, n_steps=100):
+    """Fixed-step RK4 for dy/dtau = v(y, tau) from tau = 0 to 1, in normalized coordinates.
 
     yhat0: [B, NX, NY, V]; stat_mean/stat_std: [B, NX, NY, V], or
     [1, NX, NY, V] for statistics shared by all rows. Every velocity
-    evaluation passes its tau once, as a [1] array shared by all rows. Set
-    t0=1, t1=0 to integrate the flow backwards.
+    evaluation passes its tau once, as a [1] array shared by all rows.
     """
-    h = (t1 - t0) / n_steps
+    h = 1.0 / n_steps
     y = yhat0.copy()
 
     def vel(state, t):
@@ -197,7 +190,7 @@ def integrate_velocity(model: ReflowModel, yhat0, stat_mean, stat_std,
                                 model.arch).data
 
     for i in range(n_steps):
-        t = t0 + i * h
+        t = i * h
         k1 = vel(y, t)
         k2 = vel(y + 0.5 * h * k1, t + 0.5 * h)
         k3 = vel(y + 0.5 * h * k2, t + 0.5 * h)
@@ -239,10 +232,10 @@ def train_reflow(members, target, cfg: ReflowTrainConfig, out_dir=None):
     batch_size = cfg.chunks_per_batch * cfg.coupling.chunk_len_days
     draw = _coupling_sampler(members, member_stats, target, target_stats, cfg.coupling)
 
-    def loss_fn(params, rng):
+    def loss_fn(leaves, rng):
         batch = draw(rng, cfg.chunks_per_batch)
-        tau = rng.uniform(cfg.coupling.tau_min, 1.0 - cfg.coupling.tau_min, batch_size)
-        return reflow_loss(params, arch, batch, tau)
+        tau = rng.uniform(TAU_MIN, 1.0 - TAU_MIN, batch_size)
+        return reflow_loss(leaves, arch, batch, tau)
 
     params, log, state = fit(arch, cfg, _TRAIN_STREAM, loss_fn)
     model = ReflowModel(params, arch, member_stats, target_stats)
@@ -256,10 +249,11 @@ def fit(arch: ArchConfig, cfg, stream, loss_fn):
     """The training loop of both stages: seeded init, then clipped Adam steps.
 
     One generator seeded from (cfg.seed, stream) initializes the parameters;
-    each of cfg.steps steps then calls loss_fn(params, rng) -> (loss, grads),
-    which draws its batch from it. Returns (params, log, optimizer state); log
-    has one (step, loss, lr, grad_norm, clipped) row per step, grad_norm the
-    pre-clip global norm and clipped 1 when it exceeded cfg.clip_norm.
+    each of cfg.steps steps then calls loss_fn(leaves, rng) -> scalar loss
+    Tensor, which draws its batch from it, through `_loss_and_grads`. Returns
+    (params, log, optimizer state); log has one (step, loss, lr, grad_norm,
+    clipped) row per step, grad_norm the pre-clip global norm and clipped 1
+    when it exceeded cfg.clip_norm.
     """
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, stream)))
     params = init_params(rng, arch)
@@ -269,11 +263,25 @@ def fit(arch: ArchConfig, cfg, stream, loss_fn):
         clip_norm=cfg.clip_norm)
     log = []
     for step in range(cfg.steps):
-        loss, grads = loss_fn(params, rng)
+        loss, grads = _loss_and_grads(params, loss_fn, rng)
         lr = adam_step(params, state, grads)
         del grads   # not held through the next step's forward and backward
         log.append((step, loss, lr, state.grad_norm, int(state.grad_norm > state.clip_norm)))
     return params, log, state
+
+
+def _loss_and_grads(params, loss_fn, rng):
+    """(loss, grads) of one training step: loss_fn(leaves, rng) on a tape of
+    fresh leaves of params, refused if not finite, then walked by `backward`;
+    a parameter the loss does not reach gets zeros. The tape is dropped on
+    return."""
+    leaves = as_leaves(params)
+    loss = loss_fn(leaves, rng)
+    if not np.isfinite(loss.data):
+        raise DivergenceError("non-finite training loss")
+    backward(loss)
+    return float(loss.data), {k: np.zeros_like(v) if leaves[k].grad is None else leaves[k].grad
+                              for k, v in params.items()}
 
 
 def write_loss_log(path, log):

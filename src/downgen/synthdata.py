@@ -71,7 +71,6 @@ class BiasSpec:
 class SynthConfig:
     nx: int = 16
     ny: int = 16
-    steps_per_day: int = STEPS_PER_DAY
     n_days: int = 2 * DAYS_PER_YEAR
     n_members: int = 2
     spectral_slope: float = 2.0
@@ -87,28 +86,25 @@ class SynthConfig:
     var_scales: tuple = (3.0, 1.5, 0.002, 300.0)
 
     def __post_init__(self):
-        require_counts(self, ("nx", "ny", "steps_per_day", "n_days", "n_members",
-                              "spatial_factor"))
+        require_counts(self, ("nx", "ny", "n_days", "n_members", "spatial_factor"))
         if min(self.seasonal_amp, self.diurnal_amp, self.noise_amp) < 0:
             raise ValueError("amplitudes must be non-negative")
         if not 0.0 <= self.noise_ar1 < 1.0:
             raise ValueError("noise_ar1 must lie in [0, 1)")
         if self.nx % self.spatial_factor or self.ny % self.spatial_factor:
             raise ValueError("fine grid must be divisible by the spatial factor")
-        if HOURS_PER_DAY % self.steps_per_day:
-            raise ValueError("steps_per_day must divide 24")
 
     @property
     def dt_hours(self):
-        return HOURS_PER_DAY // self.steps_per_day
+        return HOURS_PER_DAY // STEPS_PER_DAY
 
     @property
     def n_steps(self):
-        return self.n_days * self.steps_per_day
+        return self.n_days * STEPS_PER_DAY
 
     @property
     def downsample(self):
-        return DownsampleSpec(self.spatial_factor, self.steps_per_day)
+        return DownsampleSpec(self.spatial_factor, STEPS_PER_DAY)
 
     def grid_coords(self):
         lon = np.linspace(0.0, 24.0, self.nx, endpoint=False)
@@ -231,7 +227,7 @@ def _field_chunks(cfg: SynthConfig, stream, bias: BiasSpec):
     for lo, data in _noise_chunks(rng, cfg.n_steps, cfg.nx, cfg.ny,
                                   cfg.spectral_slope + bias.spectral_tilt,
                                   amp[:, None] * _member_corr_chol(bias.corr_shrink),
-                                  cfg.noise_ar1, CHUNK_DAYS * cfg.steps_per_day):
+                                  cfg.noise_ar1, CHUNK_DAYS * STEPS_PER_DAY):
         data += level[lo:lo + len(data), :, None]
         np.maximum(data[:, _CLIP_AT_ZERO], 0.0, out=data[:, _CLIP_AT_ZERO])
         yield lo, data.reshape(len(data), -1, cfg.nx, cfg.ny).transpose(0, 2, 3, 1)

@@ -1,6 +1,9 @@
-"""Central-finite-difference gradient oracle shared by the test suite."""
+"""Central-finite-difference gradient oracle and the analytic (loss, grads) of a
+loss built on a tape, shared by the test suite."""
 
 import numpy as np
+
+from downgen.reflow import _loss_and_grads
 
 
 def finite_diff_grads(f, arrays, eps=1e-5):
@@ -35,3 +38,9 @@ def rel_error(analytic, numeric):
         denom = max(np.linalg.norm(a), np.linalg.norm(n), 1e-12)
         worst = max(worst, np.linalg.norm(a - n) / denom)
     return worst
+
+
+def loss_and_grads(build, params):
+    """(loss value, grads) of the scalar Tensor build(leaves) over the arrays
+    `params`, by the training step's own tape plumbing."""
+    return _loss_and_grads(params, lambda leaves, _: build(leaves), None)

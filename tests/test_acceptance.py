@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from downgen import autodiff as ad
-from downgen.autodiff import Tensor, backward
+from downgen.autodiff import Tensor
 from downgen.baselines import bcsd_pipeline, daily_means, qm_debias
 from downgen.cli import main as cli_main
 from downgen.diffusion import (
@@ -38,8 +38,6 @@ from downgen.metrics import (
 from downgen.cyclones import detect_cyclones, great_circle_distance
 from downgen.multidiffusion import sample_chain, sample_long
 from downgen.nets import (
-    as_leaves,
-    collect_grads,
     denoiser_arch,
     film,
     fourier_embed,
@@ -57,7 +55,7 @@ from downgen.reflow import (
 )
 from downgen.synthdata import BiasSpec, SynthConfig, gen_biased_coarse_ensemble, gen_fine_ensemble
 
-from gradcheck import finite_diff_grads, rel_error
+from gradcheck import finite_diff_grads, loss_and_grads, rel_error
 from zonal import zonal_weighted_rolling_mean
 
 NORM_UNITS = dict(var_bases=(0.0, 50.0, 50.0, 0.0), var_scales=(1.0, 1.0, 1.0, 1.0))
@@ -122,16 +120,17 @@ def sr_task():
 # 1. Gradient correctness
 # ---------------------------------------------------------------------------
 
-def _directional_check(loss_and_grads, params, rng, eps=1e-5):
-    """Directional central difference vs analytic gradient over all tensors."""
-    loss0, grads = loss_and_grads(params)
+def _directional_check(build, params, rng, eps=1e-5):
+    """Directional central difference vs analytic gradient over all tensors of
+    params, for the scalar Tensor build(leaves)."""
+    _, grads = loss_and_grads(build, params)
     direction = {k: rng.standard_normal(v.shape) for k, v in params.items()}
     norm = np.sqrt(sum((d ** 2).sum() for d in direction.values()))
     direction = {k: d / norm for k, d in direction.items()}
     analytic = sum((grads[k] * direction[k]).sum() for k in params)
     plus = {k: params[k] + eps * direction[k] for k in params}
     minus = {k: params[k] - eps * direction[k] for k in params}
-    numeric = (loss_and_grads(plus)[0] - loss_and_grads(minus)[0]) / (2 * eps)
+    numeric = (loss_and_grads(build, plus)[0] - loss_and_grads(build, minus)[0]) / (2 * eps)
     denom = max(abs(analytic), abs(numeric), 1e-12)
     return abs(analytic - numeric) / denom
 
@@ -159,10 +158,7 @@ class TestCriterion1Gradients:
                 rng = np.random.default_rng(1000 + seed)
                 arrays = {"a": rng.standard_normal((3, 2, 2)),
                           "b": rng.standard_normal((3, 2, 2))}
-                leaves = {k: Tensor(v) for k, v in arrays.items()}
-                backward(build(leaves))
-                analytic = {k: leaves[k].grad if leaves[k].grad is not None
-                            else np.zeros_like(v) for k, v in arrays.items()}
+                _, analytic = loss_and_grads(build, arrays)
                 numeric = finite_diff_grads(
                     lambda arrs: float(build({k: Tensor(v) for k, v in arrs.items()}).data),
                     arrays)
@@ -190,9 +186,7 @@ class TestCriterion1Gradients:
                 h = ad.upsample2(h)
                 return ad.mean(ad.square(ad.dense(h, t["w2"], t["b2"])))
 
-            leaves = {k: Tensor(v) for k, v in arrays.items()}
-            backward(build(leaves))
-            analytic = {k: leaves[k].grad for k in arrays}
+            _, analytic = loss_and_grads(build, arrays)
             numeric = finite_diff_grads(
                 lambda arrs: float(build({k: Tensor(v) for k, v in arrs.items()}).data),
                 arrays)
@@ -215,38 +209,22 @@ class TestCriterion1Gradients:
             sm = rng.standard_normal((2, 4, 4, 2))
             ss = 0.5 + rng.random((2, 4, 4, 2))
 
-            def embed_loss(params):
-                leaves = as_leaves(params)
-                out = fourier_embed(leaves, tau, v_arch)
-                loss = ad.mean(ad.square(out))
-                backward(loss)
-                return float(loss.data), collect_grads(leaves, params)
-
             worst["fourier_embed"] = max(worst["fourier_embed"], _directional_check(
-                embed_loss, {k: vp[k] for k in vp if k.startswith("embed/")}, rng))
+                lambda leaves: ad.mean(ad.square(fourier_embed(leaves, tau))),
+                {k: vp[k] for k in vp if k.startswith("embed/")}, rng))
 
             film_x = rng.standard_normal((2, 4, 4, v_arch.levels[0]))
 
-            def film_loss(params):
-                merged = dict(vp)
-                merged.update(params)
-                leaves = as_leaves(merged)
-                e = fourier_embed(leaves, tau, v_arch)
-                out = film(Tensor(film_x), e, leaves, "res0")
-                loss = ad.mean(ad.square(out))
-                backward(loss)
-                return float(loss.data), collect_grads(leaves, merged)
+            def film_loss(leaves):
+                e = fourier_embed(leaves, tau)
+                return ad.mean(ad.square(film(Tensor(film_x), e, leaves, "res0")))
 
             film_keys = [k for k in vp if k.startswith(("res0/film", "embed/"))]
             worst["film"] = max(worst["film"], _directional_check(
                 film_loss, {k: vp[k] for k in film_keys}, rng))
 
-            def vel_loss(params):
-                leaves = as_leaves(params)
-                out = velocity_forward(leaves, yhat, tau, sm, ss, v_arch)
-                loss = ad.mean(ad.square(out))
-                backward(loss)
-                return float(loss.data), collect_grads(leaves, params)
+            def vel_loss(leaves):
+                return ad.mean(ad.square(velocity_forward(leaves, yhat, tau, sm, ss, v_arch)))
 
             worst["velocity_forward"] = max(worst["velocity_forward"],
                                             _directional_check(vel_loss, vp, rng))
@@ -257,7 +235,7 @@ class TestCriterion1Gradients:
                                   stat_std=0.5 + rng.random((4, 4, 4, 2)))
             rtau = rng.uniform(0.1, 0.9, 4)
             worst["reflow_loss"] = max(worst["reflow_loss"], _directional_check(
-                lambda p: reflow_loss(p, v_arch, batch, rtau), vp, rng))
+                lambda leaves: reflow_loss(leaves, v_arch, batch, rtau), vp, rng))
 
             dp = init_params(rng, d_arch)
             for k in dp:
@@ -270,7 +248,8 @@ class TestCriterion1Gradients:
             worst["denoiser/denoise_loss"] = max(
                 worst["denoiser/denoise_loss"],
                 _directional_check(
-                    lambda p: denoise_loss(p, d_arch, z0, cond, sig, eps, keep), dp, rng))
+                    lambda leaves: denoise_loss(leaves, d_arch, z0, cond, sig, eps, keep), dp,
+                    rng))
         bad = {k: v for k, v in worst.items() if v >= 1e-4}
         criterion(1, "gradient correctness (networks and losses)", not bad,
                   "; ".join(f"{k}={v:.2e}" for k, v in worst.items()))

@@ -129,17 +129,52 @@ class TestConfig:
         for key, value in base[section].items():
             if f"{section}.{key}" in self.READ_BY_STAGES:
                 continue
-            if isinstance(value, tuple):
-                changed = value + (value[-1],)
-            elif isinstance(value, str):
-                changed = "tangent" if value != "tangent" else "edm"
-            elif isinstance(value, int):
-                changed = value * 2 or 1
-            else:
-                changed = value / 2 + 0.125
             cfg = default_config()
-            cfg[section][key] = changed
+            cfg[section][key] = _changed(value)
             assert stage_configs(cfg) != stage_configs(base), f"{section}.{key}"
+
+    # stage-config fields that no config key sets, and why each stays
+    SET_BY_NO_KEY = {
+        "SynthConfig.var_bases": "the acceptance fixtures use it",
+        "SynthConfig.var_scales": "the acceptance fixtures use it",
+        "SRTrainConfig.noise.rho": "SR checkpoints record it",
+    }
+
+    def test_every_stage_config_field_set_by_a_key(self):
+        def fields(cfg):
+            return {path: value for obj in (_synth_config(cfg), _reflow_config(cfg),
+                                            _sr_config(cfg))
+                    for path, value in _leaf_fields(obj, type(obj).__name__)}
+
+        base = fields(default_config())
+        set_by_keys = set()
+        for section, keys in default_config().items():
+            for key, value in keys.items():
+                cfg = default_config()
+                cfg[section][key] = _changed(value)
+                set_by_keys |= {path for path, v in fields(cfg).items() if v != base[path]}
+        assert sorted(base.keys() - set_by_keys) == sorted(self.SET_BY_NO_KEY)
+
+
+def _changed(value):
+    """Another valid value of a config key's type."""
+    if isinstance(value, tuple):
+        return value + (value[-1],)
+    if isinstance(value, str):
+        return "tangent" if value != "tangent" else "edm"
+    if isinstance(value, int):
+        return value * 2 or 1
+    return value / 2 + 0.125
+
+
+def _leaf_fields(obj, path):
+    """(dotted path, value) of every field of a dataclass, nested ones walked."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaf_fields(value, f"{path}.{f.name}")
+        else:
+            yield f"{path}.{f.name}", value
 
 
 # Reference stage-config builders: every key written out by hand.
@@ -371,7 +406,9 @@ WRONG_VALUES = [
     (SR, ("meta", "steps_per_day"), 0), (SR, ("meta", "steps_per_day"), 6),
     (SR, ("meta", "schedule"), 5), (SR, ("meta", "schedule", "n_grid"), "24"),
     (SR, ("meta", "schedule", "kind"), 5), (SR, ("meta", "schedule", "sigma_max"), "x"),
-    (SR, ("meta", "schedule", "bogus"), 1),
+    (SR, ("meta", "schedule", "bogus"), 1), (SR, ("meta", "schedule", "n_grid"), 1),
+    (SR, ("meta", "schedule", "sigma_min"), 0), (SR, ("meta", "schedule", "sigma_min"), 80.0),
+    (SR, ("meta", "schedule", "rho"), 0),
 ]
 # (tensor file, edit of its array, row id): tensors that disagree with the rest of
 # their checkpoint, which fails naming its manifest
@@ -511,10 +548,18 @@ class TestExitCodes:
         (["sr.window_days=1", "sample.length_days=1"], "sr.window_days = 1"),
         (["sample.member=m009"], "sample.member = m009"),
         (["synth.train_days=-5"], "synth.train_days = -5 must be at least 1"),
+        (["sample.start_day=-3"], "sample.start_day = -3 must be at least 0"),
+        (["debias.transport_steps=0"], "debias.transport_steps = 0 must be at least 1"),
+        (["debias.transport_steps=-2"], "debias.transport_steps = -2 must be at least 1"),
+        (["baseline.qm_doy_buckets=0"], "baseline.qm_doy_buckets = 0 must be at least 1"),
+        (["baseline.fine_clim_doy_buckets=0"],
+         "baseline.fine_clim_doy_buckets = 0 must be at least 1"),
     ], ids=["windows-do-not-tile-length", "window-past-n-days", "one-day-windows",
-            "unknown-member", "no-training-days"])
-    def test_inconsistent_sample_settings_exit_2_writing_nothing(self, tiny_config, tmp_path,
-                                                                 capsys, overrides, message):
+            "unknown-member", "no-training-days", "start-day-in-training-period",
+            "transport-steps-0", "transport-steps-minus-2", "qm-doy-buckets-0",
+            "fine-clim-doy-buckets-0"])
+    def test_refused_settings_exit_2_writing_nothing(self, tiny_config, tmp_path, capsys,
+                                                     overrides, message):
         out = tmp_path / "run"
         sets = [arg for override in overrides for arg in ("--set", override)]
         code = main(["gen-data", "--config", str(tiny_config), "--out", str(out)] + sets)
@@ -537,20 +582,26 @@ class TestExitCodes:
         assert err == f"error: {message}\n"
         assert not (out / "data").exists()
 
-    @pytest.mark.parametrize("stage, override", [
-        ("train-debias", "debias.chunk_len_days=0"),
-        ("train-debias", "debias.chunks_per_batch=0"),
-        ("train-sr", "sr.batch=0"),
-        ("train-sr", "sr.doy_buckets=0"),
-    ], ids=["chunk-len-days-0", "chunks-per-batch-0", "sr-batch-0", "doy-buckets-0"])
-    def test_zero_training_draw_size_exits_1_writing_no_model(self, e2e_run, tiny_config,
-                                                              tmp_path, capsys, stage, override):
+    @pytest.mark.parametrize("stage, override, message", [
+        ("train-debias", "debias.chunk_len_days=0", "chunk_len_days must be at least 1, not 0"),
+        ("train-debias", "debias.chunks_per_batch=0",
+         "chunks_per_batch must be at least 1, not 0"),
+        ("train-sr", "sr.batch=0", "batch must be at least 1, not 0"),
+        ("train-sr", "sr.doy_buckets=0", "doy_buckets must be at least 1, not 0"),
+        ("train-sr", "sr.n_grid=1", "n_grid must be at least 2, not 1"),
+        ("train-sr", "sr.sigma_min=0", "sigma_min = 0.0 and sigma_max = 80.0 must satisfy "
+                                       "0 < sigma_min < sigma_max"),
+        ("train-sr", "sr.sigma_max=1e-4", "sigma_min = 0.0001 and sigma_max = 0.0001 must "
+                                          "satisfy 0 < sigma_min < sigma_max"),
+    ], ids=["chunk-len-days-0", "chunks-per-batch-0", "sr-batch-0", "doy-buckets-0",
+            "n-grid-1", "sigma-min-0", "sigma-max-at-sigma-min"])
+    def test_unusable_training_setting_exits_1_writing_no_model(
+            self, e2e_run, tiny_config, tmp_path, capsys, stage, override, message):
         out = tmp_path / "run"
         shutil.copytree(e2e_run / "data", out / "data", copy_function=os.link)
         code = main([stage, "--config", str(tiny_config), "--out", str(out), "--set", override])
-        key = override.split(".")[1].removesuffix("=0")
         assert code == 1
-        assert capsys.readouterr().err == f"error: {key} must be at least 1, not 0\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "models").exists()
 
     def test_python_m_downgen_runs_the_cli(self):

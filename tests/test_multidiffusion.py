@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from downgen import multidiffusion, nets
-from downgen.cli import _check_sample
+from downgen.cli import _check_config
 from downgen.config import ConfigError, default_config
 from downgen.diffusion import (
     NoiseSchedule,
@@ -53,13 +53,13 @@ class TestPartition:
     def test_length_scaling_formula(self):
         for m in range(1, 9):
             assert WindowLayout(m, 36, 12).total_len == m * 24 + 12
-            _check_sample(_sample_config(m, 2 * m + 1))   # in days: 3-day windows
+            _check_config(_sample_config(m, 2 * m + 1))   # in days: 3-day windows
 
     def test_inconsistent_length_rejected(self):
         with pytest.raises(ConfigError, match="cover 5 days, not sample.length_days = 6"):
-            _check_sample(_sample_config(2, 6))
+            _check_config(_sample_config(2, 6))
         with pytest.raises(ConfigError, match="sr.window_days = 1 .*overlap must satisfy"):
-            _check_sample(_sample_config(2, 1, window_days=1))
+            _check_config(_sample_config(2, 1, window_days=1))
         with pytest.raises(ValueError, match="overlap must satisfy"):
             WindowLayout(1, 36, 36)
 
@@ -220,7 +220,7 @@ class TestSampleLong:
         model, coarse = untrained_model
         y = coarse.time_slice(0, 4 * 24)
         with pytest.raises(ValueError, match="layout needs"):
-            sample_long(model, y, 2)
+            sample_long(model, y, 2, rng=np.random.default_rng(0))
 
     def test_batched_step_matches_per_window_calls(self, untrained_model, monkeypatch):
         # one batched denoiser call per step; batching may reorder GEMM sums

@@ -8,10 +8,9 @@ from downgen import autodiff as ad
 from downgen.autodiff import Tensor, backward
 from downgen.nets import (
     ArchConfig,
+    FOURIER_FREQS,
     DivergenceError,
-    _fourier_freqs,
     as_leaves,
-    collect_grads,
     denoiser_arch,
     denoiser_cond,
     denoiser_forward,
@@ -29,7 +28,7 @@ from downgen.nets import (
 )
 from downgen.optim import BETA1, BETA2, BLOCK_ELEMENTS, EPS, OptimizerState, Schedule, adam_step
 
-from gradcheck import finite_diff_grads, rel_error
+from gradcheck import finite_diff_grads, loss_and_grads, rel_error
 
 
 def small_velocity_setup(seed=0, b=2, hw=4, v=2):
@@ -45,30 +44,27 @@ def small_velocity_setup(seed=0, b=2, hw=4, v=2):
 
 class TestFourierEmbed:
     def test_zero_input_features(self):
-        feats = fourier_features(0.0, 5)
-        np.testing.assert_array_equal(feats[0, :5], 1.0)
-        np.testing.assert_array_equal(feats[0, 5:], 0.0)
+        feats = fourier_features(0.0)
+        np.testing.assert_array_equal(feats[0, :16], 1.0)
+        np.testing.assert_array_equal(feats[0, 16:], 0.0)
 
-    def test_frequencies_built_once_and_read_only(self):
+    def test_frequencies_log_spaced_and_read_only(self):
         s = np.array([0.0, 0.37, 1.0])
-        angles = s[:, None] * np.logspace(0.0, 4.0, 7)[None, :]
+        angles = s[:, None] * np.logspace(0.0, 4.0, 16)[None, :]
         expect = np.concatenate([np.cos(angles), np.sin(angles)], axis=1)
-        assert fourier_features(s, 7).tobytes() == expect.tobytes()
-        assert fourier_features(s, 7).tobytes() == expect.tobytes()
-        freqs = _fourier_freqs(7)
-        assert freqs is _fourier_freqs(7)
+        assert fourier_features(s).tobytes() == expect.tobytes()
         with pytest.raises(ValueError):
-            freqs[0] = 2.0
+            FOURIER_FREQS[0] = 2.0
 
     def test_deterministic(self):
-        arch = ArchConfig(in_channels=2, out_channels=2, embed_freqs=4, embed_dim=8)
+        arch = ArchConfig(in_channels=2, out_channels=2)
         params = init_params(np.random.default_rng(1), arch)
-        a = fourier_embed(as_leaves(params), np.array([0.3, 0.7]), arch).data
-        b = fourier_embed(as_leaves(params), np.array([0.3, 0.7]), arch).data
+        a = fourier_embed(as_leaves(params), np.array([0.3, 0.7])).data
+        b = fourier_embed(as_leaves(params), np.array([0.3, 0.7])).data
         np.testing.assert_array_equal(a, b)
 
     def test_gradient_check(self):
-        arch = ArchConfig(in_channels=2, out_channels=2, embed_freqs=3, embed_dim=4)
+        arch = ArchConfig(in_channels=2, out_channels=2)
         full = init_params(np.random.default_rng(2), arch)
         # randomize the dense weights under test (init is partly zero elsewhere)
         rng = np.random.default_rng(3)
@@ -79,7 +75,7 @@ class TestFourierEmbed:
             merged = dict(full)
             merged.update(arrs)
             leaves = as_leaves(merged)
-            out = fourier_embed(leaves, np.array([0.25, 0.6]), arch)
+            out = fourier_embed(leaves, np.array([0.25, 0.6]))
             return ad.mean(ad.square(out)), leaves
 
         loss, leaves = run(sub)
@@ -91,24 +87,22 @@ class TestFourierEmbed:
 
 class TestFilm:
     def test_identity_at_zero_init(self):
-        arch = ArchConfig(in_channels=2, out_channels=2, embed_freqs=4, embed_dim=8,
-                          levels=(4, 8))
+        arch = ArchConfig(in_channels=2, out_channels=2, levels=(4, 8))
         params = init_params(np.random.default_rng(4), arch)
         leaves = as_leaves(params)
         x = np.random.default_rng(5).standard_normal((2, 3, 3, 4))
-        e = fourier_embed(leaves, np.array([0.2, 0.8]), arch)
+        e = fourier_embed(leaves, np.array([0.2, 0.8]))
         out = film(Tensor(x), e, leaves, "res0")
         np.testing.assert_array_equal(out.data, x)
 
     def test_affine_definition(self):
         rng = np.random.default_rng(6)
-        arch = ArchConfig(in_channels=2, out_channels=2, embed_freqs=4, embed_dim=8,
-                          levels=(4, 8))
+        arch = ArchConfig(in_channels=2, out_channels=2, levels=(4, 8))
         params = init_params(rng, arch)
         params["res0/film_scale/w"] = rng.standard_normal(params["res0/film_scale/w"].shape)
         params["res0/film_shift/b"] = rng.standard_normal(params["res0/film_shift/b"].shape)
         leaves = as_leaves(params)
-        e = fourier_embed(leaves, np.array([0.5]), arch)
+        e = fourier_embed(leaves, np.array([0.5]))
         scale = e.data @ params["res0/film_scale/w"] + params["res0/film_scale/b"]
         shift = e.data @ params["res0/film_shift/w"] + params["res0/film_shift/b"]
         x = rng.standard_normal((1, 2, 2, 4))
@@ -118,8 +112,7 @@ class TestFilm:
 
     def test_gradient_check(self):
         rng = np.random.default_rng(7)
-        arch = ArchConfig(in_channels=2, out_channels=2, embed_freqs=3, embed_dim=4,
-                          levels=(4, 8))
+        arch = ArchConfig(in_channels=2, out_channels=2, levels=(4, 8))
         full = init_params(rng, arch)
         sub = {k: rng.standard_normal(full[k].shape) * 0.2
                for k in full if k.startswith("res0/film") or k.startswith("embed/")}
@@ -129,7 +122,7 @@ class TestFilm:
             merged = dict(full)
             merged.update(arrs)
             leaves = as_leaves(merged)
-            e = fourier_embed(leaves, np.array([0.3, 0.9]), arch)
+            e = fourier_embed(leaves, np.array([0.3, 0.9]))
             return ad.mean(ad.square(film(Tensor(x), e, leaves, "res0"))), leaves
 
         loss, leaves = run(sub)
@@ -523,11 +516,10 @@ class TestDeterminismAndCheckpoint:
             state = OptimizerState(Schedule(peak_lr=1e-3, warmup_steps=2, total_steps=20))
             target = np.zeros_like(yhat)
             for _ in range(20):
-                leaves = as_leaves(params)
-                out = velocity_forward(leaves, yhat, tau, mean, std, arch)
-                loss = ad.mean(ad.square(out - Tensor(target + 1.0)))
-                backward(loss)
-                adam_step(params, state, collect_grads(leaves, params))
+                _, grads = loss_and_grads(lambda leaves: ad.mean(ad.square(
+                    velocity_forward(leaves, yhat, tau, mean, std, arch) - Tensor(target + 1.0))),
+                    params)
+                adam_step(params, state, grads)
             return params
 
         a = run()
@@ -584,7 +576,7 @@ class TestUnetShapes:
         params = init_params(np.random.default_rng(20), arch)
         leaves = as_leaves(params)
         x = Tensor(np.random.default_rng(21).standard_normal((2, 8, 8, 5)))
-        e = fourier_embed(leaves, np.array([0.1, 0.2]), arch)
+        e = fourier_embed(leaves, np.array([0.1, 0.2]))
         out = unet_forward(leaves, x, e, arch)
         assert out.shape == (2, 8, 8, 3)
 

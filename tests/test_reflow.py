@@ -5,11 +5,11 @@ from downgen.grid import GridField, compute_ensemble_stats, day_of_year
 from downgen.nets import init_params, load_checkpoint, velocity_arch, velocity_forward
 from downgen.optim import OptimizerState, Schedule, adam_step
 from downgen.reflow import (
+    TAU_MIN,
     CouplingConfig,
     _coupling_sampler,
     ReflowTrainConfig,
     load_reflow,
-    integrate_velocity,
     reflow_loss,
     sample_coupling,
     save_reflow,
@@ -18,7 +18,7 @@ from downgen.reflow import (
 )
 from downgen.synthdata import SynthConfig, make_synth_pair
 
-from gradcheck import finite_diff_grads, rel_error
+from gradcheck import finite_diff_grads, loss_and_grads, rel_error
 
 
 def daily_field(data, member_id=None, time0=0):
@@ -156,7 +156,7 @@ class TestReflowLoss:
                                 CouplingConfig(chunk_len_days=4, season_window_days=30),
                                 np.random.default_rng(12), 2)
         tau = np.random.default_rng(13).uniform(0.2, 0.8, 8)
-        loss, _ = reflow_loss(model.params, model.arch, batch, tau)
+        loss = float(reflow_loss(model.params, model.arch, batch, tau).data)
         assert abs(loss - np.mean((batch.y1 - batch.y0) ** 2)) < 1e-12
 
     def test_exact_constant_oracle_velocity_gives_zero_loss(self):
@@ -167,7 +167,7 @@ class TestReflowLoss:
         model.params["out/conv/b"] = np.full_like(model.params["out/conv/b"], 2.5)
         batch.y1 = batch.y0 + 2.5  # deterministic coupling with displacement 2.5
         tau = np.full(batch.y0.shape[0], 0.4)
-        loss, _ = reflow_loss(model.params, model.arch, batch, tau)
+        loss = float(reflow_loss(model.params, model.arch, batch, tau).data)
         assert loss < 1e-24
 
     def test_gradient_check(self):
@@ -182,9 +182,10 @@ class TestReflowLoss:
         def f(arrs):
             merged = dict(params)
             merged.update(arrs)
-            return reflow_loss(merged, model.arch, batch, tau)[0]
+            return float(reflow_loss(merged, model.arch, batch, tau).data)
 
-        _, grads = reflow_loss(params, model.arch, batch, tau)
+        _, grads = loss_and_grads(lambda leaves: reflow_loss(leaves, model.arch, batch, tau),
+                                  params)
         numeric = finite_diff_grads(f, sub)
         analytic = {k: grads[k] for k in sub}
         assert rel_error(analytic, numeric) < 1e-4
@@ -231,18 +232,6 @@ class TestTransport:
         out = transport(model, member, "m000", n_steps=25)
         assert abs(out.data.mean()) < 0.1
         assert abs(out.data.std() - 1.0) < 0.1
-
-    def test_reverse_integration_recovers_input(self):
-        member, target = toy_training_data(seed=21)
-        cfg = ReflowTrainConfig(steps=120, levels=(4, 8), seed=21, peak_lr=2e-3)
-        model, _ = train_reflow([member], target, cfg)
-        stats = model.member_stats["m000"]
-        yhat = ((member.data - stats.mean) / stats.std)[:40]
-        mean_f = np.broadcast_to(stats.mean, yhat.shape)
-        std_f = np.broadcast_to(stats.std, yhat.shape)
-        fwd = integrate_velocity(model, yhat, mean_f, std_f, n_steps=50)
-        back = integrate_velocity(model, fwd, mean_f, std_f, n_steps=50, t0=1.0, t1=0.0)
-        assert np.abs(back - yhat).max() < 1e-3
 
     def test_transport_matches_per_row_rk4_reference(self):
         # transport passes tau and the member statistics once per velocity
@@ -405,9 +394,10 @@ class TestTrainReflow:
         for step in range(4):
             batch = sample_coupling([member], stats, target, tstats, cfg.coupling, rng,
                                     cfg.chunks_per_batch)
-            tau = rng.uniform(cfg.coupling.tau_min, 1.0 - cfg.coupling.tau_min,
+            tau = rng.uniform(TAU_MIN, 1.0 - TAU_MIN,
                               cfg.chunks_per_batch * cfg.coupling.chunk_len_days)
-            loss, grads = reflow_loss(params, arch, batch, tau)
+            loss, grads = loss_and_grads(lambda leaves: reflow_loss(leaves, arch, batch, tau),
+                                         params)
             lr = adam_step(params, state, grads)
             ref_log.append((step, loss, lr, state.grad_norm,
                             int(state.grad_norm > cfg.clip_norm)))

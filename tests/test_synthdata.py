@@ -174,7 +174,7 @@ class TestValidation:
             SynthConfig(nx=10, ny=16, spatial_factor=4)
 
     @pytest.mark.parametrize("name, value", [
-        ("nx", 0), ("nx", -4), ("ny", 0), ("steps_per_day", 0), ("n_days", 0),
+        ("nx", 0), ("nx", -4), ("ny", 0), ("n_days", 0),
         ("n_members", 0), ("spatial_factor", 0)])
     def test_size_below_one_rejected_by_name(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be at least 1, not {value}$"):
