@@ -79,29 +79,42 @@ class StageError(Exception):
     """Stage precondition failure (missing inputs, existing outputs); exit 1."""
 
 
-def _built(cls, values, **extras):
-    """A `cls` from the config values named like its fields, plus `extras`."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    return cls(**{k: v for k, v in values.items() if k in names}, **extras)
+def _built(cls, cfg, section, prefix="", **extras):
+    """A `cls` whose fields are set by the keys of `section` named like them,
+    with `prefix` where the section has that key, plus `extras`.
+
+    A value that a rule of `cls` refuses is a ConfigError naming its key: each
+    rule's message starts with the name of the field it refuses.
+    """
+    values = cfg[section]
+    keys = {}
+    for f in dataclasses.fields(cls):
+        key = prefix + f.name if prefix + f.name in values else f.name
+        if key in values and f.name not in extras:
+            keys[f.name] = key
+    try:
+        return cls(**{name: values[key] for name, key in keys.items()}, **extras)
+    except ValueError as exc:
+        name, _, rule = str(exc).partition(" ")
+        if name not in keys:
+            raise
+        raise ConfigError(f"{section}.{keys[name]} {rule}") from exc
 
 
 def _synth_config(cfg):
-    s = cfg["synth"]
-    bias = {k.removeprefix("bias_"): v for k, v in s.items() if k.startswith("bias_")}
-    return _built(SynthConfig, s, rng_seed=cfg["pipeline"]["rng_seed"],
-                  bias=_built(BiasSpec, bias))
+    return _built(SynthConfig, cfg, "synth", rng_seed=cfg["pipeline"]["rng_seed"],
+                  bias=_built(BiasSpec, cfg, "synth", "bias_"))
 
 
 def _reflow_config(cfg):
-    d = cfg["debias"]
-    return _built(ReflowTrainConfig, d, coupling=_built(CouplingConfig, d),
+    return _built(ReflowTrainConfig, cfg, "debias",
+                  coupling=_built(CouplingConfig, cfg, "debias"),
                   seed=cfg["pipeline"]["rng_seed"])
 
 
 def _sr_config(cfg):
-    s = cfg["sr"]
-    return _built(SRTrainConfig, s, spatial_factor=cfg["synth"]["spatial_factor"],
-                  noise=_built(NoiseSchedule, s, kind=s["schedule_kind"]),
+    return _built(SRTrainConfig, cfg, "sr", spatial_factor=cfg["synth"]["spatial_factor"],
+                  noise=_built(NoiseSchedule, cfg, "sr", "schedule_"),
                   seed=cfg["pipeline"]["rng_seed"])
 
 
@@ -111,17 +124,21 @@ def _train_hours(cfg):
 
 # (section, key, least value) of the keys that stages read directly, not through a
 # stage config that refuses them itself
-_LEAST = [("synth", "train_days", 1), ("sample", "start_day", 0),
-          ("debias", "transport_steps", 1), ("baseline", "qm_doy_buckets", 1),
-          ("baseline", "fine_clim_doy_buckets", 1)]
+_LEAST = [("pipeline", "rng_seed", 0), ("synth", "train_days", 1),
+          ("sample", "start_day", 0), ("debias", "transport_steps", 1),
+          ("baseline", "qm_doy_buckets", 1), ("baseline", "fine_clim_doy_buckets", 1)]
 
 
 def _check_config(cfg):
-    """The rules checked before any stage runs: the least values of `_LEAST`,
-    then the sample settings' cross-key rules."""
+    """Every rule a setting must keep, checked before any stage runs: the least
+    values of `_LEAST`, the rules of the three stage configs, then the sample
+    settings' cross-key rules."""
     for section, key, least in _LEAST:
         if cfg[section][key] < least:
-            raise ConfigError(f"{section}.{key} = {cfg[section][key]} must be at least {least}")
+            raise ConfigError(f"{section}.{key} must be at least {least}, "
+                              f"not {cfg[section][key]}")
+    for build in (_synth_config, _reflow_config, _sr_config):
+        build(cfg)
     s, synth, window_days = cfg["sample"], cfg["synth"], cfg["sr"]["window_days"]
     members = [member_name(idx) for idx in range(synth["n_members"])]
     if s["member"] not in members:
@@ -300,10 +317,12 @@ def stage_sample(cfg, run_dir, source="debiased"):
 # ---------------------------------------------------------------------------
 
 def _method_outputs(run_dir):
+    """Every method's output, each required: method tag -> GridField."""
     run_dir = Path(run_dir)
-    paths = {tag: run_dir / "samples" / f"{tag}.npy" for tag, *_ in _SOURCES.values()}
-    paths["bcsd"] = run_dir / "baselines" / "bcsd" / "bcsd.npy"
-    return {tag: read_array(p) for tag, p in paths.items() if p.exists()}
+    paths = {tag: (run_dir / "samples" / f"{tag}.npy", f"sample --source {source}")
+             for source, (tag, *_) in _SOURCES.items()}
+    paths["bcsd"] = (run_dir / "baselines" / "bcsd" / "bcsd.npy", "baseline-bcsd")
+    return {tag: read_array(_require(path, stage)) for tag, (path, stage) in paths.items()}
 
 
 def _derived_fields(fld: GridField):
@@ -376,8 +395,6 @@ def stage_evaluate(cfg, run_dir):
     run_dir = Path(run_dir)
     truth = read_array(_require(run_dir / "data" / "fine_truth.npy", "gen-data"))
     methods = _method_outputs(run_dir)
-    if not methods:
-        raise StageError("no method outputs found; run `sample`/`baseline-bcsd` first")
     h0, h1 = _sample_window_hours(cfg)
     report = evaluate_fields(cfg, truth.time_slice(h0, h1), methods,
                              truth.time_slice(0, _train_hours(cfg)))

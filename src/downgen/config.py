@@ -8,6 +8,7 @@ every run's outputs so results can be reproduced from it alone.
 from __future__ import annotations
 
 import configparser
+import math
 import re
 
 
@@ -20,6 +21,13 @@ def _levels(text):
     if not out:
         raise ValueError("empty level list")
     return out
+
+
+def _float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 def _bool(text):
@@ -52,27 +60,27 @@ SCHEMA = {
         "train_days": (int, 180),
         "n_members": (int, 2),
         "spatial_factor": (int, 4),
-        "spectral_slope": (float, 2.0),
-        "seasonal_amp": (float, 1.0),
-        "diurnal_amp": (float, 0.3),
-        "trend_per_year": (float, 0.0),
-        "noise_amp": (float, 0.6),
-        "noise_ar1": (float, 0.6),
-        "bias_mean_offset": (float, 0.5),
-        "bias_var_scale": (float, 1.2),
-        "bias_spectral_tilt": (float, 0.0),
-        "bias_season_phase_days": (float, 0.0),
-        "bias_corr_shrink": (float, 0.3),
+        "spectral_slope": (_float, 2.0),
+        "seasonal_amp": (_float, 1.0),
+        "diurnal_amp": (_float, 0.3),
+        "trend_per_year": (_float, 0.0),
+        "noise_amp": (_float, 0.6),
+        "noise_ar1": (_float, 0.6),
+        "bias_mean_offset": (_float, 0.5),
+        "bias_var_scale": (_float, 1.2),
+        "bias_spectral_tilt": (_float, 0.0),
+        "bias_season_phase_days": (_float, 0.0),
+        "bias_corr_shrink": (_float, 0.3),
     },
     "debias": {
         "steps": (int, 400),
         "chunks_per_batch": (int, 4),
         "chunk_len_days": (int, 8),
         "season_window_days": (int, 15),
-        "peak_lr": (float, 2e-3),
-        "end_lr": (float, 1e-6),
+        "peak_lr": (_float, 2e-3),
+        "end_lr": (_float, 1e-6),
         "warmup_steps": (int, 60),
-        "clip_norm": (float, 0.6),
+        "clip_norm": (_float, 0.6),
         "levels": (_levels, (16, 32, 64)),
         "transport_steps": (int, 100),
     },
@@ -80,20 +88,20 @@ SCHEMA = {
         "steps": (int, 300),
         "batch": (int, 4),
         "window_days": (int, 3),
-        "p_uncond": (float, 0.15),
-        "peak_lr": (float, 2e-3),
-        "end_lr": (float, 1e-6),
+        "p_uncond": (_float, 0.15),
+        "peak_lr": (_float, 2e-3),
+        "end_lr": (_float, 1e-6),
         "warmup_steps": (int, 50),
-        "clip_norm": (float, 0.6),
+        "clip_norm": (_float, 0.6),
         "levels": (_levels, (16, 32, 64)),
         "doy_buckets": (int, 40),
-        "sigma_min": (float, 1e-4),
-        "sigma_max": (float, 80.0),
+        "sigma_min": (_float, 1e-4),
+        "sigma_max": (_float, 80.0),
         "n_grid": (int, 256),
         "schedule_kind": (_name, "edm"),
     },
     "sample": {
-        "guidance": (float, 1.0),
+        "guidance": (_float, 1.0),
         "length_days": (int, 9),
         "windows": (int, 4),
         "start_day": (int, 0),   # offset into the evaluation period

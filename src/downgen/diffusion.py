@@ -30,7 +30,8 @@ from .grid import (
     cubic_upsample_space,
     exact_keys,
     interp_upsample,
-    require_counts,
+    require_at_least,
+    require_positive,
 )
 from .nets import (
     ArchConfig,
@@ -41,7 +42,7 @@ from .nets import (
     save_checkpoint,
 )
 from .optim import adam_step  # noqa: F401  not called here; perfbench/tracing.py wraps it
-from .reflow import fit, write_loss_log
+from .reflow import fit, require_fit_settings, write_loss_log
 
 _TRAIN_STREAM = 3
 
@@ -62,14 +63,12 @@ class NoiseSchedule:
         for name in ("sigma_min", "sigma_max", "rho"):
             setattr(self, name, float(getattr(self, name)))
         if self.kind not in ("edm", "tangent"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.n_grid < 2:
-            raise ValueError(f"n_grid must be at least 2, not {self.n_grid}")
-        if not 0.0 < self.sigma_min < self.sigma_max:
-            raise ValueError(f"sigma_min = {self.sigma_min} and sigma_max = {self.sigma_max} "
-                             "must satisfy 0 < sigma_min < sigma_max")
-        if not self.rho > 0.0:
-            raise ValueError(f"rho must be positive, not {self.rho}")
+            raise ValueError(f"kind must be 'edm' or 'tangent', not {self.kind!r}")
+        require_at_least(self, 2, ("n_grid",))
+        require_positive(self, ("sigma_min", "rho"))
+        if not self.sigma_max > self.sigma_min:
+            raise ValueError(f"sigma_max must exceed sigma_min = {self.sigma_min}, "
+                             f"not {self.sigma_max}")
 
     def sample_train(self, rng, n):
         return np.exp(rng.uniform(np.log(self.sigma_min), np.log(self.sigma_max), n))
@@ -206,7 +205,10 @@ class SRTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_counts(self, ("batch", "doy_buckets"))
+        require_at_least(self, 1, ("batch", "window_days", "doy_buckets"))
+        if not 0.0 <= self.p_uncond < 1.0:
+            raise ValueError(f"p_uncond must lie in [0, 1), not {self.p_uncond}")
+        require_fit_settings(self)
 
 
 @dataclass

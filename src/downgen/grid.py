@@ -52,11 +52,18 @@ def exact_keys(doc, cls):
     return doc
 
 
-def require_counts(obj, names):
-    """Refuse any of the fields `names` of `obj` below 1, naming it."""
+def require_at_least(obj, least, names):
+    """Refuse any of the fields `names` of `obj` below `least`, naming it first."""
     for name in names:
-        if getattr(obj, name) < 1:
-            raise ValueError(f"{name} must be at least 1, not {getattr(obj, name)}")
+        if not getattr(obj, name) >= least:
+            raise ValueError(f"{name} must be at least {least}, not {getattr(obj, name)}")
+
+
+def require_positive(obj, names):
+    """Refuse any of the fields `names` of `obj` not above 0, naming it first."""
+    for name in names:
+        if not getattr(obj, name) > 0:
+            raise ValueError(f"{name} must be positive, not {getattr(obj, name)}")
 
 
 @dataclass

@@ -23,7 +23,8 @@ from .grid import (
     GridField,
     compute_ensemble_stats,
     day_of_year,
-    require_counts,
+    require_at_least,
+    require_positive,
 )
 from .nets import (
     ArchConfig,
@@ -48,7 +49,8 @@ class CouplingConfig:
     season_window_days: int = 15
 
     def __post_init__(self):
-        require_counts(self, ("chunk_len_days",))
+        require_at_least(self, 1, ("chunk_len_days",))
+        require_at_least(self, 0, ("season_window_days",))
 
 
 @dataclass
@@ -64,7 +66,8 @@ class ReflowTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_counts(self, ("chunks_per_batch",))
+        require_at_least(self, 1, ("chunks_per_batch",))
+        require_fit_settings(self)
 
 
 @dataclass
@@ -243,6 +246,18 @@ def train_reflow(members, target, cfg: ReflowTrainConfig, out_dir=None):
         save_reflow(model, out_dir, opt_state=state)
         write_loss_log(Path(out_dir) / "loss.csv", log)
     return model, log
+
+
+def require_fit_settings(cfg):
+    """The rules of the settings `fit` reads, for both stages' training configs:
+    steps and warmup_steps >= 0, peak_lr and clip_norm > 0, 0 <= end_lr <=
+    peak_lr, and levels at least one channel count, each at least 1."""
+    require_at_least(cfg, 0, ("steps", "warmup_steps"))
+    require_positive(cfg, ("peak_lr", "clip_norm"))
+    if not 0.0 <= cfg.end_lr <= cfg.peak_lr:
+        raise ValueError(f"end_lr must lie in [0, peak_lr = {cfg.peak_lr}], not {cfg.end_lr}")
+    if not (cfg.levels and min(cfg.levels) >= 1):
+        raise ValueError(f"levels must be channel counts of at least 1, not {cfg.levels}")
 
 
 def fit(arch: ArchConfig, cfg, stream, loss_fn):

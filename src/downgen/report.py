@@ -35,14 +35,13 @@ class MetricReport:
                                  self.period])
 
     def write_comparison(self, path, method_order):
-        """Pivoted CSV: one row per (metric, variable), one column per method."""
+        """Pivoted CSV: one row per (metric, variable), one column per method of
+        `method_order`."""
         cells = {(e.metric, e.variable, e.method): repr(e.value) for e in self.entries}
-        present = {method for _, _, method in cells}
-        methods = [m for m in method_order if m in present]
         rows = dict.fromkeys((e.metric, e.variable) for e in self.entries)
         with open(path, "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f, quoting=csv.QUOTE_MINIMAL)
-            writer.writerow(["metric", "variable"] + methods)
+            writer.writerow(["metric", "variable"] + list(method_order))
             for metric, variable in rows:
-                writer.writerow([metric, variable]
-                                + [cells.get((metric, variable, m), "") for m in methods])
+                writer.writerow([metric, variable] + [cells.get((metric, variable, m), "")
+                                                      for m in method_order])

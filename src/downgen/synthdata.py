@@ -25,7 +25,8 @@ from .grid import (
     GridField,
     coarsen,
     coarsen_data,
-    require_counts,
+    require_at_least,
+    require_positive,
 )
 
 VAR_NAMES = ("temperature", "wind_speed", "humidity", "pressure")
@@ -61,10 +62,9 @@ class BiasSpec:
     corr_shrink: float = 0.0       # blends the variable correlation toward identity
 
     def __post_init__(self):
-        if self.var_scale <= 0:
-            raise ValueError("var_scale must be positive")
+        require_positive(self, ("var_scale",))
         if not 0.0 <= self.corr_shrink <= 1.0:
-            raise ValueError("corr_shrink must lie in [0, 1]")
+            raise ValueError(f"corr_shrink must lie in [0, 1], not {self.corr_shrink}")
 
 
 @dataclass
@@ -86,13 +86,13 @@ class SynthConfig:
     var_scales: tuple = (3.0, 1.5, 0.002, 300.0)
 
     def __post_init__(self):
-        require_counts(self, ("nx", "ny", "n_days", "n_members", "spatial_factor"))
-        if min(self.seasonal_amp, self.diurnal_amp, self.noise_amp) < 0:
-            raise ValueError("amplitudes must be non-negative")
+        require_at_least(self, 1, ("nx", "ny", "n_days", "n_members", "spatial_factor"))
+        require_at_least(self, 0, ("seasonal_amp", "diurnal_amp", "noise_amp"))
         if not 0.0 <= self.noise_ar1 < 1.0:
-            raise ValueError("noise_ar1 must lie in [0, 1)")
+            raise ValueError(f"noise_ar1 must lie in [0, 1), not {self.noise_ar1}")
         if self.nx % self.spatial_factor or self.ny % self.spatial_factor:
-            raise ValueError("fine grid must be divisible by the spatial factor")
+            raise ValueError(f"spatial_factor = {self.spatial_factor} must divide the fine "
+                             f"grid, nx = {self.nx} by ny = {self.ny}")
 
     @property
     def dt_hours(self):

@@ -140,31 +140,63 @@ class TestConfig:
         "SRTrainConfig.noise.rho": "SR checkpoints record it",
     }
 
+    # numeric stage-config fields that no rule bounds, and why any finite value is valid
+    ANY_FINITE = {
+        "SynthConfig.spectral_slope": "a power law of either slope is a spectrum",
+        "SynthConfig.trend_per_year": "a warming or a cooling trend",
+        "SynthConfig.bias.mean_offset": "an offset of either sign",
+        "SynthConfig.bias.spectral_tilt": "added to the slope, which takes any value",
+        "SynthConfig.bias.season_phase_days": "a phase shift of either sign",
+    }
+
     def test_every_stage_config_field_set_by_a_key(self):
+        """Every stage-config field is set by a key or listed in SET_BY_NO_KEY.
+        Every numeric one set by a key has a rule, which `_check_config` applies
+        naming that key, or is listed in ANY_FINITE. A config that
+        `_check_config` accepts builds all three stage configs."""
         def fields(cfg):
             return {path: value for obj in (_synth_config(cfg), _reflow_config(cfg),
                                             _sr_config(cfg))
                     for path, value in _leaf_fields(obj, type(obj).__name__)}
 
+        def refused(section, key, value):
+            """Whether `_check_config` refuses -1 or 0 (a level list of 0) for the key."""
+            probes = [(0,)] if isinstance(value, tuple) else [type(value)(-1), type(value)(0)]
+            for probe in probes:
+                cfg = default_config()
+                cfg[section][key] = probe
+                try:
+                    cli._check_config(cfg)
+                except ConfigError as exc:
+                    assert f"{section}.{key} " in str(exc), exc
+                    return True
+                fields(cfg)
+            return False
+
         base = fields(default_config())
-        set_by_keys = set()
+        set_by_keys, ruled = set(), set()
         for section, keys in default_config().items():
             for key, value in keys.items():
                 cfg = default_config()
                 cfg[section][key] = _changed(value)
-                set_by_keys |= {path for path, v in fields(cfg).items() if v != base[path]}
+                changed = {path for path, v in fields(cfg).items() if v != base[path]}
+                set_by_keys |= changed
+                if changed and not isinstance(value, str) and refused(section, key, value):
+                    ruled |= changed
         assert sorted(base.keys() - set_by_keys) == sorted(self.SET_BY_NO_KEY)
+        numeric = {path for path in set_by_keys if not isinstance(base[path], str)}
+        assert sorted(numeric - ruled) == sorted(self.ANY_FINITE)
 
 
 def _changed(value):
-    """Another valid value of a config key's type."""
+    """Another value of a config key's type, one that every stage-config rule accepts."""
     if isinstance(value, tuple):
         return value + (value[-1],)
     if isinstance(value, str):
         return "tangent" if value != "tangent" else "edm"
     if isinstance(value, int):
         return value * 2 or 1
-    return value / 2 + 0.125
+    return value / 2 or 0.125
 
 
 def _leaf_fields(obj, path):
@@ -542,67 +574,113 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert sorted(out.rglob("*")) == before
 
-    @pytest.mark.parametrize("overrides, message", [
-        (["sample.windows=3"], "sample.windows"),
-        (["sample.start_day=8"], "synth.n_days"),
-        (["sr.window_days=1", "sample.length_days=1"], "sr.window_days = 1"),
-        (["sample.member=m009"], "sample.member = m009"),
-        (["synth.train_days=-5"], "synth.train_days = -5 must be at least 1"),
-        (["sample.start_day=-3"], "sample.start_day = -3 must be at least 0"),
-        (["debias.transport_steps=0"], "debias.transport_steps = 0 must be at least 1"),
-        (["debias.transport_steps=-2"], "debias.transport_steps = -2 must be at least 1"),
-        (["baseline.qm_doy_buckets=0"], "baseline.qm_doy_buckets = 0 must be at least 1"),
+    # (overrides, the refusal's text, test id): every rule a setting must keep,
+    # each refused before the first stage runs
+    REFUSED = [
+        (["sample.windows=3"], "sample.windows", "windows-do-not-tile-length"),
+        (["sample.start_day=8"], "synth.n_days", "window-past-n-days"),
+        (["sr.window_days=1", "sample.length_days=1"], "sr.window_days = 1", "one-day-windows"),
+        (["sample.member=m009"], "sample.member = m009", "unknown-member"),
+        (["synth.train_days=-5"], "synth.train_days must be at least 1, not -5",
+         "no-training-days"),
+        (["sample.start_day=-3"], "sample.start_day must be at least 0, not -3",
+         "start-day-in-training-period"),
+        (["debias.transport_steps=0"], "debias.transport_steps must be at least 1, not 0",
+         "transport-steps-0"),
+        (["debias.transport_steps=-2"], "debias.transport_steps must be at least 1, not -2",
+         "transport-steps-minus-2"),
+        (["baseline.qm_doy_buckets=0"], "baseline.qm_doy_buckets must be at least 1, not 0",
+         "qm-doy-buckets-0"),
         (["baseline.fine_clim_doy_buckets=0"],
-         "baseline.fine_clim_doy_buckets = 0 must be at least 1"),
-    ], ids=["windows-do-not-tile-length", "window-past-n-days", "one-day-windows",
-            "unknown-member", "no-training-days", "start-day-in-training-period",
-            "transport-steps-0", "transport-steps-minus-2", "qm-doy-buckets-0",
-            "fine-clim-doy-buckets-0"])
+         "baseline.fine_clim_doy_buckets must be at least 1, not 0", "fine-clim-doy-buckets-0"),
+        (["pipeline.rng_seed=-1"], "pipeline.rng_seed must be at least 0, not -1",
+         "rng-seed-minus-1"),
+        # stage-config rules
+        (["synth.spatial_factor=0"], "synth.spatial_factor must be at least 1, not 0",
+         "spatial-factor-0"),
+        (["synth.nx=0"], "synth.nx must be at least 1, not 0", "nx-0"),
+        (["synth.nx=-4"], "synth.nx must be at least 1, not -4", "nx-minus-4"),
+        (["synth.nx=10"], "synth.spatial_factor = 4 must divide the fine grid, nx = 10 by ny = 8",
+         "grid-not-divisible"),
+        (["synth.seasonal_amp=-1"], "synth.seasonal_amp must be at least 0, not -1.0",
+         "negative-amplitude"),
+        (["synth.noise_ar1=1"], "synth.noise_ar1 must lie in [0, 1), not 1.0", "noise-ar1-1"),
+        (["synth.bias_var_scale=0"], "synth.bias_var_scale must be positive, not 0.0",
+         "bias-var-scale-0"),
+        (["synth.bias_corr_shrink=2"], "synth.bias_corr_shrink must lie in [0, 1], not 2.0",
+         "bias-corr-shrink-2"),
+        (["debias.chunk_len_days=0"], "debias.chunk_len_days must be at least 1, not 0",
+         "chunk-len-days-0"),
+        (["debias.chunks_per_batch=0"], "debias.chunks_per_batch must be at least 1, not 0",
+         "chunks-per-batch-0"),
+        (["debias.season_window_days=-4"],
+         "debias.season_window_days must be at least 0, not -4", "season-window-minus-4"),
+        (["sr.batch=0"], "sr.batch must be at least 1, not 0", "sr-batch-0"),
+        (["sr.doy_buckets=0"], "sr.doy_buckets must be at least 1, not 0", "doy-buckets-0"),
+        (["sr.window_days=0"], "sr.window_days must be at least 1, not 0", "window-days-0"),
+        (["sr.p_uncond=1.5"], "sr.p_uncond must lie in [0, 1), not 1.5", "p-uncond-1.5"),
+        (["sr.n_grid=1"], "sr.n_grid must be at least 2, not 1", "n-grid-1"),
+        (["sr.sigma_min=0"], "sr.sigma_min must be positive, not 0.0", "sigma-min-0"),
+        (["sr.sigma_max=1e-4"], "sr.sigma_max must exceed sigma_min = 0.0001, not 0.0001",
+         "sigma-max-at-sigma-min"),
+        (["sr.schedule_kind=cosine"], "sr.schedule_kind must be 'edm' or 'tangent', "
+                                      "not 'cosine'", "unknown-schedule-kind"),
+        # the rules of the settings `fit` reads, one for each stage
+        (["sr.steps=-3"], "sr.steps must be at least 0, not -3", "sr-steps-minus-3"),
+        (["debias.steps=-3"], "debias.steps must be at least 0, not -3", "debias-steps-minus-3"),
+        (["sr.levels=0"], "sr.levels must be channel counts of at least 1, not (0,)",
+         "sr-levels-0"),
+        (["debias.levels=16,0"], "debias.levels must be channel counts of at least 1, "
+                                 "not (16, 0)", "debias-levels-16-0"),
+        (["sr.clip_norm=0"], "sr.clip_norm must be positive, not 0.0", "sr-clip-norm-0"),
+        (["debias.clip_norm=-1"], "debias.clip_norm must be positive, not -1.0",
+         "debias-clip-norm-minus-1"),
+        (["sr.peak_lr=-1"], "sr.peak_lr must be positive, not -1.0", "sr-peak-lr-minus-1"),
+        (["sr.end_lr=-1"], "sr.end_lr must lie in [0, peak_lr = 0.002], not -1.0",
+         "sr-end-lr-minus-1"),
+        (["debias.end_lr=0.01"], "debias.end_lr must lie in [0, peak_lr = 0.002], not 0.01",
+         "debias-end-lr-above-peak"),
+        (["sr.warmup_steps=-5"], "sr.warmup_steps must be at least 0, not -5",
+         "sr-warmup-minus-5"),
+        (["debias.warmup_steps=-5"], "debias.warmup_steps must be at least 0, not -5",
+         "debias-warmup-minus-5"),
+        # every float key is finite
+        (["synth.noise_amp=nan"], "bad value for synth.noise_amp: 'nan' (not a finite number)",
+         "noise-amp-nan"),
+        (["sample.guidance=inf"], "bad value for sample.guidance: 'inf' (not a finite number)",
+         "guidance-inf"),
+        (["debias.clip_norm=inf"], "bad value for debias.clip_norm: 'inf' (not a finite number)",
+         "debias-clip-norm-inf"),
+    ]
+
+    @pytest.mark.parametrize("overrides, message", [case[:2] for case in REFUSED],
+                             ids=[case[2] for case in REFUSED])
     def test_refused_settings_exit_2_writing_nothing(self, tiny_config, tmp_path, capsys,
                                                      overrides, message):
+        """Each refused setting exits 2 from `e2e` with one `config error:` line
+        naming its key, before any stage runs: no run directory is made."""
         out = tmp_path / "run"
         sets = [arg for override in overrides for arg in ("--set", override)]
-        code = main(["gen-data", "--config", str(tiny_config), "--out", str(out)] + sets)
-        assert code == 2
-        assert message in capsys.readouterr().err
+        code = main(["e2e", "--config", str(tiny_config), "--out", str(out)] + sets)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert message in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("override, message", [
-        ("synth.spatial_factor=0", "spatial_factor must be at least 1, not 0"),
-        ("synth.nx=0", "nx must be at least 1, not 0"),
-        ("synth.nx=-4", "nx must be at least 1, not -4"),
-    ], ids=["spatial-factor-0", "nx-0", "nx-minus-4"])
-    def test_unusable_synth_size_exits_1_writing_no_data(self, tiny_config, tmp_path, capsys,
-                                                         override, message):
+    def test_evaluate_refuses_partial_run(self, tiny_config, tmp_path, capsys):
+        """`evaluate` needs all four method outputs: it names the first one
+        missing and the stage that writes it, and writes no metrics."""
         out = tmp_path / "run"
-        code = main(["gen-data", "--config", str(tiny_config), "--out", str(out),
-                     "--set", override])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err == f"error: {message}\n"
-        assert not (out / "data").exists()
-
-    @pytest.mark.parametrize("stage, override, message", [
-        ("train-debias", "debias.chunk_len_days=0", "chunk_len_days must be at least 1, not 0"),
-        ("train-debias", "debias.chunks_per_batch=0",
-         "chunks_per_batch must be at least 1, not 0"),
-        ("train-sr", "sr.batch=0", "batch must be at least 1, not 0"),
-        ("train-sr", "sr.doy_buckets=0", "doy_buckets must be at least 1, not 0"),
-        ("train-sr", "sr.n_grid=1", "n_grid must be at least 2, not 1"),
-        ("train-sr", "sr.sigma_min=0", "sigma_min = 0.0 and sigma_max = 80.0 must satisfy "
-                                       "0 < sigma_min < sigma_max"),
-        ("train-sr", "sr.sigma_max=1e-4", "sigma_min = 0.0001 and sigma_max = 0.0001 must "
-                                          "satisfy 0 < sigma_min < sigma_max"),
-    ], ids=["chunk-len-days-0", "chunks-per-batch-0", "sr-batch-0", "doy-buckets-0",
-            "n-grid-1", "sigma-min-0", "sigma-max-at-sigma-min"])
-    def test_unusable_training_setting_exits_1_writing_no_model(
-            self, e2e_run, tiny_config, tmp_path, capsys, stage, override, message):
-        out = tmp_path / "run"
-        shutil.copytree(e2e_run / "data", out / "data", copy_function=os.link)
-        code = main([stage, "--config", str(tiny_config), "--out", str(out), "--set", override])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (out / "models").exists()
+        args = ["--config", str(tiny_config), "--out", str(out)]
+        assert main(["gen-data"] + args) == 0
+        assert main(["baseline-bcsd"] + args) == 0
+        capsys.readouterr()
+        assert main(["evaluate"] + args) == 1
+        missing = out / "samples" / "downgen.npy"
+        assert capsys.readouterr().err == (f"error: missing {missing}; "
+                                           "run `sample --source debiased` first\n")
+        assert not (out / "metrics").exists()
 
     def test_python_m_downgen_runs_the_cli(self):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from downgen.diffusion import SRTrainConfig
 from downgen.grid import GridField, compute_ensemble_stats, day_of_year
 from downgen.nets import init_params, load_checkpoint, velocity_arch, velocity_forward
 from downgen.optim import OptimizerState, Schedule, adam_step
@@ -34,6 +35,26 @@ def toy_training_data(seed=0, n_days=120, nx=2, ny=2, nv=1, shift=0.0, scale=1.0
     member = daily_field(shift + scale * rng.standard_normal((n_days, nx, ny, nv)), "m000")
     target = daily_field(rng.standard_normal((n_days, nx, ny, nv)), "truth")
     return member, target
+
+
+class TestFitSettings:
+    """The rules of the settings `fit` reads hold alike in both stages' training
+    configs, each message starting with the field it refuses."""
+
+    @pytest.mark.parametrize("config", [ReflowTrainConfig, SRTrainConfig])
+    @pytest.mark.parametrize("settings, field", [
+        ({"steps": -1}, "steps"), ({"warmup_steps": -5}, "warmup_steps"),
+        ({"peak_lr": 0.0}, "peak_lr"), ({"peak_lr": float("nan")}, "peak_lr"),
+        ({"clip_norm": 0.0}, "clip_norm"), ({"end_lr": -1e-6}, "end_lr"),
+        ({"peak_lr": 1e-3, "end_lr": 2e-3}, "end_lr"), ({"levels": ()}, "levels"),
+        ({"levels": (8, 0)}, "levels")])
+    def test_refused_by_field_name(self, config, settings, field):
+        with pytest.raises(ValueError, match=f"^{field} must "):
+            config(**settings)
+
+    @pytest.mark.parametrize("config", [ReflowTrainConfig, SRTrainConfig])
+    def test_least_values_accepted(self, config):
+        config(steps=0, warmup_steps=0, end_lr=0.0, levels=(1,))
 
 
 class TestSampleCoupling:
