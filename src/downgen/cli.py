@@ -31,9 +31,13 @@ from .baselines import bcsd_pipeline, daily_means, qm_debias
 from .config import ConfigError, apply_overrides, parse_config, default_config, resolved_text
 from .diffusion import NoiseSchedule, SRTrainConfig, load_sr, train_sr
 from .grid import (
+    DAYS_PER_YEAR,
+    HOURS_PER_DAY,
+    STEPS_PER_DAY,
     DownsampleSpec,
     GridField,
     GridFormatError,
+    calendar_groups,
     compute_climatology,
     read_array,
     staged,
@@ -123,23 +127,57 @@ def _train_hours(cfg):
 
 
 # (section, key, least value) of the keys that stages read directly, not through a
-# stage config that refuses them itself
-_LEAST = [("pipeline", "rng_seed", 0), ("synth", "train_days", 1),
+# stage config that refuses them itself. The training period is at least a year:
+# BCSD's analog pool and QM over a whole member series need every day of the year.
+_LEAST = [("pipeline", "rng_seed", 0), ("synth", "train_days", DAYS_PER_YEAR),
           ("sample", "start_day", 0), ("debias", "transport_steps", 1),
           ("baseline", "qm_doy_buckets", 1), ("baseline", "fine_clim_doy_buckets", 1)]
+# (section, key, steps a day of the training series): the day-of-year buckets of a
+# climatology fitted on the training period, with one time-of-day group per step
+_CLIMATOLOGIES = [("sr", "doy_buckets", STEPS_PER_DAY), ("baseline", "qm_doy_buckets", 1),
+                  ("baseline", "fine_clim_doy_buckets", 1)]
 
 
 def _check_config(cfg):
     """Every rule a setting must keep, checked before any stage runs: the least
-    values of `_LEAST`, the rules of the three stage configs, then the sample
-    settings' cross-key rules."""
+    values of `_LEAST`, the rules of the three stage configs, then the
+    cross-key rules of the training period, the U-nets' depth and the sample
+    settings."""
     for section, key, least in _LEAST:
         if cfg[section][key] < least:
             raise ConfigError(f"{section}.{key} must be at least {least}, "
                               f"not {cfg[section][key]}")
     for build in (_synth_config, _reflow_config, _sr_config):
         build(cfg)
-    s, synth, window_days = cfg["sample"], cfg["synth"], cfg["sr"]["window_days"]
+    # the training period holds one debias chunk and one SR window, and covers the
+    # calendar of each climatology fitted on it
+    synth = cfg["synth"]
+    train_days = synth["train_days"]
+    for section, key in (("debias", "chunk_len_days"), ("sr", "window_days")):
+        if cfg[section][key] > train_days:
+            raise ConfigError(f"{section}.{key} = {cfg[section][key]} exceeds "
+                              f"synth.train_days = {train_days}")
+    for section, key, steps in _CLIMATOLOGIES:
+        times = np.arange(train_days * steps) * (HOURS_PER_DAY // steps)
+        try:
+            calendar_groups(times, (cfg[section][key], steps))
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{key} = {cfg[section][key]} over synth.train_days "
+                              f"= {train_days} days: {exc}") from exc
+    # each U-net's grid sides halve once per level below the top
+    f = synth["spatial_factor"]
+    for section, grid, sides in (("debias", "coarse", (synth["nx"] // f, synth["ny"] // f)),
+                                 ("sr", "fine", (synth["nx"], synth["ny"]))):
+        levels = cfg[section]["levels"]
+        halving = 2 ** (len(levels) - 1)
+        if any(side % halving for side in sides):
+            raise ConfigError(
+                f"{section}.levels = {','.join(map(str, levels))} is too deep for the {grid} "
+                f"grid {sides[0]} x {sides[1]}: each side must be divisible by "
+                f"2^(levels - 1) = {halving}")
+    # the sample member exists, its windows tile the sample length, and the sample
+    # window ends within the series
+    s, window_days = cfg["sample"], cfg["sr"]["window_days"]
     members = [member_name(idx) for idx in range(synth["n_members"])]
     if s["member"] not in members:
         raise ConfigError(f"sample.member = {s['member']} is none of synth.n_members: {members}")
@@ -152,7 +190,7 @@ def _check_config(cfg):
     if days != s["length_days"]:
         raise ConfigError(f"{tiling} cover {days} days, not sample.length_days = "
                           f"{s['length_days']}")
-    end = synth["train_days"] + s["start_day"] + s["length_days"]
+    end = train_days + s["start_day"] + s["length_days"]
     if end > synth["n_days"]:
         raise ConfigError(
             f"the sample window ends on day {end}, past synth.n_days = {synth['n_days']}: "

@@ -48,29 +48,30 @@ def _name(text):
     return t
 
 
-# section -> key -> (parser, default)
+# section -> key -> (parser, default). The defaults are the demonstration
+# pipeline: one synthetic 360-day training year plus a short evaluation window.
 SCHEMA = {
     "pipeline": {
-        "rng_seed": (int, 0),
+        "rng_seed": (int, 7),
     },
     "synth": {
         "nx": (int, 8),
         "ny": (int, 8),
-        "n_days": (int, 240),
-        "train_days": (int, 180),
+        "n_days": (int, 375),
+        "train_days": (int, 360),
         "n_members": (int, 2),
         "spatial_factor": (int, 4),
         "spectral_slope": (_float, 2.0),
         "seasonal_amp": (_float, 1.0),
         "diurnal_amp": (_float, 0.3),
         "trend_per_year": (_float, 0.0),
-        "noise_amp": (_float, 0.6),
+        "noise_amp": (_float, 0.8),
         "noise_ar1": (_float, 0.6),
-        "bias_mean_offset": (_float, 0.5),
-        "bias_var_scale": (_float, 1.2),
+        "bias_mean_offset": (_float, 0.8),
+        "bias_var_scale": (_float, 1.3),
         "bias_spectral_tilt": (_float, 0.0),
-        "bias_season_phase_days": (_float, 0.0),
-        "bias_corr_shrink": (_float, 0.3),
+        "bias_season_phase_days": (_float, 4.0),
+        "bias_corr_shrink": (_float, 0.4),
     },
     "debias": {
         "steps": (int, 400),
@@ -81,11 +82,11 @@ SCHEMA = {
         "end_lr": (_float, 1e-6),
         "warmup_steps": (int, 60),
         "clip_norm": (_float, 0.6),
-        "levels": (_levels, (16, 32, 64)),
-        "transport_steps": (int, 100),
+        "levels": (_levels, (16, 32)),
+        "transport_steps": (int, 40),
     },
     "sr": {
-        "steps": (int, 300),
+        "steps": (int, 400),
         "batch": (int, 4),
         "window_days": (int, 3),
         "p_uncond": (_float, 0.15),
@@ -94,17 +95,17 @@ SCHEMA = {
         "warmup_steps": (int, 50),
         "clip_norm": (_float, 0.6),
         "levels": (_levels, (16, 32, 64)),
-        "doy_buckets": (int, 40),
+        "doy_buckets": (int, 36),
         "sigma_min": (_float, 1e-4),
         "sigma_max": (_float, 80.0),
-        "n_grid": (int, 256),
+        "n_grid": (int, 128),
         "schedule_kind": (_name, "edm"),
     },
     "sample": {
         "guidance": (_float, 1.0),
         "length_days": (int, 9),
         "windows": (int, 4),
-        "start_day": (int, 0),   # offset into the evaluation period
+        "start_day": (int, 3),   # offset into the evaluation period
         "member": (_name, "m000"),
     },
     "baseline": {
@@ -112,8 +113,8 @@ SCHEMA = {
         "fine_clim_doy_buckets": (int, 12),
     },
     "evaluate": {
-        "cyclones": (_bool, False),
-        "plots": (_bool, False),
+        "cyclones": (_bool, True),
+        "plots": (_bool, True),
     },
 }
 

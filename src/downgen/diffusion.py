@@ -295,13 +295,14 @@ def cfg_denoise(params, arch: ArchConfig, z, sigma, cond, guidance):
                             guidance).data.reshape(z.shape)
 
 
+# the normalization statistics an SR checkpoint holds beside its param/ tensors
+_SR_STATS = ("clim/mean", "clim/std", "cond_stats/mean", "cond_stats/std")
+
+
 def save_sr(model: SRModel, ckpt_dir, opt_state=None) -> None:
     clim, cond_stats = model.norm.residual_clim, model.norm.cond_stats
     arrays = {f"param/{k}": v for k, v in model.params.items()}
-    arrays.update({"clim/mean": clim.mean, "clim/std": clim.std,
-                   "cond_stats/mean": cond_stats.mean, "cond_stats/std": cond_stats.std})
-    if clim.valid is not None:
-        arrays["clim/valid"] = clim.valid.astype(np.float64)
+    arrays.update(zip(_SR_STATS, (clim.mean, clim.std, cond_stats.mean, cond_stats.std)))
     meta = {"kind": "sr", "step": getattr(opt_state, "step", 0), "levels": model.arch.levels,
             "window_days": model.window_days, "steps_per_day": model.spec.temporal_window,
             "schedule": asdict(model.schedule)}
@@ -310,7 +311,13 @@ def save_sr(model: SRModel, ckpt_dir, opt_state=None) -> None:
 
 def _sr_model(arrays, meta) -> SRModel:
     """`train_sr`'s model. The spatial factor is the fine grid of clim/mean over the
-    coarse grid of cond_stats/mean; the climatology has steps_per_day groups a day."""
+    coarse grid of cond_stats/mean; the climatology has steps_per_day groups a day.
+    A tensor beyond the parameters and the four statistics is refused, so an
+    older checkpoint's mask of climatology groups never observed cannot load as
+    if its climatology covered every group."""
+    unread = sorted(k for k in arrays if not k.startswith("param/") and k not in _SR_STATS)
+    if unread:
+        raise ValueError(f"an SR checkpoint holds no tensors {unread}")
     clim_mean, cond_mean = arrays["clim/mean"], arrays["cond_stats/mean"]
     (nx, ny), (cx, cy) = clim_mean.shape[1:3], cond_mean.shape[:2]
     factor = nx // max(cx, 1)
@@ -319,9 +326,8 @@ def _sr_model(arrays, meta) -> SRModel:
     spec = DownsampleSpec(factor, operator.index(meta["steps_per_day"]))
     window_days = operator.index(meta["window_days"])
     arch = denoiser_arch(clim_mean.shape[-1], window_days * spec.temporal_window, meta["levels"])
-    valid = arrays["clim/valid"].astype(bool) if "clim/valid" in arrays else None
     clim = Climatology(len(clim_mean) // spec.temporal_window, spec.temporal_window, clim_mean,
-                       arrays["clim/std"], valid=valid)
+                       arrays["clim/std"])
     norm = SRNormalization(clim, EnsembleStats(cond_mean, arrays["cond_stats/std"]))
     sched = NoiseSchedule(**exact_keys(meta["schedule"], NoiseSchedule))
     return SRModel(checkpoint_params(arrays, arch), arch, norm, sched, spec, window_days)

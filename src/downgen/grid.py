@@ -156,34 +156,25 @@ class DownsampleSpec:
 class Climatology:
     """Per-(day-of-year bucket, time-of-day bucket) pixel mean/std tables.
 
-    Groups never observed when fitting are marked invalid; looking one up
-    raises, so out-of-season application fails loudly.
+    Fitted by :func:`compute_climatology` on data that covers every group, so
+    each lookup finds its group's statistics.
     """
 
     doy_buckets: int
     tod_buckets: int
     mean: np.ndarray  # [G, NX, NY, V] with G = doy_buckets * tod_buckets
     std: np.ndarray
-    valid: np.ndarray | None = None  # [G] bool; None means fully populated
 
     def __post_init__(self):
-        tables = (self.mean, self.std) + (() if self.valid is None else (self.valid,))
-        if {len(t) for t in tables} != {self.doy_buckets * self.tod_buckets}:
-            raise ValueError(f"climatology tables of {[len(t) for t in tables]} groups, "
+        if {len(self.mean), len(self.std)} != {self.doy_buckets * self.tod_buckets}:
+            raise ValueError(f"climatology tables of {[len(self.mean), len(self.std)]} groups, "
                              f"not {self.doy_buckets} x {self.tod_buckets}")
 
-    def _checked_index(self, times):
-        gid = group_index(times, (self.doy_buckets, self.tod_buckets))
-        if self.valid is not None and not self.valid[gid].all():
-            missing = np.unique(np.asarray(gid)[~self.valid[gid]])
-            raise ValueError(f"missing climatology group(s) {missing.tolist()}")
-        return gid
-
     def lookup_mean(self, times):
-        return self.mean[self._checked_index(times)]
+        return self.mean[group_index(times, (self.doy_buckets, self.tod_buckets))]
 
     def lookup_std(self, times):
-        return self.std[self._checked_index(times)]
+        return self.std[group_index(times, (self.doy_buckets, self.tod_buckets))]
 
 
 @dataclass
@@ -292,36 +283,42 @@ def read_array(path) -> GridField:
 # Statistics
 # ---------------------------------------------------------------------------
 
+def calendar_groups(times, grouping):
+    """(group of each of `times`, sample count of each group) under `grouping`.
+
+    A climatology covers its calendar: every group of `grouping` must receive
+    at least two of `times`, and the first that does not is refused, named
+    with its count.
+    """
+    gid = group_index(times, grouping)
+    counts = np.bincount(gid, minlength=grouping[0] * grouping[1])
+    short = np.flatnonzero(counts < 2)
+    if short.size:
+        g = int(short[0])
+        raise ValueError(f"climatology group {g} of {len(counts)} receives {counts[g]} "
+                         "sample(s), not at least 2")
+    return gid, counts
+
+
 def compute_climatology(fld: GridField, grouping) -> Climatology:
     """Grouped per-pixel sample mean and population std of `fld`.
 
     Each group's rows, gathered in time order by a stable sort, take two
     passes: the mean, then the mean of the squared deviations from it, so
     fields far from zero keep their digits. With one group, (1, 1), this is
-    :func:`compute_ensemble_stats`. Every observed group must receive at least
-    two samples; groups outside the data's calendar coverage are marked
-    invalid, with mean 0 and std STD_FLOOR.
+    :func:`compute_ensemble_stats`. Every group must receive at least two
+    samples (:func:`calendar_groups`).
     """
-    doy_buckets, tod_buckets = grouping
-    n_groups = doy_buckets * tod_buckets
-    gid = group_index(fld.time_coords, grouping)
-    counts = np.bincount(gid, minlength=n_groups)
-    if (counts == 1).any():
-        bad = int(np.nonzero(counts == 1)[0][0])
-        raise ValueError(f"climatology group {bad} has a single sample (need >= 2)")
-    valid = counts >= 2
-    if not valid.any():
-        raise ValueError("no climatology group received any samples")
+    gid, counts = calendar_groups(fld.time_coords, grouping)
     order = np.argsort(gid, kind="stable")
     end = np.cumsum(counts)
-    mean = np.zeros((n_groups,) + fld.data.shape[1:])
-    std = np.full_like(mean, STD_FLOOR)
-    for g in np.flatnonzero(valid):
-        rows = fld.data[order[end[g] - counts[g]: end[g]]]
+    mean = np.empty((len(counts),) + fld.data.shape[1:])
+    std = np.empty_like(mean)
+    for g, n in enumerate(counts):
+        rows = fld.data[order[end[g] - n: end[g]]]
         mean[g] = rows.mean(axis=0)
         std[g] = np.maximum(rows.std(axis=0), STD_FLOOR)
-    return Climatology(doy_buckets, tod_buckets, mean, std,
-                       valid=None if valid.all() else valid)
+    return Climatology(*grouping, mean, std)
 
 
 def compute_ensemble_stats(fld: GridField) -> EnsembleStats:

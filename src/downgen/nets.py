@@ -160,7 +160,8 @@ def unet_forward(leaves, x, embed: Tensor, arch: ArchConfig) -> Tensor:
 
 def unet_body(leaves, h, embed: Tensor, arch: ArchConfig) -> Tensor:
     """The U-net between its input conv and its output conv: [B, H, W, levels[0]]
-    in and out."""
+    in and out. H and W must be divisible by 2^(len(levels) - 1), so that each
+    upsampled level matches its skip."""
     n = len(arch.levels)
     skips = []
     for i in range(n):
@@ -172,6 +173,10 @@ def unet_body(leaves, h, embed: Tensor, arch: ArchConfig) -> Tensor:
     for i in range(n - 1, 0, -1):
         h = ad.upsample2(h)
         h = ad.conv2d(h, leaves[f"up{i}/conv/w"], leaves[f"up{i}/conv/b"])
+        if h.shape != skips[i - 1].shape:
+            raise ValueError(f"U-net level {i - 1}: upsampled {h.shape} does not match skip "
+                             f"{skips[i - 1].shape}; each grid side must be divisible by "
+                             f"2^(levels - 1) = {2 ** (n - 1)}")
         h = h + skips[i - 1]
         h = _resblock(h, embed, leaves, f"ures{i - 1}")
     return h

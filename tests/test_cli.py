@@ -1,3 +1,4 @@
+import configparser
 import csv
 import dataclasses
 import io
@@ -26,8 +27,15 @@ from downgen.config import (
     resolved_text,
 )
 from downgen.diffusion import NoiseSchedule, SRTrainConfig
-from downgen.grid import GridField, read_array, write_array
-from downgen.nets import DivergenceError
+from downgen.grid import STEPS_PER_DAY, GridField, read_array, write_array
+from downgen.nets import (
+    DivergenceError,
+    denoiser_arch,
+    denoiser_forward,
+    init_params,
+    velocity_arch,
+    velocity_forward,
+)
 from downgen.reflow import CouplingConfig, ReflowTrainConfig
 from downgen.synthdata import VAR_NAMES, BiasSpec, SynthConfig
 
@@ -47,7 +55,9 @@ train_days = 360
 n_members = 2
 noise_amp = 0.6
 bias_mean_offset = 0.6
+bias_var_scale = 1.2
 bias_corr_shrink = 0.4
+bias_season_phase_days = 0
 
 [debias]
 steps = 40
@@ -69,6 +79,7 @@ start_day = 2
 
 [evaluate]
 plots = true
+cyclones = false
 """
 
 
@@ -110,6 +121,12 @@ class TestConfig:
     def test_bad_override_shape(self):
         with pytest.raises(ConfigError, match="section.key=value"):
             apply_overrides(default_config(), ["guidance=2.5"])
+
+    def test_demo_ini_is_the_defaults(self):
+        parser = configparser.ConfigParser()
+        parser.read(DEMO, encoding="utf-8")
+        assert parser.sections() == []
+        assert parse_config(DEMO) == default_config()
 
     def test_demo_synth_config_forwards_noise_ar1(self):
         assert _synth_config(parse_config(DEMO)).noise_ar1 == 0.6
@@ -153,7 +170,8 @@ class TestConfig:
         """Every stage-config field is set by a key or listed in SET_BY_NO_KEY.
         Every numeric one set by a key has a rule, which `_check_config` applies
         naming that key, or is listed in ANY_FINITE. A config that
-        `_check_config` accepts builds all three stage configs."""
+        `_check_config` accepts runs: it builds all three stage configs and runs
+        one forward of each net (`_run_one_row`)."""
         def fields(cfg):
             return {path: value for obj in (_synth_config(cfg), _reflow_config(cfg),
                                             _sr_config(cfg))
@@ -166,11 +184,10 @@ class TestConfig:
                 cfg = default_config()
                 cfg[section][key] = probe
                 try:
-                    cli._check_config(cfg)
+                    _check_and_run(cfg)
                 except ConfigError as exc:
                     assert f"{section}.{key} " in str(exc), exc
                     return True
-                fields(cfg)
             return False
 
         base = fields(default_config())
@@ -181,11 +198,40 @@ class TestConfig:
                 cfg[section][key] = _changed(value)
                 changed = {path for path, v in fields(cfg).items() if v != base[path]}
                 set_by_keys |= changed
+                try:
+                    _check_and_run(cfg)
+                except ConfigError:
+                    pass
                 if changed and not isinstance(value, str) and refused(section, key, value):
                     ruled |= changed
         assert sorted(base.keys() - set_by_keys) == sorted(self.SET_BY_NO_KEY)
         numeric = {path for path in set_by_keys if not isinstance(base[path], str)}
         assert sorted(numeric - ruled) == sorted(self.ANY_FINITE)
+
+
+def _check_and_run(cfg):
+    """`_check_config(cfg)`, then, for a config it accepts, `_run_one_row(cfg)`."""
+    cli._check_config(cfg)
+    _run_one_row(cfg)
+
+
+def _run_one_row(cfg):
+    """One single-row forward of the velocity net on the coarse grid and of the
+    denoiser on the fine grid, each with the config's levels and window."""
+    synth, sr = _synth_config(cfg), _sr_config(cfg)
+    rng = np.random.default_rng(0)
+    n_vars, f = len(VAR_NAMES), synth.spatial_factor
+    coarse = np.zeros((1, synth.nx // f, synth.ny // f, n_vars))
+    arch = velocity_arch(n_vars, _reflow_config(cfg).levels)
+    v = velocity_forward(init_params(rng, arch), coarse, np.array([0.5]), coarse,
+                         np.ones_like(coarse), arch)
+    assert v.shape == coarse.shape
+    steps = sr.window_days * STEPS_PER_DAY
+    arch = denoiser_arch(n_vars, steps, sr.levels)
+    z = np.zeros((1, steps, synth.nx, synth.ny, n_vars))
+    cond = np.zeros((1, sr.window_days) + z.shape[2:])
+    d = denoiser_forward(init_params(rng, arch), z, np.array([1.0]), cond, arch)
+    assert d.shape == z.shape
 
 
 def _changed(value):
@@ -280,11 +326,13 @@ class TestReadmeMatchesCode:
         assert named
         assert [f"{s}.{k}" for s, k in named if k not in SCHEMA[s]] == []
 
-    def test_ini_example_parses(self, tmp_path):
+    def test_ini_example_runs(self, tmp_path):
+        """The README's INI example is accepted and runs, as `_check_and_run` runs
+        an accepted config."""
         (example,) = re.findall(r"```ini\n(.*?)```", self.README, re.S)
         path = tmp_path / "example.ini"
         path.write_text(example, encoding="utf-8")
-        parse_config(path)
+        _check_and_run(parse_config(path))
 
     def test_every_manifest_key_named(self, e2e_run):
         """The `meta.<key>` names in the README are exactly the keys the two
@@ -581,8 +629,10 @@ class TestExitCodes:
         (["sample.start_day=8"], "synth.n_days", "window-past-n-days"),
         (["sr.window_days=1", "sample.length_days=1"], "sr.window_days = 1", "one-day-windows"),
         (["sample.member=m009"], "sample.member = m009", "unknown-member"),
-        (["synth.train_days=-5"], "synth.train_days must be at least 1, not -5",
+        (["synth.train_days=-5"], "synth.train_days must be at least 360, not -5",
          "no-training-days"),
+        (["synth.train_days=180"], "synth.train_days must be at least 360, not 180",
+         "half-year-training-period"),
         (["sample.start_day=-3"], "sample.start_day must be at least 0, not -3",
          "start-day-in-training-period"),
         (["debias.transport_steps=0"], "debias.transport_steps must be at least 1, not 0",
@@ -644,6 +694,28 @@ class TestExitCodes:
          "sr-warmup-minus-5"),
         (["debias.warmup_steps=-5"], "debias.warmup_steps must be at least 0, not -5",
          "debias-warmup-minus-5"),
+        # the training period holds a chunk and a window, and covers each climatology
+        (["debias.chunk_len_days=400"], "debias.chunk_len_days = 400 exceeds "
+                                        "synth.train_days = 360", "chunk-past-training-period"),
+        (["synth.n_days=800", "sr.window_days=400", "sample.windows=1",
+          "sample.length_days=400"], "sr.window_days = 400 exceeds synth.train_days = 360",
+         "window-past-training-period"),
+        (["sr.doy_buckets=200"], "sr.doy_buckets = 200 over synth.train_days = 360 days: "
+                                 "climatology group 48 of 2400 receives 1 sample(s)",
+         "sr-doy-buckets-200"),
+        (["baseline.qm_doy_buckets=200"], "baseline.qm_doy_buckets = 200 over "
+         "synth.train_days = 360 days: climatology group 4 of 200 receives 1 sample(s)",
+         "qm-doy-buckets-200"),
+        (["baseline.fine_clim_doy_buckets=200"], "baseline.fine_clim_doy_buckets = 200 over "
+         "synth.train_days = 360 days: climatology group 4 of 200 receives 1 sample(s)",
+         "fine-clim-doy-buckets-200"),
+        # each U-net's depth fits its grid
+        (["debias.levels=16,32,64"], "debias.levels = 16,32,64 is too deep for the coarse "
+                                     "grid 2 x 2", "debias-levels-too-deep"),
+        (["synth.spatial_factor=8"], "debias.levels = 8,16 is too deep for the coarse "
+                                     "grid 1 x 1", "spatial-factor-8"),
+        (["sr.levels=8,16,32,64,128"], "sr.levels = 8,16,32,64,128 is too deep for the fine "
+                                       "grid 8 x 8", "sr-levels-too-deep"),
         # every float key is finite
         (["synth.noise_amp=nan"], "bad value for synth.noise_amp: 'nan' (not a finite number)",
          "noise-amp-nan"),
@@ -762,10 +834,16 @@ def _fine_field(n_days, seed):
     return GridField(data, 0, 2, np.arange(4.0), 30.0 + np.arange(4.0), VAR_NAMES)
 
 
+def _no_cyclones():
+    cfg = default_config()
+    cfg["evaluate"]["cyclones"] = False
+    return cfg
+
+
 class TestEvaluateFields:
     def test_truth_against_itself_reads_zero(self):
         truth = _fine_field(2, seed=1)
-        report = cli.evaluate_fields(default_config(), truth, {"truth": truth},
+        report = cli.evaluate_fields(_no_cyclones(), truth, {"truth": truth},
                                      _fine_field(4, seed=2))
         rows = {(e.metric, e.variable): e.value for e in report.entries}
         assert {m for m, _ in rows} == {
@@ -786,7 +864,7 @@ class TestEvaluateFields:
         assert (cli._derived_fields(truth)[1] < caution).all()
         hot = cli._derived_fields(pred)[1] > caution
         assert hot.sum() == 9 and hot[:3, 0, 0].all() and hot[6:12, 1, 2].all()
-        report = cli.evaluate_fields(default_config(), truth, {"pred": pred},
+        report = cli.evaluate_fields(_no_cyclones(), truth, {"pred": pred},
                                      _fine_field(4, seed=4))
         # exceedance-fraction errors 3/24 and 6/24 at two of the 16 pixels
         expected = (3 / 24 + 6 / 24) / 16

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -30,9 +32,11 @@ from downgen.grid import (
     DAYS_PER_YEAR,
     DownsampleSpec,
     GridField,
+    GridFormatError,
     coarsen,
     cubic_upsample_space,
     interp_upsample,
+    write_npy,
 )
 from downgen.multidiffusion import sample_chain, sample_long
 from downgen.nets import as_leaves, denoiser_arch, denoiser_forward, init_params, load_checkpoint
@@ -177,7 +181,7 @@ class TestResidualPairs:
     def test_reconstruction_round_trip(self):
         x = self._truth(n_days=6)
         spec = DownsampleSpec(4, 12)
-        norm, r_tilde, _ = training_pair(x, spec, grouping=(3, 12))
+        norm, r_tilde, _ = training_pair(x, spec, grouping=(1, 12))
         coarse = coarsen(x, spec)
         up = interp_upsample(coarse, spec)
         times = x.time_coords
@@ -206,7 +210,7 @@ class TestResidualPairs:
     def test_normalized_residual_statistics(self):
         x = self._truth(n_days=60, seed=7)
         spec = DownsampleSpec(4, 12)
-        _, r_tilde, _ = training_pair(x, spec, grouping=(4, 2))
+        _, r_tilde, _ = training_pair(x, spec, grouping=(1, 2))
         pixel_mean = r_tilde.mean(axis=0)
         pixel_std = r_tilde.std(axis=0)
         assert np.abs(pixel_mean).max() < 0.05
@@ -217,7 +221,7 @@ class TestResidualPairs:
         # (x - upsample(coarsen(x)) - clim_mean) / clim_std as written out
         x = self._truth(n_days=10, seed=9)
         spec = DownsampleSpec(4, 12)
-        norm, r_tilde, coarse = training_pair(x, spec, grouping=(5, 12))
+        norm, r_tilde, coarse = training_pair(x, spec, grouping=(1, 12))
         r = x.data - interp_upsample(coarsen(x, spec), spec).data
         clim = norm.residual_clim
         expect = (r - clim.lookup_mean(x.time_coords)) / clim.lookup_std(x.time_coords)
@@ -226,17 +230,17 @@ class TestResidualPairs:
 
     @pytest.mark.parametrize("window_days", [1, 3])
     def test_windows_equal_slices_of_full_residual_bitwise(self, window_days):
-        # train_sr builds each batch's windows alone. In 73 x 12 groups, days 0-4
-        # and 5-9 fall in two day-of-year buckets, so a window at the first, a middle
-        # or the last valid start day must equal those days of the residual built
-        # over every day at once, each day normalized by its own group
-        x = self._truth(n_days=10, seed=10)
+        # train_sr builds each batch's windows alone. In 73 x 12 groups over a year,
+        # days 0-4 and 5-9 fall in two day-of-year buckets, so a window at the first,
+        # a middle or the last valid start day must equal those days of the residual
+        # built over every day at once, each day normalized by its own group
+        x = self._truth(n_days=DAYS_PER_YEAR, seed=10)
         spec = DownsampleSpec(4, 12)
         norm, coarse, up_days = fit_training_pair(x, spec, grouping=(73, 12))
         clim = norm.residual_clim
-        full = normalized_residual(x, up_days, clim, 0, 10)
+        full = normalized_residual(x, up_days, clim, 0, DAYS_PER_YEAR)
         assert up_days.tobytes() == cubic_upsample_space(coarse.data, 4).tobytes()
-        for start in (0, 4, 10 - window_days):
+        for start in (0, 4, DAYS_PER_YEAR - window_days):
             window = normalized_residual(x, up_days, clim, start, start + window_days)
             assert window.shape == (window_days * 12, 8, 8, 4)
             assert window.tobytes() == full[start * 12: (start + window_days) * 12].tobytes()
@@ -244,7 +248,7 @@ class TestResidualPairs:
     def test_cond_normalization_uses_date_agnostic_stats(self):
         x = self._truth(n_days=10)
         spec = DownsampleSpec(4, 12)
-        norm, coarse, _ = fit_training_pair(x, spec, grouping=(5, 12))
+        norm, coarse, _ = fit_training_pair(x, spec, grouping=(1, 12))
         y_tilde = (coarse.data - norm.cond_stats.mean) / norm.cond_stats.std
         assert np.abs(y_tilde.mean(axis=0)).max() < 1e-10
 
@@ -459,12 +463,13 @@ class TestTrainAndSample:
 
     def test_checkpoint_written_by_training(self, tmp_path):
         truth = small_truth()
-        cfg = SRTrainConfig(steps=3, levels=(4,), doy_buckets=4, seed=29,
+        cfg = SRTrainConfig(steps=3, levels=(4,), doy_buckets=1, seed=29,
                             noise=NoiseSchedule(n_grid=8))
         model, _ = train_sr(truth, cfg, out_dir=tmp_path / "sr")
         assert (tmp_path / "sr" / "loss.csv").exists()
         arrays, meta = load_checkpoint(tmp_path / "sr", "sr", lambda *doc: doc)
-        assert not [k for k in arrays if k.startswith("adam_")]
+        assert {k for k in arrays if not k.startswith("param/")} == {
+            "clim/mean", "clim/std", "cond_stats/mean", "cond_stats/std"}
         assert meta["step"] == cfg.steps
         assert meta == {"kind": "sr", "step": cfg.steps, "levels": [4], "window_days": 3,
                         "steps_per_day": 12, "schedule": dataclasses.asdict(cfg.noise)}
@@ -475,25 +480,38 @@ class TestTrainAndSample:
         assert back.window_days == model.window_days == cfg.window_days
         clim, back_clim = model.norm.residual_clim, back.norm.residual_clim
         assert ((back_clim.doy_buckets, back_clim.tod_buckets)
-                == (clim.doy_buckets, clim.tod_buckets) == (4, 12))
-        # 40 days fill only the first of the 4 day-of-year buckets
-        assert clim.valid.tolist() == [True] * 12 + [False] * 36
-        np.testing.assert_array_equal(back_clim.valid, clim.valid)
+                == (clim.doy_buckets, clim.tod_buckets) == (1, 12))
+        assert back_clim.mean.tobytes() == clim.mean.tobytes()
+        assert back_clim.std.tobytes() == clim.std.tobytes()
         assert back.schedule == model.schedule
         for k in model.params:
             assert back.params[k].tobytes() == model.params[k].tobytes()
+
+    def test_checkpoint_with_group_mask_refused(self, toy_sr_model, tmp_path):
+        # checkpoints of a climatology that missed groups once carried a clim/valid
+        # mask; one is refused naming its manifest, not loaded as if complete
+        _, _, model, _ = toy_sr_model
+        save_sr(model, tmp_path / "sr")
+        manifest = tmp_path / "sr" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["tensors"] = sorted(doc["tensors"] + ["clim/valid"])
+        manifest.write_text(json.dumps(doc))
+        write_npy(np.ones(len(model.norm.residual_clim.mean)), tmp_path / "sr" / "clim__valid.npy")
+        with pytest.raises(GridFormatError, match=re.escape(
+                f"{manifest}: an SR checkpoint holds no tensors ['clim/valid']")):
+            load_sr(tmp_path / "sr")
 
     def test_matches_reference_loop_bitwise(self):
         # pins the draw order: one generator seeded from (seed, 3) initializes
         # the parameters, then every step draws window starts, noise levels,
         # noise and the dropout mask, and takes one clipped Adam step
         truth = small_truth()
-        cfg = SRTrainConfig(steps=4, batch=3, levels=(4,), doy_buckets=4, seed=30,
+        cfg = SRTrainConfig(steps=4, batch=3, levels=(4,), doy_buckets=1, seed=30,
                             warmup_steps=2)
         model, log = train_sr(truth, cfg)
 
         spec = DownsampleSpec(4, 12)
-        norm, r_tilde, coarse = training_pair(truth, spec, grouping=(4, 12))
+        norm, r_tilde, coarse = training_pair(truth, spec, grouping=(1, 12))
         y_tilde = (coarse.data - norm.cond_stats.mean) / norm.cond_stats.std
         cond_days = cubic_upsample_space(y_tilde, 4)
         n_days, window = truth.n_times // 12, cfg.window_days * 12

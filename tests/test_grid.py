@@ -13,6 +13,7 @@ from downgen.grid import (
     DownsampleSpec,
     GridField,
     GridFormatError,
+    calendar_groups,
     coarsen,
     compute_climatology,
     compute_ensemble_stats,
@@ -198,24 +199,30 @@ class TestClimatology:
 
     def test_single_sample_group_rejected(self):
         fld = make_field(np.zeros((3, 2, 2, 1)), dt_hours=24)  # one sample per doy
-        with pytest.raises(ValueError, match="single sample"):
+        with pytest.raises(ValueError, match=re.escape(
+                "climatology group 0 of 360 receives 1 sample(s), not at least 2")):
             compute_climatology(fld, (360, 1))
 
-    def test_missing_group_lookup_rejected(self):
+    def test_group_outside_the_data_refused(self):
         fld = make_field(np.zeros((4, 2, 2, 1)))  # 4 bi-hourly steps: day 0 only
-        clim = compute_climatology(fld, (2, 1))  # second half of the year unseen
-        with pytest.raises(ValueError, match="missing climatology group"):
-            clim.lookup_mean(np.array([200 * 24]))
-        np.testing.assert_allclose(clim.lookup_mean(np.array([2])), 0.0)
+        with pytest.raises(ValueError, match=re.escape(
+                "climatology group 1 of 2 receives 0 sample(s), not at least 2")):
+            compute_climatology(fld, (2, 1))  # second half of the year unseen
+
+    def test_calendar_groups_counts_every_group(self):
+        times = np.arange(DAYS_PER_YEAR * 2) * HOURS_PER_DAY   # two years of days
+        gid, counts = calendar_groups(times, (36, 1))
+        assert counts.tolist() == [20] * 36
+        assert gid.tolist() == (np.arange(2 * DAYS_PER_YEAR) % DAYS_PER_YEAR // 10).tolist()
 
 
 def climatology_masked(fld, grouping):
     """Grouped two-pass mean and std, each group's rows picked by a boolean
-    mask, as a reference; unseen groups keep mean 0 and std STD_FLOOR."""
+    mask, as a reference."""
     gid = group_index(fld.time_coords, grouping)
-    mean = np.zeros((grouping[0] * grouping[1],) + fld.data.shape[1:])
-    std = np.full_like(mean, STD_FLOOR)
-    for g in np.unique(gid):
+    mean = np.empty((grouping[0] * grouping[1],) + fld.data.shape[1:])
+    std = np.empty_like(mean)
+    for g in range(len(mean)):
         rows = fld.data[gid == g]
         mean[g] = rows.mean(axis=0)
         std[g] = np.maximum(rows.std(axis=0), STD_FLOOR)
@@ -223,13 +230,13 @@ def climatology_masked(fld, grouping):
 
 
 class TestClimatologyMatchesMasked:
-    # hourly steps over days 0-99: a partial year, every bi-hourly (day, step)
-    # group seen twice; some values are -0.0 or 0.0
+    # hourly steps over one year: every bi-hourly (day, step) group seen twice;
+    # some values are -0.0 or 0.0
     @pytest.mark.parametrize("grouping", [(DAYS_PER_YEAR, STEPS_PER_DAY), (36, 12),
                                           (4, 2), (1, 1)])
     def test_bitwise_equal_to_masked_two_pass(self, grouping):
         rng = np.random.default_rng(31)
-        data = 5.0 + 3.0 * rng.standard_normal((100 * HOURS_PER_DAY, 2, 3, 2))
+        data = 5.0 + 3.0 * rng.standard_normal((DAYS_PER_YEAR * HOURS_PER_DAY, 2, 3, 2))
         data[::7, 0] = -0.0
         data[::5, 1] = 0.0
         fld = make_field(data, dt_hours=1)
@@ -237,24 +244,21 @@ class TestClimatologyMatchesMasked:
         mean, std = climatology_masked(fld, grouping)
         assert clim.mean.tobytes() == mean.tobytes()
         assert clim.std.tobytes() == std.tobytes()
-        assert (clim.valid is None) == (grouping == (1, 1))
 
     @pytest.mark.parametrize("grouping", [(36, 12), (4, 2), (1, 1)])
     def test_std_keeps_digits_at_large_offset(self, grouping):
         # 1e5 + z - 1e5 is exact (Sterbenz), so the masked std of the centred
         # field is a reference good to rounding
         rng = np.random.default_rng(32)
-        data = 1e5 + rng.standard_normal((100 * HOURS_PER_DAY, 2, 3, 2))
+        data = 1e5 + rng.standard_normal((DAYS_PER_YEAR * HOURS_PER_DAY, 2, 3, 2))
         clim = compute_climatology(make_field(data, dt_hours=1), grouping)
         _, std = climatology_masked(make_field(data - 1e5, dt_hours=1), grouping)
         np.testing.assert_allclose(clim.std, std, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("n_mean, n_std, n_valid", [(7, 8, None), (8, 7, None), (8, 8, 7),
-                                                         (8, 8, 9)])
-    def test_table_of_other_length_than_groups_refused(self, n_mean, n_std, n_valid):
-        valid = None if n_valid is None else np.ones(n_valid, dtype=bool)
+    @pytest.mark.parametrize("n_mean, n_std", [(7, 8), (8, 7)])
+    def test_table_of_other_length_than_groups_refused(self, n_mean, n_std):
         with pytest.raises(ValueError, match="not 4 x 2"):
-            Climatology(4, 2, np.zeros((n_mean, 1, 1, 1)), np.ones((n_std, 1, 1, 1)), valid)
+            Climatology(4, 2, np.zeros((n_mean, 1, 1, 1)), np.ones((n_std, 1, 1, 1)))
 
 
 class TestCoarsen:

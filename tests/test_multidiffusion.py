@@ -31,6 +31,7 @@ def _sample_config(windows, length_days, window_days=3):
     cfg = default_config()
     cfg["sample"].update(windows=windows, length_days=length_days, start_day=0)
     cfg["sr"]["window_days"] = window_days
+    cfg["synth"]["n_days"] = cfg["synth"]["train_days"] + length_days   # the window fits
     return cfg
 
 

@@ -580,6 +580,17 @@ class TestUnetShapes:
         out = unet_forward(leaves, x, e, arch)
         assert out.shape == (2, 8, 8, 3)
 
+    @pytest.mark.parametrize("levels, side", [((4, 8), 1), ((4, 8, 16), 2), ((4, 8, 16), 6)])
+    def test_grid_not_halving_per_level_refused(self, levels, side):
+        # a side not divisible by 2^(levels - 1): an upsampled level would differ from
+        # its skip, which numpy broadcasts when the skip's side is 1
+        arch = ArchConfig(in_channels=2, out_channels=2, levels=levels)
+        params = init_params(np.random.default_rng(24), arch)
+        x = np.zeros((1, side, side, 2))
+        with pytest.raises(ValueError, match="does not match skip") as exc:
+            unet_forward(params, x, fourier_embed(params, np.array([0.1])), arch)
+        assert f"divisible by 2^(levels - 1) = {2 ** (len(levels) - 1)}" in str(exc.value)
+
     def test_demo_convs_dispatch_table(self, monkeypatch):
         # which conv2d kernel runs at the demo architectures, per call:
         # (kernel, image side, rows, input channels)
