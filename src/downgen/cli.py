@@ -10,9 +10,10 @@ Stages communicate exclusively through files under the run directory:
     metrics/    metric CSVs and optional SVG plots (evaluate)
 
 A stage output exists only once it is complete: it is built under a hidden
-`.partial` name and renamed into place on success. An existing output refuses
-and no output is deleted; a failed or killed stage leaves at most a `.partial`
-that its rerun replaces.
+`.partial` name and renamed into place on success. A single stage refuses an
+existing output and no output is deleted; a failed or killed stage leaves at
+most a `.partial` that its rerun replaces. `e2e` skips, and names on stderr,
+each stage whose output exists, so a killed `e2e` resumes with `e2e`.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage/config error.
 """
@@ -453,15 +454,29 @@ def stage_evaluate(cfg, run_dir):
 
 
 def stage_e2e(cfg, run_dir):
-    stage_gen_data(cfg, run_dir)
-    stage_train_debias(cfg, run_dir)
-    stage_train_sr(cfg, run_dir)
-    stage_debias(cfg, run_dir)
-    stage_baseline_qm(cfg, run_dir)
-    stage_baseline_bcsd(cfg, run_dir)
-    for source in _SOURCES:
-        stage_sample(cfg, run_dir, source=source)
-    return stage_evaluate(cfg, run_dir)
+    """Every stage in order, each skipped, and named on stderr, if its output
+    exists. Every stage seeds itself from the config alone, so a resumed run
+    writes the same bytes as a fresh one."""
+    run_dir = Path(run_dir)
+    # (stage, its output, run). Each lambda looks its stage up by module-level name
+    # when it runs, so a wrapper set on a `stage_*` attribute (perfbench's tracer)
+    # sees the call.
+    steps = [("gen-data", "data", lambda: stage_gen_data(cfg, run_dir)),
+             ("train-debias", "models/debias", lambda: stage_train_debias(cfg, run_dir)),
+             ("train-sr", "models/sr", lambda: stage_train_sr(cfg, run_dir)),
+             ("debias", "debiased", lambda: stage_debias(cfg, run_dir)),
+             ("baseline-qm", "baselines/qm", lambda: stage_baseline_qm(cfg, run_dir)),
+             ("baseline-bcsd", "baselines/bcsd", lambda: stage_baseline_bcsd(cfg, run_dir))]
+    steps += [(f"sample --source {source}", f"samples/{tag}.npy",
+               lambda source=source: stage_sample(cfg, run_dir, source=source))
+              for source, (tag, *_) in _SOURCES.items()]
+    steps.append(("evaluate", "metrics", lambda: stage_evaluate(cfg, run_dir)))
+    for stage, output, run in steps:
+        if (run_dir / output).exists():
+            print(f"e2e: skipping {stage}: {run_dir / output} exists", file=sys.stderr)
+        else:
+            run()
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,9 @@ from .grid import (
     DAYS_PER_YEAR,
     Climatology,
     DownsampleSpec,
-    EnsembleStats,
     GridField,
     coarsen,
     compute_climatology,
-    compute_ensemble_stats,
     cubic_upsample_space,
     exact_keys,
     interp_upsample,
@@ -42,30 +40,30 @@ from .nets import (
     save_checkpoint,
 )
 from .optim import adam_step  # noqa: F401  not called here; perfbench/tracing.py wraps it
-from .reflow import fit, require_fit_settings, write_loss_log
+from .reflow import fit, one_group_table, require_fit_settings, write_loss_log
 
 _TRAIN_STREAM = 3
+RHO = 7.0   # the warp of the "edm" sampling grid, EDM's value
 
 
 @dataclass
 class NoiseSchedule:
     """Noise levels: LogUniform draws for training, a decreasing grid for sampling,
-    for 0 < sigma_min < sigma_max, n_grid >= 2 and rho > 0."""
+    for 0 < sigma_min < sigma_max and n_grid >= 2."""
 
     sigma_min: float = 1e-4
     sigma_max: float = 80.0
     n_grid: int = 256
-    kind: str = "edm"   # "edm" (rho-spaced) or "tangent"
-    rho: float = 7.0
+    kind: str = "edm"   # "edm" (RHO-spaced) or "tangent"
 
     def __post_init__(self):
         self.n_grid = operator.index(self.n_grid)
-        for name in ("sigma_min", "sigma_max", "rho"):
+        for name in ("sigma_min", "sigma_max"):
             setattr(self, name, float(getattr(self, name)))
         if self.kind not in ("edm", "tangent"):
             raise ValueError(f"kind must be 'edm' or 'tangent', not {self.kind!r}")
         require_at_least(self, 2, ("n_grid",))
-        require_positive(self, ("sigma_min", "rho"))
+        require_positive(self, ("sigma_min",))
         if not self.sigma_max > self.sigma_min:
             raise ValueError(f"sigma_max must exceed sigma_min = {self.sigma_min}, "
                              f"not {self.sigma_max}")
@@ -80,7 +78,7 @@ class NoiseSchedule:
 
     def step_sigmas(self):
         if self.kind == "edm":
-            return sigma_steps_edm(self.n_grid, self.sigma_min, self.sigma_max, self.rho)
+            return sigma_steps_edm(self.n_grid, self.sigma_min, self.sigma_max, RHO)
         tau = np.linspace(1.0, 0.0, self.n_grid)
         sig = self.tangent_sigma(tau)
         sig[-1] = self.sigma_min  # tangent schedule hits 0 at tau=0; floor for stepping
@@ -121,31 +119,21 @@ def sde_step_exponential(z, sigma_hi, sigma_lo, d, eps):
 # Residual construction and normalization
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SRNormalization:
-    """Climatology of the residual plus date-agnostic stats of the coarse input."""
-
-    residual_clim: Climatology
-    cond_stats: EnsembleStats
-
-
 def fit_training_pair(x: GridField, spec: DownsampleSpec, grouping):
-    """Fit the normalization on training truth; the residual climatology is
-    grouped by `grouping` = (doy_buckets, tod_buckets).
+    """Fit the residual climatology on training truth, grouped by `grouping` =
+    (doy_buckets, tod_buckets).
 
-    Returns (norm, coarse, up_days): the climatology of the residual
-    x - upsample(coarsen(x)) and the coarse-input stats, the coarse field
-    coarsen(x), and its daily spatial upsampling [days, H, W, V], from which
-    `normalized_residual` builds the normalized residual of any days. The full
-    residual is held only while its climatology is fitted.
+    Returns (clim, coarse, up_days): the climatology of the residual
+    x - upsample(coarsen(x)), the coarse field coarsen(x), and its daily
+    spatial upsampling [days, H, W, V], from which `normalized_residual`
+    builds the normalized residual of any days. The full residual is held
+    only while its climatology is fitted.
     """
     coarse = coarsen(x, spec)
     up_days = cubic_upsample_space(coarse.data, spec.spatial_factor)
     r = np.repeat(up_days, spec.temporal_window, axis=0)
     np.subtract(x.data, r, out=r)
-    clim = compute_climatology(x.with_data(r), grouping)
-    norm = SRNormalization(residual_clim=clim, cond_stats=compute_ensemble_stats(coarse))
-    return norm, coarse, up_days
+    return compute_climatology(x.with_data(r), grouping), coarse, up_days
 
 
 def normalized_residual(x: GridField, up_days, clim: Climatology, start, stop):
@@ -166,21 +154,21 @@ def normalized_residual(x: GridField, up_days, clim: Climatology, start, stop):
     return r
 
 
-def assemble_output(y_cond: GridField, residual_draw, norm: SRNormalization,
+def assemble_output(y_cond: GridField, residual_draw, residual_clim: Climatology,
                     spec: DownsampleSpec) -> GridField:
     """x = upsample(y') + clim_mean[r] + clim_std[r] * draw, on the fine grid."""
     up = interp_upsample(y_cond, spec)
     times = up.time_coords
-    mean = norm.residual_clim.lookup_mean(times)
-    std = norm.residual_clim.lookup_std(times)
+    mean = residual_clim.lookup_mean(times)
+    std = residual_clim.lookup_std(times)
     return up.with_data(up.data + mean + std * residual_draw)
 
 
-def prepare_cond(y_cond: GridField, norm: SRNormalization, spec: DownsampleSpec):
-    """The conditioning field: the coarse daily input normalized and upsampled
-    in space to the fine grid, [days, H, W, V]. It stays daily; a window of it
-    is `nets.denoiser_cond`'s input."""
-    y_tilde = (y_cond.data - norm.cond_stats.mean) / norm.cond_stats.std
+def prepare_cond(y_cond: GridField, cond_stats: Climatology, spec: DownsampleSpec):
+    """The conditioning field: the coarse daily input normalized by the
+    one-group `cond_stats` and upsampled in space to the fine grid, [days, H,
+    W, V]. It stays daily; a window of it is `nets.denoiser_cond`'s input."""
+    y_tilde = (y_cond.data - cond_stats.mean) / cond_stats.std
     return cubic_upsample_space(y_tilde, spec.spatial_factor)
 
 
@@ -215,7 +203,8 @@ class SRTrainConfig:
 class SRModel:
     params: dict
     arch: ArchConfig
-    norm: SRNormalization
+    residual_clim: Climatology   # of the normalized residual, by calendar group
+    cond_stats: Climatology      # of the coarse input, one group
     schedule: NoiseSchedule
     spec: DownsampleSpec
     window_days: int
@@ -248,9 +237,10 @@ def train_sr(fine_truth: GridField, cfg: SRTrainConfig, out_dir=None):
     spec = DownsampleSpec(cfg.spatial_factor, 24 // fine_truth.dt_hours)
     steps_per_day = spec.temporal_window
     window = cfg.window_days * steps_per_day
-    norm, coarse, up_days = fit_training_pair(fine_truth, spec,
+    clim, coarse, up_days = fit_training_pair(fine_truth, spec,
                                               grouping=(cfg.doy_buckets, steps_per_day))
-    cond_days = prepare_cond(coarse, norm, spec)
+    cond_stats = compute_climatology(coarse, (1, 1))
+    cond_days = prepare_cond(coarse, cond_stats, spec)
     n_days = fine_truth.n_times // steps_per_day
     if n_days < cfg.window_days:
         raise ValueError("training series shorter than one window")
@@ -258,8 +248,8 @@ def train_sr(fine_truth: GridField, cfg: SRTrainConfig, out_dir=None):
 
     def loss_fn(leaves, rng):
         days = rng.integers(0, n_days - cfg.window_days + 1, cfg.batch)
-        z0 = np.stack([normalized_residual(fine_truth, up_days, norm.residual_clim,
-                                           d, d + cfg.window_days) for d in days])
+        z0 = np.stack([normalized_residual(fine_truth, up_days, clim, d, d + cfg.window_days)
+                       for d in days])
         cond = np.stack([cond_days[d: d + cfg.window_days] for d in days])
         sigmas = cfg.noise.sample_train(rng, cfg.batch)
         eps = rng.standard_normal(z0.shape)
@@ -267,7 +257,7 @@ def train_sr(fine_truth: GridField, cfg: SRTrainConfig, out_dir=None):
         return denoise_loss(leaves, arch, z0, cond, sigmas, eps, keep)
 
     params, log, state = fit(arch, cfg, _TRAIN_STREAM, loss_fn)
-    model = SRModel(params, arch, norm, cfg.noise, spec, cfg.window_days)
+    model = SRModel(params, arch, clim, cond_stats, cfg.noise, spec, cfg.window_days)
     if out_dir is not None:
         save_sr(model, out_dir, opt_state=state)
         write_loss_log(Path(out_dir) / "loss.csv", log)
@@ -283,14 +273,13 @@ def cfg_denoise(params, arch: ArchConfig, z, sigma, cond, guidance):
 
     z: [..., T, H, W, V], one window or a stack of windows, all at noise level
     sigma; cond is the windows' conditioning [..., n, H, W, V] (see
-    `nets.denoiser_cond`), or their `nets.denoiser_cond` [..., H, W,
-    levels[0]], or None for unconditional denoising regardless of guidance
-    strength. Every window goes through one `denoiser_forward` call, which
-    forms the guided mix itself: the two branches share the input conv's
-    state half and one output conv.
+    `nets.denoiser_cond`) or their `nets.denoiser_cond` [..., H, W,
+    levels[0]]; all-zero conditioning is the null input. Every window goes
+    through one `denoiser_forward` call, which forms the guided mix itself:
+    the two branches share the input conv's state half and one output conv.
     """
     zb = z.reshape((-1,) + z.shape[-4:])
-    cb = None if cond is None else cond.reshape((-1,) + cond.shape[z.ndim - 4:])
+    cb = cond.reshape((-1,) + cond.shape[z.ndim - 4:])
     return denoiser_forward(params, zb, np.full(len(zb), sigma), cb, arch,
                             guidance).data.reshape(z.shape)
 
@@ -300,9 +289,9 @@ _SR_STATS = ("clim/mean", "clim/std", "cond_stats/mean", "cond_stats/std")
 
 
 def save_sr(model: SRModel, ckpt_dir, opt_state=None) -> None:
-    clim, cond_stats = model.norm.residual_clim, model.norm.cond_stats
+    clim, cond = model.residual_clim, model.cond_stats
     arrays = {f"param/{k}": v for k, v in model.params.items()}
-    arrays.update(zip(_SR_STATS, (clim.mean, clim.std, cond_stats.mean, cond_stats.std)))
+    arrays.update(zip(_SR_STATS, (clim.mean, clim.std, cond.mean[0], cond.std[0])))
     meta = {"kind": "sr", "step": getattr(opt_state, "step", 0), "levels": model.arch.levels,
             "window_days": model.window_days, "steps_per_day": model.spec.temporal_window,
             "schedule": asdict(model.schedule)}
@@ -318,8 +307,8 @@ def _sr_model(arrays, meta) -> SRModel:
     unread = sorted(k for k in arrays if not k.startswith("param/") and k not in _SR_STATS)
     if unread:
         raise ValueError(f"an SR checkpoint holds no tensors {unread}")
-    clim_mean, cond_mean = arrays["clim/mean"], arrays["cond_stats/mean"]
-    (nx, ny), (cx, cy) = clim_mean.shape[1:3], cond_mean.shape[:2]
+    clim_mean, cond = arrays["clim/mean"], one_group_table(arrays, "cond_stats")
+    (nx, ny), (cx, cy) = clim_mean.shape[1:3], cond.mean.shape[1:3]
     factor = nx // max(cx, 1)
     if (cx * factor, cy * factor) != (nx, ny):
         raise ValueError(f"fine grid {nx}x{ny} is not a whole multiple of coarse grid {cx}x{cy}")
@@ -328,9 +317,8 @@ def _sr_model(arrays, meta) -> SRModel:
     arch = denoiser_arch(clim_mean.shape[-1], window_days * spec.temporal_window, meta["levels"])
     clim = Climatology(len(clim_mean) // spec.temporal_window, spec.temporal_window, clim_mean,
                        arrays["clim/std"])
-    norm = SRNormalization(clim, EnsembleStats(cond_mean, arrays["cond_stats/std"]))
     sched = NoiseSchedule(**exact_keys(meta["schedule"], NoiseSchedule))
-    return SRModel(checkpoint_params(arrays, arch), arch, norm, sched, spec, window_days)
+    return SRModel(checkpoint_params(arrays, arch), arch, clim, cond, sched, spec, window_days)
 
 
 def load_sr(ckpt_dir) -> SRModel:

@@ -157,7 +157,10 @@ class Climatology:
     """Per-(day-of-year bucket, time-of-day bucket) pixel mean/std tables.
 
     Fitted by :func:`compute_climatology` on data that covers every group, so
-    each lookup finds its group's statistics.
+    each lookup finds its group's statistics. Date-agnostic statistics are the
+    one-group case, (1, 1), whose [1, NX, NY, V] tables broadcast over any
+    series. Every table, fitted or loaded, has one shape for mean and std and
+    a std above 0.
     """
 
     doy_buckets: int
@@ -169,26 +172,16 @@ class Climatology:
         if {len(self.mean), len(self.std)} != {self.doy_buckets * self.tod_buckets}:
             raise ValueError(f"climatology tables of {[len(self.mean), len(self.std)]} groups, "
                              f"not {self.doy_buckets} x {self.tod_buckets}")
+        if self.mean.shape != self.std.shape:
+            raise ValueError(f"mean of shape {self.mean.shape}, std of shape {self.std.shape}")
+        if not (self.std > 0).all():
+            raise ValueError("std must be strictly positive")
 
     def lookup_mean(self, times):
         return self.mean[group_index(times, (self.doy_buckets, self.tod_buckets))]
 
     def lookup_std(self, times):
         return self.std[group_index(times, (self.doy_buckets, self.tod_buckets))]
-
-
-@dataclass
-class EnsembleStats:
-    """Date-agnostic per-pixel mean/std of one source over the training period."""
-
-    mean: np.ndarray  # [NX, NY, V]
-    std: np.ndarray
-
-    def __post_init__(self):
-        if self.mean.shape != self.std.shape:
-            raise ValueError("mean/std shape mismatch")
-        if not (self.std > 0).all():
-            raise ValueError("std must be strictly positive")
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +298,9 @@ def compute_climatology(fld: GridField, grouping) -> Climatology:
 
     Each group's rows, gathered in time order by a stable sort, take two
     passes: the mean, then the mean of the squared deviations from it, so
-    fields far from zero keep their digits. With one group, (1, 1), this is
-    :func:`compute_ensemble_stats`. Every group must receive at least two
-    samples (:func:`calendar_groups`).
+    fields far from zero keep their digits. With one group, (1, 1), these are
+    the date-agnostic statistics over every step. Every group must receive at
+    least two samples (:func:`calendar_groups`).
     """
     gid, counts = calendar_groups(fld.time_coords, grouping)
     order = np.argsort(gid, kind="stable")
@@ -319,12 +312,6 @@ def compute_climatology(fld: GridField, grouping) -> Climatology:
         mean[g] = rows.mean(axis=0)
         std[g] = np.maximum(rows.std(axis=0), STD_FLOOR)
     return Climatology(*grouping, mean, std)
-
-
-def compute_ensemble_stats(fld: GridField) -> EnsembleStats:
-    """Date-agnostic per-pixel mean/std over every step of `fld`: its one-group climatology."""
-    clim = compute_climatology(fld, (1, 1))
-    return EnsembleStats(mean=clim.mean[0], std=clim.std[0])
 
 
 # ---------------------------------------------------------------------------

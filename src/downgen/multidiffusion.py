@@ -108,7 +108,7 @@ def sample_long(model: SRModel, y_cond_long: GridField, n_windows, *, rng,
     if y_cond_long.n_times != days.total_len:
         raise ValueError(f"conditioning series has {y_cond_long.n_times} days, layout needs "
                          f"{days.total_len} for {n_windows} windows of {model.window_days} days")
-    cond_days = prepare_cond(y_cond_long, model.norm, model.spec)
+    cond_days = prepare_cond(y_cond_long, model.cond_stats, model.spec)
     conds = denoiser_cond(model.params, days.windows(cond_days), model.arch).data
 
     def denoise_fn(z, sigma):
@@ -118,4 +118,4 @@ def sample_long(model: SRModel, y_cond_long: GridField, n_windows, *, rng,
     step_fn = None if on_step is None else (lambda i, z: on_step(i, layout.windows(z)))
     shape = (layout.total_len,) + cond_days.shape[1:]
     draw = sample_chain(denoise_fn, shape, model.schedule.step_sigmas(), rng, step_fn)
-    return assemble_output(y_cond_long, draw, model.norm, model.spec)
+    return assemble_output(y_cond_long, draw, model.residual_clim, model.spec)

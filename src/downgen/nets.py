@@ -266,12 +266,12 @@ def denoiser_cond(leaves, cond, arch: ArchConfig) -> Tensor:
 
 def denoiser_forward(leaves, z, sigma, cond, arch: ArchConfig, guidance=0.0) -> Tensor:
     """Preconditioned denoiser D(z, sigma, cond), or with a nonzero guidance g
-    and a cond, the classifier-free guided (1+g) D(z, s, cond) - g D(z, s, null).
+    the classifier-free guided (1+g) D(z, s, cond) - g D(z, s, null).
 
     z: [B, T, H, W, V] noisy residual window; sigma: [B]; cond: conditioning
-    windows [B, n, H, W, V] (rank 5, see `denoiser_cond`), their
-    `denoiser_cond` [B, H, W, levels[0]] (rank 4), or None for the null
-    (zero) input, which is unguided whatever g. Returns a tensor shaped like z.
+    windows [B, n, H, W, V] (rank 5, see `denoiser_cond`) or their
+    `denoiser_cond` [B, H, W, levels[0]] (rank 4). The null input is all-zero
+    conditioning. Returns a tensor shaped like z.
 
     Guidance uses that the input conv is linear in its input channels and the
     output conv linear in its input. `in/conv/w` is split by input channel
@@ -290,10 +290,9 @@ def denoiser_forward(leaves, z, sigma, cond, arch: ArchConfig, guidance=0.0) -> 
     w_in = leaves["in/conv/w"]
     x = ad.conv2d(c_in[:, None, None, None] * zf, ad.slice_axis(w_in, 0, c, axis=2),
                   leaves["in/conv/b"])
-    guided = cond is not None and guidance != 0.0
-    if cond is not None:
-        xc = x + (denoiser_cond(leaves, cond, arch) if cond.ndim == z.ndim else cond)
-        x = ad.concat([xc, x], axis=0) if guided else xc
+    guided = guidance != 0.0
+    xc = x + (denoiser_cond(leaves, cond, arch) if cond.ndim == z.ndim else cond)
+    x = ad.concat([xc, x], axis=0) if guided else xc
     embed = fourier_embed(leaves, np.concatenate([c_noise, c_noise]) if guided else c_noise)
     hb = unet_body(leaves, x, embed, arch)
     if guided:

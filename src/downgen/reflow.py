@@ -19,9 +19,9 @@ from . import autodiff as ad
 from .autodiff import backward
 from .grid import (
     DAYS_PER_YEAR,
-    EnsembleStats,
+    Climatology,
     GridField,
-    compute_ensemble_stats,
+    compute_climatology,
     day_of_year,
     require_at_least,
     require_positive,
@@ -74,8 +74,8 @@ class ReflowTrainConfig:
 class ReflowModel:
     params: dict
     arch: ArchConfig
-    member_stats: dict           # member_id -> EnsembleStats
-    target_stats: EnsembleStats
+    member_stats: dict           # member_id -> one-group Climatology
+    target_stats: Climatology    # one group, (1, 1)
 
 
 @dataclass
@@ -88,8 +88,8 @@ class CouplingBatch:
     stat_std: np.ndarray   # [B, NX, NY, V] member std relative to the target's
 
 
-def _conditioning_fields(stats: EnsembleStats, target_stats: EnsembleStats):
-    """Member statistics as dimensionless conditioning fields.
+def _conditioning_fields(stats: Climatology, target_stats: Climatology):
+    """Member statistics as dimensionless conditioning fields, [1, NX, NY, V].
 
     The raw mean/std can sit far from zero (pressure-scale values); expressing
     them relative to the target statistics keeps network inputs O(1).
@@ -207,15 +207,15 @@ def integrate_velocity(model: ReflowModel, yhat0, stat_mean, stat_std, n_steps=1
 def transport(model: ReflowModel, y: GridField, member_id, n_steps=100) -> GridField:
     """Debias a member series: normalize, integrate the flow 0 -> 1, denormalize.
 
-    The member's statistic fields go to `integrate_velocity` once, shaped
-    [1, NX, NY, V], not broadcast over the series' days.
+    The member's statistic fields go to `integrate_velocity` as they are,
+    shaped [1, NX, NY, V], not broadcast over the series' days.
     """
     if member_id not in model.member_stats:
         raise ValueError(f"no statistics for member {member_id!r}")
     stats = model.member_stats[member_id]
     yhat = (y.data - stats.mean) / stats.std
     mean_cond, std_cond = _conditioning_fields(stats, model.target_stats)
-    out = integrate_velocity(model, yhat, mean_cond[None], std_cond[None], n_steps=n_steps)
+    out = integrate_velocity(model, yhat, mean_cond, std_cond, n_steps=n_steps)
     data = out * model.target_stats.std + model.target_stats.mean
     return y.with_data(data)
 
@@ -229,8 +229,8 @@ def train_reflow(members, target, cfg: ReflowTrainConfig, out_dir=None):
     """
     if not members:
         raise ValueError("empty training ensemble")
-    member_stats = {m.member_id: compute_ensemble_stats(m) for m in members}
-    target_stats = compute_ensemble_stats(target)
+    member_stats = {m.member_id: compute_climatology(m, (1, 1)) for m in members}
+    target_stats = compute_climatology(target, (1, 1))
     arch = velocity_arch(target.data.shape[-1], levels=cfg.levels)
     batch_size = cfg.chunks_per_batch * cfg.coupling.chunk_len_days
     draw = _coupling_sampler(members, member_stats, target, target_stats, cfg.coupling)
@@ -307,13 +307,18 @@ def write_loss_log(path, log):
             writer.writerow([step, repr(loss), repr(float(lr)), repr(grad_norm), clipped])
 
 
+def one_group_table(arrays, name) -> Climatology:
+    """The one-group table stored as `name/mean` and `name/std`, without its group axis."""
+    return Climatology(1, 1, arrays[f"{name}/mean"][None], arrays[f"{name}/std"][None])
+
+
 def save_reflow(model: ReflowModel, ckpt_dir, opt_state=None) -> None:
     arrays = {f"param/{k}": v for k, v in model.params.items()}
     for mid, stats in model.member_stats.items():
-        arrays[f"member_stats/{mid}/mean"] = stats.mean
-        arrays[f"member_stats/{mid}/std"] = stats.std
-    arrays["target_stats/mean"] = model.target_stats.mean
-    arrays["target_stats/std"] = model.target_stats.std
+        arrays[f"member_stats/{mid}/mean"] = stats.mean[0]
+        arrays[f"member_stats/{mid}/std"] = stats.std[0]
+    arrays["target_stats/mean"] = model.target_stats.mean[0]
+    arrays["target_stats/std"] = model.target_stats.std[0]
     meta = {"kind": "reflow", "step": getattr(opt_state, "step", 0), "levels": model.arch.levels}
     save_checkpoint(ckpt_dir, arrays, meta)
 
@@ -321,11 +326,10 @@ def save_reflow(model: ReflowModel, ckpt_dir, opt_state=None) -> None:
 def _reflow_model(arrays, meta) -> ReflowModel:
     """`train_reflow`'s model: a member per `member_stats/<id>/` tensor pair, on the
     grid of the target statistics."""
-    target_stats = EnsembleStats(arrays["target_stats/mean"], arrays["target_stats/std"])
+    target_stats = one_group_table(arrays, "target_stats")
     arch = velocity_arch(target_stats.mean.shape[-1], levels=meta["levels"])
     members = sorted({name.split("/")[1] for name in arrays if name.startswith("member_stats/")})
-    member_stats = {mid: EnsembleStats(arrays[f"member_stats/{mid}/mean"],
-                                       arrays[f"member_stats/{mid}/std"]) for mid in members}
+    member_stats = {mid: one_group_table(arrays, f"member_stats/{mid}") for mid in members}
     for mid, stats in member_stats.items():
         if stats.mean.shape != target_stats.mean.shape:
             raise ValueError(f"member {mid!r} statistics of shape {stats.mean.shape}, target "

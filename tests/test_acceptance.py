@@ -26,7 +26,6 @@ from downgen.grid import (
     GridField,
     coarsen,
     compute_climatology,
-    compute_ensemble_stats,
 )
 from downgen.metrics import (
     heat_index,
@@ -304,12 +303,12 @@ class TestCriterion3Multidiffusion:
             if len(steps) != model.schedule.n_grid - 1:
                 failures.append((m, "steps", len(steps)))
         y1 = coarse.time_slice(0, 3 * 24)
-        cond = prepare_cond(y1, model.norm, model.spec)   # daily: 3 days
+        cond = prepare_cond(y1, model.cond_stats, model.spec)   # daily: 3 days
         draw = sample_chain(
             lambda z, s: cfg_denoise(model.params, model.arch, z, s, cond, 1.0),
             (model.window_days * overlap,) + cond.shape[1:], model.schedule.step_sigmas(),
             np.random.default_rng(77))
-        a = assemble_output(y1, draw, model.norm, model.spec)
+        a = assemble_output(y1, draw, model.residual_clim, model.spec)
         b = sample_long(model, y1, 1, guidance=1.0, rng=np.random.default_rng(77))
         identical = a.data.tobytes() == b.data.tobytes()
         criterion(3, "multidiffusion coherence", not failures and identical,
@@ -401,7 +400,7 @@ class TestCriterion5Trend:
         trend_ok = abs(slope - cfg.trend_per_year) <= 0.25 * cfg.trend_per_year
 
         target_train = debias_task["coarse_truth"].time_slice(0, h0)
-        tstats = compute_ensemble_stats(target_train)
+        tstats = compute_climatology(target_train, (1, 1))
         clim_errs = []
         for m in debias_task["members"]:
             flow_train = debias_task["transported"][m.member_id].time_slice(0, h0)

@@ -154,7 +154,6 @@ class TestConfig:
     SET_BY_NO_KEY = {
         "SynthConfig.var_bases": "the acceptance fixtures use it",
         "SynthConfig.var_scales": "the acceptance fixtures use it",
-        "SRTrainConfig.noise.rho": "SR checkpoints record it",
     }
 
     # numeric stage-config fields that no rule bounds, and why any finite value is valid
@@ -458,8 +457,7 @@ READ_KEYS = {
     REFLOW: [("tensors",), ("meta",), ("meta", "kind"), ("meta", "levels")],
     SR: [("tensors",), ("meta",), ("meta", "kind"), ("meta", "levels"), ("meta", "window_days"),
          ("meta", "steps_per_day"), ("meta", "schedule"),
-         *[("meta", "schedule", key) for key in ("sigma_min", "sigma_max", "n_grid", "kind",
-                                                 "rho")]],
+         *[("meta", "schedule", key) for key in ("sigma_min", "sigma_max", "n_grid", "kind")]],
 }
 # every tensor a loader reads, or one of a set it checks as a whole
 READ_TENSORS = {
@@ -488,7 +486,6 @@ WRONG_VALUES = [
     (SR, ("meta", "schedule", "kind"), 5), (SR, ("meta", "schedule", "sigma_max"), "x"),
     (SR, ("meta", "schedule", "bogus"), 1), (SR, ("meta", "schedule", "n_grid"), 1),
     (SR, ("meta", "schedule", "sigma_min"), 0), (SR, ("meta", "schedule", "sigma_min"), 80.0),
-    (SR, ("meta", "schedule", "rho"), 0),
 ]
 # (tensor file, edit of its array, row id): tensors that disagree with the rest of
 # their checkpoint, which fails naming its manifest
@@ -503,6 +500,7 @@ DISAGREEING_TENSORS = [
     ("models/sr/param__in__conv__w.npy", lambda a: a[..., :4], "4-channels"),
     ("models/debias/param__in__conv__w.npy", lambda a: a[..., :4], "4-channels"),
     ("models/debias/member_stats__m000__std.npy", lambda a: 0 * a, "zero"),
+    ("models/sr/clim__std.npy", lambda a: 0 * a, "zero"),
     # a member's mean and std on one grid row, against the target statistics' two
     (("models/debias/member_stats__m000__mean.npy", "models/debias/member_stats__m000__std.npy"),
      lambda a: a[:1], "1-row-grid"),
@@ -934,7 +932,46 @@ class TestEndToEnd:
             assert all(r[4] == float(r[3] > clip_norm) for r in rows)
 
 
+def _tree(root):
+    """Every path under root, relative to it: a file's bytes, None for a directory."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
 class TestDeterminism:
+    def test_killed_e2e_resumes_with_e2e(self, e2e_run, tmp_path, capsys):
+        """`e2e` on a run killed in train-sr, which left `models/.sr.partial`,
+        skips the finished stages, naming each, and ends byte-identical to a
+        fresh run. `e2e` on the complete run skips every stage and writes nothing."""
+        config = tmp_path / "cfg.ini"
+        config.write_text(TINY)
+        out = tmp_path / "run"
+        args = ["--config", str(config), "--out", str(out)]
+        assert main(["gen-data"] + args) == 0
+        assert main(["train-debias"] + args) == 0
+        stale = out / "models" / ".sr.partial"
+        stale.mkdir()
+        (stale / "loss.csv").write_text("left by a killed stage\n")
+        capsys.readouterr()
+        assert main(["e2e"] + args) == 0
+        assert capsys.readouterr().err == (
+            f"e2e: skipping gen-data: {out / 'data'} exists\n"
+            f"e2e: skipping train-debias: {out / 'models' / 'debias'} exists\n")
+        assert _tree(out) == _tree(e2e_run)
+
+        stamps = {p: p.stat().st_mtime_ns for p in out.rglob("*")}
+        assert main(["e2e"] + args) == 0
+        skipped = [("gen-data", "data"), ("train-debias", "models/debias"),
+                   ("train-sr", "models/sr"), ("debias", "debiased"),
+                   ("baseline-qm", "baselines/qm"), ("baseline-bcsd", "baselines/bcsd"),
+                   ("sample --source debiased", "samples/downgen.npy"),
+                   ("sample --source qm", "samples/qmsr.npy"),
+                   ("sample --source raw", "samples/sr.npy"), ("evaluate", "metrics")]
+        assert capsys.readouterr().err == "".join(
+            f"e2e: skipping {stage}: {out / rel} exists\n" for stage, rel in skipped)
+        assert {p: p.stat().st_mtime_ns for p in out.rglob("*")} == stamps
+        assert _tree(out) == _tree(e2e_run)
+
     def test_e2e_repeated_run_bit_identical_metrics(self, e2e_run, tmp_path):
         config = tmp_path / "cfg.ini"
         config.write_text(TINY)

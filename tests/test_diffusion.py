@@ -34,6 +34,7 @@ from downgen.grid import (
     GridField,
     GridFormatError,
     coarsen,
+    compute_climatology,
     cubic_upsample_space,
     interp_upsample,
     write_npy,
@@ -47,11 +48,11 @@ from gradcheck import finite_diff_grads, loss_and_grads, rel_error
 
 
 def training_pair(x, spec, grouping):
-    """`fit_training_pair`'s normalization and coarse field, with the normalized
-    residual of every day of x from `normalized_residual`."""
-    norm, coarse, up_days = fit_training_pair(x, spec, grouping)
-    r_tilde = normalized_residual(x, up_days, norm.residual_clim, 0, len(up_days))
-    return norm, r_tilde, coarse
+    """`fit_training_pair`'s residual climatology and coarse field, with the
+    normalized residual of every day of x from `normalized_residual`."""
+    clim, coarse, up_days = fit_training_pair(x, spec, grouping)
+    r_tilde = normalized_residual(x, up_days, clim, 0, len(up_days))
+    return clim, r_tilde, coarse
 
 
 def fine_field(data, dt_hours=2):
@@ -181,12 +182,11 @@ class TestResidualPairs:
     def test_reconstruction_round_trip(self):
         x = self._truth(n_days=6)
         spec = DownsampleSpec(4, 12)
-        norm, r_tilde, _ = training_pair(x, spec, grouping=(1, 12))
+        clim, r_tilde, _ = training_pair(x, spec, grouping=(1, 12))
         coarse = coarsen(x, spec)
         up = interp_upsample(coarse, spec)
         times = x.time_coords
-        recon = up.data + norm.residual_clim.lookup_mean(times) \
-            + norm.residual_clim.lookup_std(times) * r_tilde
+        recon = up.data + clim.lookup_mean(times) + clim.lookup_std(times) * r_tilde
         assert np.abs(recon - x.data).max() < 1e-10
 
     @settings(max_examples=60, deadline=None)
@@ -203,8 +203,8 @@ class TestResidualPairs:
         x = fine_field(offset + scale * rng.standard_normal(shape), dt_hours=24 // steps_per_day)
         spec = DownsampleSpec(factor, steps_per_day)
         grouping = (1, 1 if pooled_tod else steps_per_day)
-        norm, r_tilde, _ = training_pair(x, spec, grouping=grouping)
-        out = assemble_output(coarsen(x, spec), r_tilde, norm, spec)
+        clim, r_tilde, _ = training_pair(x, spec, grouping=grouping)
+        out = assemble_output(coarsen(x, spec), r_tilde, clim, spec)
         assert np.abs(out.data - x.data).max() <= 1e-12 * np.abs(x.data).max()
 
     def test_normalized_residual_statistics(self):
@@ -221,9 +221,8 @@ class TestResidualPairs:
         # (x - upsample(coarsen(x)) - clim_mean) / clim_std as written out
         x = self._truth(n_days=10, seed=9)
         spec = DownsampleSpec(4, 12)
-        norm, r_tilde, coarse = training_pair(x, spec, grouping=(1, 12))
+        clim, r_tilde, coarse = training_pair(x, spec, grouping=(1, 12))
         r = x.data - interp_upsample(coarsen(x, spec), spec).data
-        clim = norm.residual_clim
         expect = (r - clim.lookup_mean(x.time_coords)) / clim.lookup_std(x.time_coords)
         assert r_tilde.tobytes() == expect.tobytes()
         assert coarse.data.tobytes() == coarsen(x, spec).data.tobytes()
@@ -236,8 +235,7 @@ class TestResidualPairs:
         # built over every day at once, each day normalized by its own group
         x = self._truth(n_days=DAYS_PER_YEAR, seed=10)
         spec = DownsampleSpec(4, 12)
-        norm, coarse, up_days = fit_training_pair(x, spec, grouping=(73, 12))
-        clim = norm.residual_clim
+        clim, coarse, up_days = fit_training_pair(x, spec, grouping=(73, 12))
         full = normalized_residual(x, up_days, clim, 0, DAYS_PER_YEAR)
         assert up_days.tobytes() == cubic_upsample_space(coarse.data, 4).tobytes()
         for start in (0, 4, DAYS_PER_YEAR - window_days):
@@ -248,8 +246,9 @@ class TestResidualPairs:
     def test_cond_normalization_uses_date_agnostic_stats(self):
         x = self._truth(n_days=10)
         spec = DownsampleSpec(4, 12)
-        norm, coarse, _ = fit_training_pair(x, spec, grouping=(1, 12))
-        y_tilde = (coarse.data - norm.cond_stats.mean) / norm.cond_stats.std
+        _, coarse, _ = fit_training_pair(x, spec, grouping=(1, 12))
+        stats = compute_climatology(coarse, (1, 1))
+        y_tilde = (coarse.data - stats.mean) / stats.std
         assert np.abs(y_tilde.mean(axis=0)).max() < 1e-10
 
 
@@ -315,10 +314,11 @@ class TestDenoiseLossAndCfg:
         for k in params:
             params[k] = params[k] + rng.standard_normal(params[k].shape) * 0.1
         z = rng.standard_normal((2, 4, 4, 1))
+        null = np.zeros_like(z)
         uncond = denoiser_forward(as_leaves(params), z[None], np.array([1.5]),
-                                  None, arch).data[0]
+                                  null[None], arch).data[0]
         for g in (0.0, 1.0, 3.0):
-            np.testing.assert_allclose(cfg_denoise(params, arch, z, 1.5, None, g),
+            np.testing.assert_allclose(cfg_denoise(params, arch, z, 1.5, null, g),
                                        uncond, atol=1e-12)
 
     @pytest.mark.parametrize("g", [0.5, 1.0, 2.5])
@@ -333,7 +333,7 @@ class TestDenoiseLossAndCfg:
         leaves = as_leaves(params)
         sigma = np.full(3, 0.7)
         dc = denoiser_forward(leaves, z, sigma, cond, arch).data
-        du = denoiser_forward(leaves, z, sigma, None, arch).data
+        du = denoiser_forward(leaves, z, sigma, np.zeros_like(cond), arch).data
         out = cfg_denoise(params, arch, z, 0.7, cond, g)
         np.testing.assert_allclose(out, (1.0 + g) * dc - g * du, atol=1e-12)
 
@@ -478,11 +478,15 @@ class TestTrainAndSample:
         assert back.arch == model.arch
         assert back.spec == model.spec == DownsampleSpec(4, 12)
         assert back.window_days == model.window_days == cfg.window_days
-        clim, back_clim = model.norm.residual_clim, back.norm.residual_clim
-        assert ((back_clim.doy_buckets, back_clim.tod_buckets)
-                == (clim.doy_buckets, clim.tod_buckets) == (1, 12))
-        assert back_clim.mean.tobytes() == clim.mean.tobytes()
-        assert back_clim.std.tobytes() == clim.std.tobytes()
+        # every table comes back bitwise with its grouping; the one-group coarse
+        # statistics are stored as [NX, NY, V]
+        for clim, back_clim, grouping in ((model.residual_clim, back.residual_clim, (1, 12)),
+                                          (model.cond_stats, back.cond_stats, (1, 1))):
+            assert ((back_clim.doy_buckets, back_clim.tod_buckets)
+                    == (clim.doy_buckets, clim.tod_buckets) == grouping)
+            assert back_clim.mean.tobytes() == clim.mean.tobytes()
+            assert back_clim.std.tobytes() == clim.std.tobytes()
+        assert arrays["cond_stats/mean"].shape == arrays["cond_stats/std"].shape == (2, 2, 4)
         assert back.schedule == model.schedule
         for k in model.params:
             assert back.params[k].tobytes() == model.params[k].tobytes()
@@ -496,7 +500,7 @@ class TestTrainAndSample:
         doc = json.loads(manifest.read_text())
         doc["tensors"] = sorted(doc["tensors"] + ["clim/valid"])
         manifest.write_text(json.dumps(doc))
-        write_npy(np.ones(len(model.norm.residual_clim.mean)), tmp_path / "sr" / "clim__valid.npy")
+        write_npy(np.ones(len(model.residual_clim.mean)), tmp_path / "sr" / "clim__valid.npy")
         with pytest.raises(GridFormatError, match=re.escape(
                 f"{manifest}: an SR checkpoint holds no tensors ['clim/valid']")):
             load_sr(tmp_path / "sr")
@@ -511,8 +515,9 @@ class TestTrainAndSample:
         model, log = train_sr(truth, cfg)
 
         spec = DownsampleSpec(4, 12)
-        norm, r_tilde, coarse = training_pair(truth, spec, grouping=(1, 12))
-        y_tilde = (coarse.data - norm.cond_stats.mean) / norm.cond_stats.std
+        _, r_tilde, coarse = training_pair(truth, spec, grouping=(1, 12))
+        stats = compute_climatology(coarse, (1, 1))
+        y_tilde = (coarse.data - stats.mean) / stats.std
         cond_days = cubic_upsample_space(y_tilde, 4)
         n_days, window = truth.n_times // 12, cfg.window_days * 12
         rng = np.random.default_rng(np.random.SeedSequence((30, 3)))

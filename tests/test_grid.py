@@ -16,7 +16,6 @@ from downgen.grid import (
     calendar_groups,
     coarsen,
     compute_climatology,
-    compute_ensemble_stats,
     cubic_upsample_space,
     interp_upsample,
     read_array,
@@ -397,15 +396,34 @@ class TestZonalRollingMean:
             zonal_weighted_rolling_mean(fld, (0.0, 90.0), 6)
 
 
-class TestEnsembleStats:
+class TestOneGroupClimatology:
     def test_std_floor(self):
-        stats = compute_ensemble_stats(make_field(np.ones((4, 2, 2, 1))))
-        np.testing.assert_allclose(stats.std, STD_FLOOR)
+        clim = compute_climatology(make_field(np.ones((4, 2, 2, 1))), (1, 1))
+        np.testing.assert_allclose(clim.std, STD_FLOOR)
 
-    def test_equals_one_group_climatology_and_numpy_bitwise(self):
+    def test_equals_numpy_bitwise_with_broadcastable_tables(self):
         rng = np.random.default_rng(33)
         fld = make_field(1e5 + rng.standard_normal((50, 2, 3, 2)))
-        stats = compute_ensemble_stats(fld)
         clim = compute_climatology(fld, (1, 1))
-        assert stats.mean.tobytes() == clim.mean[0].tobytes() == fld.data.mean(axis=0).tobytes()
-        assert stats.std.tobytes() == clim.std[0].tobytes() == fld.data.std(axis=0).tobytes()
+        assert clim.mean.shape == clim.std.shape == (1, 2, 3, 2)
+        assert clim.mean.tobytes() == fld.data.mean(axis=0).tobytes()
+        assert clim.std.tobytes() == fld.data.std(axis=0).tobytes()
+
+
+class TestClimatologyRefusals:
+    # every table, one-group or grouped, fitted or loaded, is checked on construction
+    @pytest.mark.parametrize("grouping", [(1, 1), (4, 2)])
+    def test_mean_and_std_of_different_shapes_refused(self, grouping):
+        g = grouping[0] * grouping[1]
+        with pytest.raises(ValueError, match=re.escape(
+                f"mean of shape ({g}, 2, 2, 1), std of shape ({g}, 2, 2, 2)")):
+            Climatology(*grouping, np.zeros((g, 2, 2, 1)), np.ones((g, 2, 2, 2)))
+
+    @pytest.mark.parametrize("grouping", [(1, 1), (4, 2)])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_std_not_above_zero_refused(self, grouping, bad):
+        g = grouping[0] * grouping[1]
+        std = np.ones((g, 2, 2, 1))
+        std[-1, 1, 0, 0] = bad
+        with pytest.raises(ValueError, match="std must be strictly positive"):
+            Climatology(*grouping, np.zeros((g, 2, 2, 1)), std)

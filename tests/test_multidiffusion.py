@@ -11,12 +11,11 @@ from downgen.config import ConfigError, default_config
 from downgen.diffusion import (
     NoiseSchedule,
     SRModel,
-    SRNormalization,
     assemble_output,
     cfg_denoise,
     prepare_cond,
 )
-from downgen.grid import Climatology, EnsembleStats, coarsen
+from downgen.grid import Climatology, coarsen
 from downgen.multidiffusion import (
     WindowLayout,
     consolidate,
@@ -141,9 +140,9 @@ def untrained_model():
     n_groups = 40 * 12
     clim = Climatology(40, 12,
                        np.zeros((n_groups, 8, 8, 4)), np.ones((n_groups, 8, 8, 4)))
-    stats = EnsembleStats(coarse.data.mean(axis=0), coarse.data.std(axis=0) + 0.1)
-    norm = SRNormalization(clim, stats)
-    model = SRModel(params, arch, norm, NoiseSchedule(n_grid=24), spec, 3)
+    stats = Climatology(1, 1, coarse.data.mean(axis=0, keepdims=True),
+                        coarse.data.std(axis=0, keepdims=True) + 0.1)
+    model = SRModel(params, arch, clim, stats, NoiseSchedule(n_grid=24), spec, 3)
     return model, coarse
 
 
@@ -151,11 +150,11 @@ class TestSampleLong:
     def test_m1_bitwise_equals_plain_sampler(self, untrained_model):
         model, coarse = untrained_model
         y = coarse.time_slice(0, 3 * 24)
-        cond = prepare_cond(y, model.norm, model.spec)   # daily: [3, 8, 8, 4]
+        cond = prepare_cond(y, model.cond_stats, model.spec)   # daily: [3, 8, 8, 4]
         draw = sample_chain(
             lambda z, s: cfg_denoise(model.params, model.arch, z, s, cond, 1.0),
             (36,) + cond.shape[1:], model.schedule.step_sigmas(), np.random.default_rng(7))
-        a = assemble_output(y, draw, model.norm, model.spec)
+        a = assemble_output(y, draw, model.residual_clim, model.spec)
         b = sample_long(model, y, 1, guidance=1.0, rng=np.random.default_rng(7))
         assert a.data.tobytes() == b.data.tobytes()
 

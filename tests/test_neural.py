@@ -216,7 +216,7 @@ class TestDenoiserForward:
         rng = np.random.default_rng(13)
         z = rng.standard_normal((2, t, 4, 4, v))
         sigma = np.array([1.0, 3.0])
-        out = denoiser_forward(as_leaves(params), z, sigma, None, arch).data
+        out = denoiser_forward(as_leaves(params), z, sigma, np.zeros_like(z), arch).data
         c_skip = 1.0 / (1.0 + sigma ** 2)
         np.testing.assert_allclose(out, c_skip[:, None, None, None, None] * z, atol=1e-12)
 
@@ -225,7 +225,7 @@ class TestDenoiserForward:
         params = init_params(np.random.default_rng(14), arch)
         z = np.zeros((1, 2, 4, 4, 1))
         with pytest.raises(ValueError):
-            denoiser_forward(as_leaves(params), z, np.array([0.0]), None, arch)
+            denoiser_forward(as_leaves(params), z, np.array([0.0]), z, arch)
 
     def test_gradient_check(self):
         v, t = 1, 2

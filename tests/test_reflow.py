@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from downgen.diffusion import SRTrainConfig
-from downgen.grid import GridField, compute_ensemble_stats, day_of_year
+from downgen.grid import GridField, compute_climatology, day_of_year
 from downgen.nets import init_params, load_checkpoint, velocity_arch, velocity_forward
 from downgen.optim import OptimizerState, Schedule, adam_step
 from downgen.reflow import (
@@ -60,8 +60,8 @@ class TestFitSettings:
 class TestSampleCoupling:
     def test_zero_window_matches_exact_doy(self):
         member, target = toy_training_data(seed=1, n_days=60)
-        stats = {"m000": compute_ensemble_stats(member)}
-        tstats = compute_ensemble_stats(target)
+        stats = {"m000": compute_climatology(member, (1, 1))}
+        tstats = compute_climatology(target, (1, 1))
         cfg = CouplingConfig(chunk_len_days=4, season_window_days=0)
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -72,8 +72,8 @@ class TestSampleCoupling:
 
     def test_chunk_len_one_is_snapshot_pairing(self):
         member, target = toy_training_data(seed=3)
-        stats = {"m000": compute_ensemble_stats(member)}
-        tstats = compute_ensemble_stats(target)
+        stats = {"m000": compute_climatology(member, (1, 1))}
+        tstats = compute_climatology(target, (1, 1))
         cfg = CouplingConfig(chunk_len_days=1, season_window_days=5)
         batch = sample_coupling([member], stats, target, tstats, cfg,
                                 np.random.default_rng(4), 3)
@@ -81,8 +81,8 @@ class TestSampleCoupling:
 
     def test_doy_differences_within_window(self):
         member, target = toy_training_data(seed=5, n_days=400)
-        stats = {"m000": compute_ensemble_stats(member)}
-        tstats = compute_ensemble_stats(target)
+        stats = {"m000": compute_climatology(member, (1, 1))}
+        tstats = compute_climatology(target, (1, 1))
         window = 7
         cfg = CouplingConfig(chunk_len_days=2, season_window_days=window)
         rng = np.random.default_rng(6)
@@ -103,8 +103,8 @@ class TestSampleCoupling:
         # target occupies a disjoint part of the year
         target = daily_field(np.random.default_rng(8).standard_normal((30, 2, 2, 1)),
                              "truth", time0=100 * 24)
-        stats = {"m000": compute_ensemble_stats(member)}
-        tstats = compute_ensemble_stats(target)
+        stats = {"m000": compute_climatology(member, (1, 1))}
+        tstats = compute_climatology(target, (1, 1))
         cfg = CouplingConfig(chunk_len_days=2, season_window_days=3)
         with pytest.raises(ValueError, match="no target chunk"):
             for _ in range(50):
@@ -142,8 +142,8 @@ class TestCouplingSampler:
         members = [daily_field(2.0 + 1.5 * rng.standard_normal((400, 2, 2, 2)), f"m{i:03d}",
                                time0=24 * 40 * i) for i in range(2)]
         target = daily_field(rng.standard_normal((380, 2, 2, 2)), "truth", time0=24 * 10)
-        stats = {m.member_id: compute_ensemble_stats(m) for m in members}
-        tstats = compute_ensemble_stats(target)
+        stats = {m.member_id: compute_climatology(m, (1, 1)) for m in members}
+        tstats = compute_climatology(target, (1, 1))
         cfg = CouplingConfig(chunk_len_days=5, season_window_days=9)
         draw = _coupling_sampler(members, stats, target, tstats, cfg)
         rng_new, rng_ref = np.random.default_rng(33), np.random.default_rng(33)
@@ -158,8 +158,8 @@ class TestCouplingSampler:
 class TestReflowLoss:
     def _setup(self, seed=10):
         member, target = toy_training_data(seed=seed)
-        stats = {"m000": compute_ensemble_stats(member)}
-        tstats = compute_ensemble_stats(target)
+        stats = {"m000": compute_climatology(member, (1, 1))}
+        tstats = compute_climatology(target, (1, 1))
         cfg = ReflowTrainConfig(steps=1, levels=(4, 8), seed=seed)
         model, _ = train_reflow([member], target, cfg)
         batch = sample_coupling([member], stats, target, tstats,
@@ -169,8 +169,8 @@ class TestReflowLoss:
 
     def test_zero_velocity_loss_is_displacement_power(self):
         member, target = toy_training_data(seed=11)
-        stats = {"m000": compute_ensemble_stats(member)}
-        tstats = compute_ensemble_stats(target)
+        stats = {"m000": compute_climatology(member, (1, 1))}
+        tstats = compute_climatology(target, (1, 1))
         cfg = ReflowTrainConfig(steps=0, levels=(4, 8), seed=11)
         model, _ = train_reflow([member], target, cfg)  # zero-init final layer
         batch = sample_coupling([member], stats, target, tstats,
@@ -390,7 +390,14 @@ class TestTrainReflow:
         assert set(back.params) == set(model.params)
         for k in model.params:
             assert back.params[k].tobytes() == model.params[k].tobytes()
-        np.testing.assert_array_equal(back.target_stats.mean, model.target_stats.mean)
+        # every one-group table comes back bitwise, stored without its group axis
+        tables = [(model.target_stats, back.target_stats, "target_stats"),
+                  (model.member_stats["m000"], back.member_stats["m000"], "member_stats/m000")]
+        for stats, back_stats, name in tables:
+            assert (back_stats.doy_buckets, back_stats.tod_buckets) == (1, 1)
+            for field in ("mean", "std"):
+                assert getattr(back_stats, field).tobytes() == getattr(stats, field).tobytes()
+                assert arrays[f"{name}/{field}"].shape == target.data.shape[1:]
         out_a = transport(model, member, "m000", n_steps=5)
         out_b = transport(back, member, "m000", n_steps=5)
         np.testing.assert_array_equal(out_a.data, out_b.data)
@@ -403,8 +410,8 @@ class TestTrainReflow:
         cfg = ReflowTrainConfig(steps=4, levels=(4, 8), seed=28, warmup_steps=2)
         model, log = train_reflow([member], target, cfg)
 
-        stats = {"m000": compute_ensemble_stats(member)}
-        tstats = compute_ensemble_stats(target)
+        stats = {"m000": compute_climatology(member, (1, 1))}
+        tstats = compute_climatology(target, (1, 1))
         rng = np.random.default_rng(np.random.SeedSequence((28, 2)))
         arch = velocity_arch(1, levels=(4, 8))
         params = init_params(rng, arch)
