@@ -83,7 +83,7 @@ SCHEMA = {
         "warmup_steps": (int, 60),
         "clip_norm": (_float, 0.6),
         "levels": (_levels, (16, 32)),
-        "transport_steps": (int, 40),
+        "transport_steps": (int, 10),
     },
     "sr": {
         "steps": (int, 400),

@@ -1,10 +1,12 @@
 """Conditioned function approximators for the velocity field and the denoiser.
 
-Both nets share a small 3-level convolutional U-net (channels 16/32/64,
-3x3 kernels, stride-2 down, nearest-up + conv, skip connections). Scalar
-conditioning (flow time / noise level) enters through a Fourier embedding
-followed by per-block FiLM modulation; gridded conditioning is concatenated
-as input channels. Everything is float64 with hand-written gradients.
+Both nets are small convolutional U-nets (3x3 kernels, stride-2 down,
+nearest-up + conv, skip connections), each with the channels per level of
+its own stage's `levels` setting. Scalar conditioning enters through a
+Fourier embedding followed by per-block FiLM modulation: the velocity net
+embeds the flow time on `TAU_FREQS`, the denoiser its noise level on
+`FOURIER_FREQS`. Gridded conditioning is concatenated as input channels.
+Everything is float64 with hand-written gradients.
 """
 
 from __future__ import annotations
@@ -27,9 +29,16 @@ class DivergenceError(RuntimeError):
 
 KERNEL = 3       # side of every conv kernel
 EMBED_DIM = 32   # width of the scalar-conditioning embedding
-# the K log-spaced Fourier frequencies in [1, 1e4], read-only: every caller shares them
-FOURIER_FREQS = np.logspace(0.0, 4.0, 16)
+# The N_FREQS log-spaced frequencies of each scalar embedding, read-only: every caller
+# shares them. The denoiser embeds c_noise = log(sigma)/4 on [1, 1e4]. The velocity net
+# embeds the ODE time tau in [0, 1] on [1, 1e2], so that an RK4 step can resolve its
+# shortest period: 2*pi/100 = 0.063, where 1e4 gives 6e-4, far below any step, and RK4
+# loses its order.
+N_FREQS = 16
+FOURIER_FREQS = np.logspace(0.0, 4.0, N_FREQS)
+TAU_FREQS = np.logspace(0.0, 2.0, N_FREQS)
 FOURIER_FREQS.flags.writeable = False
+TAU_FREQS.flags.writeable = False
 
 
 @dataclass
@@ -79,7 +88,7 @@ def init_params(rng, arch: ArchConfig) -> dict:
         for key, val in d.items():
             p[f"{prefix}/{key}"] = val
 
-    put("embed/dense0", _dense_init(rng, 2 * len(FOURIER_FREQS), EMBED_DIM))
+    put("embed/dense0", _dense_init(rng, 2 * N_FREQS, EMBED_DIM))
     put("embed/dense1", _dense_init(rng, EMBED_DIM, EMBED_DIM))
     if arch.cond_vec_dim:
         put("cond_vec/dense", _dense_init(rng, arch.cond_vec_dim, EMBED_DIM))
@@ -116,16 +125,16 @@ def as_leaves(params) -> dict:
 # Conditioning pathways
 # ---------------------------------------------------------------------------
 
-def fourier_features(s):
-    """Pre-dense embedding [B, 2K]: cos then sin of the `FOURIER_FREQS`."""
+def fourier_features(s, freqs):
+    """Pre-dense embedding [B, 2K]: cos then sin of s times the K `freqs`."""
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    angles = s[:, None] * FOURIER_FREQS[None, :]
+    angles = s[:, None] * freqs[None, :]
     return np.concatenate([np.cos(angles), np.sin(angles)], axis=1)
 
 
-def fourier_embed(leaves, s) -> Tensor:
-    """Fourier features followed by two dense layers with SiLU between them."""
-    feats = fourier_features(s)
+def fourier_embed(leaves, s, freqs) -> Tensor:
+    """Fourier features on `freqs`, then two dense layers with SiLU between them."""
+    feats = fourier_features(s, freqs)
     h = ad.silu(ad.dense(feats, leaves["embed/dense0/w"], leaves["embed/dense0/b"]))
     return ad.dense(h, leaves["embed/dense1/w"], leaves["embed/dense1/b"])
 
@@ -151,8 +160,8 @@ def _resblock(h, embed, leaves, prefix):
 
 
 def unet_forward(leaves, x, embed: Tensor, arch: ArchConfig) -> Tensor:
-    """3-level conv U-net with FiLM conditioning at every residual block:
-    input conv, `unet_body`, output conv."""
+    """Conv U-net with `arch.levels` levels and FiLM conditioning at every
+    residual block: input conv, `unet_body`, output conv."""
     h = ad.conv2d(x, leaves["in/conv/w"], leaves["in/conv/b"])
     h = unet_body(leaves, h, embed, arch)
     return ad.conv2d(h, leaves["out/conv/w"], leaves["out/conv/b"])
@@ -204,7 +213,7 @@ def velocity_forward(leaves, yhat, tau, stat_mean, stat_std, arch: ArchConfig) -
     """
     x = np.concatenate([yhat, np.broadcast_to(stat_mean, yhat.shape),
                         np.broadcast_to(stat_std, yhat.shape)], axis=-1)
-    embed = fourier_embed(leaves, tau)
+    embed = fourier_embed(leaves, tau, TAU_FREQS)
     pooled = np.concatenate([stat_mean.mean(axis=(1, 2)), stat_std.mean(axis=(1, 2))], axis=1)
     cond = ad.dense(pooled, leaves["cond_vec/dense/w"], leaves["cond_vec/dense/b"])
     out = unet_forward(leaves, x, embed + cond, arch)
@@ -293,7 +302,8 @@ def denoiser_forward(leaves, z, sigma, cond, arch: ArchConfig, guidance=0.0) -> 
     guided = guidance != 0.0
     xc = x + (denoiser_cond(leaves, cond, arch) if cond.ndim == z.ndim else cond)
     x = ad.concat([xc, x], axis=0) if guided else xc
-    embed = fourier_embed(leaves, np.concatenate([c_noise, c_noise]) if guided else c_noise)
+    embed = fourier_embed(leaves, np.concatenate([c_noise, c_noise]) if guided else c_noise,
+                          FOURIER_FREQS)
     hb = unet_body(leaves, x, embed, arch)
     if guided:
         hb = (ad.slice_axis(hb, 0, b, axis=0) * (1.0 + guidance)

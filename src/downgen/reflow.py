@@ -27,6 +27,7 @@ from .grid import (
     require_positive,
 )
 from .nets import (
+    TAU_FREQS,
     ArchConfig,
     DivergenceError,
     as_leaves,
@@ -178,7 +179,7 @@ def reflow_loss(leaves, arch: ArchConfig, batch: CouplingBatch, tau):
     return ad.mean(ad.square(v - (batch.y1 - batch.y0)))
 
 
-def integrate_velocity(model: ReflowModel, yhat0, stat_mean, stat_std, n_steps=100):
+def integrate_velocity(model: ReflowModel, yhat0, stat_mean, stat_std, *, n_steps):
     """Fixed-step RK4 for dy/dtau = v(y, tau) from tau = 0 to 1, in normalized coordinates.
 
     yhat0: [B, NX, NY, V]; stat_mean/stat_std: [B, NX, NY, V], or
@@ -204,7 +205,7 @@ def integrate_velocity(model: ReflowModel, yhat0, stat_mean, stat_std, n_steps=1
     return y
 
 
-def transport(model: ReflowModel, y: GridField, member_id, n_steps=100) -> GridField:
+def transport(model: ReflowModel, y: GridField, member_id, *, n_steps) -> GridField:
     """Debias a member series: normalize, integrate the flow 0 -> 1, denormalize.
 
     The member's statistic fields go to `integrate_velocity` as they are,
@@ -319,13 +320,23 @@ def save_reflow(model: ReflowModel, ckpt_dir, opt_state=None) -> None:
         arrays[f"member_stats/{mid}/std"] = stats.std[0]
     arrays["target_stats/mean"] = model.target_stats.mean[0]
     arrays["target_stats/std"] = model.target_stats.std[0]
-    meta = {"kind": "reflow", "step": getattr(opt_state, "step", 0), "levels": model.arch.levels}
+    meta = {"kind": "reflow", "step": getattr(opt_state, "step", 0), "levels": model.arch.levels,
+            "tau_freqs": _tau_freq_range()}
     save_checkpoint(ckpt_dir, arrays, meta)
+
+
+def _tau_freq_range():
+    """The first and last of `nets.TAU_FREQS`: the range the tensors cannot show."""
+    return [float(TAU_FREQS[0]), float(TAU_FREQS[-1])]
 
 
 def _reflow_model(arrays, meta) -> ReflowModel:
     """`train_reflow`'s model: a member per `member_stats/<id>/` tensor pair, on the
-    grid of the target statistics."""
+    grid of the target statistics. A net whose tau embedding had other
+    frequencies than `nets.TAU_FREQS` is refused: its tensors have the same shapes."""
+    if meta.get("tau_freqs") != _tau_freq_range():
+        raise ValueError(f"meta.tau_freqs is {meta.get('tau_freqs')!r}, not this velocity net's "
+                         f"{_tau_freq_range()}: train the debias stage again")
     target_stats = one_group_table(arrays, "target_stats")
     arch = velocity_arch(target_stats.mean.shape[-1], levels=meta["levels"])
     members = sorted({name.split("/")[1] for name in arrays if name.startswith("member_stats/")})

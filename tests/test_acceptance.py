@@ -37,6 +37,7 @@ from downgen.metrics import (
 from downgen.cyclones import detect_cyclones, great_circle_distance
 from downgen.multidiffusion import sample_chain, sample_long
 from downgen.nets import (
+    TAU_FREQS,
     denoiser_arch,
     film,
     fourier_embed,
@@ -94,7 +95,7 @@ def debias_task():
                                                      season_window_days=15))
     model, log = train_reflow([m.time_slice(0, train_hours) for m in members],
                               coarse_truth.time_slice(0, train_hours), tcfg)
-    transported = {m.member_id: transport(model, m, m.member_id, n_steps=100)
+    transported = {m.member_id: transport(model, m, m.member_id, n_steps=25)
                    for m in members}
     return dict(cfg=cfg, fine=fine, coarse_truth=coarse_truth, members=members,
                 model=model, log=log, transported=transported, sigma=sigma,
@@ -209,13 +210,13 @@ class TestCriterion1Gradients:
             ss = 0.5 + rng.random((2, 4, 4, 2))
 
             worst["fourier_embed"] = max(worst["fourier_embed"], _directional_check(
-                lambda leaves: ad.mean(ad.square(fourier_embed(leaves, tau))),
+                lambda leaves: ad.mean(ad.square(fourier_embed(leaves, tau, TAU_FREQS))),
                 {k: vp[k] for k in vp if k.startswith("embed/")}, rng))
 
             film_x = rng.standard_normal((2, 4, 4, v_arch.levels[0]))
 
             def film_loss(leaves):
-                e = fourier_embed(leaves, tau)
+                e = fourier_embed(leaves, tau, TAU_FREQS)
                 return ad.mean(ad.square(film(Tensor(film_x), e, leaves, "res0")))
 
             film_keys = [k for k in vp if k.startswith(("res0/film", "embed/"))]

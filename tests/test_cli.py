@@ -454,7 +454,8 @@ CONFIG = "config.ini"
 # never required, so no row drops them.
 READ_KEYS = {
     SIDECAR: [("time0",), ("dt_hours",), ("lon",), ("lat",), ("var_names",)],
-    REFLOW: [("tensors",), ("meta",), ("meta", "kind"), ("meta", "levels")],
+    REFLOW: [("tensors",), ("meta",), ("meta", "kind"), ("meta", "levels"),
+             ("meta", "tau_freqs")],
     SR: [("tensors",), ("meta",), ("meta", "kind"), ("meta", "levels"), ("meta", "window_days"),
          ("meta", "steps_per_day"), ("meta", "schedule"),
          *[("meta", "schedule", key) for key in ("sigma_min", "sigma_max", "n_grid", "kind")]],
@@ -474,7 +475,7 @@ WRONG_VALUES = [
     (REFLOW, ("meta",), 5), (REFLOW, ("meta", "kind"), "sr"), (REFLOW, ("meta", "levels"), 5),
     (REFLOW, ("meta", "levels"), None), (REFLOW, ("meta", "levels"), []),
     (REFLOW, ("meta", "levels"), "8,16"), (REFLOW, ("meta", "levels"), [8.0, 16]),
-    (REFLOW, ("meta", "levels"), [8, 16, 32]),
+    (REFLOW, ("meta", "levels"), [8, 16, 32]), (REFLOW, ("meta", "tau_freqs"), [1.0, 10000.0]),
     (SR, ("meta",), 5), (SR, ("meta", "kind"), "reflow"), (SR, ("meta", "levels"), [8, "16"]),
     (SR, ("meta", "levels"), []), (SR, ("meta", "levels"), [8]),
     (SR, ("meta", "window_days"), "3"), (SR, ("meta", "window_days"), None),

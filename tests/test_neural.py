@@ -9,6 +9,7 @@ from downgen.autodiff import Tensor, backward
 from downgen.nets import (
     ArchConfig,
     FOURIER_FREQS,
+    TAU_FREQS,
     DivergenceError,
     as_leaves,
     denoiser_arch,
@@ -44,23 +45,36 @@ def small_velocity_setup(seed=0, b=2, hw=4, v=2):
 
 class TestFourierEmbed:
     def test_zero_input_features(self):
-        feats = fourier_features(0.0)
+        feats = fourier_features(0.0, FOURIER_FREQS)
         np.testing.assert_array_equal(feats[0, :16], 1.0)
         np.testing.assert_array_equal(feats[0, 16:], 0.0)
 
     def test_frequencies_log_spaced_and_read_only(self):
         s = np.array([0.0, 0.37, 1.0])
-        angles = s[:, None] * np.logspace(0.0, 4.0, 16)[None, :]
-        expect = np.concatenate([np.cos(angles), np.sin(angles)], axis=1)
-        assert fourier_features(s).tobytes() == expect.tobytes()
-        with pytest.raises(ValueError):
-            FOURIER_FREQS[0] = 2.0
+        for freqs, top in ((FOURIER_FREQS, 4.0), (TAU_FREQS, 2.0)):
+            angles = s[:, None] * np.logspace(0.0, top, 16)[None, :]
+            expect = np.concatenate([np.cos(angles), np.sin(angles)], axis=1)
+            assert fourier_features(s, freqs).tobytes() == expect.tobytes()
+            with pytest.raises(ValueError):
+                freqs[0] = 2.0
+
+    def test_each_net_embeds_on_its_own_frequencies(self, monkeypatch):
+        seen = []
+        real = fourier_features
+        monkeypatch.setattr("downgen.nets.fourier_features",
+                            lambda s, freqs: seen.append(freqs) or real(s, freqs))
+        arch, params, yhat, tau, mean, std = small_velocity_setup(seed=8)
+        velocity_forward(params, yhat, tau, mean, std, arch)
+        d_arch = denoiser_arch(1, 2, levels=(4, 8))
+        z = np.zeros((1, 2, 4, 4, 1))
+        denoiser_forward(init_params(np.random.default_rng(9), d_arch), z, np.ones(1), z, d_arch)
+        assert len(seen) == 2 and seen[0] is TAU_FREQS and seen[1] is FOURIER_FREQS
 
     def test_deterministic(self):
         arch = ArchConfig(in_channels=2, out_channels=2)
         params = init_params(np.random.default_rng(1), arch)
-        a = fourier_embed(as_leaves(params), np.array([0.3, 0.7])).data
-        b = fourier_embed(as_leaves(params), np.array([0.3, 0.7])).data
+        a = fourier_embed(as_leaves(params), np.array([0.3, 0.7]), FOURIER_FREQS).data
+        b = fourier_embed(as_leaves(params), np.array([0.3, 0.7]), FOURIER_FREQS).data
         np.testing.assert_array_equal(a, b)
 
     def test_gradient_check(self):
@@ -75,7 +89,7 @@ class TestFourierEmbed:
             merged = dict(full)
             merged.update(arrs)
             leaves = as_leaves(merged)
-            out = fourier_embed(leaves, np.array([0.25, 0.6]))
+            out = fourier_embed(leaves, np.array([0.25, 0.6]), FOURIER_FREQS)
             return ad.mean(ad.square(out)), leaves
 
         loss, leaves = run(sub)
@@ -91,7 +105,7 @@ class TestFilm:
         params = init_params(np.random.default_rng(4), arch)
         leaves = as_leaves(params)
         x = np.random.default_rng(5).standard_normal((2, 3, 3, 4))
-        e = fourier_embed(leaves, np.array([0.2, 0.8]))
+        e = fourier_embed(leaves, np.array([0.2, 0.8]), FOURIER_FREQS)
         out = film(Tensor(x), e, leaves, "res0")
         np.testing.assert_array_equal(out.data, x)
 
@@ -102,7 +116,7 @@ class TestFilm:
         params["res0/film_scale/w"] = rng.standard_normal(params["res0/film_scale/w"].shape)
         params["res0/film_shift/b"] = rng.standard_normal(params["res0/film_shift/b"].shape)
         leaves = as_leaves(params)
-        e = fourier_embed(leaves, np.array([0.5]))
+        e = fourier_embed(leaves, np.array([0.5]), FOURIER_FREQS)
         scale = e.data @ params["res0/film_scale/w"] + params["res0/film_scale/b"]
         shift = e.data @ params["res0/film_shift/w"] + params["res0/film_shift/b"]
         x = rng.standard_normal((1, 2, 2, 4))
@@ -122,7 +136,7 @@ class TestFilm:
             merged = dict(full)
             merged.update(arrs)
             leaves = as_leaves(merged)
-            e = fourier_embed(leaves, np.array([0.3, 0.9]))
+            e = fourier_embed(leaves, np.array([0.3, 0.9]), FOURIER_FREQS)
             return ad.mean(ad.square(film(Tensor(x), e, leaves, "res0"))), leaves
 
         loss, leaves = run(sub)
@@ -576,7 +590,7 @@ class TestUnetShapes:
         params = init_params(np.random.default_rng(20), arch)
         leaves = as_leaves(params)
         x = Tensor(np.random.default_rng(21).standard_normal((2, 8, 8, 5)))
-        e = fourier_embed(leaves, np.array([0.1, 0.2]))
+        e = fourier_embed(leaves, np.array([0.1, 0.2]), FOURIER_FREQS)
         out = unet_forward(leaves, x, e, arch)
         assert out.shape == (2, 8, 8, 3)
 
@@ -588,7 +602,7 @@ class TestUnetShapes:
         params = init_params(np.random.default_rng(24), arch)
         x = np.zeros((1, side, side, 2))
         with pytest.raises(ValueError, match="does not match skip") as exc:
-            unet_forward(params, x, fourier_embed(params, np.array([0.1])), arch)
+            unet_forward(params, x, fourier_embed(params, np.array([0.1]), FOURIER_FREQS), arch)
         assert f"divisible by 2^(levels - 1) = {2 ** (len(levels) - 1)}" in str(exc.value)
 
     def test_demo_convs_dispatch_table(self, monkeypatch):

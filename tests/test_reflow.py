@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -241,7 +243,7 @@ class TestTransport:
         model, _ = train_reflow([member], target,
                                 ReflowTrainConfig(steps=0, levels=(4, 8), seed=19))
         with pytest.raises(ValueError, match="no statistics for member 'nope'"):
-            transport(model, member, "nope")
+            transport(model, member, "nope", n_steps=10)
 
     def test_gaussian_toy_moment_matching(self):
         rng = np.random.default_rng(20)
@@ -284,6 +286,20 @@ class TestTransport:
         expect = y * tstats.std + tstats.mean
         out = transport(model, member, "m000", n_steps=n_steps).data
         assert np.abs(out - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    def test_rk4_fourth_order_on_trained_net(self):
+        # RK4's error falls as h^4 once its step resolves v's variation in tau.
+        # n = 40 (h = 0.025) lies in that range on this net: over training seeds
+        # 0-7 the order at n = 40 reads 4.0-4.6, while at n = 20 it still swings
+        # from 1.2 to 7.0. A tau embedding with periods below the step
+        # (frequencies up to 1e4) gives -0.2 on this seed.
+        member, target = toy_training_data(seed=2)
+        model, _ = train_reflow([member], target,
+                                ReflowTrainConfig(steps=200, levels=(4, 8), seed=2))
+        n = 40
+        out = {k: transport(model, member, "m000", n_steps=k).data for k in (n, 2 * n, 8 * n)}
+        err = {k: np.abs(out[k] - out[8 * n]).mean() for k in (n, 2 * n)}
+        assert np.log2(err[n] / err[2 * n]) >= 3.5, err
 
     def test_transport_injective_on_batch(self):
         member, target = toy_training_data(seed=22)
@@ -382,7 +398,8 @@ class TestTrainReflow:
         arrays, meta = load_checkpoint(tmp_path / "ckpt", "reflow", lambda *doc: doc)
         assert not [k for k in arrays if k.startswith("adam_")]
         assert meta["step"] == cfg.steps
-        assert meta == {"kind": "reflow", "step": cfg.steps, "levels": [4, 8]}
+        assert meta == {"kind": "reflow", "step": cfg.steps, "levels": [4, 8],
+                        "tau_freqs": [1.0, 100.0]}
         back = load_reflow(tmp_path / "ckpt")
         # rebuilt from the tensors and meta.levels, as train_reflow built them
         assert back.arch == model.arch
@@ -401,6 +418,20 @@ class TestTrainReflow:
         out_a = transport(model, member, "m000", n_steps=5)
         out_b = transport(back, member, "m000", n_steps=5)
         np.testing.assert_array_equal(out_a.data, out_b.data)
+
+    def test_checkpoint_without_tau_frequencies_refused(self, tmp_path):
+        # a net trained on other tau frequencies has the same tensor shapes, so only
+        # the manifest can tell; one without the key was trained on [1, 1e4]
+        member, target = toy_training_data(seed=29)
+        train_reflow([member], target, ReflowTrainConfig(steps=0, levels=(4, 8), seed=29),
+                     out_dir=tmp_path)
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc["meta"]["tau_freqs"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"meta\.tau_freqs is None, not this velocity "
+                                             r"net's \[1\.0, 100\.0\]"):
+            load_reflow(tmp_path)
 
     def test_matches_reference_loop_bitwise(self):
         # pins the draw order: one generator seeded from (seed, 2) initializes
