@@ -1,6 +1,9 @@
 """Pipeline orchestration: subcommand dispatch over write-once run directories.
 
-Stages communicate exclusively through files under the run directory:
+Stages communicate exclusively through files under the run directory. `_stages()`
+is the one list of the stages and their outputs, in `e2e` order: the subcommands,
+`e2e`'s order and skip rule, each stage's output path and the stage named by "run
+`X` first" on a missing input are all read from it. Its outputs lie under:
 
     data/       synthetic truth and biased members (gen-data)
     models/     trained checkpoints (train-debias, train-sr)
@@ -24,6 +27,7 @@ import argparse
 import dataclasses
 import sys
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -64,11 +68,11 @@ from .report import MetricReport
 from .synthdata import BiasSpec, SynthConfig, make_synth_pair, member_name
 
 METHOD_ORDER = ["downgen", "bcsd", "qmsr", "sr"]
-# sample source -> (method tag, _SAMPLE_STREAM sub-stream, input directory, writing stage)
+# sample source -> (method tag, _SAMPLE_STREAM sub-stream, input directory)
 _SOURCES = {
-    "debiased": ("downgen", 0, "debiased", "debias"),
-    "qm": ("qmsr", 1, "baselines/qm", "baseline-qm"),
-    "raw": ("sr", 2, "data/members", "gen-data"),
+    "debiased": ("downgen", 0, "debiased"),
+    "qm": ("qmsr", 1, "baselines/qm"),
+    "raw": ("sr", 2, "data/members"),
 }
 # top-level seed streams of the CLI's draws; synthdata, reflow and diffusion own 0-3
 _SAMPLE_STREAM = 4
@@ -216,10 +220,12 @@ def _fresh_dir(run_dir, rel):
         yield tmp
 
 
-def _require(path, hint):
-    path = Path(path)
+def _require(run_dir, rel):
+    """run_dir/rel, a stage input: a missing one names the stage whose output holds it."""
+    path = Path(run_dir) / rel
     if not path.exists():
-        raise StageError(f"missing {path}; run `{hint}` first")
+        stage = next(name for name, output, _ in _stages() if Path(rel).is_relative_to(output))
+        raise StageError(f"missing {path}; run `{stage}` first")
     return path
 
 
@@ -236,7 +242,7 @@ def _persist_config(cfg, run_dir):
 
 
 def _members(run_dir):
-    member_dir = _require(Path(run_dir) / "data" / "members", "gen-data")
+    member_dir = _require(run_dir, "data/members")
     return [read_array(p) for p in sorted(member_dir.glob("*.npy"))]
 
 
@@ -244,8 +250,8 @@ def _members(run_dir):
 # Stages
 # ---------------------------------------------------------------------------
 
-def stage_gen_data(cfg, run_dir):
-    with _fresh_dir(run_dir, "data") as out:
+def stage_gen_data(cfg, run_dir, output):
+    with _fresh_dir(run_dir, output) as out:
         pair = make_synth_pair(_synth_config(cfg))
         write_array(pair.fine_truth, out / "fine_truth.npy")
         write_array(pair.coarse_truth, out / "coarse_truth.npy")
@@ -256,32 +262,29 @@ def stage_gen_data(cfg, run_dir):
     return 0
 
 
-def stage_train_debias(cfg, run_dir):
-    run_dir = Path(run_dir)
+def stage_train_debias(cfg, run_dir, output):
     train_cfg = _reflow_config(cfg)
-    target = read_array(_require(run_dir / "data" / "coarse_truth.npy", "gen-data"))
+    target = read_array(_require(run_dir, "data/coarse_truth.npy"))
     members = _members(run_dir)
     t_hours = _train_hours(cfg)
-    with _fresh_dir(run_dir, "models/debias") as out:
+    with _fresh_dir(run_dir, output) as out:
         train_reflow([m.time_slice(0, t_hours) for m in members],
                      target.time_slice(0, t_hours), train_cfg, out_dir=out)
     return 0
 
 
-def stage_train_sr(cfg, run_dir):
-    run_dir = Path(run_dir)
+def stage_train_sr(cfg, run_dir, output):
     train_cfg = _sr_config(cfg)
-    truth = read_array(_require(run_dir / "data" / "fine_truth.npy", "gen-data"))
-    with _fresh_dir(run_dir, "models/sr") as out:
+    truth = read_array(_require(run_dir, "data/fine_truth.npy"))
+    with _fresh_dir(run_dir, output) as out:
         train_sr(truth.time_slice(0, _train_hours(cfg)), train_cfg, out_dir=out)
     return 0
 
 
-def stage_debias(cfg, run_dir):
-    run_dir = Path(run_dir)
-    model = load_reflow(_require(run_dir / "models" / "debias", "train-debias"))
+def stage_debias(cfg, run_dir, output):
+    model = load_reflow(_require(run_dir, "models/debias"))
     members = _members(run_dir)
-    with _fresh_dir(run_dir, "debiased") as out:
+    with _fresh_dir(run_dir, output) as out:
         for m in members:
             result = transport(model, m, m.member_id,
                                n_steps=cfg["debias"]["transport_steps"])
@@ -289,14 +292,13 @@ def stage_debias(cfg, run_dir):
     return 0
 
 
-def stage_baseline_qm(cfg, run_dir):
-    run_dir = Path(run_dir)
-    target = read_array(_require(run_dir / "data" / "coarse_truth.npy", "gen-data"))
+def stage_baseline_qm(cfg, run_dir, output):
+    target = read_array(_require(run_dir, "data/coarse_truth.npy"))
     members = _members(run_dir)
     t_hours = _train_hours(cfg)
     buckets = (cfg["baseline"]["qm_doy_buckets"], 1)
     target_clim = compute_climatology(target.time_slice(0, t_hours), buckets)
-    with _fresh_dir(run_dir, "baselines/qm") as out:
+    with _fresh_dir(run_dir, output) as out:
         for m in members:
             member_clim = compute_climatology(m.time_slice(0, t_hours), buckets)
             write_array(qm_debias(m, member_clim, target_clim), out / f"{m.member_id}.npy")
@@ -308,12 +310,10 @@ def _sample_window_hours(cfg):
     return start_day * 24, (start_day + cfg["sample"]["length_days"]) * 24
 
 
-def stage_baseline_bcsd(cfg, run_dir):
-    run_dir = Path(run_dir)
-    truth = read_array(_require(run_dir / "data" / "fine_truth.npy", "gen-data"))
-    target = read_array(run_dir / "data" / "coarse_truth.npy")
-    member = read_array(_require(run_dir / "data" / "members" / f"{cfg['sample']['member']}.npy",
-                                 "gen-data"))
+def stage_baseline_bcsd(cfg, run_dir, output):
+    truth = read_array(_require(run_dir, "data/fine_truth.npy"))
+    target = read_array(_require(run_dir, "data/coarse_truth.npy"))
+    member = read_array(_require(run_dir, f"data/members/{cfg['sample']['member']}.npy"))
     t_hours = _train_hours(cfg)
     spec = DownsampleSpec(cfg["synth"]["spatial_factor"], 24 // truth.dt_hours)
     qm_buckets = (cfg["baseline"]["qm_doy_buckets"], 1)
@@ -327,27 +327,25 @@ def stage_baseline_bcsd(cfg, run_dir):
         np.random.SeedSequence((cfg["pipeline"]["rng_seed"], _BCSD_STREAM)))
     result = bcsd_pipeline(member.time_slice(h0, h1), member_clim,
                            target_clim, fine_clim, pool, rng, spec)
-    with _fresh_dir(run_dir, "baselines/bcsd") as out:
+    with _fresh_dir(run_dir, output) as out:
         write_array(result, out / "bcsd.npy")
     return 0
 
 
-def stage_sample(cfg, run_dir, source="debiased"):
-    run_dir = Path(run_dir)
-    tag, stream, input_dir, input_stage = _SOURCES[source]
-    sr_dir = _require(run_dir / "models" / "sr", "train-sr")
+def stage_sample(cfg, run_dir, output, source):
+    _, stream, input_dir = _SOURCES[source]
+    sr_dir = _require(run_dir, "models/sr")
     model = load_sr(sr_dir)
     if model.window_days != cfg["sr"]["window_days"]:
         raise GridFormatError(f"{sr_dir / 'manifest.json'}: window_days = {model.window_days}, "
                               f"not sr.window_days = {cfg['sr']['window_days']}")
-    coarse = read_array(_require(run_dir / input_dir / f"{cfg['sample']['member']}.npy",
-                                 input_stage))
+    coarse = read_array(_require(run_dir, f"{input_dir}/{cfg['sample']['member']}.npy"))
     h0, h1 = _sample_window_hours(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(
         (cfg["pipeline"]["rng_seed"], _SAMPLE_STREAM, stream)))
     result = sample_long(model, coarse.time_slice(h0, h1), cfg["sample"]["windows"],
                          guidance=cfg["sample"]["guidance"], rng=rng)
-    write_array(result, _write_once(run_dir, f"samples/{tag}.npy"))
+    write_array(result, _write_once(run_dir, output))
     return 0
 
 
@@ -355,13 +353,15 @@ def stage_sample(cfg, run_dir, source="debiased"):
 # Evaluation
 # ---------------------------------------------------------------------------
 
+def _sample_output(tag):
+    return f"samples/{tag}.npy"
+
+
 def _method_outputs(run_dir):
     """Every method's output, each required: method tag -> GridField."""
-    run_dir = Path(run_dir)
-    paths = {tag: (run_dir / "samples" / f"{tag}.npy", f"sample --source {source}")
-             for source, (tag, *_) in _SOURCES.items()}
-    paths["bcsd"] = (run_dir / "baselines" / "bcsd" / "bcsd.npy", "baseline-bcsd")
-    return {tag: read_array(_require(path, stage)) for tag, (path, stage) in paths.items()}
+    rels = {tag: _sample_output(tag) for tag, *_ in _SOURCES.values()}
+    rels["bcsd"] = "baselines/bcsd/bcsd.npy"
+    return {tag: read_array(_require(run_dir, rel)) for tag, rel in rels.items()}
 
 
 def _derived_fields(fld: GridField):
@@ -430,14 +430,13 @@ def evaluate_fields(cfg, truth_window: GridField, methods: dict,
     return report
 
 
-def stage_evaluate(cfg, run_dir):
-    run_dir = Path(run_dir)
-    truth = read_array(_require(run_dir / "data" / "fine_truth.npy", "gen-data"))
+def stage_evaluate(cfg, run_dir, output):
+    truth = read_array(_require(run_dir, "data/fine_truth.npy"))
     methods = _method_outputs(run_dir)
     h0, h1 = _sample_window_hours(cfg)
     report = evaluate_fields(cfg, truth.time_slice(h0, h1), methods,
                              truth.time_slice(0, _train_hours(cfg)))
-    with _fresh_dir(run_dir, "metrics") as out:
+    with _fresh_dir(run_dir, output) as out:
         report.write(out)
         report.write_comparison(out / "comparison.csv", METHOD_ORDER)
         if cfg["evaluate"]["plots"]:
@@ -453,29 +452,32 @@ def stage_evaluate(cfg, run_dir):
     return 0
 
 
+def _stages():
+    """Every stage in `e2e` order: (name as typed, output under the run directory,
+    function called with (cfg, run_dir, output)). The table is built at each read,
+    so each stage is looked up by its module-level name then, and a wrapper set on
+    a `stage_*` attribute (perfbench's tracer) sees the call."""
+    return ([("gen-data", "data", stage_gen_data),
+             ("train-debias", "models/debias", stage_train_debias),
+             ("train-sr", "models/sr", stage_train_sr),
+             ("debias", "debiased", stage_debias),
+             ("baseline-qm", "baselines/qm", stage_baseline_qm),
+             ("baseline-bcsd", "baselines/bcsd", stage_baseline_bcsd)]
+            + [(f"sample --source {source}", _sample_output(tag),
+                partial(stage_sample, source=source)) for source, (tag, *_) in _SOURCES.items()]
+            + [("evaluate", "metrics", stage_evaluate)])
+
+
 def stage_e2e(cfg, run_dir):
     """Every stage in order, each skipped, and named on stderr, if its output
     exists. Every stage seeds itself from the config alone, so a resumed run
     writes the same bytes as a fresh one."""
     run_dir = Path(run_dir)
-    # (stage, its output, run). Each lambda looks its stage up by module-level name
-    # when it runs, so a wrapper set on a `stage_*` attribute (perfbench's tracer)
-    # sees the call.
-    steps = [("gen-data", "data", lambda: stage_gen_data(cfg, run_dir)),
-             ("train-debias", "models/debias", lambda: stage_train_debias(cfg, run_dir)),
-             ("train-sr", "models/sr", lambda: stage_train_sr(cfg, run_dir)),
-             ("debias", "debiased", lambda: stage_debias(cfg, run_dir)),
-             ("baseline-qm", "baselines/qm", lambda: stage_baseline_qm(cfg, run_dir)),
-             ("baseline-bcsd", "baselines/bcsd", lambda: stage_baseline_bcsd(cfg, run_dir))]
-    steps += [(f"sample --source {source}", f"samples/{tag}.npy",
-               lambda source=source: stage_sample(cfg, run_dir, source=source))
-              for source, (tag, *_) in _SOURCES.items()]
-    steps.append(("evaluate", "metrics", lambda: stage_evaluate(cfg, run_dir)))
-    for stage, output, run in steps:
+    for name, output, run in _stages():
         if (run_dir / output).exists():
-            print(f"e2e: skipping {stage}: {run_dir / output} exists", file=sys.stderr)
+            print(f"e2e: skipping {name}: {run_dir / output} exists", file=sys.stderr)
         else:
-            run()
+            run(cfg, run_dir, output)
     return 0
 
 
@@ -483,30 +485,18 @@ def stage_e2e(cfg, run_dir):
 # Entry point
 # ---------------------------------------------------------------------------
 
-STAGES = {
-    "gen-data": stage_gen_data,
-    "train-debias": stage_train_debias,
-    "train-sr": stage_train_sr,
-    "debias": stage_debias,
-    "baseline-qm": stage_baseline_qm,
-    "baseline-bcsd": stage_baseline_bcsd,
-    "evaluate": stage_evaluate,
-    "e2e": stage_e2e,
-}
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="downgen",
         description="Generative statistical downscaling pipeline on synthetic ensembles")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in list(STAGES) + ["sample"]:
-        p = sub.add_parser(name)
+    for command in dict.fromkeys([name.split()[0] for name, _, _ in _stages()] + ["e2e"]):
+        p = sub.add_parser(command)
         p.add_argument("--config", help="INI configuration file")
         p.add_argument("--out", required=True, help="run directory")
         p.add_argument("--set", action="append", default=[], dest="overrides",
                        metavar="SECTION.KEY=VALUE")
-        if name == "sample":
+        if command == "sample":
             p.add_argument("--source", choices=list(_SOURCES), default="debiased")
     return parser
 
@@ -520,11 +510,12 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    runs = {name: partial(run, cfg, args.out, output) for name, output, run in _stages()}
+    runs["e2e"] = partial(stage_e2e, cfg, args.out)
+    typed = " ".join([args.command] + (["--source", args.source] if "source" in args else []))
     try:
         _persist_config(cfg, args.out)
-        if args.command == "sample":
-            return stage_sample(cfg, args.out, source=args.source)
-        return STAGES[args.command](cfg, args.out)
+        return runs[typed]()
     except (StageError, DivergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import csv
 import dataclasses
@@ -342,17 +343,27 @@ class TestReadmeMatchesCode:
 
     def test_cli_synopsis_parses(self):
         """Each `downgen ...` line of the README's code blocks, with the first
-        of every `a|b` choice and each subcommand, is accepted by the parser."""
+        of every `a|b` choice and each subcommand, is accepted by the parser, and
+        the lines name every subcommand and `--source` choice the parser accepts."""
         lines = re.findall(r"^downgen .*$", self.README, re.M)
         assert any("--source" in line for line in lines)
+        named, sources = set(), set()
         for line in lines:
             _, commands, *rest = line.replace("[", "").replace("]", "").split()
+            named.update(commands.split("|"))
+            sources.update(choice for option, choices in zip(rest, rest[1:])
+                           if option == "--source" for choice in choices.split("|"))
             for command in commands.split("|"):
                 argv = [command] + [tok.split("|")[0] for tok in rest]
                 try:
                     build_parser().parse_args(argv)
                 except SystemExit:
                     pytest.fail(f"README synopsis not accepted: {argv}")
+        (subcommands,) = [a.choices for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction)]
+        assert named == set(subcommands)
+        (choices,) = [a.choices for a in subcommands["sample"]._actions if a.dest == "source"]
+        assert sources == set(choices)
 
 
 def _overrides():
@@ -574,6 +585,21 @@ class TestExitCodes:
     def test_missing_inputs_exit_1(self, tmp_path):
         assert main(["train-debias", "--out", str(tmp_path / "r")]) == 1
 
+    @pytest.mark.parametrize("stage", ["train-debias", "baseline-qm", "baseline-bcsd"])
+    def test_missing_coarse_truth_names_gen_data(self, tiny_config, tmp_path, capsys, stage):
+        """Each stage that reads `data/coarse_truth.npy` names it and `gen-data`
+        when it is missing, and writes nothing."""
+        out = tmp_path / "run"
+        args = ["--config", str(tiny_config), "--out", str(out)]
+        assert main(["gen-data"] + args) == 0
+        missing = out / "data" / "coarse_truth.npy"
+        missing.unlink()
+        before = _tree(out)
+        capsys.readouterr()
+        assert main([stage] + args) == 1
+        assert capsys.readouterr().err == f"error: missing {missing}; run `gen-data` first\n"
+        assert _tree(out) == before
+
     def test_gen_data_ok(self, tiny_config, tmp_path):
         out = tmp_path / "run"
         assert main(["gen-data", "--config", str(tiny_config), "--out", str(out)]) == 0
@@ -760,6 +786,36 @@ class TestExitCodes:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: downgen")
+
+    def test_cli_calls_stages_by_module_name(self, tmp_path, monkeypatch):
+        """`main` reaches each stage through its `cli.stage_*` attribute, as
+        perfbench's tracer, which wraps those attributes, needs: `e2e` in the
+        table's order, and `sample --source qm` with its source."""
+        calls = []
+
+        def recorder(attr):
+            def record(cfg, run_dir, output, **kwargs):
+                calls.append((attr, output, kwargs))
+                (Path(run_dir) / output).mkdir(parents=True)
+                return 0
+            return record
+
+        for attr in list(vars(cli)):
+            if attr.startswith("stage_") and attr != "stage_e2e":
+                monkeypatch.setattr(cli, attr, recorder(attr))
+        assert main(["e2e", "--out", str(tmp_path / "run")]) == 0
+        assert [(attr, output) for attr, output, _ in calls] == [
+            ("stage_gen_data", "data"), ("stage_train_debias", "models/debias"),
+            ("stage_train_sr", "models/sr"), ("stage_debias", "debiased"),
+            ("stage_baseline_qm", "baselines/qm"), ("stage_baseline_bcsd", "baselines/bcsd"),
+            ("stage_sample", "samples/downgen.npy"), ("stage_sample", "samples/qmsr.npy"),
+            ("stage_sample", "samples/sr.npy"), ("stage_evaluate", "metrics")]
+        assert [output for _, output, _ in calls] == [output for _, output, _ in cli._stages()]
+        assert [kwargs.get("source") for _, _, kwargs in calls[6:9]] == ["debiased", "qm", "raw"]
+
+        calls.clear()
+        assert main(["sample", "--source", "qm", "--out", str(tmp_path / "one")]) == 0
+        assert calls == [("stage_sample", "samples/qmsr.npy", {"source": "qm"})]
 
     def test_write_once(self, tiny_config, tmp_path):
         out = tmp_path / "run"
