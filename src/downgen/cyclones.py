@@ -18,7 +18,8 @@ CONTOUR_RADIUS = 4.0        # great-circle degrees
 CONTOUR_RING_WIDTH = 1.0    # annulus thickness checked at the radius
 MERGE_RADIUS = 2.0          # great-circle degrees
 WIND_THRESHOLD = 10.0       # m/s
-WIND_RADIUS = 2.0           # wind maximum searched within this radius
+WIND_RADIUS = 2.0           # wind maximum searched within this radius, or at least
+                            # on the minimum's adjacent pixels on a coarser grid
 MIN_VALID_SNAPSHOTS = 8     # wind + elevation criterion
 ELEVATION_MAX = 100.0       # m
 MIN_DURATION_HOURS = 54.0
@@ -127,8 +128,9 @@ def detect_cyclones(slp, wind, elevation, lon, lat, times):
                 if d <= best_dist:
                     best = k
                     best_dist = d
-            dist = great_circle_distance(lon[i], lat[j], lon2d, lat2d)
-            wmax = float(wind[t_idx][dist <= WIND_RADIUS].max())
+            near = great_circle_distance(lon[i], lat[j], lon2d, lat2d) <= WIND_RADIUS
+            near[i - 1:i + 2, j - 1:j + 2] = True   # a minimum is never on the boundary
+            wmax = float(wind[t_idx][near].max())
             elev = float(elevation[i, j])
             if best is None:
                 track = CycloneTrack()

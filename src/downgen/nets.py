@@ -64,15 +64,34 @@ def truncated_normal(rng, shape, std=0.02, bound=2.0):
     return out
 
 
-def _conv_init(rng, cin, cout, zero=False):
-    shape = (KERNEL, KERNEL, cin, cout)
-    return {"w": np.zeros(shape) if zero else truncated_normal(rng, shape), "b": np.zeros(cout)}
+def layers(arch: ArchConfig) -> list:
+    """(prefix, weight shape, zero-initialised) of every layer of `arch`, in
+    initialisation order. Each layer holds `{prefix}/w` and a zero bias
+    `{prefix}/b` as long as the weight's last axis."""
+    chans = arch.levels
 
+    def conv(prefix, cin, cout):
+        return (prefix, (KERNEL, KERNEL, cin, cout), False)
 
-def _dense_init(rng, nin, nout, zero=False):
-    if zero:
-        return {"w": np.zeros((nin, nout)), "b": np.zeros(nout)}
-    return {"w": truncated_normal(rng, (nin, nout)), "b": np.zeros(nout)}
+    def resblock(prefix, c):
+        return [conv(f"{prefix}/conv1", c, c), conv(f"{prefix}/conv2", c, c),
+                (f"{prefix}/film_scale", (EMBED_DIM, c), True),
+                (f"{prefix}/film_shift", (EMBED_DIM, c), True)]
+
+    out = [("embed/dense0", (2 * N_FREQS, EMBED_DIM), False),
+           ("embed/dense1", (EMBED_DIM, EMBED_DIM), False)]
+    if arch.cond_vec_dim:
+        out.append(("cond_vec/dense", (arch.cond_vec_dim, EMBED_DIM), False))
+    out.append(conv("in/conv", arch.in_channels, chans[0]))
+    for i, c in enumerate(chans):
+        if i > 0:
+            out.append(conv(f"down{i}/conv", chans[i - 1], c))
+        out += resblock(f"res{i}", c)
+    for i in range(len(chans) - 1, 0, -1):
+        out.append(conv(f"up{i}/conv", chans[i], chans[i - 1]))
+        out += resblock(f"ures{i - 1}", chans[i - 1])
+    out.append(("out/conv", (KERNEL, KERNEL, chans[0], arch.out_channels), True))
+    return out
 
 
 def init_params(rng, arch: ArchConfig) -> dict:
@@ -83,32 +102,9 @@ def init_params(rng, arch: ArchConfig) -> dict:
     identity) at the start of training.
     """
     p = {}
-
-    def put(prefix, d):
-        for key, val in d.items():
-            p[f"{prefix}/{key}"] = val
-
-    put("embed/dense0", _dense_init(rng, 2 * N_FREQS, EMBED_DIM))
-    put("embed/dense1", _dense_init(rng, EMBED_DIM, EMBED_DIM))
-    if arch.cond_vec_dim:
-        put("cond_vec/dense", _dense_init(rng, arch.cond_vec_dim, EMBED_DIM))
-
-    chans = arch.levels
-    put("in/conv", _conv_init(rng, arch.in_channels, chans[0]))
-    for i, c in enumerate(chans):
-        if i > 0:
-            put(f"down{i}/conv", _conv_init(rng, chans[i - 1], c))
-        put(f"res{i}/conv1", _conv_init(rng, c, c))
-        put(f"res{i}/conv2", _conv_init(rng, c, c))
-        put(f"res{i}/film_scale", _dense_init(rng, EMBED_DIM, c, zero=True))
-        put(f"res{i}/film_shift", _dense_init(rng, EMBED_DIM, c, zero=True))
-    for i in range(len(chans) - 1, 0, -1):
-        put(f"up{i}/conv", _conv_init(rng, chans[i], chans[i - 1]))
-        put(f"ures{i - 1}/conv1", _conv_init(rng, chans[i - 1], chans[i - 1]))
-        put(f"ures{i - 1}/conv2", _conv_init(rng, chans[i - 1], chans[i - 1]))
-        put(f"ures{i - 1}/film_scale", _dense_init(rng, EMBED_DIM, chans[i - 1], zero=True))
-        put(f"ures{i - 1}/film_shift", _dense_init(rng, EMBED_DIM, chans[i - 1], zero=True))
-    put("out/conv", _conv_init(rng, chans[0], arch.out_channels, zero=True))
+    for prefix, shape, zero in layers(arch):
+        p[f"{prefix}/w"] = np.zeros(shape) if zero else truncated_normal(rng, shape)
+        p[f"{prefix}/b"] = np.zeros(shape[-1])
     return p
 
 
@@ -351,7 +347,9 @@ def load_checkpoint(ckpt_dir, kind, build):
 def checkpoint_params(arrays, arch: ArchConfig) -> dict:
     """A checkpoint's `param/` tensors, which must be exactly the parameters of `arch`."""
     params = {k.removeprefix("param/"): v for k, v in arrays.items() if k.startswith("param/")}
-    expected = init_params(np.random.default_rng(0), arch)   # for its shapes only
-    if {k: v.shape for k, v in params.items()} != {k: v.shape for k, v in expected.items()}:
+    expected = {}
+    for prefix, shape, _ in layers(arch):
+        expected |= {f"{prefix}/w": shape, f"{prefix}/b": shape[-1:]}
+    if {k: v.shape for k, v in params.items()} != expected:
         raise ValueError(f"the param/ tensors are not the parameters of {arch}")
     return params

@@ -1,32 +1,16 @@
-"""Thread-parallel map with deterministic, input-ordered results.
+"""`pmap` and `worker_count`: downgen runs on one thread.
 
-Worker count is capped by the DOWNGEN_THREADS environment variable (0 or
-unset: min(4, cpu count)). Results are bit-identical to the sequential
-schedule because tasks are pure and outputs are collected in input order.
+No stage calls `pmap`. The benchmark's tracer (perfbench/tracing.py) wraps it
+and its environment block reads `worker_count`, so both names stay until the
+benchmark drops them.
 """
-
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 
 def worker_count():
-    env = os.environ.get("DOWNGEN_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ValueError(f"DOWNGEN_THREADS must be an integer, got {env!r}") from exc
-        if n > 0:
-            return n
-    return min(4, os.cpu_count() or 1)
+    """Always 1: every stage runs on the calling thread."""
+    return 1
 
 
 def pmap(fn, items):
-    items = list(items)
-    n = min(worker_count(), len(items))
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    """[fn(x) for x in items], in input order, on the calling thread."""
+    return [fn(x) for x in items]

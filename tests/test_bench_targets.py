@@ -1,12 +1,15 @@
 """The benchmark's tracer wraps functions at the module attributes their callers
-look up; every attribute it names must exist and be callable, or the traced
-benchmark breaks when code moves."""
+look up, and its environment block calls `downgen.parallel.worker_count`; every
+attribute it names must exist and be callable, or the benchmark breaks when
+code moves."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
+
+from downgen import parallel
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -26,7 +29,8 @@ def _load_tracing():
 tracing = _load_tracing()
 TARGETS = [(name, owner, attr)
            for name, places in tracing.LAYER_TARGETS + tracing.STAGE_TARGETS
-           for owner, attr in places] + [("parallel.pmap",) + tracing.PMAP]
+           for owner, attr in places] + [("parallel.pmap",) + tracing.PMAP,
+                                         ("env.pmap_workers", "downgen.parallel", "worker_count")]
 
 
 @pytest.mark.parametrize("name, owner, attr", TARGETS,
@@ -34,3 +38,9 @@ TARGETS = [(name, owner, attr)
 def test_target_resolves_to_callable(name, owner, attr):
     assert callable(getattr(tracing._owner(owner), attr, None)), \
         f"{name}: {owner}.{attr} is not a callable attribute"
+
+
+def test_worker_count_is_a_positive_int():
+    """The environment block records it as `pmap_workers`, outside the tracer."""
+    n = parallel.worker_count()
+    assert isinstance(n, int) and n >= 1

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from downgen import cli, diffusion, reflow, synthdata
+from downgen import cli, diffusion, nets, reflow, synthdata
 from downgen.cli import _reflow_config, _sr_config, _synth_config, build_parser, main
 from downgen.config import (
     SCHEMA,
@@ -996,6 +996,17 @@ def _tree(root):
 
 
 class TestDeterminism:
+    def test_loading_checkpoints_draws_no_random_numbers(self, e2e_run, monkeypatch):
+        """A loader checks the `param/` tensors against the arch's shapes without
+        initialising a net."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew a random net")
+        monkeypatch.setattr(nets, "truncated_normal", refuse)
+        for load, stage in ((reflow.load_reflow, "debias"), (diffusion.load_sr, "sr")):
+            model = load(e2e_run / "models" / stage)
+            assert set(model.params) == {f"{p}/{k}" for p, _, _ in nets.layers(model.arch)
+                                         for k in "wb"}
+
     def test_killed_e2e_resumes_with_e2e(self, e2e_run, tmp_path, capsys):
         """`e2e` on a run killed in train-sr, which left `models/.sr.partial`,
         skips the finished stages, naming each, and ends byte-identical to a

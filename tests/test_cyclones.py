@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from downgen.cyclones import (
+    WIND_RADIUS,
     detect_cyclones,
     find_candidates,
     great_circle_distance,
@@ -134,3 +135,20 @@ class TestDetect:
         a = detect_cyclones(slp, wind, elev, LON, LAT, times)
         b = detect_cyclones(slp, wind, elev, LON, LAT, times)
         assert a[0].lons == b[0].lons and a[0].times == b[0].times
+
+    def test_wind_next_to_minimum_counts_on_coarse_grid(self):
+        # On a 3-degree grid WIND_RADIUS covers the minimum's own pixel only; the
+        # wind maximum is still searched on the adjacent pixels.
+        lon = np.arange(0.0, 33.0, 3.0)
+        lat = 26.5 + 3.0 * np.arange(8)
+        i, j = 5, 4
+        d = great_circle_distance(lon[i], lat[j], lon[:, None], lat[None, :])
+        assert ((d <= WIND_RADIUS) == (d == 0.0)).all()
+        slp = np.broadcast_to(BASE_SLP - 1000.0 * np.exp(-0.5 * (d / 3.0) ** 2), (11,) + d.shape)
+        wind = np.zeros_like(slp)
+        wind[:, i - 1:i + 2, j - 1:j + 2] = 15.0
+        wind[:, i, j] = 0.0
+        elev = np.zeros(d.shape)
+        tracks = detect_cyclones(slp, wind, elev, lon, lat, 6 * np.arange(11))
+        assert len(tracks) == 1
+        assert tracks[0].wind_max == [15.0] * 11
