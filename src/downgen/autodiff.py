@@ -166,13 +166,13 @@ def square(a):
     return _node(a.data ** 2, (a,), lambda g: (2.0 * g * a.data,))
 
 
-def mean(a, axes=None, keepdims=False):
+def mean(a, axes=None):
     a = _as_tensor(a)
-    out = a.data.mean(axis=axes, keepdims=keepdims)
+    out = a.data.mean(axis=axes)
     count = a.data.size if axes is None else np.prod([a.data.shape[ax] for ax in np.atleast_1d(axes)])
 
     def vjp(g):
-        if axes is not None and not keepdims:
+        if axes is not None:
             g = np.expand_dims(g, axes)
         return (np.broadcast_to(g, a.data.shape) / count,)
 

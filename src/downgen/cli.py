@@ -388,8 +388,8 @@ def evaluate_fields(cfg, truth_window: GridField, methods: dict,
     nx, ny = truth_window.data.shape[1:3]
     center, box = (nx // 2, ny // 2), (min(nx, ny) - 1) // 2
     tmax_clim = _daily_tmax(train_truth).mean(axis=0)
-    tmax_ref = _daily_tmax(truth_window)
     streak = (HEAT_STREAK_DAYS, HEAT_STREAK_DELTA)
+    streak_ref = heat_streak_prob(_daily_tmax(truth_window), tmax_clim, *streak)
     for method, fld in sorted(methods.items()):
         if fld.data.shape != truth_window.data.shape:
             raise StageError(f"{method} output shape {fld.data.shape} does not match "
@@ -415,10 +415,7 @@ def evaluate_fields(cfg, truth_window: GridField, methods: dict,
                           - heat_advisory_exceedance(ref, "caution"))
                 report.add_scalar("advisory_exceedance_mae", name, method,
                                   float(np.abs(exceed).mean()))
-        tmax_pred = _daily_tmax(fld)
-        sq = [(heat_streak_prob(tmax_pred[:, i, j], tmax_clim[i, j], *streak)
-               - heat_streak_prob(tmax_ref[:, i, j], tmax_clim[i, j], *streak)) ** 2
-              for i in range(nx) for j in range(ny)]
+        sq = (heat_streak_prob(_daily_tmax(fld), tmax_clim, *streak) - streak_ref) ** 2
         report.add_scalar("heat_streak_sq_error", "temperature", method, float(np.mean(sq)))
         if cfg["evaluate"]["cyclones"]:
             stride = max(1, 6 // fld.dt_hours)

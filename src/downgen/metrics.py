@@ -214,18 +214,18 @@ def temporal_psd_error(pred, ref, t_phys, floor=1e-30):
 def heat_streak_prob(tmax, clim_mean, h, delta):
     """Probability of a day belonging to an h-day span of exceedances.
 
-    tmax: [N] daily maxima; clim_mean: scalar or [N] climatological baseline.
-    Counts unique days inside any window of h consecutive days all exceeding
-    clim_mean + delta.
+    tmax: [N] or [N, ...] daily maxima; clim_mean: a baseline that broadcasts
+    against tmax. Counts unique days inside any window of h consecutive days
+    all exceeding clim_mean + delta: a float for [N], else one probability per
+    trailing index.
     """
     tmax = np.asarray(tmax, dtype=np.float64)
     n = tmax.shape[0]
-    if h < 1 or n < h:
-        return 0.0
-    exceed = tmax > np.asarray(clim_mean) + delta
-    window_full = np.convolve(exceed.astype(np.int64), np.ones(h, dtype=np.int64),
-                              mode="valid") == h
-    member = np.zeros(n, dtype=bool)
-    for k in range(h):
-        member[k: k + window_full.size] |= window_full
-    return float(member.sum() / n)
+    member = np.zeros(tmax.shape, dtype=bool)
+    if 1 <= h <= n:
+        exceed = tmax > np.asarray(clim_mean) + delta
+        window_full = np.lib.stride_tricks.sliding_window_view(exceed, h, axis=0).all(axis=-1)
+        for k in range(h):
+            member[k: k + window_full.shape[0]] |= window_full
+    prob = member.sum(axis=0) / max(n, 1)
+    return float(prob) if tmax.ndim == 1 else prob

@@ -3,8 +3,10 @@ ODE transport that maps biased coarse members onto the debiased distribution.
 
 Training regresses a velocity field onto straight-line displacements between
 coupled (member, target) snapshot pairs, both sides normalized by their own
-training-period statistics. The transport map integrates the learned ODE with
-fixed-step RK4 and denormalizes with the target statistics.
+training-period statistics; each step draws its pairs from a `CouplingPool`
+of the normalized series, built once per training run. The transport map
+integrates the learned ODE with fixed-step RK4 and denormalizes with the
+target statistics.
 """
 
 from __future__ import annotations
@@ -89,15 +91,16 @@ class CouplingBatch:
     stat_std: np.ndarray   # [B, NX, NY, V] member std relative to the target's
 
 
-def _conditioning_fields(stats: Climatology, target_stats: Climatology):
-    """Member statistics as dimensionless conditioning fields, [1, NX, NY, V].
+def _normalized_member(data, stats: Climatology, target_stats: Climatology):
+    """A member series normalized by its own statistics, with those statistics
+    as dimensionless conditioning fields, [1, NX, NY, V] each.
 
     The raw mean/std can sit far from zero (pressure-scale values); expressing
     them relative to the target statistics keeps network inputs O(1).
     """
-    mean_cond = (stats.mean - target_stats.mean) / target_stats.std
-    std_cond = stats.std / target_stats.std
-    return mean_cond, std_cond
+    return ((data - stats.mean) / stats.std,
+            (stats.mean - target_stats.mean) / target_stats.std,
+            stats.std / target_stats.std)
 
 
 def _doy_distance(a, b):
@@ -105,66 +108,61 @@ def _doy_distance(a, b):
     return np.minimum(d, DAYS_PER_YEAR - d)
 
 
-def sample_coupling(members, member_stats, target, target_stats,
-                    cfg: CouplingConfig, rng, n_chunks) -> CouplingBatch:
+@dataclass
+class CouplingPool:
+    """What every coupling draw of one training run reads, computed once."""
+
+    cfg: CouplingConfig
+    members: list            # per member: (normalized series, days of year, mean, std fields)
+    target: np.ndarray       # [T, NX, NY, V] normalized target series
+    starts: np.ndarray       # target chunk starts
+    start_doy: np.ndarray    # their days of year
+
+
+def coupling_pool(members, member_stats, target, target_stats, cfg: CouplingConfig):
+    """The `CouplingPool` of members and target: each member normalized by its
+    own statistics, the target by the target statistics."""
+    chunk = cfg.chunk_len_days
+    if target.n_times < chunk:
+        raise ValueError("target series shorter than one chunk")
+    starts = np.arange(target.n_times - chunk + 1)
+    per_member = []
+    for member in members:
+        series, mean_cond, std_cond = _normalized_member(
+            member.data, member_stats[member.member_id], target_stats)
+        per_member.append((series, day_of_year(member.time_coords), mean_cond, std_cond))
+    return CouplingPool(cfg, per_member, (target.data - target_stats.mean) / target_stats.std,
+                        starts, day_of_year(target.time_coords)[starts])
+
+
+def sample_coupling(pool: CouplingPool, rng, n_chunks) -> CouplingBatch:
     """Draw contiguous chunk pairs with matching season (day-of-year window).
 
     Pairing is independent within the season window: no trajectory alignment
     between member and target is assumed. Members are sampled uniformly.
     Each chunk draws a member, its start, then a target start in the window.
     """
-    return _coupling_sampler(members, member_stats, target, target_stats, cfg)(rng, n_chunks)
-
-
-def _coupling_sampler(members, member_stats, target, target_stats, cfg: CouplingConfig):
-    """`sample_coupling` as draw(rng, n_chunks), with what is fixed across draws
-    computed once: the target's and members' days of year, the valid target
-    starts per member day of year (on first use), and each member's
-    normalization and conditioning fields."""
-    chunk = cfg.chunk_len_days
-    n_target = target.n_times
-    if n_target < chunk:
-        raise ValueError("target series shorter than one chunk")
-    starts = np.arange(n_target - chunk + 1)
-    start_doy = day_of_year(target.time_coords)[starts]
-    valid_by_doy = {}
-    per_member = []
-    for member in members:
-        stats = member_stats[member.member_id]
-        per_member.append((member, stats, day_of_year(member.time_coords),
-                           *_conditioning_fields(stats, target_stats)))
-
-    def valid_starts(doy0):
-        valid = valid_by_doy.get(doy0)
-        if valid is None:
-            valid = valid_by_doy[doy0] = starts[
-                _doy_distance(start_doy, doy0) <= cfg.season_window_days]
-        return valid
-
-    def draw(rng, n_chunks):
-        y0_parts, y1_parts, mean_parts, std_parts = [], [], [], []
-        for _ in range(n_chunks):
-            member, stats, member_doy, mean_cond, std_cond = per_member[
-                int(rng.integers(len(members)))]
-            i0 = int(rng.integers(member.n_times - chunk + 1))
-            valid = valid_starts(int(member_doy[i0]))
-            if valid.size == 0:
-                raise ValueError(f"no target chunk within {cfg.season_window_days} days "
-                                 f"of day-of-year {member_doy[i0]}")
-            j0 = int(valid[rng.integers(valid.size)])   # rng.choice(valid)'s draw, cheaper
-            y0_parts.append((member.data[i0: i0 + chunk] - stats.mean) / stats.std)
-            y1_parts.append((target.data[j0: j0 + chunk] - target_stats.mean)
-                            / target_stats.std)
-            mean_parts.append(np.broadcast_to(mean_cond, y0_parts[-1].shape))
-            std_parts.append(np.broadcast_to(std_cond, y0_parts[-1].shape))
-        return CouplingBatch(
-            y0=np.concatenate(y0_parts),
-            y1=np.concatenate(y1_parts),
-            stat_mean=np.concatenate(mean_parts),
-            stat_std=np.concatenate(std_parts),
-        )
-
-    return draw
+    chunk, window = pool.cfg.chunk_len_days, pool.cfg.season_window_days
+    y0_parts, y1_parts, mean_parts, std_parts = [], [], [], []
+    for _ in range(n_chunks):
+        series, member_doy, mean_cond, std_cond = pool.members[
+            int(rng.integers(len(pool.members)))]
+        i0 = int(rng.integers(series.shape[0] - chunk + 1))
+        valid = pool.starts[_doy_distance(pool.start_doy, member_doy[i0]) <= window]
+        if valid.size == 0:
+            raise ValueError(f"no target chunk within {window} days "
+                             f"of day-of-year {member_doy[i0]}")
+        j0 = int(valid[rng.integers(valid.size)])   # rng.choice(valid)'s draw, cheaper
+        y0_parts.append(series[i0: i0 + chunk])
+        y1_parts.append(pool.target[j0: j0 + chunk])
+        mean_parts.append(np.broadcast_to(mean_cond, y0_parts[-1].shape))
+        std_parts.append(np.broadcast_to(std_cond, y0_parts[-1].shape))
+    return CouplingBatch(
+        y0=np.concatenate(y0_parts),
+        y1=np.concatenate(y1_parts),
+        stat_mean=np.concatenate(mean_parts),
+        stat_std=np.concatenate(std_parts),
+    )
 
 
 def reflow_loss(leaves, arch: ArchConfig, batch: CouplingBatch, tau):
@@ -213,9 +211,8 @@ def transport(model: ReflowModel, y: GridField, member_id, *, n_steps) -> GridFi
     """
     if member_id not in model.member_stats:
         raise ValueError(f"no statistics for member {member_id!r}")
-    stats = model.member_stats[member_id]
-    yhat = (y.data - stats.mean) / stats.std
-    mean_cond, std_cond = _conditioning_fields(stats, model.target_stats)
+    yhat, mean_cond, std_cond = _normalized_member(y.data, model.member_stats[member_id],
+                                                   model.target_stats)
     out = integrate_velocity(model, yhat, mean_cond, std_cond, n_steps=n_steps)
     data = out * model.target_stats.std + model.target_stats.mean
     return y.with_data(data)
@@ -224,7 +221,8 @@ def transport(model: ReflowModel, y: GridField, member_id, *, n_steps) -> GridFi
 def train_reflow(members, target, cfg: ReflowTrainConfig, out_dir=None):
     """Train the velocity field on training-period member/target series.
 
-    `fit` runs the loop; each step draws a coupling batch, then its times.
+    `fit` runs the loop; each step draws a coupling batch from the run's
+    `coupling_pool` through `sample_coupling`, then its times.
     Returns (ReflowModel, log) where log holds `fit`'s rows.
     When out_dir is given, writes a checkpoint and the loss curve CSV there.
     """
@@ -234,10 +232,10 @@ def train_reflow(members, target, cfg: ReflowTrainConfig, out_dir=None):
     target_stats = compute_climatology(target, (1, 1))
     arch = velocity_arch(target.data.shape[-1], levels=cfg.levels)
     batch_size = cfg.chunks_per_batch * cfg.coupling.chunk_len_days
-    draw = _coupling_sampler(members, member_stats, target, target_stats, cfg.coupling)
+    pool = coupling_pool(members, member_stats, target, target_stats, cfg.coupling)
 
     def loss_fn(leaves, rng):
-        batch = draw(rng, cfg.chunks_per_batch)
+        batch = sample_coupling(pool, rng, cfg.chunks_per_batch)
         tau = rng.uniform(TAU_MIN, 1.0 - TAU_MIN, batch_size)
         return reflow_loss(leaves, arch, batch, tau)
 

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from downgen import parallel
+from downgen import cli, parallel
+from test_cli import TINY
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -44,3 +45,17 @@ def test_worker_count_is_a_positive_int():
     """The environment block records it as `pmap_workers`, outside the tracer."""
     n = parallel.worker_count()
     assert isinstance(n, int) and n >= 1
+
+
+def test_every_span_records_a_call(tmp_path):
+    """One TINY e2e with cyclone detection reaches every wrapped function through
+    the attribute the tracer replaced: a span with no call names traced work
+    that its callers reach some other way, such as through a closure."""
+    config = tmp_path / "tiny.ini"
+    config.write_text(TINY)
+    spans = tracing.LAYER_TARGETS + tracing.STAGE_TARGETS
+    with tracing.Tracer().install(spans) as tracer:
+        assert cli.main(["e2e", "--config", str(config), "--out", str(tmp_path / "run"),
+                         "--set", "evaluate.cyclones=true"]) == 0
+    calls = tracing.summarize(tracer.spans)
+    assert [name for name, _ in spans if name not in calls] == []

@@ -305,12 +305,19 @@ class TestHeatStreak:
     def test_matches_brute_force_enumeration(self, h, bits):
         exceed = np.array([(bits >> k) & 1 for k in range(20)], dtype=bool)
         tmax = np.where(exceed, 2.0, -2.0)
-        got = heat_streak_prob(tmax, 0.0, h, 0.0)
-        days = set()
-        for i in range(20 - h + 1):
-            if exceed[i: i + h].all():
-                days.update(range(i, i + h))
-        assert got == pytest.approx(len(days) / 20)
+
+        def brute(exceed):
+            days = set()
+            for i in range(20 - h + 1):
+                if exceed[i: i + h].all():
+                    days.update(range(i, i + h))
+            return len(days) / 20
+
+        assert heat_streak_prob(tmax, 0.0, h, 0.0) == pytest.approx(brute(exceed))
+        # stacked [N, k]: the series beside its complement, one probability per column
+        got = heat_streak_prob(np.stack([tmax, -tmax], axis=1), 0.0, h, 0.0)
+        assert got.shape == (2,)
+        assert got == pytest.approx([brute(exceed), brute(~exceed)])
 
     def test_series_shorter_than_h(self):
         assert heat_streak_prob(np.full(2, 9.9), 0.0, 3, 0.0) == 0.0

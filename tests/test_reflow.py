@@ -10,8 +10,8 @@ from downgen.optim import OptimizerState, Schedule, adam_step
 from downgen.reflow import (
     TAU_MIN,
     CouplingConfig,
-    _coupling_sampler,
     ReflowTrainConfig,
+    coupling_pool,
     load_reflow,
     reflow_loss,
     sample_coupling,
@@ -67,7 +67,7 @@ class TestSampleCoupling:
         cfg = CouplingConfig(chunk_len_days=4, season_window_days=0)
         rng = np.random.default_rng(2)
         for _ in range(20):
-            batch = sample_coupling([member], stats, target, tstats, cfg, rng, 1)
+            batch = sample_coupling(coupling_pool([member], stats, target, tstats, cfg), rng, 1)
             # with a single shared calendar and window 0, chunks coincide in doy;
             # values must come from the same day-of-year rows
             assert batch.y0.shape == batch.y1.shape == (4, 2, 2, 1)
@@ -77,7 +77,7 @@ class TestSampleCoupling:
         stats = {"m000": compute_climatology(member, (1, 1))}
         tstats = compute_climatology(target, (1, 1))
         cfg = CouplingConfig(chunk_len_days=1, season_window_days=5)
-        batch = sample_coupling([member], stats, target, tstats, cfg,
+        batch = sample_coupling(coupling_pool([member], stats, target, tstats, cfg),
                                 np.random.default_rng(4), 3)
         assert batch.y0.shape[0] == 3
 
@@ -93,7 +93,7 @@ class TestSampleCoupling:
         member_norm = (member.data - stats["m000"].mean) / stats["m000"].std
         target_norm = (target.data - tstats.mean) / tstats.std
         for _ in range(200):
-            batch = sample_coupling([member], stats, target, tstats, cfg, rng, 1)
+            batch = sample_coupling(coupling_pool([member], stats, target, tstats, cfg), rng, 1)
             # identify drawn start days by matching the first snapshot values
             i0 = int(np.nonzero((member_norm == batch.y0[0]).all(axis=(1, 2, 3)))[0][0])
             j0 = int(np.nonzero((target_norm == batch.y1[0]).all(axis=(1, 2, 3)))[0][0])
@@ -110,7 +110,7 @@ class TestSampleCoupling:
         cfg = CouplingConfig(chunk_len_days=2, season_window_days=3)
         with pytest.raises(ValueError, match="no target chunk"):
             for _ in range(50):
-                sample_coupling([member], stats, target, tstats, cfg,
+                sample_coupling(coupling_pool([member], stats, target, tstats, cfg),
                                 np.random.default_rng(9), 1)
 
 
@@ -138,8 +138,8 @@ def sample_coupling_loop(members, member_stats, target, target_stats, cfg, rng, 
 
 class TestCouplingSampler:
     def test_matches_per_chunk_loop_bitwise(self):
-        # the sampler train_reflow builds once draws what the per-chunk loop
-        # draws, from the same generator calls
+        # draws from the pool train_reflow builds once match what the
+        # per-chunk loop draws, from the same generator calls
         rng = np.random.default_rng(32)
         members = [daily_field(2.0 + 1.5 * rng.standard_normal((400, 2, 2, 2)), f"m{i:03d}",
                                time0=24 * 40 * i) for i in range(2)]
@@ -147,10 +147,10 @@ class TestCouplingSampler:
         stats = {m.member_id: compute_climatology(m, (1, 1)) for m in members}
         tstats = compute_climatology(target, (1, 1))
         cfg = CouplingConfig(chunk_len_days=5, season_window_days=9)
-        draw = _coupling_sampler(members, stats, target, tstats, cfg)
+        pool = coupling_pool(members, stats, target, tstats, cfg)
         rng_new, rng_ref = np.random.default_rng(33), np.random.default_rng(33)
         for _ in range(50):
-            batch = draw(rng_new, 4)
+            batch = sample_coupling(pool, rng_new, 4)
             ref = sample_coupling_loop(members, stats, target, tstats, cfg, rng_ref, 4)
             got = (batch.y0, batch.y1, batch.stat_mean, batch.stat_std)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
@@ -164,9 +164,9 @@ class TestReflowLoss:
         tstats = compute_climatology(target, (1, 1))
         cfg = ReflowTrainConfig(steps=1, levels=(4, 8), seed=seed)
         model, _ = train_reflow([member], target, cfg)
-        batch = sample_coupling([member], stats, target, tstats,
-                                CouplingConfig(chunk_len_days=4, season_window_days=30),
-                                np.random.default_rng(seed + 1), 2)
+        pool = coupling_pool([member], stats, target, tstats,
+                             CouplingConfig(chunk_len_days=4, season_window_days=30))
+        batch = sample_coupling(pool, np.random.default_rng(seed + 1), 2)
         return model, batch
 
     def test_zero_velocity_loss_is_displacement_power(self):
@@ -175,9 +175,9 @@ class TestReflowLoss:
         tstats = compute_climatology(target, (1, 1))
         cfg = ReflowTrainConfig(steps=0, levels=(4, 8), seed=11)
         model, _ = train_reflow([member], target, cfg)  # zero-init final layer
-        batch = sample_coupling([member], stats, target, tstats,
-                                CouplingConfig(chunk_len_days=4, season_window_days=30),
-                                np.random.default_rng(12), 2)
+        pool = coupling_pool([member], stats, target, tstats,
+                             CouplingConfig(chunk_len_days=4, season_window_days=30))
+        batch = sample_coupling(pool, np.random.default_rng(12), 2)
         tau = np.random.default_rng(13).uniform(0.2, 0.8, 8)
         loss = float(reflow_loss(model.params, model.arch, batch, tau).data)
         assert abs(loss - np.mean((batch.y1 - batch.y0) ** 2)) < 1e-12
@@ -451,8 +451,8 @@ class TestTrainReflow:
                                clip_norm=cfg.clip_norm)
         ref_log = []
         for step in range(4):
-            batch = sample_coupling([member], stats, target, tstats, cfg.coupling, rng,
-                                    cfg.chunks_per_batch)
+            batch = sample_coupling(coupling_pool([member], stats, target, tstats, cfg.coupling),
+                                    rng, cfg.chunks_per_batch)
             tau = rng.uniform(TAU_MIN, 1.0 - TAU_MIN,
                               cfg.chunks_per_batch * cfg.coupling.chunk_len_days)
             loss, grads = loss_and_grads(lambda leaves: reflow_loss(leaves, arch, batch, tau),
