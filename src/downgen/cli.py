@@ -2,8 +2,9 @@
 
 Stages communicate exclusively through files under the run directory. `_stages()`
 is the one list of the stages and their outputs, in `e2e` order: the subcommands,
-`e2e`'s order and skip rule, each stage's output path and the stage named by "run
-`X` first" on a missing input are all read from it. Its outputs lie under:
+`e2e`'s order, each stage's output path and the stage named by "run `X` first" on
+a missing input are all read from it, and `_run` is the one caller of every stage.
+Its outputs lie under:
 
     data/       synthetic truth and biased members (gen-data)
     models/     trained checkpoints (train-debias, train-sr)
@@ -13,10 +14,11 @@ is the one list of the stages and their outputs, in `e2e` order: the subcommands
     metrics/    metric CSVs and optional SVG plots (evaluate)
 
 A stage output exists only once it is complete: it is built under a hidden
-`.partial` name and renamed into place on success. A single stage refuses an
-existing output and no output is deleted; a failed or killed stage leaves at
-most a `.partial` that its rerun replaces. `e2e` skips, and names on stderr,
-each stage whose output exists, so a killed `e2e` resumes with `e2e`.
+`.partial` name and renamed into place on success. `_run` looks for a stage's
+output before calling it: a single stage refuses an existing output before it
+reads anything, and no output is deleted; a failed or killed stage leaves at most
+a `.partial` that its rerun replaces. `e2e` skips, and names on stderr, each
+stage whose output exists, so a killed `e2e` resumes with `e2e`.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage/config error.
 """
@@ -202,11 +204,9 @@ def _check_config(cfg):
             "train_days + start_day + length_days must not exceed n_days")
 
 
-def _write_once(run_dir, rel):
-    """run_dir/rel, for a stage to write once: an existing output refuses."""
+def _output_path(run_dir, rel):
+    """run_dir/rel, a stage output, with its parent directory made."""
     path = Path(run_dir) / rel
-    if path.exists():
-        raise StageError(f"output {path} already exists (write-once run directory)")
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -215,7 +215,7 @@ def _write_once(run_dir, rel):
 def _fresh_dir(run_dir, rel):
     """Yield a temporary directory for the output run_dir/rel; on success it is
     renamed into place."""
-    with staged(_write_once(run_dir, rel)) as tmp:
+    with staged(_output_path(run_dir, rel)) as tmp:
         tmp.mkdir()
         yield tmp
 
@@ -259,7 +259,6 @@ def stage_gen_data(cfg, run_dir, output):
         member_dir.mkdir()
         for m in pair.coarse_biased:
             write_array(m, member_dir / f"{m.member_id}.npy")
-    return 0
 
 
 def stage_train_debias(cfg, run_dir, output):
@@ -270,7 +269,6 @@ def stage_train_debias(cfg, run_dir, output):
     with _fresh_dir(run_dir, output) as out:
         train_reflow([m.time_slice(0, t_hours) for m in members],
                      target.time_slice(0, t_hours), train_cfg, out_dir=out)
-    return 0
 
 
 def stage_train_sr(cfg, run_dir, output):
@@ -278,7 +276,6 @@ def stage_train_sr(cfg, run_dir, output):
     truth = read_array(_require(run_dir, "data/fine_truth.npy"))
     with _fresh_dir(run_dir, output) as out:
         train_sr(truth.time_slice(0, _train_hours(cfg)), train_cfg, out_dir=out)
-    return 0
 
 
 def stage_debias(cfg, run_dir, output):
@@ -289,7 +286,6 @@ def stage_debias(cfg, run_dir, output):
             result = transport(model, m, m.member_id,
                                n_steps=cfg["debias"]["transport_steps"])
             write_array(result, out / f"{m.member_id}.npy")
-    return 0
 
 
 def stage_baseline_qm(cfg, run_dir, output):
@@ -302,7 +298,6 @@ def stage_baseline_qm(cfg, run_dir, output):
         for m in members:
             member_clim = compute_climatology(m.time_slice(0, t_hours), buckets)
             write_array(qm_debias(m, member_clim, target_clim), out / f"{m.member_id}.npy")
-    return 0
 
 
 def _sample_window_hours(cfg):
@@ -329,7 +324,6 @@ def stage_baseline_bcsd(cfg, run_dir, output):
                            target_clim, fine_clim, pool, rng, spec)
     with _fresh_dir(run_dir, output) as out:
         write_array(result, out / "bcsd.npy")
-    return 0
 
 
 def stage_sample(cfg, run_dir, output, source):
@@ -345,8 +339,7 @@ def stage_sample(cfg, run_dir, output, source):
         (cfg["pipeline"]["rng_seed"], _SAMPLE_STREAM, stream)))
     result = sample_long(model, coarse.time_slice(h0, h1), cfg["sample"]["windows"],
                          guidance=cfg["sample"]["guidance"], rng=rng)
-    write_array(result, _write_once(run_dir, output))
-    return 0
+    write_array(result, _output_path(run_dir, output))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +439,6 @@ def stage_evaluate(cfg, run_dir, output):
             series["truth"] = truth_window.data[..., 0].mean(axis=(1, 2))
             curves_svg(truth_window.time_coords, series, out / "domain_mean_temperature.svg",
                        title="domain-mean temperature")
-    return 0
 
 
 def _stages():
@@ -465,17 +457,19 @@ def _stages():
             + [("evaluate", "metrics", stage_evaluate)])
 
 
-def stage_e2e(cfg, run_dir):
-    """Every stage in order, each skipped, and named on stderr, if its output
-    exists. Every stage seeds itself from the config alone, so a resumed run
-    writes the same bytes as a fresh one."""
-    run_dir = Path(run_dir)
-    for name, output, run in _stages():
-        if (run_dir / output).exists():
-            print(f"e2e: skipping {name}: {run_dir / output} exists", file=sys.stderr)
-        else:
-            run(cfg, run_dir, output)
-    return 0
+def _run(cfg, run_dir, typed):
+    """Call the stage named `typed`, or each stage for `e2e`, if its output is
+    absent. An existing output refuses a single stage before it reads anything,
+    and `e2e` skips that stage, naming it on stderr. Each stage seeds itself from
+    the config alone, so a resumed `e2e` writes the bytes of a fresh one."""
+    for name, output, stage in _stages():
+        path = Path(run_dir) / output
+        if typed in (name, "e2e") and not path.exists():
+            stage(cfg, run_dir, output)
+        elif typed == "e2e":
+            print(f"e2e: skipping {name}: {path} exists", file=sys.stderr)
+        elif typed == name:
+            raise StageError(f"output {path} already exists (write-once run directory)")
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +501,11 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    runs = {name: partial(run, cfg, args.out, output) for name, output, run in _stages()}
-    runs["e2e"] = partial(stage_e2e, cfg, args.out)
     typed = " ".join([args.command] + (["--source", args.source] if "source" in args else []))
     try:
         _persist_config(cfg, args.out)
-        return runs[typed]()
+        _run(cfg, args.out, typed)
+        return 0
     except (StageError, DivergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -40,7 +40,7 @@ from .nets import (
     save_checkpoint,
 )
 from .optim import adam_step  # noqa: F401  not called here; perfbench/tracing.py wraps it
-from .reflow import fit, one_group_table, require_fit_settings, write_loss_log
+from .reflow import FitConfig, fit, one_group_table, write_loss_log
 
 _TRAIN_STREAM = 3
 RHO = 7.0   # the warp of the "edm" sampling grid, EDM's value
@@ -177,26 +177,20 @@ def prepare_cond(y_cond: GridField, cond_stats: Climatology, spec: DownsampleSpe
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SRTrainConfig:
+class SRTrainConfig(FitConfig):
     steps: int = 800
     batch: int = 4
     window_days: int = 3
     spatial_factor: int = 4
     p_uncond: float = 0.15
-    peak_lr: float = 1e-3
-    end_lr: float = 1e-6
-    warmup_steps: int = 100
-    clip_norm: float = 0.6
-    levels: tuple = (16, 32, 64)
     doy_buckets: int = DAYS_PER_YEAR
     noise: NoiseSchedule = field(default_factory=NoiseSchedule)
-    seed: int = 0
 
     def __post_init__(self):
         require_at_least(self, 1, ("batch", "window_days", "doy_buckets"))
         if not 0.0 <= self.p_uncond < 1.0:
             raise ValueError(f"p_uncond must lie in [0, 1), not {self.p_uncond}")
-        require_fit_settings(self)
+        super().__post_init__()
 
 
 @dataclass

@@ -20,6 +20,8 @@ HEAT_ADVISORY_LEVELS = {
     "danger": 312.6,
     "extreme_danger": 325.0,
 }
+# the least periodogram value `temporal_psd_error` takes the log of
+PSD_FLOOR = 1e-30
 
 
 # ---------------------------------------------------------------------------
@@ -103,23 +105,25 @@ def mab(pred, ref):
     return float(np.abs(p.mean(axis=0) - r.mean(axis=0)).mean())
 
 
-def _w1_single(a, b):
-    """1-D Wasserstein distance via the CDF-difference integral on the union support."""
-    grid = np.sort(np.concatenate([a, b]))
-    cdf_a = np.searchsorted(np.sort(a), grid[:-1], side="right") / a.size
-    cdf_b = np.searchsorted(np.sort(b), grid[:-1], side="right") / b.size
-    return float(np.sum(np.abs(cdf_a - cdf_b) * np.diff(grid)))
-
-
 def wasserstein1(pred, ref):
-    """Per-pixel 1-D Wasserstein-1 distance, averaged over pixels."""
+    """Per-pixel 1-D Wasserstein-1 distance, averaged over pixels: the integral of
+    |CDF difference| over the union of both sample sets, each pixel's CDFs
+    counted along its sorted union."""
     p = _flatten_samples(pred)
     r = _flatten_samples(ref)
     if p.shape[0] == 0 or r.shape[0] == 0:
         raise ValueError("empty sample set")
     if p.shape[1] != r.shape[1]:
         raise ValueError("pred and ref must share the pixel grid")
-    return float(np.mean([_w1_single(p[:, d], r[:, d]) for d in range(p.shape[1])]))
+    union = np.concatenate([p, r]).T
+    order = np.argsort(union, axis=-1, kind="stable")
+    grid = np.take_along_axis(union, order, axis=-1)
+    # pred samples up to each union point; within a run of ties the count is
+    # complete only at its last point, where the grid step is the only nonzero one
+    count_p = np.cumsum(order < p.shape[0], axis=-1)[:, :-1]
+    count_r = np.arange(1, grid.shape[1]) - count_p
+    cdf_diff = np.abs(count_p / p.shape[0] - count_r / r.shape[0])
+    return float(np.mean((cdf_diff * np.diff(grid, axis=-1)).sum(axis=-1)))
 
 
 def percentile_mae(pred, ref, p):
@@ -150,22 +154,17 @@ def correlation_matrix(series_map, center, box):
     ci, cj = center
     if not (box <= ci < nx - box and box <= cj < ny - box):
         raise ValueError("neighborhood box exceeds the grid")
-    c = series_map[:, ci, cj]
-    c_anom = c - c.mean()
-    c_norm = np.sqrt((c_anom ** 2).sum())
-    size = 2 * box + 1
-    out = np.full((size, size), np.nan)
-    for di in range(-box, box + 1):
-        for dj in range(-box, box + 1):
-            if di == 0 and dj == 0:
-                out[box, box] = 1.0
-                continue
-            n = series_map[:, ci + di, cj + dj]
-            n_anom = n - n.mean()
-            n_norm = np.sqrt((n_anom ** 2).sum())
-            if c_norm == 0.0 or n_norm == 0.0:
-                continue
-            out[box + di, box + dj] = float((c_anom * n_anom).sum() / (c_norm * n_norm))
+    # the neighborhood, [2 box + 1, 2 box + 1, T], contiguous in time so that each
+    # sum over time adds in the order of the 1-D sum over one series
+    hood = np.ascontiguousarray(np.moveaxis(
+        series_map[:, ci - box: ci + box + 1, cj - box: cj + box + 1], 0, -1))
+    anom = hood - hood.mean(axis=-1, keepdims=True)
+    norm = np.sqrt((anom ** 2).sum(axis=-1))
+    c_norm = norm[box, box]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = (anom[box, box] * anom).sum(axis=-1) / (c_norm * norm)
+    out = np.where((c_norm == 0.0) | (norm == 0.0), np.nan, corr).astype(np.float64)
+    out[box, box] = 1.0
     return out
 
 
@@ -193,7 +192,7 @@ def temporal_psd(series, t_phys):
     return spec[..., 1:]
 
 
-def temporal_psd_error(pred, ref, t_phys, floor=1e-30):
+def temporal_psd_error(pred, ref, t_phys):
     """Mean |log ratio| between member-averaged periodograms.
 
     pred, ref: [members, T] ensembles of equal series length.
@@ -202,8 +201,8 @@ def temporal_psd_error(pred, ref, t_phys, floor=1e-30):
     ref = np.atleast_2d(np.asarray(ref, dtype=np.float64))
     if pred.shape[-1] != ref.shape[-1]:
         raise ValueError("series lengths must match")
-    p = np.maximum(temporal_psd(pred, t_phys).mean(axis=0), floor)
-    r = np.maximum(temporal_psd(ref, t_phys).mean(axis=0), floor)
+    p = np.maximum(temporal_psd(pred, t_phys).mean(axis=0), PSD_FLOOR)
+    r = np.maximum(temporal_psd(ref, t_phys).mean(axis=0), PSD_FLOOR)
     return float(np.abs(np.log(p) - np.log(r)).mean())
 
 

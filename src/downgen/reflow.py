@@ -57,10 +57,12 @@ class CouplingConfig:
 
 
 @dataclass
-class ReflowTrainConfig:
+class FitConfig:
+    """The settings `fit` reads, shared by both stages' training configs: steps
+    and warmup_steps >= 0, peak_lr and clip_norm > 0, 0 <= end_lr <= peak_lr, and
+    levels at least one channel count, each at least 1."""
+
     steps: int = 2000
-    chunks_per_batch: int = 4
-    coupling: CouplingConfig = field(default_factory=CouplingConfig)
     peak_lr: float = 1e-3
     end_lr: float = 1e-6
     warmup_steps: int = 100
@@ -69,8 +71,23 @@ class ReflowTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_at_least(self, 0, ("steps", "warmup_steps"))
+        require_positive(self, ("peak_lr", "clip_norm"))
+        if not 0.0 <= self.end_lr <= self.peak_lr:
+            raise ValueError(f"end_lr must lie in [0, peak_lr = {self.peak_lr}], "
+                             f"not {self.end_lr}")
+        if not (self.levels and min(self.levels) >= 1):
+            raise ValueError(f"levels must be channel counts of at least 1, not {self.levels}")
+
+
+@dataclass
+class ReflowTrainConfig(FitConfig):
+    chunks_per_batch: int = 4
+    coupling: CouplingConfig = field(default_factory=CouplingConfig)
+
+    def __post_init__(self):
         require_at_least(self, 1, ("chunks_per_batch",))
-        require_fit_settings(self)
+        super().__post_init__()
 
 
 @dataclass
@@ -247,19 +264,7 @@ def train_reflow(members, target, cfg: ReflowTrainConfig, out_dir=None):
     return model, log
 
 
-def require_fit_settings(cfg):
-    """The rules of the settings `fit` reads, for both stages' training configs:
-    steps and warmup_steps >= 0, peak_lr and clip_norm > 0, 0 <= end_lr <=
-    peak_lr, and levels at least one channel count, each at least 1."""
-    require_at_least(cfg, 0, ("steps", "warmup_steps"))
-    require_positive(cfg, ("peak_lr", "clip_norm"))
-    if not 0.0 <= cfg.end_lr <= cfg.peak_lr:
-        raise ValueError(f"end_lr must lie in [0, peak_lr = {cfg.peak_lr}], not {cfg.end_lr}")
-    if not (cfg.levels and min(cfg.levels) >= 1):
-        raise ValueError(f"levels must be channel counts of at least 1, not {cfg.levels}")
-
-
-def fit(arch: ArchConfig, cfg, stream, loss_fn):
+def fit(arch: ArchConfig, cfg: FitConfig, stream, loss_fn):
     """The training loop of both stages: seeded init, then clipped Adam steps.
 
     One generator seeded from (cfg.seed, stream) initializes the parameters;

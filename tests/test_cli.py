@@ -801,7 +801,7 @@ class TestExitCodes:
             return record
 
         for attr in list(vars(cli)):
-            if attr.startswith("stage_") and attr != "stage_e2e":
+            if attr.startswith("stage_"):
                 monkeypatch.setattr(cli, attr, recorder(attr))
         assert main(["e2e", "--out", str(tmp_path / "run")]) == 0
         assert [(attr, output) for attr, output, _ in calls] == [
@@ -816,6 +816,26 @@ class TestExitCodes:
         calls.clear()
         assert main(["sample", "--source", "qm", "--out", str(tmp_path / "one")]) == 0
         assert calls == [("stage_sample", "samples/qmsr.npy", {"source": "qm"})]
+
+    def test_refused_stage_is_never_called(self, tmp_path, monkeypatch, capsys):
+        """A single stage whose output exists exits 1 before its function is
+        called, so it reads and computes nothing; `e2e` skips every such stage."""
+        calls = []
+        for attr in list(vars(cli)):
+            if attr.startswith("stage_"):
+                monkeypatch.setattr(cli, attr, lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "run"
+        for name, output, _ in cli._stages():
+            (out / output).parent.mkdir(parents=True, exist_ok=True)
+            (out / output).touch()
+            capsys.readouterr()
+            assert main(name.split() + ["--out", str(out)]) == 1, name
+            assert capsys.readouterr().err == (f"error: output {out / output} already "
+                                               "exists (write-once run directory)\n")
+            assert calls == [], name
+        assert main(["e2e", "--out", str(out)]) == 0
+        assert calls == []
+        assert capsys.readouterr().err.count("e2e: skipping ") == len(cli._stages())
 
     def test_write_once(self, tiny_config, tmp_path):
         out = tmp_path / "run"
@@ -838,7 +858,7 @@ class TestExitCodes:
         samples = tmp_path / "samples"
         samples.mkdir()
         (samples / "downgen.npy.json").write_text("left by a killed stage\n")
-        path = cli._write_once(tmp_path, "samples/downgen.npy")
+        path = cli._output_path(tmp_path, "samples/downgen.npy")
         fld = _fine_field(1, seed=0)
         write_array(fld, path)
         assert read_array(path).data.tobytes() == fld.data.tobytes()

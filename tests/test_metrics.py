@@ -186,6 +186,55 @@ class TestWasserstein:
             assert dab <= wasserstein1(a, c) + wasserstein1(c, b) + 1e-12
 
 
+def _w1_per_pixel(pred, ref):
+    """wasserstein1 as one 1-D CDF integral per pixel, in a Python loop."""
+    def single(a, b):
+        grid = np.sort(np.concatenate([a, b]))
+        cdf_a = np.searchsorted(np.sort(a), grid[:-1], side="right") / a.size
+        cdf_b = np.searchsorted(np.sort(b), grid[:-1], side="right") / b.size
+        return float(np.sum(np.abs(cdf_a - cdf_b) * np.diff(grid)))
+
+    p, r = pred.reshape(len(pred), -1), ref.reshape(len(ref), -1)
+    return float(np.mean([single(p[:, d], r[:, d]) for d in range(p.shape[1])]))
+
+
+def _corr_per_neighbor(series_map, center, box):
+    """correlation_matrix as one 1-D Pearson correlation per neighbor, in a loop."""
+    ci, cj = center
+    c = series_map[:, ci, cj]
+    c_anom = c - c.mean()
+    c_norm = np.sqrt((c_anom ** 2).sum())
+    out = np.full((2 * box + 1, 2 * box + 1), np.nan)
+    for di in range(-box, box + 1):
+        for dj in range(-box, box + 1):
+            n = series_map[:, ci + di, cj + dj]
+            n_anom = n - n.mean()
+            n_norm = np.sqrt((n_anom ** 2).sum())
+            if c_norm != 0.0 and n_norm != 0.0:
+                out[box + di, box + dj] = float((c_anom * n_anom).sum() / (c_norm * n_norm))
+    out[box, box] = 1.0
+    return out
+
+
+class TestMatchesPerPixelLoop:
+    """The array forms of wasserstein1 and correlation_matrix add in the order of
+    the per-pixel loops they replace, so they match them bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bitwise_equal(self, dtype):
+        rng = np.random.default_rng(40)
+        # rounded to one decimal: ties within and across the two sample sets
+        pred = np.round(rng.normal(size=(173, 5, 4)), 1).astype(dtype)
+        ref = np.round(0.3 + 1.2 * rng.normal(size=(96, 5, 4)), 1).astype(dtype)
+        assert wasserstein1(pred, ref) == _w1_per_pixel(pred, ref)
+        assert wasserstein1(ref, pred) == _w1_per_pixel(ref, pred)
+        series = (rng.normal(size=(300, 7, 6)) * 1e3 + 5e4).astype(dtype)
+        series[:, 2, 3] = 7.0   # a zero-variance neighbor
+        for box in (1, 2):
+            want = _corr_per_neighbor(series, (3, 3), box)
+            assert correlation_matrix(series, (3, 3), box).tobytes() == want.tobytes()
+
+
 class TestPercentile:
     def test_identical(self):
         x = np.random.default_rng(8).standard_normal((50, 4))
