@@ -5,8 +5,9 @@ trajectory covering the whole requested length; its windows are views of
 that trajectory. Every step denoises all windows in one batched call,
 `consolidate` stitches the outputs back into one trajectory (each overlap
 the average of its two windows, as in MultiDiffusion), and the chain takes
-one SDE step with noise drawn once on the trajectory. An overlap is stored
-once, so neighboring windows agree on it bitwise after every step.
+one second-order SDE step with noise drawn once on the trajectory. The step's
+correction combines two consolidated outputs element by element. An overlap
+is stored once, so neighboring windows agree on it bitwise after every step.
 """
 
 from __future__ import annotations
@@ -72,16 +73,29 @@ def sample_chain(denoise_fn, shape, sigmas, rng, on_step=None):
     denoise_fn(z, sigma) -> denoised estimate. Returns the state at the final
     (smallest) sigma; the terminal condition is z ~ N(0, sigmas[0]^2 I).
     on_step, if given, is called as on_step(grid_index, z) after every step.
+
+    The chain is SDE-DPM-Solver++(2M) (Lu et al. 2022, arXiv 2211.01095): the
+    first step is `sde_step_exponential` on the denoiser output d_0; each later
+    step i hands it d_i + (h_i / (2 h_{i-1})) (d_i - d_{i-1}) instead, with
+    h_i = log(sigmas[i] / sigmas[i+1]). The correction reuses the previous
+    step's output, so every step costs one denoiser call. The grid must be
+    strictly decreasing, or some h is zero.
     """
+    if not (np.diff(sigmas) < 0).all():
+        raise ValueError("sigma grid is not strictly decreasing")
+    h = np.log(sigmas[:-1] / sigmas[1:])
     z = rng.standard_normal(shape) * sigmas[0]
+    d_prev = None
     for i in range(len(sigmas) - 1):
         d = denoise_fn(z, sigmas[i])
+        est = d if d_prev is None else d + (h[i] / (2.0 * h[i - 1])) * (d - d_prev)
         eps = rng.standard_normal(shape)
-        z = sde_step_exponential(z, sigmas[i], sigmas[i + 1], d, eps)
+        z = sde_step_exponential(z, sigmas[i], sigmas[i + 1], est, eps)
         if not np.isfinite(z).all():
             raise DivergenceError(f"non-finite sampler state at grid index {i}")
         if on_step is not None:
             on_step(i, z)
+        d_prev = d
     return z
 
 

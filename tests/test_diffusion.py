@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from downgen import autodiff as ad, cli
-from downgen.config import parse_config
+from downgen.config import default_config, parse_config
 from downgen.diffusion import (
     NoiseSchedule,
     SRTrainConfig,
@@ -378,22 +378,28 @@ class TestSamplerOracles:
             v = r ** 2 * v + (sig[i + 1] ** 2 / sig[i] ** 2) * (sig[i] ** 2 - sig[i + 1] ** 2)
         assert v == pytest.approx(sig[-1] ** 2, rel=1e-9)
 
-    def test_analytic_gaussian_denoiser_restores_prior_variance(self):
+    @pytest.mark.parametrize("n_grid", [256, default_config()["sr"]["n_grid"]])
+    def test_analytic_gaussian_denoiser_restores_prior_variance(self, n_grid):
         # Tweedie oracle: for prior N(0, s^2), D*(z, sigma) = z s^2 / (s^2 + sigma^2).
-        # The first-order solver carries a ~4.4% variance deficit on this grid,
-        # so also pin the empirical result to the exact variance recursion.
+        # The 2M chain ends 0.1% above the prior variance on 256 levels and 1.7%
+        # above on 64, so also pin the empirical result to the exact recursion.
+        # z_{i+1} = A z_i + B z_{i-1} + noise, so it tracks Var z_i and
+        # Cov(z_i, z_{i-1}).
         s2 = 4.0
-        sched = NoiseSchedule(n_grid=256)
-        sig = sched.step_sigmas()
+        sig = NoiseSchedule(n_grid=n_grid).step_sigmas()
         rng = np.random.default_rng(0)
         z = sample_chain(lambda z, s: z * s2 / (s2 + s ** 2), (10000,), sig, rng)
         assert abs(z.var() - s2) / s2 < 0.05
-        v = sig[0] ** 2
+        h = np.log(sig[:-1] / sig[1:])
+        v, v_prev, cov = sig[0] ** 2, 0.0, 0.0
         for i in range(len(sig) - 1):
             hi, lo = sig[i], sig[i + 1]
             a = lo ** 2 / hi ** 2
-            c = a + (1 - a) * s2 / (s2 + hi ** 2)
-            v = c ** 2 * v + a * (hi ** 2 - lo ** 2)
+            k = h[i] / (2 * h[i - 1]) if i else 0.0
+            big_a = a + (1 - a) * (1 + k) * s2 / (s2 + hi ** 2)
+            big_b = -(1 - a) * k * s2 / (s2 + sig[i - 1] ** 2) if i else 0.0
+            v, v_prev, cov = (big_a ** 2 * v + big_b ** 2 * v_prev + 2 * big_a * big_b * cov
+                              + a * (hi ** 2 - lo ** 2)), v, big_a * v + big_b * cov
         mc_se = v * np.sqrt(2.0 / z.size)
         assert abs(z.var() - v) < 3.0 * mc_se
 

@@ -14,6 +14,7 @@ from downgen.diffusion import (
     assemble_output,
     cfg_denoise,
     prepare_cond,
+    sde_step_exponential,
 )
 from downgen.grid import Climatology, coarsen
 from downgen.multidiffusion import (
@@ -121,6 +122,47 @@ class TestConsolidate:
         assert views.shape == ds.shape
         for j, s in enumerate(starts):
             np.testing.assert_array_equal(views[j], out[s: s + window_len])
+
+
+class TestSampleChain:
+    """The chain on a stub denoiser that returns known arrays, one per call."""
+
+    def test_first_step_first_order_then_2m_estimate(self, monkeypatch):
+        sig = NoiseSchedule(n_grid=4).step_sigmas()
+        outs = np.random.default_rng(40).standard_normal((3, 5))
+        calls, steps, states = [], [], []
+
+        def stub(z, sigma):
+            calls.append(sigma)
+            return outs[len(calls) - 1]
+
+        def recording(z, sigma_hi, sigma_lo, d, eps):
+            steps.append(d)
+            return sde_step_exponential(z, sigma_hi, sigma_lo, d, eps)
+
+        monkeypatch.setattr(multidiffusion, "sde_step_exponential", recording)
+        sample_chain(stub, (5,), sig, np.random.default_rng(41),
+                     on_step=lambda i, z: states.append(z))
+        assert calls == list(sig[:-1])   # one denoiser call per step
+        rng = np.random.default_rng(41)
+        z0 = rng.standard_normal(5) * sig[0]
+        first = sde_step_exponential(z0, sig[0], sig[1], outs[0], rng.standard_normal(5))
+        assert states[0].tobytes() == first.tobytes()
+        h = np.log(sig[:-1] / sig[1:])
+        for i in (1, 2):
+            est = outs[i] + (h[i] / (2.0 * h[i - 1])) * (outs[i] - outs[i - 1])
+            assert steps[i].tobytes() == est.tobytes()
+
+    def test_repeated_sigma_refused_before_any_denoiser_call(self):
+        calls = []
+
+        def stub(z, sigma):
+            calls.append(sigma)
+            return np.zeros_like(z)
+
+        with pytest.raises(ValueError, match="not strictly decreasing"):
+            sample_chain(stub, (3,), np.array([4.0, 2.0, 2.0, 1.0]), np.random.default_rng(0))
+        assert calls == []
 
 
 @pytest.fixture(scope="module")
