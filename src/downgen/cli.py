@@ -136,9 +136,12 @@ def _train_hours(cfg):
 # (section, key, least value) of the keys that stages read directly, not through a
 # stage config that refuses them itself. The training period is at least a year:
 # BCSD's analog pool and QM over a whole member series need every day of the year.
+# The sampler's third-order step needs 24 levels: on the Gaussian oracle it ends
+# at 0.66 of a unit prior variance on 16 levels and 16.8 on 8, within 6% from 24 up.
 _LEAST = [("pipeline", "rng_seed", 0), ("synth", "train_days", DAYS_PER_YEAR),
           ("sample", "start_day", 0), ("debias", "transport_steps", 1),
-          ("baseline", "qm_doy_buckets", 1), ("baseline", "fine_clim_doy_buckets", 1)]
+          ("baseline", "qm_doy_buckets", 1), ("baseline", "fine_clim_doy_buckets", 1),
+          ("sr", "n_grid", 24)]
 # (section, key, steps a day of the training series): the day-of-year buckets of a
 # climatology fitted on the training period, with one time-of-day group per step
 _CLIMATOLOGIES = [("sr", "doy_buckets", STEPS_PER_DAY), ("baseline", "qm_doy_buckets", 1),
@@ -147,15 +150,21 @@ _CLIMATOLOGIES = [("sr", "doy_buckets", STEPS_PER_DAY), ("baseline", "qm_doy_buc
 
 def _check_config(cfg):
     """Every rule a setting must keep, checked before any stage runs: the least
-    values of `_LEAST`, the rules of the three stage configs, then the
-    cross-key rules of the training period, the U-nets' depth and the sample
-    settings."""
+    values of `_LEAST`, the rules of the three stage configs, the refused
+    tangent grid, then the cross-key rules of the training period, the U-nets'
+    depth and the sample settings."""
     for section, key, least in _LEAST:
         if cfg[section][key] < least:
             raise ConfigError(f"{section}.{key} must be at least {least}, "
                               f"not {cfg[section][key]}")
     for build in (_synth_config, _reflow_config, _sr_config):
         build(cfg)
+    # on the Gaussian oracle the sampler ends at 549-1218 times the prior
+    # variance on the tangent grid (40-128 levels)
+    if cfg["sr"]["schedule_kind"] == "tangent":
+        raise ConfigError("sr.schedule_kind = tangent is refused: its last step, from "
+                          "about 10 to sigma_min, is too long for the sampler "
+                          "(ROADMAP item 17)")
     # the training period holds one debias chunk and one SR window, and covers the
     # calendar of each climatology fitted on it
     synth = cfg["synth"]

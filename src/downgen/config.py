@@ -98,7 +98,7 @@ SCHEMA = {
         "doy_buckets": (int, 36),
         "sigma_min": (_float, 1e-4),
         "sigma_max": (_float, 80.0),
-        "n_grid": (int, 64),
+        "n_grid": (int, 40),
         "schedule_kind": (_name, "edm"),
     },
     "sample": {

@@ -6,7 +6,7 @@ The model learns the climatology-normalized residual between fine-resolution
 truth and the deterministic upsampling of its own coarsening. Samples are
 assembled as upsampled input + residual climatology + scaled residual draw;
 the reverse chain that draws them is `multidiffusion.sample_chain`, which
-makes the step second order (SDE-DPM-Solver++(2M)) by the estimate it feeds it.
+makes the step third order (SDE-DPM-Solver++(3M)) by the estimate it feeds it.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ def sde_step_exponential(z, sigma_hi, sigma_lo, d, eps):
     """One reverse step of the first-order exponential solver (sigma_hi -> sigma_lo):
     r z + (1 - r) d + sigma_lo sqrt(1 - r) eps with r = sigma_lo^2 / sigma_hi^2,
     the first-order SDE-DPM-Solver++ step for a data estimate d.
-    `multidiffusion.sample_chain` passes as d its 2M-corrected estimate, which
-    makes the chain second order at one denoiser call per step."""
+    `multidiffusion.sample_chain` passes as d its 3M-corrected estimate, which
+    makes the chain third order at one denoiser call per step."""
     if not 0.0 < sigma_lo <= sigma_hi:
         raise ValueError(f"need 0 < sigma_lo <= sigma_hi, got {sigma_lo}, {sigma_hi}")
     r = sigma_lo ** 2 / sigma_hi ** 2

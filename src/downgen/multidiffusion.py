@@ -5,9 +5,10 @@ trajectory covering the whole requested length; its windows are views of
 that trajectory. Every step denoises all windows in one batched call,
 `consolidate` stitches the outputs back into one trajectory (each overlap
 the average of its two windows, as in MultiDiffusion), and the chain takes
-one second-order SDE step with noise drawn once on the trajectory. The step's
-correction combines two consolidated outputs element by element. An overlap
-is stored once, so neighboring windows agree on it bitwise after every step.
+one third-order multistep SDE step with noise drawn once on the trajectory.
+The step's correction combines three consolidated outputs element by element.
+An overlap is stored once, so neighboring windows agree on it bitwise after
+every step.
 """
 
 from __future__ import annotations
@@ -67,6 +68,33 @@ def consolidate(ds, layout: WindowLayout):
     return out
 
 
+def _multistep_weights(sigmas):
+    """(a, b): the weights of `sample_chain`'s data estimate on a sigma grid,
+    d_i + a[i] (d_i - d_{i-1}) + b[i] (d_{i-1} - d_{i-2}) at step i.
+
+    With h_i = log(sigmas[i] / sigmas[i+1]), r_i = sigmas[i+1]^2 / sigmas[i]^2,
+    phi2 = expm1(-2 h_i) / (2 h_i) + 1 and phi3 = phi2 / (2 h_i) - 1/2, the
+    SDE-DPM-Solver++(3M) estimate d_i + (phi2 D1 - phi3 D2) / (1 - r_i) is
+    written in the two differences: with r0 = h_{i-1} / h_i and
+    r1 = h_{i-2} / h_i,
+        a[i] = (phi2 (2 r0 + r1) - phi3) / (r0 (r0 + r1) (1 - r_i)),
+        b[i] = (phi3 - phi2 r0) / (r1 (r0 + r1) (1 - r_i)).
+    Step 1 has no d_{-1}: a[1] = phi2 / (r0 (1 - r_1)), b[1] = 0. Step 0 is
+    first order: a[0] = b[0] = 0.
+    """
+    h = np.log(sigmas[:-1] / sigmas[1:])
+    one_minus_r = 1.0 - (sigmas[1:] / sigmas[:-1]) ** 2
+    phi2 = np.expm1(-2.0 * h) / (2.0 * h) + 1.0
+    phi3 = phi2 / (2.0 * h) - 0.5
+    a, b = np.zeros_like(h), np.zeros_like(h)
+    a[1:2] = phi2[1:2] / (h[:1] / h[1:2] * one_minus_r[1:2])
+    r0, r1 = h[1:-1] / h[2:], h[:-2] / h[2:]   # at steps i >= 2
+    scale = (r0 + r1) * one_minus_r[2:]
+    a[2:] = (phi2[2:] * (2.0 * r0 + r1) - phi3[2:]) / (r0 * scale)
+    b[2:] = (phi3[2:] - phi2[2:] * r0) / (r1 * scale)
+    return a, b
+
+
 def sample_chain(denoise_fn, shape, sigmas, rng, on_step=None):
     """Run the reverse chain from sigma_max noise down the given sigma grid.
 
@@ -74,28 +102,31 @@ def sample_chain(denoise_fn, shape, sigmas, rng, on_step=None):
     (smallest) sigma; the terminal condition is z ~ N(0, sigmas[0]^2 I).
     on_step, if given, is called as on_step(grid_index, z) after every step.
 
-    The chain is SDE-DPM-Solver++(2M) (Lu et al. 2022, arXiv 2211.01095): the
-    first step is `sde_step_exponential` on the denoiser output d_0; each later
-    step i hands it d_i + (h_i / (2 h_{i-1})) (d_i - d_{i-1}) instead, with
-    h_i = log(sigmas[i] / sigmas[i+1]). The correction reuses the previous
-    step's output, so every step costs one denoiser call. The grid must be
-    strictly decreasing, or some h is zero.
+    The chain is SDE-DPM-Solver++(3M) with eta = 1 (Lu et al. 2022, arXiv
+    2211.01095; k-diffusion's `sample_dpmpp_3m_sde`): step i hands
+    `sde_step_exponential` the estimate d_i + a[i] (d_i - d_{i-1})
+    + b[i] (d_{i-1} - d_{i-2}) of `_multistep_weights`, from the last three
+    denoiser outputs. Step 0 is first order and step 1 uses two outputs. The
+    corrections reuse earlier steps' outputs, so every step costs one denoiser
+    call. The grid must be strictly decreasing, or some step is empty.
     """
     if not (np.diff(sigmas) < 0).all():
         raise ValueError("sigma grid is not strictly decreasing")
-    h = np.log(sigmas[:-1] / sigmas[1:])
+    a, b = _multistep_weights(sigmas)
     z = rng.standard_normal(shape) * sigmas[0]
-    d_prev = None
+    d1 = d2 = None
     for i in range(len(sigmas) - 1):
         d = denoise_fn(z, sigmas[i])
-        est = d if d_prev is None else d + (h[i] / (2.0 * h[i - 1])) * (d - d_prev)
+        est = d if i == 0 else d + a[i] * (d - d1)
+        if i >= 2:
+            est += b[i] * (d1 - d2)
         eps = rng.standard_normal(shape)
         z = sde_step_exponential(z, sigmas[i], sigmas[i + 1], est, eps)
         if not np.isfinite(z).all():
             raise DivergenceError(f"non-finite sampler state at grid index {i}")
         if on_step is not None:
             on_step(i, z)
-        d_prev = d
+        d1, d2 = d, d1
     return z
 
 

@@ -694,12 +694,16 @@ class TestExitCodes:
         (["sr.doy_buckets=0"], "sr.doy_buckets must be at least 1, not 0", "doy-buckets-0"),
         (["sr.window_days=0"], "sr.window_days must be at least 1, not 0", "window-days-0"),
         (["sr.p_uncond=1.5"], "sr.p_uncond must lie in [0, 1), not 1.5", "p-uncond-1.5"),
-        (["sr.n_grid=1"], "sr.n_grid must be at least 2, not 1", "n-grid-1"),
+        (["sr.n_grid=1"], "sr.n_grid must be at least 24, not 1", "n-grid-1"),
+        (["sr.n_grid=23"], "sr.n_grid must be at least 24, not 23", "n-grid-23"),
         (["sr.sigma_min=0"], "sr.sigma_min must be positive, not 0.0", "sigma-min-0"),
         (["sr.sigma_max=1e-4"], "sr.sigma_max must exceed sigma_min = 0.0001, not 0.0001",
          "sigma-max-at-sigma-min"),
         (["sr.schedule_kind=cosine"], "sr.schedule_kind must be 'edm' or 'tangent', "
                                       "not 'cosine'", "unknown-schedule-kind"),
+        (["sr.schedule_kind=tangent"], "sr.schedule_kind = tangent is refused: its last "
+         "step, from about 10 to sigma_min, is too long for the sampler (ROADMAP item 17)",
+         "tangent-schedule"),
         # the rules of the settings `fit` reads, one for each stage
         (["sr.steps=-3"], "sr.steps must be at least 0, not -3", "sr-steps-minus-3"),
         (["debias.steps=-3"], "debias.steps must be at least 0, not -3", "debias-steps-minus-3"),

@@ -44,6 +44,7 @@ from downgen.nets import as_leaves, denoiser_arch, denoiser_forward, init_params
 from downgen.optim import OptimizerState, Schedule, adam_step
 from downgen.synthdata import SynthConfig, gen_fine_ensemble
 
+from dpmpp import estimate_3m
 from gradcheck import finite_diff_grads, loss_and_grads, rel_error
 
 
@@ -381,27 +382,26 @@ class TestSamplerOracles:
     @pytest.mark.parametrize("n_grid", [256, default_config()["sr"]["n_grid"]])
     def test_analytic_gaussian_denoiser_restores_prior_variance(self, n_grid):
         # Tweedie oracle: for prior N(0, s^2), D*(z, sigma) = z s^2 / (s^2 + sigma^2).
-        # The 2M chain ends 0.1% above the prior variance on 256 levels and 1.7%
-        # above on 64, so also pin the empirical result to the exact recursion.
-        # z_{i+1} = A z_i + B z_{i-1} + noise, so it tracks Var z_i and
-        # Cov(z_i, z_{i-1}).
+        # The 3M chain ends 0.05% above the prior variance on 256 levels and 1.7%
+        # above on 40, so also pin the empirical result to the exact recursion.
+        # 10^5 draws put 3 SE at 1.3%, which tells it from the 2M recursion's
+        # 4.5% on 40 levels.
         s2 = 4.0
         sig = NoiseSchedule(n_grid=n_grid).step_sigmas()
         rng = np.random.default_rng(0)
-        z = sample_chain(lambda z, s: z * s2 / (s2 + s ** 2), (10000,), sig, rng)
+        z = sample_chain(lambda z, s: z * s2 / (s2 + s ** 2), (100_000,), sig, rng)
         assert abs(z.var() - s2) / s2 < 0.05
-        h = np.log(sig[:-1] / sig[1:])
-        v, v_prev, cov = sig[0] ** 2, 0.0, 0.0
-        for i in range(len(sig) - 1):
-            hi, lo = sig[i], sig[i + 1]
-            a = lo ** 2 / hi ** 2
-            k = h[i] / (2 * h[i - 1]) if i else 0.0
-            big_a = a + (1 - a) * (1 + k) * s2 / (s2 + hi ** 2)
-            big_b = -(1 - a) * k * s2 / (s2 + sig[i - 1] ** 2) if i else 0.0
-            v, v_prev, cov = (big_a ** 2 * v + big_b ** 2 * v_prev + 2 * big_a * big_b * cov
-                              + a * (hi ** 2 - lo ** 2)), v, big_a * v + big_b * cov
+        v = _exact_3m_variance(sig, s2)
         mc_se = v * np.sqrt(2.0 / z.size)
         assert abs(z.var() - v) < 3.0 * mc_se
+
+    @pytest.mark.parametrize("s2", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("n_grid", [24, 40, 256])
+    def test_exact_3m_recursion_within_6_percent_from_24_levels(self, n_grid, s2):
+        # the evidence for `cli._LEAST`'s floor of 24 on sr.n_grid: on 16 levels
+        # the recursion ends at 0.66 of the prior variance, on 8 at 16.8
+        sig = NoiseSchedule(n_grid=n_grid).step_sigmas()
+        assert abs(_exact_3m_variance(sig, s2) / s2 - 1.0) < 0.06
 
     def test_fixed_rng_deterministic(self):
         sched = NoiseSchedule(n_grid=16)
@@ -409,6 +409,26 @@ class TestSamplerOracles:
         a = sample_chain(lambda z, s: 0.5 * z, (50,), sig, np.random.default_rng(16))
         b = sample_chain(lambda z, s: 0.5 * z, (50,), sig, np.random.default_rng(16))
         np.testing.assert_array_equal(a, b)
+
+
+def _exact_3m_variance(sig, s2):
+    """Var z_N of the 3M chain on grid sig with the Tweedie oracle
+    D(z, sigma) = g z, g = s2 / (s2 + sigma^2). Step i's estimate is linear in
+    (d_i, d_{i-1}, d_{i-2}), with weights read off `estimate_3m` on unit
+    vectors, so z_{i+1} = A z_i + B z_{i-1} + C z_{i-2} + noise, and the
+    recursion tracks the covariance of (z_i, z_{i-1}, z_{i-2})."""
+    g = s2 / (s2 + sig ** 2)
+    cov = np.zeros((3, 3))
+    cov[0, 0] = sig[0] ** 2
+    for i in range(len(sig) - 1):
+        r = sig[i + 1] ** 2 / sig[i] ** 2
+        est = estimate_3m(sig, i, *np.eye(3))
+        gains = np.array([g[i - k] if k <= i else 0.0 for k in range(3)])
+        step = np.array([[r, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        step[0] += (1.0 - r) * est * gains
+        cov = step @ cov @ step.T
+        cov[0, 0] += r * (sig[i] ** 2 - sig[i + 1] ** 2)
+    return cov[0, 0]
 
 
 def small_truth():

@@ -19,12 +19,15 @@ from downgen.diffusion import (
 from downgen.grid import Climatology, coarsen
 from downgen.multidiffusion import (
     WindowLayout,
+    _multistep_weights,
     consolidate,
     sample_chain,
     sample_long,
 )
 from downgen.nets import DivergenceError, denoiser_arch, denoiser_cond, init_params
 from downgen.synthdata import SynthConfig, gen_fine_ensemble
+
+from dpmpp import estimate_3m
 
 
 def _sample_config(windows, length_days, window_days=3):
@@ -127,9 +130,11 @@ class TestConsolidate:
 class TestSampleChain:
     """The chain on a stub denoiser that returns known arrays, one per call."""
 
-    def test_first_step_first_order_then_2m_estimate(self, monkeypatch):
-        sig = NoiseSchedule(n_grid=4).step_sigmas()
-        outs = np.random.default_rng(40).standard_normal((3, 5))
+    def test_first_order_then_two_point_then_3m_estimate(self, monkeypatch):
+        # six levels: steps 2-4 are 3M steps, whose r0 = h_{i-1}/h_i and
+        # r1 = h_{i-2}/h_i differ on the warped grid
+        sig = NoiseSchedule(n_grid=6).step_sigmas()
+        outs = np.random.default_rng(40).standard_normal((5, 5))
         calls, steps, states = [], [], []
 
         def stub(z, sigma):
@@ -147,11 +152,21 @@ class TestSampleChain:
         rng = np.random.default_rng(41)
         z0 = rng.standard_normal(5) * sig[0]
         first = sde_step_exponential(z0, sig[0], sig[1], outs[0], rng.standard_normal(5))
+        assert steps[0].tobytes() == outs[0].tobytes()
         assert states[0].tobytes() == first.tobytes()
-        h = np.log(sig[:-1] / sig[1:])
-        for i in (1, 2):
-            est = outs[i] + (h[i] / (2.0 * h[i - 1])) * (outs[i] - outs[i - 1])
+        a, b = _multistep_weights(sig)
+        assert a[0] == b[0] == b[1] == 0.0
+        two_point = outs[1] + a[1] * (outs[1] - outs[0])
+        assert steps[1].tobytes() == two_point.tobytes()
+        for i in (2, 3, 4):
+            est = outs[i] + a[i] * (outs[i] - outs[i - 1]) + b[i] * (outs[i - 1] - outs[i - 2])
             assert steps[i].tobytes() == est.tobytes()
+        # the weights against the estimate in its published form
+        h = np.log(sig[:-1] / sig[1:])
+        for i in (1, 2, 3, 4):
+            assert i == 1 or abs(h[i - 1] / h[i] - h[i - 2] / h[i]) > 0.1   # r0 != r1
+            est = estimate_3m(sig, i, outs[i], outs[i - 1], outs[i - 2] if i > 1 else None)
+            np.testing.assert_allclose(steps[i], est, rtol=1e-12, atol=1e-12)
 
     def test_repeated_sigma_refused_before_any_denoiser_call(self):
         calls = []
