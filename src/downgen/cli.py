@@ -36,7 +36,7 @@ import numpy as np
 
 from .baselines import bcsd_pipeline, daily_means, qm_debias
 from .config import ConfigError, apply_overrides, parse_config, default_config, resolved_text
-from .diffusion import NoiseSchedule, SRTrainConfig, load_sr, train_sr
+from .diffusion import LEAST_N_GRID, NoiseSchedule, SRTrainConfig, load_sr, train_sr
 from .grid import (
     DAYS_PER_YEAR,
     HOURS_PER_DAY,
@@ -50,17 +50,8 @@ from .grid import (
     staged,
     write_array,
 )
-from .metrics import (
-    heat_advisory_exceedance,
-    heat_index,
-    heat_streak_prob,
-    mab,
-    percentile_mae,
-    relative_humidity,
-    spatial_corr_error,
-    temporal_psd_error,
-    wasserstein1,
-)
+from .metrics import (HEAT_STREAK_DAYS, HEAT_STREAK_DELTA, _daily_tmax, _derived_fields,
+                      heat_streak_prob, score_prediction)
 from .multidiffusion import WindowLayout, sample_long
 from .cyclones import detect_cyclones
 from .nets import DivergenceError
@@ -79,11 +70,6 @@ _SOURCES = {
 # top-level seed streams of the CLI's draws; synthdata, reflow and diffusion own 0-3
 _SAMPLE_STREAM = 4
 _BCSD_STREAM = 5
-# fixed evaluation settings: the percentile of `mae_pXX`, and a heat streak as
-# HEAT_STREAK_DAYS days with a daily maximum HEAT_STREAK_DELTA K above climatology
-PERCENTILE = 99.0
-HEAT_STREAK_DAYS = 3
-HEAT_STREAK_DELTA = 0.5
 
 
 class StageError(Exception):
@@ -136,12 +122,10 @@ def _train_hours(cfg):
 # (section, key, least value) of the keys that stages read directly, not through a
 # stage config that refuses them itself. The training period is at least a year:
 # BCSD's analog pool and QM over a whole member series need every day of the year.
-# The sampler's third-order step needs 24 levels: on the Gaussian oracle it ends
-# at 0.66 of a unit prior variance on 16 levels and 16.8 on 8, within 6% from 24 up.
 _LEAST = [("pipeline", "rng_seed", 0), ("synth", "train_days", DAYS_PER_YEAR),
           ("sample", "start_day", 0), ("debias", "transport_steps", 1),
           ("baseline", "qm_doy_buckets", 1), ("baseline", "fine_clim_doy_buckets", 1),
-          ("sr", "n_grid", 24)]
+          ("sr", "n_grid", LEAST_N_GRID)]
 # (section, key, steps a day of the training series): the day-of-year buckets of a
 # climatology fitted on the training period, with one time-of-day group per step
 _CLIMATOLOGIES = [("sr", "doy_buckets", STEPS_PER_DAY), ("baseline", "qm_doy_buckets", 1),
@@ -366,59 +350,21 @@ def _method_outputs(run_dir):
     return {tag: read_array(_require(run_dir, rel)) for tag, rel in rels.items()}
 
 
-def _derived_fields(fld: GridField):
-    """(relative humidity %, heat index K) series from the four base variables."""
-    t = fld.data[..., 0]
-    q = fld.data[..., 2]
-    p = fld.data[..., 3]
-    rh = relative_humidity(np.clip(q, 0.0, 0.999), np.maximum(t, 180.0), p, clip=True)
-    return rh, heat_index(np.maximum(t, 180.0), rh)
-
-
-def _daily_tmax(fld: GridField):
-    """[days, NX, NY] daily maximum temperature."""
-    spd = 24 // fld.dt_hours
-    return fld.data[..., 0].reshape(fld.n_times // spd, spd, *fld.data.shape[1:3]).max(axis=1)
-
-
 def evaluate_fields(cfg, truth_window: GridField, methods: dict,
                     train_truth: GridField) -> MetricReport:
     """Distribution, correlation and compound-event metrics per method."""
     report = MetricReport(period=f"h{truth_window.time0}+{truth_window.n_times}steps")
-    names = list(truth_window.var_names)
-    ref_derived = _derived_fields(truth_window)
-    nx, ny = truth_window.data.shape[1:3]
-    center, box = (nx // 2, ny // 2), (min(nx, ny) - 1) // 2
+    truth_derived = _derived_fields(truth_window)
     tmax_clim = _daily_tmax(train_truth).mean(axis=0)
-    streak = (HEAT_STREAK_DAYS, HEAT_STREAK_DELTA)
-    streak_ref = heat_streak_prob(_daily_tmax(truth_window), tmax_clim, *streak)
+    truth_streak = heat_streak_prob(_daily_tmax(truth_window), tmax_clim, HEAT_STREAK_DAYS,
+                                    HEAT_STREAK_DELTA)
     for method, fld in sorted(methods.items()):
         if fld.data.shape != truth_window.data.shape:
             raise StageError(f"{method} output shape {fld.data.shape} does not match "
                              f"truth window {truth_window.data.shape}")
-        series = [(name, fld.data[..., v], truth_window.data[..., v])
-                  for v, name in enumerate(names)]
-        series += zip(("rel_humidity", "heat_index"), _derived_fields(fld), ref_derived)
-        for name, pred, ref in series:
-            report.add_scalar("mab", name, method, mab(pred, ref))
-            report.add_scalar("wd", name, method, wasserstein1(pred, ref))
-            report.add_scalar(f"mae_p{PERCENTILE:g}", name, method,
-                              percentile_mae(pred, ref, PERCENTILE))
-            if name in names:
-                t_phys = float(fld.n_times * fld.dt_hours)
-                pred_m = pred.reshape(fld.n_times, -1).T
-                ref_m = ref.reshape(fld.n_times, -1).T
-                report.add_scalar("psd_log_error", name, method,
-                                  temporal_psd_error(pred_m, ref_m, t_phys))
-                report.add_scalar("spatial_corr_error", name, method,
-                                  spatial_corr_error(pred, ref, center, box))
-            if name == "heat_index":
-                exceed = (heat_advisory_exceedance(pred, "caution")
-                          - heat_advisory_exceedance(ref, "caution"))
-                report.add_scalar("advisory_exceedance_mae", name, method,
-                                  float(np.abs(exceed).mean()))
-        sq = (heat_streak_prob(_daily_tmax(fld), tmax_clim, *streak) - streak_ref) ** 2
-        report.add_scalar("heat_streak_sq_error", "temperature", method, float(np.mean(sq)))
+        rows = score_prediction(fld, truth_window, truth_derived, tmax_clim, truth_streak)
+        for (metric, name), value in rows.items():
+            report.add_scalar(metric, name, method, value)
         if cfg["evaluate"]["cyclones"]:
             stride = max(1, 6 // fld.dt_hours)
             elev = np.zeros(fld.data.shape[1:3])

@@ -45,6 +45,9 @@ from .reflow import FitConfig, fit, one_group_table, write_loss_log
 
 _TRAIN_STREAM = 3
 RHO = 7.0   # the warp of the "edm" sampling grid, EDM's value
+# The sampler's third-order step needs 24 levels: on the Gaussian oracle it ends
+# at 0.66 of a unit prior variance on 16 levels and 16.8 on 8, within 6% from 24 up.
+LEAST_N_GRID = 24
 
 
 @dataclass
@@ -300,7 +303,8 @@ def _sr_model(arrays, meta) -> SRModel:
     coarse grid of cond_stats/mean; the climatology has steps_per_day groups a day.
     A tensor beyond the parameters and the four statistics is refused, so an
     older checkpoint's mask of climatology groups never observed cannot load as
-    if its climatology covered every group."""
+    if its climatology covered every group. So is a sampling grid that
+    `cli._check_config` refuses: under LEAST_N_GRID levels, or the tangent grid."""
     unread = sorted(k for k in arrays if not k.startswith("param/") and k not in _SR_STATS)
     if unread:
         raise ValueError(f"an SR checkpoint holds no tensors {unread}")
@@ -315,6 +319,9 @@ def _sr_model(arrays, meta) -> SRModel:
     clim = Climatology(len(clim_mean) // spec.temporal_window, spec.temporal_window, clim_mean,
                        arrays["clim/std"])
     sched = NoiseSchedule(**exact_keys(meta["schedule"], NoiseSchedule))
+    require_at_least(sched, LEAST_N_GRID, ("n_grid",))
+    if sched.kind != "edm":
+        raise ValueError(f"kind {sched.kind!r} is refused: the sampler runs on the 'edm' grid")
     return SRModel(checkpoint_params(arrays, arch), arch, clim, cond, sched, spec, window_days)
 
 

@@ -12,6 +12,8 @@ import warnings
 
 import numpy as np
 
+from .grid import GridField
+
 # heat-index advisory thresholds (Kelvin): caution, extreme caution, danger,
 # extreme danger
 HEAT_ADVISORY_LEVELS = {
@@ -22,6 +24,11 @@ HEAT_ADVISORY_LEVELS = {
 }
 # the least periodogram value `temporal_psd_error` takes the log of
 PSD_FLOOR = 1e-30
+# fixed evaluation settings: the percentile of `mae_pXX`, and a heat streak as
+# HEAT_STREAK_DAYS days with a daily maximum HEAT_STREAK_DELTA K above climatology
+PERCENTILE = 99.0
+HEAT_STREAK_DAYS = 3
+HEAT_STREAK_DELTA = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -228,3 +235,53 @@ def heat_streak_prob(tmax, clim_mean, h, delta):
             member[k: k + window_full.shape[0]] |= window_full
     prob = member.sum(axis=0) / max(n, 1)
     return float(prob) if tmax.ndim == 1 else prob
+
+
+# ---------------------------------------------------------------------------
+# One prediction's comparison rows
+# ---------------------------------------------------------------------------
+
+def _derived_fields(fld: GridField):
+    """(relative humidity %, heat index K) series from the four base variables."""
+    t = fld.data[..., 0]
+    q = fld.data[..., 2]
+    p = fld.data[..., 3]
+    rh = relative_humidity(np.clip(q, 0.0, 0.999), np.maximum(t, 180.0), p, clip=True)
+    return rh, heat_index(np.maximum(t, 180.0), rh)
+
+
+def _daily_tmax(fld: GridField):
+    """[days, NX, NY] daily maximum temperature."""
+    spd = 24 // fld.dt_hours
+    return fld.data[..., 0].reshape(fld.n_times // spd, spd, *fld.data.shape[1:3]).max(axis=1)
+
+
+def score_prediction(fld: GridField, truth: GridField, truth_derived, tmax_clim,
+                     truth_streak) -> dict:
+    """(metric, variable) -> value of every comparison row of `fld` against `truth`,
+    a field of its shape, in report order. What every prediction shares is passed
+    in: `_derived_fields(truth)`, the training period's mean daily maximum
+    `tmax_clim` and the truth's heat-streak probabilities against it."""
+    names = list(truth.var_names)
+    nx, ny = truth.data.shape[1:3]
+    center, box = (nx // 2, ny // 2), (min(nx, ny) - 1) // 2
+    series = [(name, fld.data[..., v], truth.data[..., v]) for v, name in enumerate(names)]
+    series += zip(("rel_humidity", "heat_index"), _derived_fields(fld), truth_derived)
+    rows = {}
+    for name, pred, ref in series:
+        rows["mab", name] = mab(pred, ref)
+        rows["wd", name] = wasserstein1(pred, ref)
+        rows[f"mae_p{PERCENTILE:g}", name] = percentile_mae(pred, ref, PERCENTILE)
+        if name in names:
+            t_phys = float(fld.n_times * fld.dt_hours)
+            pred_m = pred.reshape(fld.n_times, -1).T
+            ref_m = ref.reshape(fld.n_times, -1).T
+            rows["psd_log_error", name] = temporal_psd_error(pred_m, ref_m, t_phys)
+            rows["spatial_corr_error", name] = spatial_corr_error(pred, ref, center, box)
+        if name == "heat_index":
+            exceed = (heat_advisory_exceedance(pred, "caution")
+                      - heat_advisory_exceedance(ref, "caution"))
+            rows["advisory_exceedance_mae", name] = float(np.abs(exceed).mean())
+    streak = heat_streak_prob(_daily_tmax(fld), tmax_clim, HEAT_STREAK_DAYS, HEAT_STREAK_DELTA)
+    rows["heat_streak_sq_error", "temperature"] = float(np.mean((streak - truth_streak) ** 2))
+    return rows

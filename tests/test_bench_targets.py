@@ -1,9 +1,12 @@
 """The benchmark's tracer wraps functions at the module attributes their callers
 look up, and its environment block calls `downgen.parallel.worker_count`; every
 attribute it names must exist and be callable, or the benchmark breaks when
-code moves."""
+code moves. A traced run also reports every `per_layer` name of BENCHMARK.json,
+or exits 1."""
 
+import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -12,7 +15,9 @@ import pytest
 from downgen import cli, parallel
 from test_cli import TINY
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -25,6 +30,21 @@ def _load_tracing():
     finally:
         sys.dont_write_bytecode = saved
     return module
+
+
+def _load_kernels():
+    """Import perfbench/kernels.py, which imports its sibling modules by their
+    bare names, without writing a bytecode cache beside them or leaving them
+    importable afterwards."""
+    saved = sys.path[:], sys.dont_write_bytecode
+    sys.path.insert(0, str(PERFBENCH))
+    sys.dont_write_bytecode = True
+    try:
+        return importlib.import_module("kernels")
+    finally:
+        sys.path[:], sys.dont_write_bytecode = saved
+        for name in ("kernels", "workloads", "tracing"):
+            sys.modules.pop(name, None)
 
 
 tracing = _load_tracing()
@@ -59,3 +79,13 @@ def test_every_span_records_a_call(tmp_path):
                          "--set", "evaluate.cyclones=true"]) == 0
     calls = tracing.summarize(tracer.spans)
     assert [name for name, _ in spans if name not in calls] == []
+
+
+def test_traced_run_reports_every_per_layer_name(tmp_path):
+    """A traced run's layer metrics are the tracer's and the kernel sheet's; a
+    `per_layer` name neither produces, such as a conv level a net no longer
+    has, makes the run exit 1. `trace.overhead_share` is the runner's own."""
+    declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    sheet = _load_kernels().kernel_sheet(ROOT, 5, tmp_path, quick=True)
+    produced = set(sheet) | set(tracing.layer_metrics([], 1, 1))
+    assert sorted(declared - produced - {"trace.overhead_share"}) == []

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from downgen import cli, diffusion, nets, reflow, synthdata
+from downgen import cli, diffusion, metrics, nets, reflow, synthdata
 from downgen.cli import _reflow_config, _sr_config, _synth_config, build_parser, main
 from downgen.config import (
     SCHEMA,
@@ -498,6 +498,9 @@ WRONG_VALUES = [
     (SR, ("meta", "schedule", "kind"), 5), (SR, ("meta", "schedule", "sigma_max"), "x"),
     (SR, ("meta", "schedule", "bogus"), 1), (SR, ("meta", "schedule", "n_grid"), 1),
     (SR, ("meta", "schedule", "sigma_min"), 0), (SR, ("meta", "schedule", "sigma_min"), 80.0),
+    # sampling grids `_check_config` refuses for sr.n_grid and sr.schedule_kind
+    (SR, ("meta", "schedule", "n_grid"), 8), (SR, ("meta", "schedule", "n_grid"), 23),
+    (SR, ("meta", "schedule", "kind"), "tangent"),
 ]
 # (tensor file, edit of its array, row id): tensors that disagree with the rest of
 # their checkpoint, which fails naming its manifest
@@ -940,8 +943,8 @@ class TestEvaluateFields:
         data[6:12, 1, 2, 0] = 310.0  # 6 of 24 steps at another
         pred = truth.with_data(data)
         caution = 300.0
-        assert (cli._derived_fields(truth)[1] < caution).all()
-        hot = cli._derived_fields(pred)[1] > caution
+        assert (metrics._derived_fields(truth)[1] < caution).all()
+        hot = metrics._derived_fields(pred)[1] > caution
         assert hot.sum() == 9 and hot[:3, 0, 0].all() and hot[6:12, 1, 2].all()
         report = cli.evaluate_fields(_no_cyclones(), truth, {"pred": pred},
                                      _fine_field(4, seed=4))

@@ -398,7 +398,7 @@ class TestSamplerOracles:
     @pytest.mark.parametrize("s2", [0.25, 1.0, 4.0])
     @pytest.mark.parametrize("n_grid", [24, 40, 256])
     def test_exact_3m_recursion_within_6_percent_from_24_levels(self, n_grid, s2):
-        # the evidence for `cli._LEAST`'s floor of 24 on sr.n_grid: on 16 levels
+        # the evidence for `diffusion.LEAST_N_GRID`, the floor of sr.n_grid: on 16 levels
         # the recursion ends at 0.66 of the prior variance, on 8 at 16.8
         sig = NoiseSchedule(n_grid=n_grid).step_sigmas()
         assert abs(_exact_3m_variance(sig, s2) / s2 - 1.0) < 0.06
@@ -490,7 +490,7 @@ class TestTrainAndSample:
     def test_checkpoint_written_by_training(self, tmp_path):
         truth = small_truth()
         cfg = SRTrainConfig(steps=3, levels=(4,), doy_buckets=1, seed=29,
-                            noise=NoiseSchedule(n_grid=8))
+                            noise=NoiseSchedule(n_grid=24))
         model, _ = train_sr(truth, cfg, out_dir=tmp_path / "sr")
         assert (tmp_path / "sr" / "loss.csv").exists()
         arrays, meta = load_checkpoint(tmp_path / "sr", "sr", lambda *doc: doc)
