@@ -4,9 +4,9 @@ Both nets are small convolutional U-nets (3x3 kernels, stride-2 down,
 nearest-up + conv, skip connections), each with the channels per level of
 its own stage's `levels` setting. Scalar conditioning enters through a
 Fourier embedding followed by per-block FiLM modulation: the velocity net
-embeds the flow time on `TAU_FREQS`, the denoiser its noise level on
-`FOURIER_FREQS`. Gridded conditioning is concatenated as input channels.
-Everything is float64 with hand-written gradients.
+embeds the flow time on `TAU_FREQS` plus its pooled member statistics, the
+denoiser its noise level on `FOURIER_FREQS` with gridded conditioning as input
+channels. Everything is float64 with hand-written gradients.
 """
 
 from __future__ import annotations
@@ -192,8 +192,8 @@ def unet_body(leaves, h, embed: Tensor, arch: ArchConfig) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def velocity_arch(n_vars, levels=(16, 32, 64)) -> ArchConfig:
-    # gridded input: state + member mean + member std fields
-    return ArchConfig(in_channels=3 * n_vars, out_channels=n_vars,
+    # gridded input: the state alone; the member statistics enter pooled, through cond_vec
+    return ArchConfig(in_channels=n_vars, out_channels=n_vars,
                       levels=levels, cond_vec_dim=2 * n_vars)
 
 
@@ -202,17 +202,16 @@ def velocity_forward(leaves, yhat, tau, stat_mean, stat_std, arch: ArchConfig) -
 
     yhat: [B, H, W, V]; tau: [B], or [1] for one time shared by all rows;
     stat_mean/stat_std: [B, H, W, V] member statistics, or [1, H, W, V] for
-    statistics shared by all rows, injected both as channels and as a pooled
-    FiLM embedding term. With tau and both fields shared, the embedding, the
-    pooled-statistics dense and every FiLM dense run on one row, and FiLM's
-    [1, 1, 1, C] scale and shift broadcast over the batch.
+    statistics shared by all rows. They enter once, as their per-row spatial
+    means through the `cond_vec/dense` term added to the tau embedding; the
+    gridded input is yhat alone. With tau and both fields shared, the
+    embedding, the pooled-statistics dense and every FiLM dense run on one
+    row, and FiLM's [1, 1, 1, C] scale and shift broadcast over the batch.
     """
-    x = np.concatenate([yhat, np.broadcast_to(stat_mean, yhat.shape),
-                        np.broadcast_to(stat_std, yhat.shape)], axis=-1)
     embed = fourier_embed(leaves, tau, TAU_FREQS)
     pooled = np.concatenate([stat_mean.mean(axis=(1, 2)), stat_std.mean(axis=(1, 2))], axis=1)
     cond = ad.dense(pooled, leaves["cond_vec/dense/w"], leaves["cond_vec/dense/b"])
-    out = unet_forward(leaves, x, embed + cond, arch)
+    out = unet_forward(leaves, yhat, embed + cond, arch)
     if not np.isfinite(out.data).all():
         raise DivergenceError("velocity network produced non-finite activations")
     return out
@@ -351,5 +350,6 @@ def checkpoint_params(arrays, arch: ArchConfig) -> dict:
     for prefix, shape, _ in layers(arch):
         expected |= {f"{prefix}/w": shape, f"{prefix}/b": shape[-1:]}
     if {k: v.shape for k, v in params.items()} != expected:
-        raise ValueError(f"the param/ tensors are not the parameters of {arch}")
+        raise ValueError(f"the param/ tensors are not the parameters of {arch}: "
+                         f"train this checkpoint's stage again")
     return params

@@ -100,7 +100,7 @@ class ReflowModel:
 
 @dataclass
 class CouplingBatch:
-    """Normalized snapshot pairs plus per-sample member statistic fields."""
+    """Normalized snapshot pairs plus per-sample member statistic fields (read pooled)."""
 
     y0: np.ndarray         # [B, NX, NY, V] biased member snapshots (normalized)
     y1: np.ndarray         # [B, NX, NY, V] target snapshots (normalized)

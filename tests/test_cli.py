@@ -514,6 +514,9 @@ DISAGREEING_TENSORS = [
     ("models/sr/cond_stats__std.npy", lambda a: a[..., :3], "3-variables"),
     ("models/sr/param__in__conv__w.npy", lambda a: a[..., :4], "4-channels"),
     ("models/debias/param__in__conv__w.npy", lambda a: a[..., :4], "4-channels"),
+    # a velocity net that read the member statistics as 8 more input channels
+    ("models/debias/param__in__conv__w.npy", lambda a: np.concatenate([a, a, a], axis=2),
+     "12-input-channels"),
     ("models/debias/member_stats__m000__std.npy", lambda a: 0 * a, "zero"),
     ("models/sr/clim__std.npy", lambda a: 0 * a, "zero"),
     # a member's mean and std on one grid row, against the target statistics' two

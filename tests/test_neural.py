@@ -178,6 +178,27 @@ class TestVelocityForward:
         assert shared.shape == yhat.shape and scale > 0.01
         assert np.abs(shared - per_row).max() <= 1e-14 * scale
 
+    def test_statistics_enter_only_through_their_spatial_mean(self):
+        # the member statistics reach the net once, pooled per row: fields replaced by
+        # their spatial means, broadcast back, give the same velocity
+        rng = np.random.default_rng(14)
+        arch = velocity_arch(4, (16, 32))
+        params = init_params(rng, arch)
+        for k in params:
+            params[k] = params[k] + rng.standard_normal(params[k].shape) * 0.05
+        yhat, mean = rng.standard_normal((2, 3, 4, 4, 4))
+        std = 0.5 + rng.random((3, 4, 4, 4))
+
+        def pooled(a):
+            return np.broadcast_to(a.mean(axis=(1, 2), keepdims=True), a.shape)
+
+        tau = rng.uniform(0.1, 0.9, 3)
+        out = velocity_forward(params, yhat, tau, mean, std, arch).data
+        np.testing.assert_allclose(velocity_forward(params, yhat, tau, pooled(mean),
+                                                    pooled(std), arch).data,
+                                   out, rtol=0, atol=1e-12)
+        assert np.abs(out).max() > 0.01
+
     def test_gradient_check_on_squared_norm(self):
         arch, params, yhat, tau, mean, std = small_velocity_setup(seed=10)
         rng = np.random.default_rng(11)
